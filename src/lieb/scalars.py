@@ -10,6 +10,13 @@ denominator is nonzero, num and den are jointly reduced by their integer
 content, and the denominator's leading coefficient (graded-lex order) is
 positive.  Equality of scalars is decided by cross-multiplication, so no
 multivariate gcd is ever needed.  Ordering of monomials affects printing only.
+
+Constants take a fast path.  A Scalar whose num and den are both constant
+also carries its value as a reduced int pair p/q with q > 0.  When every
+operand of +, -, *, /, ** or == is constant, the result is computed on those
+pairs with math.gcd and built directly in canonical form: the same num and
+den terms the polynomial path gives, with zero sharing the constant
+polynomials 0 and 1.  Any symbolic operand takes the polynomial path.
 """
 
 from __future__ import annotations
@@ -107,10 +114,14 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return sorted(self.terms.items(), key=lambda item: _mono_key(item[0]))
 
+    def leading_term(self) -> tuple[Monomial, int]:
+        """The first term in print order (graded lex); the polynomial is nonzero."""
+        return min(self.terms.items(), key=lambda item: _mono_key(item[0]))
+
     def leading_coefficient(self) -> int:
         if not self.terms:
             return 0
-        return self.sorted_terms()[0][1]
+        return self.leading_term()[1]
 
     def __add__(self, other: Polynomial) -> Polynomial:
         out = dict(self.terms)
@@ -158,12 +169,12 @@ class Polynomial:
             raise DivisionByZero("polynomial division by zero")
         if self.is_zero():
             return Polynomial()
-        lead_m, lead_c = divisor.sorted_terms()[0]
+        lead_m, lead_c = divisor.leading_term()
         lead_exp = dict(lead_m)
         quotient: dict[Monomial, int] = {}
         rem = self
         while not rem.is_zero():
-            rm, rc = rem.sorted_terms()[0]
+            rm, rc = rem.leading_term()
             rexp = dict(rm)
             if rc % lead_c != 0:
                 return None
@@ -253,15 +264,19 @@ class Assumption:
 
 
 class Scalar:
-    """Exact rational function num/den over the parameter ring."""
+    """Exact rational function num/den over the parameter ring.
 
-    __slots__ = ("num", "den")
+    When num and den are both constants, ``p``/``q`` also hold the value as a
+    reduced int pair (``q > 0``); otherwise both are None.
+    """
+
+    __slots__ = ("num", "den", "p", "q")
 
     def __init__(self, num: Polynomial, den: Polynomial = _P_ONE):
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         if num.is_zero():
-            self.num, self.den = _P_ZERO, _P_ONE
+            self.num, self.den, self.p, self.q = _P_ZERO, _P_ONE, 0, 1
             return
         g = gcd(num.content(), den.content())
         if den.leading_coefficient() < 0:
@@ -271,15 +286,20 @@ class Scalar:
             den = den.divide_by_content(g)
         self.num = num
         self.den = den
+        nt, dt = num.terms, den.terms
+        if len(nt) == 1 and len(dt) == 1 and _EMPTY in nt and _EMPTY in dt:
+            self.p, self.q = nt[_EMPTY], dt[_EMPTY]
+        else:
+            self.p = self.q = None
 
     @classmethod
     def from_int(cls, n: int) -> Scalar:
-        return cls(Polynomial.integer(n))
+        return _constant(int(n), 1)
 
     @classmethod
     def from_fraction(cls, q: Fraction | int) -> Scalar:
         q = Fraction(q)
-        return cls(Polynomial.integer(q.numerator), Polynomial.integer(q.denominator))
+        return _constant(q.numerator, q.denominator)
 
     @classmethod
     def parameter(cls, name: str) -> Scalar:
@@ -295,8 +315,7 @@ class Scalar:
             return Scalar.from_fraction(value)
         raise TypeError(f"cannot treat {value!r} as a scalar")
 
-    def is_zero(self, assumptions: Iterable[Assumption] = ()) -> bool:
-        # Assumptions certify denominators; they never flip the verdict.
+    def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def __bool__(self) -> bool:
@@ -306,30 +325,56 @@ class Scalar:
         return self.num.parameters() | self.den.parameters()
 
     def __add__(self, other) -> Scalar:
-        other = self._coerce(other)
+        if not isinstance(other, Scalar):
+            other = self._coerce(other)
+        if self.q is not None and other.q is not None:
+            return _constant_sum(self.p, self.q, other.p, other.q)
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Scalar:
+        if self.q is not None:
+            return _constant(-self.p, self.q)
         return Scalar(-self.num, self.den)
 
     def __sub__(self, other) -> Scalar:
-        return self + (-self._coerce(other))
+        if not isinstance(other, Scalar):
+            other = self._coerce(other)
+        if self.q is not None and other.q is not None:
+            return _constant_sum(self.p, self.q, -other.p, other.q)
+        return self + (-other)
 
     def __rsub__(self, other) -> Scalar:
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other) -> Scalar:
-        other = self._coerce(other)
+        if not isinstance(other, Scalar):
+            other = self._coerce(other)
+        q1, q2 = self.q, other.q
+        if q1 is not None and q2 is not None:
+            p1, p2 = self.p, other.p
+            if not p1 or not p2:
+                return ZERO
+            g1, g2 = gcd(p1, q2), gcd(p2, q1)
+            return _constant((p1 // g1) * (p2 // g2), (q1 // g2) * (q2 // g1))
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> Scalar:
-        other = self._coerce(other)
+        if not isinstance(other, Scalar):
+            other = self._coerce(other)
         if other.num.is_zero():
             raise DivisionByZero("division by zero scalar")
+        q1, q2 = self.q, other.q
+        if q1 is not None and q2 is not None:
+            p1, p2 = self.p, other.p
+            if not p1:
+                return ZERO
+            g1, g2 = gcd(p1, p2), gcd(q1, q2)
+            num, den = (p1 // g1) * (q2 // g2), (q1 // g2) * (p2 // g1)
+            return _constant(-num, -den) if den < 0 else _constant(num, den)
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> Scalar:
@@ -337,7 +382,9 @@ class Scalar:
 
     def __pow__(self, n: int) -> Scalar:
         if n < 0:
-            return Scalar.from_int(1) / self ** (-n)
+            return ONE / self ** (-n)
+        if self.q is not None:
+            return _constant(self.p**n, self.q**n)
         return Scalar(self.num**n, self.den**n)
 
     def __eq__(self, other: object) -> bool:
@@ -345,6 +392,8 @@ class Scalar:
             other = self._coerce(other)
         if not isinstance(other, Scalar):
             return NotImplemented
+        if self.q is not None and other.q is not None:
+            return self.p == other.p and self.q == other.q
         return (self.num * other.den - other.num * self.den).is_zero()
 
     __hash__ = None  # cross-multiplied equality is not hash-compatible
@@ -382,7 +431,34 @@ class Scalar:
         return f"Scalar({self})"
 
 
-ZERO = Scalar.from_int(0)
+def _constant(p: int, q: int) -> Scalar:
+    """The constant p/q, for a reduced pair with q > 0, in the canonical form
+    Scalar.__init__ would give it, built without normalising."""
+    if not p:
+        return ZERO
+    s = object.__new__(Scalar)
+    num = object.__new__(Polynomial)
+    num.terms = {_EMPTY: p}
+    if q == 1:
+        den = _P_ONE
+    else:
+        den = object.__new__(Polynomial)
+        den.terms = {_EMPTY: q}
+    s.num, s.den, s.p, s.q = num, den, p, q
+    return s
+
+
+def _constant_sum(p1: int, q1: int, p2: int, q2: int) -> Scalar:
+    """p1/q1 + p2/q2 for reduced pairs."""
+    if q1 == q2:
+        num, den = p1 + p2, q1
+    else:
+        num, den = p1 * q2 + p2 * q1, q1 * q2
+    g = gcd(num, den)
+    return _constant(num // g, den // g)
+
+
+ZERO = Scalar(_P_ZERO)
 ONE = Scalar.from_int(1)
 
 

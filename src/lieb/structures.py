@@ -774,7 +774,7 @@ def check_deformed_homomorphism(C: LieCoalgebra, C_st: LieCoalgebra,
                 for x in range(n):
                     t4 = t4 - p[a][x] * g[i][x][k]
                 items.append(("deformation-4", (i, a, k), t4))
-    return _build_report(items, [C, C_st, K, K_st, P, beta, s, t], assumptions)
+    return _build_report(items, [C, C_st, K, K_st, P, beta, s, t, inv_t], assumptions)
 
 
 # -- matched pairs, Frobenius, bialgebras -------------------------------------

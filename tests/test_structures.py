@@ -52,7 +52,7 @@ from lieb import (
     phi_r,
 )
 from lieb.multilinear import zeros, zeros3
-from lieb.scalars import ZERO, ONE
+from lieb.scalars import ONE, ZERO, Assumption, Polynomial
 
 from conftest import abelian, bialgebra_pair, make_operator, sc
 
@@ -435,6 +435,21 @@ def test_deformed_homomorphism_trivial_cases(dr, sl2):
                                 map_scalars(base.coaction, lambda x: x * s))
     report = check_deformed_homomorphism(dr, scaled_c, base, scaled_k, zero_l, zero_v, s, t)
     assert report.verdict is Verdict.PASS
+
+
+def test_deformed_homomorphism_records_division_by_weight():
+    # all-zero data: every identity holds, so only the division by t can
+    # make the pass conditional
+    space, module = BasisSpace(("x", "y")), BasisSpace(("v",))
+    c = LieCoalgebra(space, zeros3(2, 2, 2))
+    k = Corepresentation(c, module, zeros3(1, 2, 1))
+    p, beta = LinearOperator.zero(space), LinearOperator.zero(module)
+    report = check_deformed_homomorphism(c, c, k, k, p, beta, ONE, sc("k"))
+    assert report.verdict is Verdict.CONDITIONAL_PASS
+    assert report.assumptions_used == [Assumption(Polynomial.variable("k"))]
+    report = check_deformed_homomorphism(c, c, k, k, p, beta, ONE, sc("-2/3"))
+    assert report.verdict is Verdict.PASS
+    assert report.assumptions_used == []
 
 
 def test_deformation_identity_one_after_solving_identity_two(sl2, dr):

@@ -1,10 +1,11 @@
 """Command-line front end: check / construct / solve / catalog.
 
 Exit codes: 0 every requested check passed (possibly conditionally),
-1 at least one check failed, 2 the input failed to parse, 3 an internal
-invariant was violated.  Reports are plain text or canonical JSON
-(sorted keys, two-space indent, trailing newline), so a JSON report
-re-serialises byte-identically.
+1 at least one check failed, 2 the input failed to parse or is ill-formed
+(arguments of mismatched shape, or a solve pivot its assumptions do not
+certify nonzero), 3 an internal invariant was violated.  Reports are plain
+text or canonical JSON (sorted keys, two-space indent, trailing newline), so
+a JSON report re-serialises byte-identically.
 """
 
 from __future__ import annotations
@@ -291,7 +292,12 @@ def main(argv: list[str] | None = None) -> int:
     except _catalog.UnknownId as exc:
         print(f"error: unknown catalog id {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (PivotAmbiguous, AssertionError) as exc:
+    except PivotAmbiguous as exc:
+        print(f"error: elimination divides by {exc.offending}, which the assumptions do not "
+              f"certify nonzero; if it is nonzero, declare 'assume {exc.offending}'",
+              file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

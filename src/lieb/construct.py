@@ -25,13 +25,16 @@ from .multilinear import (
     TwoTensor,
     ZERO,
     ONE,
+    add_term,
     mat_mul,
+    nonzero,
+    nonzero_columns,
     solve_right,
     transpose_matrix,
     zeros,
     zeros3,
 )
-from .scalars import Assumption
+from .scalars import Assumption, Scalar
 from .structures import Corepresentation, LieAlgebra, LieCoalgebra, Representation
 
 
@@ -47,16 +50,21 @@ def delta_from_r(L: LieAlgebra, r: TwoTensor) -> LieCoalgebra:
     if r.space.dim != n:
         raise ShapeError("tensor does not live on the algebra's space")
     c, rm = L.c, r.matrix
+    r_rows, r_cols = [nonzero(row) for row in rm], nonzero_columns(rm)
     d = zeros3(n, n, n)
     for i in range(n):
-        for a in range(n):
-            for b in range(n):
-                total = ZERO
-                for q in range(n):
-                    total = total + rm[a][q] * c[i][q][b]
-                for p in range(n):
-                    total = total + rm[p][b] * c[i][p][a]
-                d[i][a][b] = total
+        # d_iab = sum over q of r_aq c_iqb, then sum over p of r_pb c_ipa, skipping zeros
+        total: dict[tuple, Scalar] = {}
+        for q in range(n):
+            for b, v in nonzero(c[i][q]):
+                for a, w in r_cols[q]:
+                    add_term(total, (a, b), w * v)
+        for p in range(n):
+            for a, v in nonzero(c[i][p]):
+                for b, w in r_rows[p]:
+                    add_term(total, (a, b), w * v)
+        for (a, b), value in total.items():
+            d[i][a][b] = value
     return LieCoalgebra(L.space, d)
 
 

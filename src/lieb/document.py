@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .multilinear import BasisSpace, BilinearForm, LinearOperator, TwoTensor, ZERO, zeros, zeros3
-from .scalars import Assumption, Scalar
+from .multilinear import (
+    BasisSpace, BilinearForm, LinearOperator, ShapeError, TwoTensor, ZERO, zeros, zeros3,
+)
+from .scalars import Assumption, DivisionByZero, Scalar
 from .structures import (
     Corepresentation,
     LieAlgebra,
@@ -674,13 +676,21 @@ def parse_document(text: str) -> Document:
     return _Parser(_tokenize(text)).parse()
 
 
+# Errors that well-typed arguments of the wrong shape or value raise inside a
+# construction or a check; a document that provokes one is ill-formed.
+_ILL_FORMED = (ShapeError, DivisionByZero, _construct.DegenerateForm)
+
+
 def run_constructs(doc: Document) -> None:
     """Execute the document's construct statements, registering the results."""
     for stmt in doc.constructs:
         if stmt.result in doc.structures:
             continue
         args = [doc.structure(name, stmt.line, 1) for name in stmt.args]
-        doc.structures[stmt.result] = CONSTRUCT_OPS[stmt.op][1](*args)
+        try:
+            doc.structures[stmt.result] = CONSTRUCT_OPS[stmt.op][1](*args)
+        except _ILL_FORMED as exc:
+            raise ParseError(f"construct {stmt.op}: {exc}", stmt.line, 1) from exc
 
 
 def default_checks(doc: Document) -> list[CheckStatement]:
@@ -702,7 +712,10 @@ def run_check_statement(doc: Document, stmt: CheckStatement,
                         extra_assumptions: tuple[Assumption, ...] = ()):
     args = [doc.structure(name, stmt.line, 1) for name in stmt.args]
     assumptions = list(doc.assumptions) + list(stmt.assumptions) + list(extra_assumptions)
-    return CHECK_KINDS[stmt.kind][1](*args, assumptions)
+    try:
+        return CHECK_KINDS[stmt.kind][1](*args, assumptions)
+    except _ILL_FORMED as exc:
+        raise ParseError(f"check {stmt.kind}: {exc}", stmt.line, 1) from exc
 
 
 # -- rendering -----------------------------------------------------------------

@@ -13,7 +13,9 @@ throughout the package (and in the file format):
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,6 +75,27 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 def zeros3(a: int, b: int, c: int) -> list[list[list[Scalar]]]:
     return [[[ZERO for _ in range(c)] for _ in range(b)] for _ in range(a)]
+
+
+def nonzero(row: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
+    """(index, entry) of each nonzero entry of a row, in index order."""
+    return [(k, v) for k, v in enumerate(row) if not v.is_zero()]
+
+
+def nonzero_columns(a: Matrix) -> list[list[tuple[int, Scalar]]]:
+    """For each column j, (i, a[i][j]) of its nonzero entries, in row order."""
+    return [nonzero(col) for col in zip(*a)]
+
+
+def sum_terms(terms: Sequence[Scalar]) -> Scalar:
+    """terms[0] + terms[1] + ... added from left to right; ZERO for no terms."""
+    return functools.reduce(operator.add, terms) if terms else ZERO
+
+
+def add_term(acc: dict, key, term: Scalar) -> None:
+    """acc[key] += term, where a missing key is a zero sum (0 + x is x)."""
+    prev = acc.get(key)
+    acc[key] = term if prev is None else prev + term
 
 
 def identity(n: int) -> Matrix:
@@ -397,7 +420,8 @@ def row_reduce(matrix: Sequence[Sequence[Scalar]],
         for i in range(rows):
             if i != r and not m[i][c].is_zero():
                 factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+                # where the pivot row is zero, x - factor * 0 is x itself
+                m[i] = [x if y.is_zero() else x - factor * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == rows:

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .multilinear import BilinearForm, TwoTensor, ZERO, nullspace, rank
+# rank is not called here, since a solve's rank is its unknowns less its
+# nullity; it stays in this namespace for code that looks up lieb.solver.rank.
+from .multilinear import BilinearForm, TwoTensor, ZERO, nullspace, rank  # noqa: F401
 from .scalars import Assumption, EvalSingular, Scalar
 from .structures import (
     CheckReport,
@@ -133,7 +135,7 @@ def _solve_weak_symplectic(context, assumptions) -> LinearSolution:
         if not report.passed:
             raise AssertionError("solver produced a non-solution; this is a bug")
         basis.append(form)
-    return LinearSolution(WEAK_SYMPLECTIC, basis, rank(rows, assumptions), len(slots))
+    return LinearSolution(WEAK_SYMPLECTIC, basis, len(slots) - len(basis_vectors), len(slots))
 
 
 def _solve_co_cybe_slice(context, assumptions) -> LinearSolution:
@@ -171,7 +173,7 @@ def _solve_co_cybe_slice(context, assumptions) -> LinearSolution:
                 rows.append(row)
     basis_vectors = nullspace(rows, assumptions)
     basis = [BilinearForm(C.space, _skew_matrix(C.space, vec, slots)) for vec in basis_vectors]
-    return LinearSolution(CO_CYBE_SLICE, basis, rank(rows, assumptions), len(slots))
+    return LinearSolution(CO_CYBE_SLICE, basis, len(slots) - len(basis_vectors), len(slots))
 
 
 def _solve_cocycle_in_delta(context, assumptions) -> LinearSolution:
@@ -210,7 +212,7 @@ def _solve_cocycle_in_delta(context, assumptions) -> LinearSolution:
         if not check_cocycle(L, coalg).passed:
             raise AssertionError("solver produced a non-solution; this is a bug")
         basis.append(coalg)
-    return LinearSolution(COCYCLE_IN_DELTA, basis, rank(rows, assumptions), len(slots))
+    return LinearSolution(COCYCLE_IN_DELTA, basis, len(slots) - len(basis_vectors), len(slots))
 
 
 def _solve_ad_invariance(context, assumptions) -> LinearSolution:
@@ -243,7 +245,7 @@ def _solve_ad_invariance(context, assumptions) -> LinearSolution:
         for (i, j), value in zip(slots, vec):
             mat[i][j] = mat[i][j] + value
         basis.append(TwoTensor(L.space, mat))
-    return LinearSolution(AD_INVARIANCE, basis, rank(rows, assumptions), len(slots))
+    return LinearSolution(AD_INVARIANCE, basis, len(slots) - len(basis_vectors), len(slots))
 
 
 # -- randomized refutation -----------------------------------------------------
@@ -292,8 +294,7 @@ def refute_by_sampling(check: Callable[..., CheckReport],
     names = sorted(structure_parameters(*instances.values()))
     rng = random.Random(cfg.seed)
     for _ in range(cfg.trials):
-        assignment = _draw(rng, names, cfg, avoid, instances)
-        bound = {key: bind_parameters(value, assignment) for key, value in instances.items()}
+        assignment, bound = _draw(rng, names, cfg, avoid, instances)
         report = check(**bound)
         if report.residuals:
             witness = report.residuals[0]
@@ -304,7 +305,9 @@ def refute_by_sampling(check: Callable[..., CheckReport],
 
 
 def _draw(rng: random.Random, names: Sequence[str], cfg: SampleConfig,
-          avoid: Sequence[Assumption], instances: Mapping[str, object]) -> dict[str, Fraction]:
+          avoid: Sequence[Assumption], instances: Mapping[str, object]
+          ) -> tuple[dict[str, Fraction], dict[str, object]]:
+    """A random assignment that avoids every assumption zero, and the instances bound at it."""
     for _ in range(cfg.max_redraws):
         assignment = {
             name: Fraction(rng.randint(-cfg.numerator_bound, cfg.numerator_bound),
@@ -314,9 +317,8 @@ def _draw(rng: random.Random, names: Sequence[str], cfg: SampleConfig,
         if any(a.nonzero.evaluate(assignment) == 0 for a in avoid):
             continue
         try:
-            for value in instances.values():
-                bind_parameters(value, assignment)
+            bound = {key: bind_parameters(value, assignment) for key, value in instances.items()}
         except EvalSingular:
             continue
-        return assignment
+        return assignment, bound
     raise ExhaustedSamples("all draws hit assumption zeros or singular denominators")

@@ -1,10 +1,20 @@
 """Algebraic structure records and the identity checks.
 
-Every ``check_*`` function enumerates its identity over all basis
+Every ``check_*`` function evaluates its identity over all basis
 multi-indices and returns a CheckReport listing the exactly-nonvanishing
 residual components.  A check passes when every residual is the zero scalar;
 it passes conditionally when the input data carries parametric denominators
 whose nonvanishing had to be assumed.
+
+The contractions over structure constants (Jacobi, co-Jacobi, the cocycle
+condition, the Yang-Baxter tensor, the Nijenhuis cobracket identities) skip
+structural zeros: each call first lists the nonzero entries of its inputs and
+multiplies only nonzero pairs.  The order invariant: every component adds its
+nonzero terms in the same relative order as the dense loop over all indices
+would.  Dropping a zero term changes nothing, since ``x + 0``, ``0 + x`` and
+``x - 0`` give x's canonical form; reordering would, because a partial sum
+that cancels to zero drops the denominator it had built up, so equal values
+could render differently.  Residuals come out in the dense loop's index order.
 """
 
 from __future__ import annotations
@@ -23,11 +33,15 @@ from .multilinear import (
     TwoTensor,
     Vector,
     ZERO,
+    add_term,
     determinant,
     mat_add,
     mat_mul,
     mat_sub,
     mat_vec,
+    nonzero,
+    nonzero_columns,
+    sum_terms,
     transpose_matrix,
     zeros,
 )
@@ -281,42 +295,70 @@ def _triples(n: int):
     return itertools.product(range(n), repeat=3)
 
 
+def _nonzero_rows(t) -> list[list[list[tuple[int, Scalar]]]]:
+    """nonzero(t[a][b]) for every (a, b) of a 3-tensor."""
+    return [[nonzero(row) for row in plane] for plane in t]
+
+
+def _nonzero_pairs(t) -> list[list[tuple[tuple[int, int], Scalar]]]:
+    """For each a, ((b, c), t[a][b][c]) of the nonzero entries, in (b, c) order."""
+    return [[((b, c), v) for b, row in enumerate(plane) for c, v in nonzero(row)]
+            for plane in t]
+
+
 # -- Lie algebra / coalgebra axioms ----------------------------------------
 
 def check_lie_algebra(L: LieAlgebra, assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """Antisymmetry of the bracket and the Jacobi identity."""
     n = L.space.dim
+    c = L.c
     items = []
     for i, j, k in _triples(n):
-        items.append(("antisymmetry", (i, j, k), L.c[i][j][k] + L.c[j][i][k]))
+        items.append(("antisymmetry", (i, j, k), c[i][j][k] + c[j][i][k]))
+    rows = _nonzero_rows(c)
     for i, j, k in _triples(n):
-        for m in range(n):
-            total = ZERO
-            for l in range(n):
-                total = (total
-                         + L.c[i][j][l] * L.c[l][k][m]
-                         + L.c[j][k][l] * L.c[l][i][m]
-                         + L.c[k][i][l] * L.c[l][j][m])
-            items.append(("jacobi", (i, j, k, m), total))
+        # jacobi(i, j, k, m) = sum over l of c_ijl c_lkm + c_jkl c_lim + c_kil c_ljm
+        total: dict[int, Scalar] = {}
+        for l in range(n):
+            for coeff, out in ((c[i][j][l], k), (c[j][k][l], i), (c[k][i][l], j)):
+                if not coeff.is_zero():
+                    for m, v in rows[l][out]:
+                        add_term(total, m, coeff * v)
+        items += [("jacobi", (i, j, k, m), total[m]) for m in sorted(total)]
     return _build_report(items, [L], assumptions)
 
 
 def check_lie_coalgebra(C: LieCoalgebra, assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """Co-antisymmetry and the co-Jacobi identity of the cobracket."""
     n = C.space.dim
+    d = C.d
     items = []
     for i, a, b in _triples(n):
-        items.append(("co-antisymmetry", (i, a, b), C.d[i][a][b] + C.d[i][b][a]))
+        items.append(("co-antisymmetry", (i, a, b), d[i][a][b] + d[i][b][a]))
+    rows, pairs = _nonzero_rows(d), _nonzero_pairs(d)
     for i in range(n):
-        t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for j, a, b in _triples(n):
-            total = ZERO
-            for k in range(n):
-                total = total + C.d[i][j][k] * C.d[k][a][b]
-            t[j][a][b] = total
-        for p, q, s in _triples(n):
-            items.append(("co-jacobi", (i, p, q, s), t[p][q][s] + t[q][s][p] + t[s][p][q]))
+        items += [("co-jacobi", (i,) + idx, value)
+                  for idx, value in _cyclic_sums([_cojacobi_products(rows, pairs, i, n)])]
     return _build_report(items, [C], assumptions)
+
+
+def _cojacobi_products(rows1, pairs2, i: int, n: int) -> dict[tuple, Scalar]:
+    """(j, a, b) -> sum over k of d1_ijk d2_kab, from nonzero(d1) rows and d2 pairs."""
+    t: dict[tuple, Scalar] = {}
+    for j in range(n):
+        for k, v in rows1[i][j]:
+            for (a, b), w in pairs2[k]:
+                add_term(t, (j, a, b), v * w)
+    return t
+
+
+def _cyclic_sums(ts) -> list[tuple[tuple, Scalar]]:
+    """(p, q, s) -> the sum over t in ts of t(p, q, s) + t(q, s, p) + t(s, p, q),
+    for every component some entry of ts enters, in index order."""
+    touched = {key for t in ts for j, a, b in t for key in ((j, a, b), (b, j, a), (a, b, j))}
+    return [((p, q, s), sum_terms([t.get(key, ZERO) for t in ts
+                                   for key in ((p, q, s), (q, s, p), (s, p, q))]))
+            for p, q, s in sorted(touched)]
 
 
 def check_cocycle(L: LieAlgebra, C: LieCoalgebra,
@@ -326,17 +368,33 @@ def check_cocycle(L: LieAlgebra, C: LieCoalgebra,
         raise ShapeError("algebra and coalgebra live on different spaces")
     n = L.space.dim
     c, d = L.c, C.d
+    c_rows, d_rows, d_pairs = _nonzero_rows(c), _nonzero_rows(d), _nonzero_pairs(d)
+    d_cols = [nonzero_columns(plane) for plane in d]  # d_cols[j][a]: (p, d_jpa)
     items = []
     for i, j in _pairs(n):
-        for p, q in _pairs(n):
-            lhs = ZERO
-            for k in range(n):
-                lhs = lhs + c[i][j][k] * d[k][p][q]
-            rhs = ZERO
-            for a in range(n):
-                rhs = rhs + c[i][a][p] * d[j][a][q] + d[j][p][a] * c[i][a][q]
-                rhs = rhs - c[j][a][p] * d[i][a][q] - d[i][p][a] * c[j][a][q]
-            items.append(("cocycle", (i, j, p, q), lhs - rhs))
+        # lhs(p, q) = sum over k of c_ijk d_kpq
+        lhs: dict[tuple, Scalar] = {}
+        for k, v in c_rows[i][j]:
+            for key, w in d_pairs[k]:
+                add_term(lhs, key, v * w)
+        # rhs(p, q) = sum over a of c_iap d_jaq + d_jpa c_iaq - c_jap d_iaq - d_ipa c_jaq
+        rhs: dict[tuple, Scalar] = {}
+        for a in range(n):
+            for p, v in c_rows[i][a]:
+                for q, w in d_rows[j][a]:
+                    add_term(rhs, (p, q), v * w)
+            for p, v in d_cols[j][a]:
+                for q, w in c_rows[i][a]:
+                    add_term(rhs, (p, q), v * w)
+            for p, v in c_rows[j][a]:
+                for q, w in d_rows[i][a]:
+                    add_term(rhs, (p, q), -(v * w))
+            for p, v in d_cols[i][a]:
+                for q, w in c_rows[j][a]:
+                    add_term(rhs, (p, q), -(v * w))
+        for p, q in sorted(lhs.keys() | rhs.keys()):
+            items.append(("cocycle", (i, j, p, q),
+                          lhs.get((p, q), ZERO) - rhs.get((p, q), ZERO)))
     return _build_report(items, [L, C], assumptions)
 
 
@@ -366,6 +424,61 @@ def check_nijenhuis(L: LieAlgebra, N: LinearOperator,
     return _build_report(items, [L, N], assumptions)
 
 
+def _image_cobracket(d_pairs, coeffs) -> dict[tuple, Scalar]:
+    """(a, b) -> sum over m of coeff_m d[m][a][b], for the nonzero (m, coeff_m) given."""
+    acc: dict[tuple, Scalar] = {}
+    for m, v in coeffs:
+        for key, w in d_pairs[m]:
+            add_term(acc, key, v * w)
+    return acc
+
+
+def _dense(entries: dict[tuple, Scalar], n: int) -> Matrix:
+    out = zeros(n, n)
+    for (a, b), v in entries.items():
+        out[a][b] = v
+    return out
+
+
+def _left(m_cols, s: Matrix) -> dict[tuple, Scalar]:
+    """(a, b) -> sum over x of M[a][x] s[x][b]."""
+    acc: dict[tuple, Scalar] = {}
+    for x, row in enumerate(s):
+        entries = nonzero(row)
+        for a, v in m_cols[x]:
+            for b, w in entries:
+                add_term(acc, (a, b), v * w)
+    return acc
+
+
+def _right(s: Matrix, m_cols) -> dict[tuple, Scalar]:
+    """(a, b) -> sum over y of s[a][y] M[b][y]."""
+    acc: dict[tuple, Scalar] = {}
+    for y, col in enumerate(nonzero_columns(s)):
+        for b, w in m_cols[y]:
+            for a, v in col:
+                add_term(acc, (a, b), v * w)
+    return acc
+
+
+def _both(s: Matrix, m1_cols, m2_cols) -> dict[tuple, Scalar]:
+    """(a, b) -> sum over (x, y) of s[x][y] M1[a][x] M2[b][y]."""
+    acc: dict[tuple, Scalar] = {}
+    for x, row in enumerate(s):
+        for y, v in nonzero(row):
+            for a, w in m1_cols[x]:
+                for b, u in m2_cols[y]:
+                    add_term(acc, (a, b), v * w * u)
+    return acc
+
+
+def _four_term_items(name: str, i: int, n: int, t1, t2, t3, t4) -> list[tuple[str, tuple, Scalar]]:
+    """The components t1 + t2 - t3 - t4 of four sparse matrices, in index order."""
+    return [(name, (i, a, b),
+             t1.get((a, b), ZERO) + t2.get((a, b), ZERO)
+             - t3.get((a, b), ZERO) - t4.get((a, b), ZERO)) for a, b in _pairs(n)]
+
+
 def check_nijenhuis_coalgebra(C: LieCoalgebra, P: LinearOperator,
                               assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """(P(x)P)delta + delta P^2 = (P(x)id)(delta P) + (id(x)P)(delta P)."""
@@ -373,29 +486,17 @@ def check_nijenhuis_coalgebra(C: LieCoalgebra, P: LinearOperator,
     if P.domain.dim != n or P.codomain.dim != n:
         raise ShapeError("operator does not act on the coalgebra")
     p = P.matrix
-    p2 = mat_mul(p, p)
+    p_cols, p2_cols = nonzero_columns(p), nonzero_columns(mat_mul(p, p))
+    d_pairs = _nonzero_pairs(C.d)
     items = []
     for i in range(n):
-        d_pi = zeros(n, n)  # delta(P e_i)
-        for m in range(n):
-            if p[m][i].num.is_zero():
-                continue
-            for a, b in _pairs(n):
-                d_pi[a][b] = d_pi[a][b] + p[m][i] * C.d[m][a][b]
-        for a, b in _pairs(n):
-            t1 = ZERO
-            for x, y in _pairs(n):
-                t1 = t1 + C.d[i][x][y] * p[a][x] * p[b][y]
-            t2 = ZERO
-            for m in range(n):
-                t2 = t2 + p2[m][i] * C.d[m][a][b]
-            t3 = ZERO
-            for x in range(n):
-                t3 = t3 + p[a][x] * d_pi[x][b]
-            t4 = ZERO
-            for y in range(n):
-                t4 = t4 + d_pi[a][y] * p[b][y]
-            items.append(("nijenhuis-cobracket", (i, a, b), t1 + t2 - t3 - t4))
+        d_pi = _dense(_image_cobracket(d_pairs, p_cols[i]), n)  # delta(P e_i)
+        items += _four_term_items(
+            "nijenhuis-cobracket", i, n,
+            _both(C.d[i], p_cols, p_cols),            # (P(x)P) delta(e_i)
+            _image_cobracket(d_pairs, p2_cols[i]),    # delta(P^2 e_i)
+            _left(p_cols, d_pi),                      # (P(x)id) delta(P e_i)
+            _right(d_pi, p_cols))                     # (id(x)P) delta(P e_i)
     return _build_report(items, [C, P], assumptions)
 
 
@@ -405,16 +506,16 @@ def cybe_residual(L: LieAlgebra, r: TwoTensor) -> list[tuple[tuple, Scalar]]:
     """Components of [r12,r13] + [r13,r23] + [r12,r23]."""
     n = L.space.dim
     c, rm = L.c, r.matrix
+    # by_out[x]: (i, k, c_ikx) of the nonzero constants with output index x, in (i, k) order
+    by_out = [[(i, k, c[i][k][x]) for i, k in _pairs(n) if not c[i][k][x].is_zero()]
+              for x in range(n)]
+    nz = [[not v.is_zero() for v in row] for row in rm]
     out = []
     for a, b, cc in _triples(n):
-        total = ZERO
-        for i, k in _pairs(n):
-            total = total + rm[i][b] * rm[k][cc] * c[i][k][a]
-        for j, l in _pairs(n):
-            total = total + rm[a][j] * rm[b][l] * c[j][l][cc]
-        for j, k in _pairs(n):
-            total = total + rm[a][j] * rm[k][cc] * c[j][k][b]
-        out.append(((a, b, cc), total))
+        terms = [rm[i][b] * rm[k][cc] * v for i, k, v in by_out[a] if nz[i][b] and nz[k][cc]]
+        terms += [rm[a][j] * rm[b][l] * v for j, l, v in by_out[cc] if nz[a][j] and nz[b][l]]
+        terms += [rm[a][j] * rm[k][cc] * v for j, k, v in by_out[b] if nz[a][j] and nz[k][cc]]
+        out.append(((a, b, cc), sum_terms(terms)))
     return out
 
 
@@ -638,26 +739,6 @@ def check_corepresentation(K: Corepresentation,
 
 # -- compatible pairs and deformation homomorphisms --------------------------
 
-def _mixed_cojacobi(d1, d2, n: int) -> list[tuple[tuple, Scalar]]:
-    out = []
-    for i in range(n):
-        t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        u = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for j, a, b in _triples(n):
-            s1 = ZERO
-            s2 = ZERO
-            for k in range(n):
-                s1 = s1 + d1[i][j][k] * d2[k][a][b]
-                s2 = s2 + d2[i][j][k] * d1[k][a][b]
-            t[j][a][b] = s1
-            u[j][a][b] = s2
-        for p, q, s in _triples(n):
-            out.append(((i, p, q, s),
-                        t[p][q][s] + t[q][s][p] + t[s][p][q]
-                        + u[p][q][s] + u[q][s][p] + u[s][p][q]))
-    return out
-
-
 def check_compatible_pair(C1: LieCoalgebra, C2: LieCoalgebra,
                           s: Scalar, t: Scalar,
                           corep1: Corepresentation | None = None,
@@ -677,8 +758,14 @@ def check_compatible_pair(C1: LieCoalgebra, C2: LieCoalgebra,
     r2 = check_lie_coalgebra(C2)
     items += [(f"first.{r.identity}", r.index, r.value) for r in r1.residuals]
     items += [(f"second.{r.identity}", r.index, r.value) for r in r2.residuals]
-    items += [("mixed-co-jacobi", idx, value)
-              for idx, value in _mixed_cojacobi(C1.d, C2.d, n)]
+    rows1, pairs1 = _nonzero_rows(C1.d), _nonzero_pairs(C1.d)
+    rows2, pairs2 = _nonzero_rows(C2.d), _nonzero_pairs(C2.d)
+    for i in range(n):
+        # the co-Jacobi sums of delta2 applied after delta1 and of delta1 after delta2,
+        # added as one chain
+        items += [("mixed-co-jacobi", (i,) + idx, value)
+                  for idx, value in _cyclic_sums([_cojacobi_products(rows1, pairs2, i, n),
+                                                  _cojacobi_products(rows2, pairs1, i, n)])]
     inputs = [C1, C2, s, t]
     if (corep1 is None) != (corep2 is None):
         raise ShapeError("coreps must be supplied together")
@@ -884,28 +971,16 @@ def nijenhuis_bialgebra_residuals(L: LieAlgebra, C: LieCoalgebra,
         rhs = [a + b for a, b in zip(L.bracket(nx, P.apply(y)), P.apply(L.bracket(x, P.apply(y))))]
         for k in range(n):
             items.append(("operator-compatibility", (i, j, k), lhs[k] - rhs[k]))
-    d = C.d
+    p_cols, n_cols, n2_cols = nonzero_columns(p), nonzero_columns(nm), nonzero_columns(n2)
+    d_pairs = _nonzero_pairs(C.d)
     for i in range(n):
-        d_ni = zeros(n, n)  # delta(N e_i)
-        for mm in range(n):
-            if nm[mm][i].num.is_zero():
-                continue
-            for a, b in _pairs(n):
-                d_ni[a][b] = d_ni[a][b] + nm[mm][i] * d[mm][a][b]
-        for a, b in _pairs(n):
-            t1 = ZERO
-            for x_ in range(n):
-                t1 = t1 + p[a][x_] * d_ni[x_][b]
-            t2 = ZERO
-            for q in range(n):
-                t2 = t2 + d[i][a][q] * n2[b][q]
-            t3 = ZERO
-            for x_, q in _pairs(n):
-                t3 = t3 + d[i][x_][q] * p[a][x_] * nm[b][q]
-            t4 = ZERO
-            for q in range(n):
-                t4 = t4 + d_ni[a][q] * nm[b][q]
-            items.append(("cobracket-compatibility", (i, a, b), t1 + t2 - t3 - t4))
+        d_ni = _dense(_image_cobracket(d_pairs, n_cols[i]), n)  # delta(N e_i)
+        items += _four_term_items(
+            "cobracket-compatibility", i, n,
+            _left(p_cols, d_ni),                # (P(x)id) delta(N e_i)
+            _right(C.d[i], n2_cols),            # (id(x)N^2) delta(e_i)
+            _both(C.d[i], p_cols, n_cols),      # (P(x)N) delta(e_i)
+            _right(d_ni, n_cols))               # (id(x)N) delta(N e_i)
     return items
 
 

@@ -6,7 +6,20 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from lieb.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE_ERROR, canonical_json, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_SL2 = (
+    "space L : e f g\n"
+    "algebra sl2 on L {\n"
+    "  [e, f] = g\n"
+    "  [e, g] = -2*e\n"
+    "  [f, g] = 2*f\n"
+    "}\n"
+)
 
 
 def _data_path(tmp_path: Path, filename: str) -> Path:
@@ -175,3 +188,75 @@ def test_every_shipped_catalog_file_checks_clean(tmp_path, capsys):
         path = _data_path(tmp_path, filename)
         code, out, _ = _run(capsys, "check", str(path))
         assert code == EXIT_OK, (entry_id, out)
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_file_json_report_matches_golden(golden, tmp_path, capsys, monkeypatch):
+    # The golden reports were written by `lieb --format json check <file>`, run in
+    # the data directory, before the identity kernels skipped structural zeros.
+    filename = golden.stem + ".lieb"
+    _data_path(tmp_path, filename)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _run(capsys, "--format", "json", "check", filename)
+    assert code == EXIT_OK
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def test_golden_reports_cover_every_shipped_file():
+    shipped = {p.name for p in resources.files("lieb.data").iterdir() if p.name.endswith(".lieb")}
+    assert {p.stem + ".lieb" for p in GOLDEN.glob("*.json")} == shipped
+    assert len(shipped) == 18
+
+
+def test_check_on_mismatched_shapes_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "shape.lieb"
+    bad.write_text(
+        _SL2
+        + "space M : u v\n"
+        "operator N : M -> M {\n"
+        "  u -> u\n"
+        "  v -> v\n"
+        "}\n"
+        "check nijenhuis sl2 N\n",
+        encoding="utf-8")
+    code, out, err = _run(capsys, "check", str(bad))
+    assert code == EXIT_PARSE_ERROR
+    assert err == "error: line 12, column 1: check nijenhuis: operator does not act on the algebra\n"
+    assert out == ""
+
+
+def test_construct_on_mismatched_shapes_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "construct.lieb"
+    bad.write_text(
+        _SL2
+        + "space M : u v\n"
+        "tensor r on M {\n"
+        "  u@v - v@u\n"
+        "}\n"
+        "construct delta-from-r sl2 r as d\n",
+        encoding="utf-8")
+    code, _, err = _run(capsys, "check", str(bad))
+    assert code == EXIT_PARSE_ERROR
+    assert err.startswith("error: line 11, column 1: construct delta-from-r:")
+
+
+def test_solve_pivot_without_assumption_names_the_polynomial(tmp_path, capsys):
+    doc = ("params k\n"
+           "space L : a b c\n"
+           "algebra b6 on L {\n"
+           "  [a, c] = a\n"
+           "  [b, c] = k*b\n"
+           "}\n")
+    bad = tmp_path / "pivot.lieb"
+    bad.write_text(doc, encoding="utf-8")
+    code, out, err = _run(capsys, "solve", str(bad), "--problem", "weak-symplectic")
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert "divides by -k - 1" in err
+    assert "assume -k - 1" in err
+    # following the advice makes the solve go through
+    good = tmp_path / "pivot-assumed.lieb"
+    good.write_text(doc + "assume -k - 1\n", encoding="utf-8")
+    code, out, _ = _run(capsys, "solve", str(good), "--problem", "weak-symplectic")
+    assert code == EXIT_OK
+    assert "solution dimension 2 (rank 1 of 3 unknowns)" in out

@@ -215,3 +215,36 @@ def test_refute_avoids_assumption_zeros(sl2):
             lambda n: check_nijenhuis(sl2, n), {"n": op},
             SampleConfig(seed=2, trials=4, numerator_bound=0, max_redraws=10),
             avoid=avoid)
+
+
+def test_draw_returns_the_instances_bound_at_its_assignment(sl2):
+    import random
+
+    from lieb.solver import _draw
+
+    # seed 0 draws k1 = 0 twice (1/k1 is singular there), then k1 = -1/33
+    op = make_operator(sl2.space, [["1/k1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]])
+    cfg = SampleConfig(seed=0, numerator_bound=1)
+    assignment, bound = _draw(random.Random(cfg.seed), ["k1"], cfg, (), {"n": op})
+    assert assignment == {"k1": Fraction(-1, 33)}
+    assert bound["n"].matrix == bind_parameters(op, assignment).matrix
+    assert str(bound["n"].matrix[0][0]) == "-33"
+    result = refute_by_sampling(lambda n: check_nijenhuis(sl2, n), {"n": op}, cfg)
+    assert isinstance(result, RefutedAt)
+    assert result.assignment == {"k1": Fraction(-1, 33)}
+
+
+def test_refutation_of_family_six_is_pinned():
+    from lieb import catalog
+
+    entry = catalog.get("nij-family-6")
+    result = refute_by_sampling(
+        lambda **kw: check_nijenhuis(**kw),
+        {"L": entry.structures["sl2"], "N": entry.structures["N"]},
+        SampleConfig(seed=5), tuple(entry.assumptions))
+    assert isinstance(result, RefutedAt)
+    assert result.assignment == {"k1": Fraction(29, 17), "k3": Fraction(44, 23),
+                                 "k5": Fraction(19, 24), "k6": Fraction(33, 34)}
+    # 4*k3*k6 at the witness
+    assert [(r.identity, r.index, str(r.value)) for r in result.report.residuals] == [
+        ("nijenhuis", (0, 1, 2), "(2904)/(391)"), ("nijenhuis", (1, 0, 2), "(-2904)/(391)")]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -169,11 +168,13 @@ def _cmd_solve(args) -> int:
         "rank": solution.rank,
         "unknowns": solution.unknowns,
         "basis": basis_payload,
+        "assumptions_used": [str(a) for a in solution.assumptions_used],
         "exit_code": EXIT_OK,
     }
     payload["lines"] = [
         f"problem {args.problem}: solution dimension {solution.dimension} "
         f"(rank {solution.rank} of {solution.unknowns} unknowns)",
+        *(f"assuming {a}" for a in payload["assumptions_used"]),
         *[line for rendered in basis_payload for line in rendered.splitlines()
           if line and not line.startswith("#")],
     ]
@@ -261,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a linear classification problem")
     p_solve.add_argument("file")
     p_solve.add_argument("--problem", required=True, choices=_PROBLEM_KINDS)
-    p_solve.add_argument("--seed", type=int,
-                         default=int(os.environ.get("LIEB_SEED", "0")))
-    p_solve.add_argument("--trials", type=int, default=32)
     add_format(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 

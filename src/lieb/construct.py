@@ -23,19 +23,18 @@ from .multilinear import (
     LinearOperator,
     ShapeError,
     TwoTensor,
-    ZERO,
     ONE,
-    add_term,
+    Table,
     mat_mul,
-    nonzero,
-    nonzero_columns,
     solve_right,
     transpose_matrix,
     zeros,
     zeros3,
 )
-from .scalars import Assumption, Scalar
-from .structures import Corepresentation, LieAlgebra, LieCoalgebra, Representation
+from .scalars import Assumption
+from .structures import (
+    INDUCED_BRACKET, Corepresentation, LieAlgebra, LieCoalgebra, Representation,
+)
 
 
 class DegenerateForm(ValueError):
@@ -44,28 +43,15 @@ class DegenerateForm(ValueError):
 
 # -- induced structures -------------------------------------------------------
 
+# x -> r^1 (x) [x, r^2] + [x, r^1] (x) r^2
+DELTA_FROM_R = Table("iab", "q: c[iqb] r[aq]; p: c[ipa] r[pb]")
+
+
 def delta_from_r(L: LieAlgebra, r: TwoTensor) -> LieCoalgebra:
     """Cobracket x -> r^1 (x) [x, r^2] + [x, r^1] (x) r^2."""
-    n = L.space.dim
-    if r.space.dim != n:
+    if r.space.dim != L.space.dim:
         raise ShapeError("tensor does not live on the algebra's space")
-    c, rm = L.c, r.matrix
-    r_rows, r_cols = [nonzero(row) for row in rm], nonzero_columns(rm)
-    d = zeros3(n, n, n)
-    for i in range(n):
-        # d_iab = sum over q of r_aq c_iqb, then sum over p of r_pb c_ipa, skipping zeros
-        total: dict[tuple, Scalar] = {}
-        for q in range(n):
-            for b, v in nonzero(c[i][q]):
-                for a, w in r_cols[q]:
-                    add_term(total, (a, b), w * v)
-        for p in range(n):
-            for a, v in nonzero(c[i][p]):
-                for b, w in r_rows[p]:
-                    add_term(total, (a, b), w * v)
-        for (a, b), value in total.items():
-            d[i][a][b] = value
-    return LieCoalgebra(L.space, d)
+    return LieCoalgebra(L.space, DELTA_FROM_R.evaluate(c=L.c, r=r.matrix).dense())
 
 
 def bracket_from_omega(C: LieCoalgebra, omega: BilinearForm) -> LieAlgebra:
@@ -75,75 +61,46 @@ def bracket_from_omega(C: LieCoalgebra, omega: BilinearForm) -> LieAlgebra:
     cobrackets this is the unique antisymmetrised reading of the pairing, and it
     reproduces the dual-quasitriangular compatibility conditions exactly.
     """
-    n = C.space.dim
-    if omega.space.dim != n:
+    if omega.space.dim != C.space.dim:
         raise ShapeError("form does not live on the coalgebra's space")
-    d, om = C.d, omega.matrix
-    c = zeros3(n, n, n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = ZERO
-                for b in range(n):
-                    total = total + d[i][k][b] * om[b][j] + d[j][k][b] * om[i][b]
-                c[i][j][k] = total
-    return LieAlgebra(C.space, c)
+    return LieAlgebra(C.space, INDUCED_BRACKET.evaluate(d=C.d, om=omega.matrix).dense())
+
+
+# the operators x -> omega(x, r^1) r^2 and x -> r^1 omega(r^2, x), as matrices
+NIJENHUIS_FROM_OMEGA_R = Table("ai", "p: om[ip] r[pa]")
+P_FROM_R_OMEGA = Table("ai", "q: r[aq] om[qi]")
 
 
 def nijenhuis_from_omega_r(L: LieAlgebra, omega: BilinearForm, r: TwoTensor) -> LinearOperator:
     """The operator x -> omega(x, r^1) r^2."""
-    n = L.space.dim
-    if omega.space.dim != n or r.space.dim != n:
+    if omega.space.dim != L.space.dim or r.space.dim != L.space.dim:
         raise ShapeError("data does not live on the algebra's space")
-    om, rm = omega.matrix, r.matrix
-    mat = zeros(n, n)
-    for a in range(n):
-        for i in range(n):
-            total = ZERO
-            for p in range(n):
-                total = total + om[i][p] * rm[p][a]
-            mat[a][i] = total
+    mat = NIJENHUIS_FROM_OMEGA_R.evaluate(om=omega.matrix, r=r.matrix).dense()
     return LinearOperator(L.space, L.space, mat)
 
 
 def p_from_r_omega(C: LieCoalgebra, r: TwoTensor, omega: BilinearForm) -> LinearOperator:
     """The operator x -> r^1 omega(r^2, x)."""
-    n = C.space.dim
-    if omega.space.dim != n or r.space.dim != n:
+    if omega.space.dim != C.space.dim or r.space.dim != C.space.dim:
         raise ShapeError("data does not live on the coalgebra's space")
-    om, rm = omega.matrix, r.matrix
-    mat = zeros(n, n)
-    for a in range(n):
-        for i in range(n):
-            total = ZERO
-            for q in range(n):
-                total = total + rm[a][q] * om[q][i]
-            mat[a][i] = total
-    return LinearOperator(C.space, C.space, mat)
+    return LinearOperator(C.space, C.space, P_FROM_R_OMEGA.evaluate(r=r.matrix, om=omega.matrix).dense())
 
 
 # -- duals --------------------------------------------------------------------
 
+# the constants of the duals: d*[k][i][j] = c[i][j][k] and c*[i][j][k] = d[k][i][j]
+DUAL_COBRACKET = Table("kij", "c[ijk]")
+DUAL_BRACKET = Table("ijk", "d[kij]")
+
+
 def dual_coalgebra(L: LieAlgebra) -> LieCoalgebra:
     """Cobracket on the dual space with d*[k][i][j] = c[i][j][k]."""
-    n = L.space.dim
-    d = zeros3(n, n, n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                d[k][i][j] = L.c[i][j][k]
-    return LieCoalgebra(L.space.dual(), d)
+    return LieCoalgebra(L.space.dual(), DUAL_COBRACKET.evaluate(c=L.c).dense())
 
 
 def dual_algebra(C: LieCoalgebra) -> LieAlgebra:
     """Bracket on the dual space with c*[i][j][k] = d[k][i][j]."""
-    n = C.space.dim
-    c = zeros3(n, n, n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i][j][k] = C.d[k][i][j]
-    return LieAlgebra(C.space.dual(), c)
+    return LieAlgebra(C.space.dual(), DUAL_BRACKET.evaluate(d=C.d).dense())
 
 
 def dual_representation(R: Representation) -> Representation:

@@ -99,39 +99,39 @@ class Document:
         return self.structures[name]
 
 
-# Check kinds available in documents: kind -> (argument count, callable).
-# The callable receives the resolved structures plus the assumption list.
+# Check kinds available in documents: kind -> (argument count, check), called
+# as check(*structures, assumptions=...).
 CHECK_KINDS = {
-    "lie-algebra": (1, lambda a, assume: check_lie_algebra(a, assume)),
-    "lie-coalgebra": (1, lambda c, assume: check_lie_coalgebra(c, assume)),
-    "cocycle": (2, lambda a, c, assume: check_cocycle(a, c, assume)),
-    "nijenhuis": (2, lambda a, n, assume: check_nijenhuis(a, n, assume)),
-    "nij-coalgebra": (2, lambda c, p, assume: check_nijenhuis_coalgebra(c, p, assume)),
-    "cybe": (2, lambda a, r, assume: check_cybe(a, r, assume)),
-    "co-cybe": (2, lambda c, om, assume: check_co_cybe(c, om, assume)),
-    "dual-qt": (2, lambda c, om, assume: check_dual_qt(c, om, assume)),
-    "weak-symplectic": (2, lambda a, om, assume: check_weak_symplectic(a, om, assume)),
-    "weak-cosymplectic": (2, lambda c, r, assume: check_weak_cosymplectic(c, r, assume)),
-    "representation": (1, lambda r, assume: check_representation(r, assume)),
-    "nij-representation": (3, lambda r, n, al, assume: check_nij_representation(r, n, al, assume)),
-    "admissible": (3, lambda r, n, b, assume: check_admissible(r, n, b, assume)),
-    "corepresentation": (1, lambda k, assume: check_corepresentation(k, assumptions=assume)),
-    "frobenius": (2, lambda a, b, assume: check_frobenius(a, b, assumptions=assume)),
-    "frobenius-nij": (3, lambda a, b, n, assume: check_frobenius(a, b, n, assume)),
-    "nij-lie-bialgebra": (4, lambda a, c, n, p, assume: check_nij_lie_bialgebra(a, c, n, p, assume)),
-    "cpnybe": (4, lambda a, r, n, p, assume: check_cpnybe(a, r, n, p, assume)),
-    "pq-equivalents": (4, lambda a, r, n, p, assume: check_pq_equivalents(a, r, n, p, assume)),
-    "rrbo": (5, lambda a, rep, al, n, t, assume: check_rrbo(a, rep, al, n, t, assume)),
+    "lie-algebra": (1, check_lie_algebra),
+    "lie-coalgebra": (1, check_lie_coalgebra),
+    "cocycle": (2, check_cocycle),
+    "nijenhuis": (2, check_nijenhuis),
+    "nij-coalgebra": (2, check_nijenhuis_coalgebra),
+    "cybe": (2, check_cybe),
+    "co-cybe": (2, check_co_cybe),
+    "dual-qt": (2, check_dual_qt),
+    "weak-symplectic": (2, check_weak_symplectic),
+    "weak-cosymplectic": (2, check_weak_cosymplectic),
+    "representation": (1, check_representation),
+    "nij-representation": (3, check_nij_representation),
+    "admissible": (3, check_admissible),
+    "corepresentation": (1, check_corepresentation),
+    "frobenius": (2, check_frobenius),
+    "frobenius-nij": (3, check_frobenius),
+    "nij-lie-bialgebra": (4, check_nij_lie_bialgebra),
+    "cpnybe": (4, check_cpnybe),
+    "pq-equivalents": (4, check_pq_equivalents),
+    "rrbo": (5, check_rrbo),
 }
 
 # Construction ops usable in documents (single-result builders only).
 CONSTRUCT_OPS = {
-    "delta-from-r": (2, lambda a, r: _construct.delta_from_r(a, r)),
-    "bracket-from-omega": (2, lambda c, om: _construct.bracket_from_omega(c, om)),
-    "nijenhuis-from-omega-r": (3, lambda a, om, r: _construct.nijenhuis_from_omega_r(a, om, r)),
-    "p-from-r-omega": (3, lambda c, r, om: _construct.p_from_r_omega(c, r, om)),
-    "dualize": (1, lambda x: _construct.dualize(x)),
-    "phi-r": (1, lambda r: _construct.phi_r(r)),
+    "delta-from-r": (2, _construct.delta_from_r),
+    "bracket-from-omega": (2, _construct.bracket_from_omega),
+    "nijenhuis-from-omega-r": (3, _construct.nijenhuis_from_omega_r),
+    "p-from-r-omega": (3, _construct.p_from_r_omega),
+    "dualize": (1, _construct.dualize),
+    "phi-r": (1, _construct.phi_r),
 }
 
 
@@ -713,7 +713,7 @@ def run_check_statement(doc: Document, stmt: CheckStatement,
     args = [doc.structure(name, stmt.line, 1) for name in stmt.args]
     assumptions = list(doc.assumptions) + list(stmt.assumptions) + list(extra_assumptions)
     try:
-        return CHECK_KINDS[stmt.kind][1](*args, assumptions)
+        return CHECK_KINDS[stmt.kind][1](*args, assumptions=assumptions)
     except _ILL_FORMED as exc:
         raise ParseError(f"check {stmt.kind}: {exc}", stmt.line, 1) from exc
 

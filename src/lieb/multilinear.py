@@ -1,4 +1,5 @@
-"""Finite-dimensional basis spaces and small dense exact multilinear algebra.
+"""Finite-dimensional basis spaces, exact multilinear algebra, and the engine
+that evaluates identity tables over sparse tensors.
 
 Matrices and tensors are nested lists of Scalar.  Index conventions used
 throughout the package (and in the file format):
@@ -13,10 +14,10 @@ throughout the package (and in the file format):
 
 from __future__ import annotations
 
-import functools
-import itertools
-import operator
+import re
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
 from typing import Sequence
 
 from .scalars import Assumption, Polynomial, Scalar, ZERO, ONE, covered_by_assumptions
@@ -77,33 +78,8 @@ def zeros3(a: int, b: int, c: int) -> list[list[list[Scalar]]]:
     return [[[ZERO for _ in range(c)] for _ in range(b)] for _ in range(a)]
 
 
-def nonzero(row: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
-    """(index, entry) of each nonzero entry of a row, in index order."""
-    return [(k, v) for k, v in enumerate(row) if not v.is_zero()]
-
-
-def nonzero_columns(a: Matrix) -> list[list[tuple[int, Scalar]]]:
-    """For each column j, (i, a[i][j]) of its nonzero entries, in row order."""
-    return [nonzero(col) for col in zip(*a)]
-
-
-def sum_terms(terms: Sequence[Scalar]) -> Scalar:
-    """terms[0] + terms[1] + ... added from left to right; ZERO for no terms."""
-    return functools.reduce(operator.add, terms) if terms else ZERO
-
-
-def add_term(acc: dict, key, term: Scalar) -> None:
-    """acc[key] += term, where a missing key is a zero sum (0 + x is x)."""
-    prev = acc.get(key)
-    acc[key] = term if prev is None else prev + term
-
-
 def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def basis_vector(n: int, i: int) -> Vector:
-    return [ONE if j == i else ZERO for j in range(n)]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -172,7 +148,286 @@ def determinant(a: Matrix) -> Scalar:
     return minor(tuple(range(n)))
 
 
-# -- contraction engine -----------------------------------------------------
+# -- identity tables ----------------------------------------------------------
+
+class Tensor:
+    """A sparse tensor: its shape and its nonzero entries by index tuple."""
+
+    __slots__ = ("shape", "entries")
+
+    def __init__(self, shape: tuple[int, ...], entries: dict[tuple, Scalar]):
+        self.shape = shape
+        self.entries = entries
+
+    @classmethod
+    def of(cls, tensor) -> Tensor:
+        """A nested-list tensor (or a Scalar) as a Tensor; a Tensor as itself."""
+        if isinstance(tensor, Tensor):
+            return tensor
+        shape = _shape(tensor)
+        items = [((), tensor)]
+        for _ in shape[:-1]:
+            items = [(idx + (k,), sub) for idx, t in items for k, sub in enumerate(t)]
+        return cls(shape, {idx + (k,): v for idx, row in items for k, v in enumerate(row)
+                           if not v.is_zero()} if shape else {(): tensor} if tensor else {})
+
+    def dense(self):
+        """Nested lists with ZERO where no entry is stored; a Scalar at rank 0."""
+        flat = [self.entries.get(idx, ZERO) for idx in product(*map(range, self.shape))]
+        for size in reversed(self.shape[1:]):
+            flat = [flat[k:k + size] for k in range(0, len(flat), size)]
+        return flat[0] if not self.shape else flat
+
+
+_FACTOR = re.compile(r"(\w+)\[(\w*)\]")
+_TERM = re.compile(r"([+-]?)\s*([^+-]+)")
+
+
+class Table:
+    """An identity written as data: signed einsum terms over named operands.
+
+    ``Table("ijkm", "l: c[ijl] c[lkm] + c[jkl] c[lim] + c[kil] c[ljm]")`` is
+    the Jacobi sum.  Each argument after the output letters is a sub-sum, and
+    ``-(...)`` negates one.  A sub-sum folds its segments, separated by
+    ``;``.  A segment ``letters: terms`` sums its signed terms over its
+    summation letters; a segment with no summation letters has no colon.  A
+    term is a product of factors ``name[letters]``.  A component's value is
+    the left fold of its sub-sums, each the left fold of its terms over the
+    segments in order, summation index (lexicographic) outer and term inner.
+    Only nonzero entries are visited, and a component that no nonzero term
+    reaches is absent.
+    """
+
+    def __init__(self, out: str, *subsums: str):
+        self.out = out
+        self.subsums = tuple(_parse_subsum(text) for text in subsums)
+        self._factors = []
+        for segments in self.subsums:
+            for letters, terms in segments:
+                for _, factors in terms:
+                    if set("".join(spec for _, spec in factors)) != set(out + letters):
+                        raise ValueError(f"a term of {letters!r} does not cover {out + letters!r}")
+                    self._factors += factors
+        self._plans: dict[tuple, tuple] = {}  # by operand shapes, see _compile
+
+    def evaluate(self, **operands) -> Tensor:
+        """The nonvanishing components, in index order."""
+        return self._fold(operands, None, 0)
+
+    def coefficients(self, unknown: str, occurrence: int = 0, **operands) -> Tensor:
+        """The coefficients of a table that is linear in one factor of each term.
+
+        That factor is the ``occurrence``-th one named ``unknown``; any other
+        factor of that name takes the operand's value.  The result is indexed
+        by the output letters followed by the unknown's indices.
+        """
+        return self._fold(operands, unknown, occurrence)
+
+    def _fold(self, operands, unknown, occurrence) -> Tensor:
+        tensors = {name: Tensor.of(t) for name, t in operands.items()}
+        layout = (unknown, occurrence, tuple(sorted([(name, t.shape) for name, t in tensors.items()])))
+        compiled = self._plans.get(layout)
+        if compiled is None:
+            compiled = self._plans[layout] = self._compile(tensors, unknown, occurrence)
+        shape, strides, plans = compiled
+        # Scalar does not cancel polynomial factors, so a sum's rendering
+        # depends on the order of its terms when some term has a non-constant
+        # denominator; sums of polynomials are canonical in any order.
+        if any(v.q is None and not v.den.is_constant()
+               for t in tensors.values() for v in t.entries.values()):
+            parts = []
+            for subsum in plans:
+                flat = []
+                for g, t, positive, (steps, order) in subsum:
+                    partial, (get, lookup) = _term(steps, positive, tensors)
+                    flat += [(s + at, (g, order(b + r), t), _times(x, v))
+                             for b, x, s in partial for r, v, at in get(lookup(b), ())]
+                flat.sort()
+                parts.append(_sums((k, v) for k, _, v in flat))
+            total = _sums((k, part[k]) for k in sorted(set().union(*parts))
+                          for part in parts if k in part)
+        else:
+            # _sums and _times, inlined on this hot path
+            total = {}
+            prior = total.get
+            for subsum in plans:
+                for _, _, positive, (steps, _) in subsum:
+                    partial, (get, lookup) = _term(steps, positive, tensors)
+                    for b, x, s in partial:
+                        for _, v, at in get(lookup(b), ()):
+                            k = s + at
+                            term = v if x is None else x if v is None else x * v
+                            prev = prior(k)
+                            total[k] = term if prev is None else prev + term
+        radix = list(zip(strides, shape))
+        return Tensor(shape, {tuple([k // stride % size for stride, size in radix]): total[k]
+                              for k in sorted(total) if not total[k].is_zero()})
+
+    def _compile(self, tensors, unknown, occurrence):
+        """(result shape, its strides, the join plans of each sub-sum's terms)
+        for operands of the given shapes, checked to fit together."""
+        dims: dict[str, int] = {}
+        for name, spec in self._factors:
+            shape = tensors[name].shape
+            if len(shape) != len(spec):
+                raise ShapeError(f"{name}[{spec}] given a tensor of rank {len(shape)}")
+            for letter, size in zip(spec, shape):
+                if dims.setdefault(letter, size) != size:
+                    raise ShapeError(f"index {letter!r} has conflicting sizes")
+        shape = tuple(dims[x] for x in self.out) + (tensors[unknown].shape if unknown else ())
+        # components are keyed by their index in the flattened result
+        strides = [1] * len(shape)
+        for q in range(len(shape) - 2, -1, -1):
+            strides[q] = strides[q + 1] * shape[q + 1]
+        return shape, strides, [
+            [(g, t, positive, _plan(self.out, letters, factors, unknown, occurrence, dims, strides))
+             for g, (letters, terms) in enumerate(segments)
+             for t, (positive, factors) in enumerate(terms)]
+            for segments in self.subsums]
+
+
+def _parse_subsum(text: str):
+    """((summation letters, ((positive, ((name, letters), ...)), ...)), ...)"""
+    text = text.strip()
+    negate = text.startswith("-(")
+    if negate:
+        if not text.endswith(")"):
+            raise ValueError(f"unbalanced sub-sum {text!r}")
+        text = text[2:-1]
+    segments = []
+    for segment in text.split(";"):
+        letters, colon, body = segment.partition(":")
+        if not colon:
+            letters, body = "", segment
+        terms = []
+        for sign, term in _TERM.findall(body.strip()):
+            factors = tuple(_FACTOR.findall(term))
+            if not factors or _FACTOR.sub("", term).strip():
+                raise ValueError(f"malformed term {term!r}")
+            terms.append(((sign == "-") == negate, factors))
+        segments.append((letters.strip(), tuple(terms)))
+    return tuple(segments)
+
+
+class _Step:
+    """One factor of a term, in join order: the positions of its letters that
+    are bound already (``at``, read from a binding by ``lookup``), that it
+    binds (``new``) and that repeat one of its own; and, for each key letter
+    it binds, (its place among the new letters, its stride in the flattened
+    key).  A step with no factor binds one letter over its whole ``size``."""
+
+    __slots__ = ("name", "at", "new", "repeats", "lookup", "offset", "size", "keyget", "whole")
+
+    def __init__(self, name, at, new, repeats, lookup, weights, size=None):
+        self.name, self.at, self.new, self.repeats = name, at, new, repeats
+        self.lookup, self.size = lookup, size
+        self.keyget = itemgetter(*at) if at else _unbound
+        # the new letters are the factor's index as it is
+        self.whole = not at and not repeats and new == tuple(range(len(new)))
+        if len(weights) == 1:  # the common case, without a loop
+            ((i, w),) = weights
+            self.offset = lambda r: r[i] * w
+        else:
+            self.offset = lambda r: sum([r[i] * w for i, w in weights])
+
+
+def _plan(out, letters, factors, unknown, occurrence, dims, strides):
+    """(join steps, summation order getter) for one term.
+
+    A step binds the new letters of one factor, looking its entries up by the
+    letters already bound.  The key letters are the output letters, then with
+    an unknown the unknown's; its factor is left out of the join, and any
+    letter only it carries ranges over its whole dimension.
+    """
+    skip = [k for k, (name, _) in enumerate(factors) if name == unknown][occurrence] \
+        if unknown is not None else None
+    keyed = out + (factors[skip][1] if skip is not None else "")
+    bound: list[str] = []
+    steps = []
+
+    def weights(new_letters):
+        return tuple((i, strides[q]) for q, x in enumerate(keyed)
+                     for i, y in enumerate(new_letters) if x == y)
+
+    for k, (name, spec) in enumerate(factors):
+        if k == skip:
+            continue
+        at, new, repeats = [], [], []
+        for p, letter in enumerate(spec):
+            if letter in bound:
+                at.append(p)
+            elif letter in spec[:p]:
+                repeats.append((spec.index(letter), p))
+            else:
+                new.append(p)
+        lookup = itemgetter(*[bound.index(spec[p]) for p in at]) if at else _unbound
+        steps.append(_Step(name, tuple(at), tuple(new), tuple(repeats), lookup,
+                           weights([spec[p] for p in new])))
+        bound += [spec[p] for p in new]
+    if not steps:
+        raise ValueError("a term needs a factor besides the unknown")
+    for letter in keyed:
+        if letter not in bound:
+            steps.append(_Step(None, (), (0,), (), _unbound, weights([letter]), dims[letter]))
+            bound.append(letter)
+    order = itemgetter(*[bound.index(x) for x in letters]) if letters else _unbound
+    return steps, order
+
+
+def _term(steps, positive, tensors):
+    """The signed partial products of a term's factors but the last, with
+    their bindings (the letters in the order bound) and their parts of the
+    key; and the last factor's index with the getter of its lookup key.  A
+    partial binding that the next factor cannot extend is dropped before its
+    product is formed."""
+    indexed = [(_index(step, tensors).get, step.lookup) for step in steps]
+    partial = [((), None if positive else -ONE, 0)]  # None: no factor yet
+    for count, ((get, lookup), (extend, key)) in enumerate(zip(indexed, indexed[1:])):
+        if count:
+            partial = [(br, x if v is None else x * v, s + at)
+                       for b, x, s in partial for r, v, at in get(lookup(b), ())
+                       for br in (b + r,) if extend(key(br))]
+        else:
+            partial = [(r, v if positive else -v, at) for r, v, at in get((), ()) if extend(key(r))]
+    return partial, indexed[-1]
+
+
+def _index(step, tensors) -> dict:
+    """The entries of one step's factor by the values of its letters already
+    bound: key -> [(new letters, entry, part of the key)]."""
+    entries = (tensors[step.name].entries.items() if step.name is not None
+               else [((x,), None) for x in range(step.size)])  # None: no factor
+    offset = step.offset
+    if step.whole:
+        return {(): [(idx, v, offset(idx)) for idx, v in entries]}
+    index: dict = {}
+    keyget, new, repeats = step.keyget, step.new, step.repeats
+    for idx, v in entries:
+        if not repeats or all(idx[p] == idx[q] for p, q in repeats):
+            r = tuple([idx[p] for p in new])
+            index.setdefault(keyget(idx), []).append((r, v, offset(r)))
+    return index
+
+
+def _times(x, v):
+    """x * v, where None stands for a missing factor."""
+    return v if x is None else x if v is None else x * v
+
+
+def _unbound(b) -> tuple:
+    """The key of a lookup by no letters."""
+    return ()
+
+
+def _sums(pairs) -> dict:
+    """key -> the left fold of its values, in the order given."""
+    total: dict = {}
+    get = total.get
+    for key, v in pairs:
+        prev = get(key)
+        total[key] = v if prev is None else prev + v
+    return total
+
 
 def contract(plan: str, *operands):
     """Exact einsum-style contraction over nested-list Scalar tensors.
@@ -187,43 +442,13 @@ def contract(plan: str, *operands):
     specs = lhs.split(",")
     if len(specs) != len(operands):
         raise ShapeError(f"plan has {len(specs)} operands, got {len(operands)}")
-    dims: dict[str, int] = {}
-    for spec, op in zip(specs, operands):
-        shape = _shape(op)
-        if len(shape) != len(spec):
-            raise ShapeError(f"operand of rank {len(shape)} does not match spec {spec!r}")
-        for letter, size in zip(spec, shape):
-            if dims.setdefault(letter, size) != size:
-                raise ShapeError(f"index {letter!r} has conflicting sizes")
+    letters = set("".join(specs))
     for letter in out_spec:
-        if letter not in dims:
+        if letter not in letters:
             raise ShapeError(f"output index {letter!r} not present in operands")
-    sum_letters = sorted(set(dims) - set(out_spec))
-
-    def cell(out_idx: dict[str, int]) -> Scalar:
-        total = ZERO
-        for combo in itertools.product(*(range(dims[l]) for l in sum_letters)):
-            idx = dict(out_idx)
-            idx.update(zip(sum_letters, combo))
-            term = ONE
-            dead = False
-            for spec, op in zip(specs, operands):
-                entry = _fetch(op, [idx[l] for l in spec])
-                if entry.num.is_zero():
-                    dead = True
-                    break
-                term = term * entry
-            if not dead:
-                total = total + term
-        return total
-
-    def build(letters: str, idx: dict[str, int]):
-        if not letters:
-            return cell(idx)
-        head, rest = letters[0], letters[1:]
-        return [build(rest, {**idx, head: i}) for i in range(dims[head])]
-
-    return build(out_spec, {})
+    summed = "".join(sorted(letters - set(out_spec)))
+    table = Table(out_spec, f"{summed}: " + " ".join(f"x{k}[{spec}]" for k, spec in enumerate(specs)))
+    return table.evaluate(**{f"x{k}": op for k, op in enumerate(operands)}).dense()
 
 
 def _shape(op) -> tuple[int, ...]:
@@ -235,12 +460,6 @@ def _shape(op) -> tuple[int, ...]:
         shape.append(len(current))
         current = current[0]
     return tuple(shape)
-
-
-def _fetch(op, idx: list[int]) -> Scalar:
-    for i in idx:
-        op = op[i]
-    return op
 
 
 # -- structured wrappers ----------------------------------------------------
@@ -325,11 +544,6 @@ class BilinearForm:
     def value(self, i: int, j: int) -> Scalar:
         return self.matrix[i][j]
 
-    def is_skew(self) -> bool:
-        n = self.space.dim
-        return all((self.matrix[i][j] + self.matrix[j][i]).is_zero()
-                   for i in range(n) for j in range(n))
-
 
 @dataclass
 class TwoTensor:
@@ -347,10 +561,6 @@ class TwoTensor:
     def zero(cls, sp: BasisSpace) -> TwoTensor:
         return cls(sp, zeros(sp.dim, sp.dim))
 
-    def sigma(self) -> TwoTensor:
-        """The flip r^sigma = r^2 (x) r^1."""
-        return TwoTensor(self.space, transpose_matrix(self.matrix))
-
     def add(self, other: TwoTensor) -> TwoTensor:
         return TwoTensor(self.space, mat_add(self.matrix, other.matrix))
 
@@ -358,21 +568,6 @@ class TwoTensor:
         n = self.space.dim
         return all((self.matrix[i][j] + self.matrix[j][i]).is_zero()
                    for i in range(n) for j in range(n))
-
-
-@dataclass
-class ThreeTensor:
-    """Element of V (x) V (x) V as a dim^3 Scalar array."""
-
-    space: BasisSpace
-    entries: list[list[list[Scalar]]]
-
-    def __post_init__(self):
-        n = self.space.dim
-        if len(self.entries) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane) for plane in self.entries
-        ):
-            raise ShapeError("3-tensor entries do not match the space")
 
 
 # -- exact elimination ------------------------------------------------------
@@ -429,13 +624,13 @@ def row_reduce(matrix: Sequence[Sequence[Scalar]],
     return m, pivots, used
 
 
-def nullspace(matrix: Sequence[Sequence[Scalar]],
-              assumptions: Sequence[Assumption] = ()) -> list[Vector]:
-    """Exact basis of the right kernel; vectors satisfy M v = 0 identically."""
+def kernel(matrix: Sequence[Sequence[Scalar]],
+           assumptions: Sequence[Assumption] = ()) -> tuple[list[Vector], list[Assumption]]:
+    """Exact basis of the right kernel, and the assumptions its pivots used."""
     if not matrix:
-        return []
+        return [], []
     cols = len(matrix[0])
-    rref, pivots, _ = row_reduce(matrix, assumptions)
+    rref, pivots, used = row_reduce(matrix, assumptions)
     free = [c for c in range(cols) if c not in pivots]
     basis: list[Vector] = []
     for f in free:
@@ -444,7 +639,13 @@ def nullspace(matrix: Sequence[Sequence[Scalar]],
         for r, p in enumerate(pivots):
             vec[p] = -rref[r][f]
         basis.append(vec)
-    return basis
+    return basis, used
+
+
+def nullspace(matrix: Sequence[Sequence[Scalar]],
+              assumptions: Sequence[Assumption] = ()) -> list[Vector]:
+    """Exact basis of the right kernel; vectors satisfy M v = 0 identically."""
+    return kernel(matrix, assumptions)[0]
 
 
 def rank(matrix: Sequence[Sequence[Scalar]],

@@ -1,7 +1,9 @@
 """Exact linear classification and randomized refutation.
 
-Linear problems pose one of the affine-linear identities in a declared
-unknown and solve it by exact nullspace; the basis is re-substituted into the
+Linear problems pose one of the identity tables of ``structures`` in a
+declared unknown: the rows are the unknown's coefficients in the table, and
+an exact nullspace solves them, reporting the assumptions its pivots used.
+Weak-symplectic and cocycle-in-delta bases are re-substituted into the
 identity as a built-in verification.  Nonlinear claims are attacked by
 sampling: draw exact rational parameter values, re-check, and return either a
 re-verified nonzero witness or sampling evidence of vanishing (which is
@@ -10,15 +12,19 @@ labelled as evidence, never proof).
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-# rank is not called here, since a solve's rank is its unknowns less its
-# nullity; it stays in this namespace for code that looks up lieb.solver.rank.
-from .multilinear import BilinearForm, TwoTensor, ZERO, nullspace, rank  # noqa: F401
+# nullspace and rank are not called here; they stay in this namespace for code
+# that looks up lieb.solver.nullspace and lieb.solver.rank.
+from .multilinear import (  # noqa: F401
+    BilinearForm, Tensor, TwoTensor, ZERO, kernel, nullspace, rank,
+)
 from .scalars import Assumption, EvalSingular, Scalar
+from . import structures
 from .structures import (
     CheckReport,
     LieAlgebra,
@@ -70,182 +76,105 @@ class LinearSolution:
     basis: list
     rank: int
     unknowns: int
+    assumptions_used: list[Assumption] = field(default_factory=list)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
 
-def _skew_unknowns(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+_SKEW = (WEAK_SYMPLECTIC, CO_CYBE_SLICE)  # kinds whose unknown is a skew form
 
 
-def _skew_matrix(space, coords: Sequence[Scalar], slots: Sequence[tuple[int, int]]):
-    n = space.dim
-    mat = [[ZERO for _ in range(n)] for _ in range(n)]
-    for (i, j), value in zip(slots, coords):
-        mat[i][j] = value
-        mat[j][i] = -value
-    return mat
+def _system(problem: LinearProblem):
+    """The problem's identity table, its operands (the unknown as a zero of its
+    shape), the unknown's name, and the occurrences of it in each term that
+    the rows take, added together."""
+    if problem.kind == CO_CYBE_SLICE:
+        # the symmetrised linearisation B(omega0, omega) + B(omega, omega0) of
+        # the quadratic co-Yang-Baxter equation: omega0 in one slot of each
+        # term, the unknown in the other
+        C = problem.context["coalgebra"]
+        return structures.CO_CYBE, {"d": C.d, "om": problem.context["omega0"].matrix}, "om", (1, 0)
+    if problem.kind not in (WEAK_SYMPLECTIC, COCYCLE_IN_DELTA, AD_INVARIANCE):
+        raise ValueError(f"unknown linear problem kind {problem.kind!r}")
+    c = problem.context["algebra"].c
+    n = len(c)
+    return {
+        WEAK_SYMPLECTIC: (structures.WEAK_SYMPLECTIC, {"c": c, "om": Tensor((n, n), {})}, "om"),
+        COCYCLE_IN_DELTA: (structures.COCYCLE, {"c": c, "d": Tensor((n, n, n), {})}, "d"),
+        AD_INVARIANCE: (structures.AD_INVARIANCE, {"c": c, "r": Tensor((n, n), {})}, "r"),
+    }[problem.kind] + ((0,),)
+
+
+def _slots(problem: LinearProblem) -> tuple[tuple[int, ...], list[tuple]]:
+    """The unknown's shape and its free entries: all of them, or the upper
+    triangle of a skew form."""
+    _, operands, unknown, _ = _system(problem)
+    shape = Tensor.of(operands[unknown]).shape
+    slots = list(itertools.product(*map(range, shape)))
+    return shape, [(i, j) for i, j in slots if i < j] if problem.kind in _SKEW else slots
+
+
+def coefficient_rows(problem: LinearProblem) -> list[list[Scalar]]:
+    """The problem's identity as a matrix over the unknown's free entries.
+
+    Row by row, the components of the identity in index order, zero rows
+    included; column by column, the coefficient of each free entry, which for
+    a skew form is that of (i, j) less that of (j, i).
+    """
+    table, operands, unknown, occurrences = _system(problem)
+    shape, slots = _slots(problem)
+    column = {slot: (col, True) for col, slot in enumerate(slots)}
+    if problem.kind in _SKEW:
+        column.update({(j, i): (col, False) for col, (i, j) in enumerate(slots)})
+    cells: dict[tuple, Scalar] = {}
+    for occurrence in occurrences:
+        coefficients = table.coefficients(unknown, occurrence, **operands)
+        split = len(coefficients.shape) - len(shape)
+        for idx, value in coefficients.entries.items():
+            if idx[split:] in column:
+                col, positive = column[idx[split:]]
+                cell = (idx[:split], col)
+                value = value if positive else -value
+                cells[cell] = value if cell not in cells else cells[cell] + value
+    rows = {out: [ZERO] * len(slots)
+            for out in itertools.product(*map(range, coefficients.shape[:split]))}
+    for (out, col), value in cells.items():
+        rows[out][col] = value
+    return list(rows.values())
 
 
 def solve_linear(problem: LinearProblem,
                  assumptions: Sequence[Assumption] = ()) -> LinearSolution:
     """Exact basis of the solution space of a linear problem.
 
-    Every returned basis element is re-substituted into the defining identity
-    and must satisfy it exactly; a violation raises.
+    Weak-symplectic and cocycle-in-delta basis elements are re-substituted
+    into the defining identity and must satisfy it exactly; a violation
+    raises.  The solution carries the assumptions that certified its pivots.
     """
-    builders = {
-        WEAK_SYMPLECTIC: _solve_weak_symplectic,
-        CO_CYBE_SLICE: _solve_co_cybe_slice,
-        COCYCLE_IN_DELTA: _solve_cocycle_in_delta,
-        AD_INVARIANCE: _solve_ad_invariance,
-    }
-    if problem.kind not in builders:
-        raise ValueError(f"unknown linear problem kind {problem.kind!r}")
-    return builders[problem.kind](problem.context, assumptions)
-
-
-def _solve_weak_symplectic(context, assumptions) -> LinearSolution:
-    L: LieAlgebra = context["algebra"]
-    n = L.space.dim
-    slots = _skew_unknowns(n)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = []
-                for (a, b) in slots:
-                    coeff = ZERO
-                    for m in range(n):
-                        for (p, q, r_) in ((i, j, k), (j, k, i), (k, i, j)):
-                            # omega([e_p, e_q], e_r) with omega = E_ab - E_ba
-                            if m == a and r_ == b:
-                                coeff = coeff + L.c[p][q][m]
-                            if m == b and r_ == a:
-                                coeff = coeff - L.c[p][q][m]
-                    row.append(coeff)
-                rows.append(row)
-    basis_vectors = nullspace(rows, assumptions)
+    shape, slots = _slots(problem)
+    vectors, used = kernel(coefficient_rows(problem), assumptions)
+    space = (problem.context.get("algebra") or problem.context["coalgebra"]).space
     basis = []
-    for vec in basis_vectors:
-        form = BilinearForm(L.space, _skew_matrix(L.space, vec, slots))
-        report = check_weak_symplectic(L, form)
-        if not report.passed:
+    for vec in vectors:
+        entries = dict(zip(slots, vec))
+        if problem.kind in _SKEW:
+            entries.update({(j, i): -value for (i, j), value in zip(slots, vec)})
+        value = Tensor(shape, entries).dense()
+        if problem.kind == COCYCLE_IN_DELTA:
+            element = LieCoalgebra(space, value)
+            report = check_cocycle(problem.context["algebra"], element)
+        elif problem.kind == AD_INVARIANCE:
+            element, report = TwoTensor(space, value), None
+        else:
+            element = BilinearForm(space, value)
+            report = (check_weak_symplectic(problem.context["algebra"], element)
+                      if problem.kind == WEAK_SYMPLECTIC else None)
+        if report is not None and not report.passed:
             raise AssertionError("solver produced a non-solution; this is a bug")
-        basis.append(form)
-    return LinearSolution(WEAK_SYMPLECTIC, basis, len(slots) - len(basis_vectors), len(slots))
-
-
-def _solve_co_cybe_slice(context, assumptions) -> LinearSolution:
-    """Directional slice of the co-Yang-Baxter equation at a base form.
-
-    The equation is quadratic in the form; the slice solves its symmetrised
-    linearisation B(omega0, omega) + B(omega, omega0) = 0 over skew omega.
-    """
-    C: LieCoalgebra = context["coalgebra"]
-    om0: BilinearForm = context["omega0"]
-    n = C.space.dim
-    slots = _skew_unknowns(n)
-    d, m0 = C.d, om0.matrix
-
-    def bilinear(first, second, i, j, k) -> Scalar:
-        total = ZERO
-        for a in range(n):
-            for b in range(n):
-                total = (total
-                         + d[i][a][b] * first[a][j] * second[b][k]
-                         + d[k][a][b] * first[i][a] * second[j][b]
-                         + d[j][a][b] * first[i][a] * second[b][k])
-        return total
-
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = []
-                for (a, b) in slots:
-                    unit = [[ZERO] * n for _ in range(n)]
-                    unit[a][b] = Scalar.from_int(1)
-                    unit[b][a] = Scalar.from_int(-1)
-                    row.append(bilinear(m0, unit, i, j, k) + bilinear(unit, m0, i, j, k))
-                rows.append(row)
-    basis_vectors = nullspace(rows, assumptions)
-    basis = [BilinearForm(C.space, _skew_matrix(C.space, vec, slots)) for vec in basis_vectors]
-    return LinearSolution(CO_CYBE_SLICE, basis, len(slots) - len(basis_vectors), len(slots))
-
-
-def _solve_cocycle_in_delta(context, assumptions) -> LinearSolution:
-    L: LieAlgebra = context["algebra"]
-    n = L.space.dim
-    c = L.c
-    slots = [(i, a, b) for i in range(n) for a in range(n) for b in range(n)]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for p in range(n):
-                for q in range(n):
-                    row = []
-                    for (m, a, b) in slots:
-                        coeff = ZERO
-                        if (a, b) == (p, q):
-                            coeff = coeff + c[i][j][m]
-                        # -[x, y_(1)] (x) y_(2) - y_(1) (x) [x, y_(2)] contributions
-                        if m == j and b == q:
-                            coeff = coeff - c[i][a][p]
-                        if m == j and a == p:
-                            coeff = coeff - c[i][b][q]
-                        if m == i and b == q:
-                            coeff = coeff + c[j][a][p]
-                        if m == i and a == p:
-                            coeff = coeff + c[j][b][q]
-                        row.append(coeff)
-                    rows.append(row)
-    basis_vectors = nullspace(rows, assumptions)
-    basis = []
-    for vec in basis_vectors:
-        d = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for (m, a, b), value in zip(slots, vec):
-            d[m][a][b] = d[m][a][b] + value
-        coalg = LieCoalgebra(L.space, d)
-        if not check_cocycle(L, coalg).passed:
-            raise AssertionError("solver produced a non-solution; this is a bug")
-        basis.append(coalg)
-    return LinearSolution(COCYCLE_IN_DELTA, basis, len(slots) - len(basis_vectors), len(slots))
-
-
-def _solve_ad_invariance(context, assumptions) -> LinearSolution:
-    L: LieAlgebra = context["algebra"]
-    n = L.space.dim
-    c = L.c
-    slots = [(i, j) for i in range(n) for j in range(n)]
-    rows = []
-    for x in range(n):
-        for p in range(n):
-            for q in range(n):
-                row = []
-                for (a, b) in slots:
-                    # (ad_x (x) id + id (x) ad_x)(r + r^sigma) at component (p, q)
-                    coeff = ZERO
-                    if b == q:
-                        coeff = coeff + c[x][a][p]
-                    if a == q:
-                        coeff = coeff + c[x][b][p]
-                    if a == p:
-                        coeff = coeff + c[x][b][q]
-                    if b == p:
-                        coeff = coeff + c[x][a][q]
-                    row.append(coeff)
-                rows.append(row)
-    basis_vectors = nullspace(rows, assumptions)
-    basis = []
-    for vec in basis_vectors:
-        mat = [[ZERO] * n for _ in range(n)]
-        for (i, j), value in zip(slots, vec):
-            mat[i][j] = mat[i][j] + value
-        basis.append(TwoTensor(L.space, mat))
-    return LinearSolution(AD_INVARIANCE, basis, len(slots) - len(basis_vectors), len(slots))
+        basis.append(element)
+    return LinearSolution(problem.kind, basis, len(slots) - len(vectors), len(slots), used)
 
 
 # -- randomized refutation -----------------------------------------------------

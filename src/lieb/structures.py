@@ -6,15 +6,19 @@ residual components.  A check passes when every residual is the zero scalar;
 it passes conditionally when the input data carries parametric denominators
 whose nonvanishing had to be assumed.
 
-The contractions over structure constants (Jacobi, co-Jacobi, the cocycle
-condition, the Yang-Baxter tensor, the Nijenhuis cobracket identities) skip
-structural zeros: each call first lists the nonzero entries of its inputs and
-multiplies only nonzero pairs.  The order invariant: every component adds its
-nonzero terms in the same relative order as the dense loop over all indices
-would.  Dropping a zero term changes nothing, since ``x + 0``, ``0 + x`` and
-``x - 0`` give x's canonical form; reordering would, because a partial sum
-that cancels to zero drops the denominator it had built up, so equal values
-could render differently.  Residuals come out in the dense loop's index order.
+The multilinear identities are written once, as tables of signed einsum
+terms (``multilinear.Table``), and one sparse engine evaluates them: it
+multiplies only nonzero entries and reports the components in index order.
+The fold-order rule: a component adds its terms segment by segment,
+summation index outer and term inner, and its sub-sums in the order written,
+which is the order the dense loops over all indices used.  ``Scalar`` does
+not cancel polynomial factors, so a partial sum that cancels to zero drops
+the denominator it had built up, and a reordered sum of the same terms can
+render differently.  Zero terms may be skipped, since ``x + 0``, ``0 + x``
+and ``x - 0`` give x's canonical form.  Once ``Scalar`` keeps num/den
+reduced, the form no longer depends on the order and the rule goes away.
+The vector-level checks (torsion, operator compatibility, matched pairs,
+relative Rota-Baxter, the r-forms of ``check_pq_equivalents``) stay loops.
 """
 
 from __future__ import annotations
@@ -30,18 +34,16 @@ from .multilinear import (
     LinearOperator,
     Matrix,
     ShapeError,
+    Table,
+    Tensor,
     TwoTensor,
     Vector,
     ZERO,
-    add_term,
     determinant,
     mat_add,
     mat_mul,
     mat_sub,
     mat_vec,
-    nonzero,
-    nonzero_columns,
-    sum_terms,
     transpose_matrix,
     zeros,
 )
@@ -295,15 +297,76 @@ def _triples(n: int):
     return itertools.product(range(n), repeat=3)
 
 
-def _nonzero_rows(t) -> list[list[list[tuple[int, Scalar]]]]:
-    """nonzero(t[a][b]) for every (a, b) of a 3-tensor."""
-    return [[nonzero(row) for row in plane] for plane in t]
+def _items(name: str, values: Tensor) -> list[tuple[str, tuple, Scalar]]:
+    return [(name, idx, v) for idx, v in values.entries.items()]
 
 
-def _nonzero_pairs(t) -> list[list[tuple[tuple[int, int], Scalar]]]:
-    """For each a, ((b, c), t[a][b][c]) of the nonzero entries, in (b, c) order."""
-    return [[((b, c), v) for b, row in enumerate(plane) for c, v in nonzero(row)]
-            for plane in t]
+def _interleaved(*named: tuple[str, Tensor]) -> list[tuple[str, tuple, Scalar]]:
+    """The items of identities over the same indices, alternating at each index."""
+    keys = sorted(set().union(*(values.entries for _, values in named)))
+    return [(name, key, values.entries[key])
+            for key in keys for name, values in named if key in values.entries]
+
+
+# -- identity tables ----------------------------------------------------------
+# Operands: c bracket and d, e cobracket constants, r a 2-tensor, om and B
+# forms, A action matrices, g, h coaction tensors, P, N, al, be operators.
+# A name ending in 2 is the operator squared; the others are intermediates.
+
+JACOBI = Table("ijkm", "l: c[ijl] c[lkm] + c[jkl] c[lim] + c[kil] c[ljm]")
+# (id (x) e) d: e applied to the second factor of d; with the cyclic sum of
+# its last three indices, the co-Jacobi sum of d and e = d
+COMPOSITE = Table("ijab", "k: d[ijk] e[kab]")
+CYCLIC = Table("ipqs", "t[ipqs]", "t[iqsp]", "t[ispq]")
+# the cyclic sums of (id (x) e) d and (id (x) d) e
+MIXED_CYCLIC = Table("ipqs", "t[ipqs]", "t[iqsp]", "t[ispq]", "u[ipqs]", "u[iqsp]", "u[ispq]")
+COCYCLE = Table("ijpq", "k: c[ijk] d[kpq]",
+                "-(a: c[iap] d[jaq] + d[jpa] c[iaq] - c[jap] d[iaq] - d[ipa] c[jaq])")
+# the image T(M e_i) of a basis vector: delta(P e_i), rho(N e_i), gamma(beta v_i)
+IMAGE = Table("iab", "m: M[mi] T[mab]")
+# (P(x)P) delta + delta P^2 - (P(x)id)(delta P) - (id(x)P)(delta P), with dP = delta(P e_i)
+NIJENHUIS_COBRACKET = Table("iab", "xy: d[ixy] P[ax] P[by]", "m: P2[mi] d[mab]",
+                            "-(x: P[ax] dP[ixb])", "-(y: dP[iay] P[by])")
+# (P(x)id) delta N + (id(x)N^2) delta - (P(x)N) delta - (id(x)N) delta N, with dN = delta(N e_i)
+COBRACKET_COMPATIBILITY = Table("iab", "x: P[ax] dN[ixb]", "q: d[iaq] N2[bq]",
+                                "-(xq: d[ixq] P[ax] N[bq])", "-(q: dN[iaq] N[bq])")
+# [r12, r13] + [r12, r23] + [r13, r23]
+CYBE = Table("xyz", "ik: c[ikx] r[iy] r[kz]; jl: c[jlz] r[xj] r[yl]; jk: c[jky] r[xj] r[kz]")
+CO_CYBE = Table("ijk", "ab: d[iab] om[aj] om[bk] + d[kab] om[ia] om[jb] + d[jab] om[ia] om[bk]")
+# [x, y] = x_(1) omega(x_(2), y) - y_(2) omega(x, y_(1))
+INDUCED_BRACKET = Table("ijk", "b: d[ikb] om[bj] + d[jkb] om[ib]")
+# with w the induced bracket
+DUAL_QT_1 = Table("ijk", "m: w[ijm] om[mk]; ab: -d[kab] om[ia] om[jb]")
+DUAL_QT_2 = Table("ijk", "m: w[jkm] om[im]; ab: d[iab] om[aj] om[bk]")
+WEAK_SYMPLECTIC = Table("ijk", "m: c[ijm] om[mk] + c[jkm] om[mi] + c[kim] om[mj]")
+# the cyclic sum of t = (delta (x) id)(r)
+DELTA_R = Table("abc", "x: d[xab] r[xc]")
+WEAK_COSYMPLECTIC = Table("ijk", "t[ijk]", "t[jki]", "t[kij]")
+COMMUTATOR = Table("ijab", "x: A[iax] A[jxb]", "-(x: A[jax] A[ixb])")
+REPRESENTATION = Table("ijab", "k: c[ijk] A[kab]", "-(comm[ijab])")
+# the product T_i M of each matrix T_i with one matrix M: rho(e_i) alpha
+RIGHT_PRODUCT = Table("ipq", "x: T[ipx] M[xq]")
+# rho(Nx) al + al^2 rho(x) - (al rho(Nx) + al rho(x) al), with rN = rho(N e_i), rA = rho(e_i) al
+NIJ_REPRESENTATION_RHS = Table("ipq", "x: al[px] rN[ixq]", "x: al[px] rA[ixq]")
+NIJ_REPRESENTATION = Table("ipq", "x: rN[ipx] al[xq]", "x: al2[px] A[ixq]", "-(rhs[ipq])")
+# be rho(Nx) + rho(x) be^2 - (rho(Nx) be + be rho(x) be), with rB = rho(e_i) be
+ADMISSIBLE_RHS = Table("ipq", "x: rN[ipx] be[xq]", "x: be[px] rB[ixq]")
+ADMISSIBLE = Table("ipq", "x: be[px] rN[ixq]", "x: A[ipx] be2[xq]", "-(rhs[ipq])")
+COREPRESENTATION = Table("iabk", "j: g[ijk] d[jab]", "-(x: g[iax] g[xbk] - g[ibx] g[xak])")
+NIJ_COREPRESENTATION = Table("iak", "jx: g[ijx] P[aj] be[kx]", "x: be2[xi] g[xak]",
+                             "-(xj: g[xjk] be[xi] P[aj])", "-(xq: g[xaq] be[xi] be[kq])")
+# coactions g of d and h of e
+MIXED_COREPRESENTATION = Table(
+    "iabk", "j: g[ijk] e[jab] + h[ijk] d[jab]",
+    "-(x: g[iax] h[xbk] + h[iax] g[xbk] - g[ibx] h[xak] - h[ibx] g[xak])")
+# D and G are the second cobracket and coaction; dP, DP, gb, Gb their images
+DEFORMATION_1 = Table("iab", "DP[iab]; xy: -d[ixy] P[ax] P[by]")
+DEFORMATION_2 = Table("iab", "dP[iab] + D[iab]; y: -d[iay] P[by]; x: -d[ixb] P[ax]")
+DEFORMATION_3 = Table("iak", "Gb[iak]; xq: -g[ixq] P[ax] be[kq]")
+DEFORMATION_4 = Table("iak", "gb[iak] + G[iak]; q: -g[iaq] be[kq]; x: -g[ixk] P[ax]")
+INVARIANCE = Table("ijk", "m: c[ijm] B[mk]", "-(m: c[jkm] B[im])")
+# (ad_x (x) id + id (x) ad_x)(r + r^sigma)
+AD_INVARIANCE = Table("xpq", "y: c[xyp] r[yq] + c[xyp] r[qy] + c[xyq] r[py] + c[xyq] r[yp]")
 
 
 # -- Lie algebra / coalgebra axioms ----------------------------------------
@@ -312,19 +375,8 @@ def check_lie_algebra(L: LieAlgebra, assumptions: Sequence[Assumption] = ()) -> 
     """Antisymmetry of the bracket and the Jacobi identity."""
     n = L.space.dim
     c = L.c
-    items = []
-    for i, j, k in _triples(n):
-        items.append(("antisymmetry", (i, j, k), c[i][j][k] + c[j][i][k]))
-    rows = _nonzero_rows(c)
-    for i, j, k in _triples(n):
-        # jacobi(i, j, k, m) = sum over l of c_ijl c_lkm + c_jkl c_lim + c_kil c_ljm
-        total: dict[int, Scalar] = {}
-        for l in range(n):
-            for coeff, out in ((c[i][j][l], k), (c[j][k][l], i), (c[k][i][l], j)):
-                if not coeff.is_zero():
-                    for m, v in rows[l][out]:
-                        add_term(total, m, coeff * v)
-        items += [("jacobi", (i, j, k, m), total[m]) for m in sorted(total)]
+    items = [("antisymmetry", (i, j, k), c[i][j][k] + c[j][i][k]) for i, j, k in _triples(n)]
+    items += _items("jacobi", JACOBI.evaluate(c=c))
     return _build_report(items, [L], assumptions)
 
 
@@ -332,33 +384,10 @@ def check_lie_coalgebra(C: LieCoalgebra, assumptions: Sequence[Assumption] = ())
     """Co-antisymmetry and the co-Jacobi identity of the cobracket."""
     n = C.space.dim
     d = C.d
-    items = []
-    for i, a, b in _triples(n):
-        items.append(("co-antisymmetry", (i, a, b), d[i][a][b] + d[i][b][a]))
-    rows, pairs = _nonzero_rows(d), _nonzero_pairs(d)
-    for i in range(n):
-        items += [("co-jacobi", (i,) + idx, value)
-                  for idx, value in _cyclic_sums([_cojacobi_products(rows, pairs, i, n)])]
+    items = [("co-antisymmetry", (i, a, b), d[i][a][b] + d[i][b][a]) for i, a, b in _triples(n)]
+    sparse = Tensor.of(d)
+    items += _items("co-jacobi", CYCLIC.evaluate(t=COMPOSITE.evaluate(d=sparse, e=sparse)))
     return _build_report(items, [C], assumptions)
-
-
-def _cojacobi_products(rows1, pairs2, i: int, n: int) -> dict[tuple, Scalar]:
-    """(j, a, b) -> sum over k of d1_ijk d2_kab, from nonzero(d1) rows and d2 pairs."""
-    t: dict[tuple, Scalar] = {}
-    for j in range(n):
-        for k, v in rows1[i][j]:
-            for (a, b), w in pairs2[k]:
-                add_term(t, (j, a, b), v * w)
-    return t
-
-
-def _cyclic_sums(ts) -> list[tuple[tuple, Scalar]]:
-    """(p, q, s) -> the sum over t in ts of t(p, q, s) + t(q, s, p) + t(s, p, q),
-    for every component some entry of ts enters, in index order."""
-    touched = {key for t in ts for j, a, b in t for key in ((j, a, b), (b, j, a), (a, b, j))}
-    return [((p, q, s), sum_terms([t.get(key, ZERO) for t in ts
-                                   for key in ((p, q, s), (q, s, p), (s, p, q))]))
-            for p, q, s in sorted(touched)]
 
 
 def check_cocycle(L: LieAlgebra, C: LieCoalgebra,
@@ -366,36 +395,7 @@ def check_cocycle(L: LieAlgebra, C: LieCoalgebra,
     """The bialgebra compatibility of the cobracket with the bracket."""
     if L.space.dim != C.space.dim:
         raise ShapeError("algebra and coalgebra live on different spaces")
-    n = L.space.dim
-    c, d = L.c, C.d
-    c_rows, d_rows, d_pairs = _nonzero_rows(c), _nonzero_rows(d), _nonzero_pairs(d)
-    d_cols = [nonzero_columns(plane) for plane in d]  # d_cols[j][a]: (p, d_jpa)
-    items = []
-    for i, j in _pairs(n):
-        # lhs(p, q) = sum over k of c_ijk d_kpq
-        lhs: dict[tuple, Scalar] = {}
-        for k, v in c_rows[i][j]:
-            for key, w in d_pairs[k]:
-                add_term(lhs, key, v * w)
-        # rhs(p, q) = sum over a of c_iap d_jaq + d_jpa c_iaq - c_jap d_iaq - d_ipa c_jaq
-        rhs: dict[tuple, Scalar] = {}
-        for a in range(n):
-            for p, v in c_rows[i][a]:
-                for q, w in d_rows[j][a]:
-                    add_term(rhs, (p, q), v * w)
-            for p, v in d_cols[j][a]:
-                for q, w in c_rows[i][a]:
-                    add_term(rhs, (p, q), v * w)
-            for p, v in c_rows[j][a]:
-                for q, w in d_rows[i][a]:
-                    add_term(rhs, (p, q), -(v * w))
-            for p, v in d_cols[i][a]:
-                for q, w in c_rows[j][a]:
-                    add_term(rhs, (p, q), -(v * w))
-        for p, q in sorted(lhs.keys() | rhs.keys()):
-            items.append(("cocycle", (i, j, p, q),
-                          lhs.get((p, q), ZERO) - rhs.get((p, q), ZERO)))
-    return _build_report(items, [L, C], assumptions)
+    return _build_report(_items("cocycle", COCYCLE.evaluate(c=L.c, d=C.d)), [L, C], assumptions)
 
 
 # -- Nijenhuis conditions ----------------------------------------------------
@@ -424,99 +424,23 @@ def check_nijenhuis(L: LieAlgebra, N: LinearOperator,
     return _build_report(items, [L, N], assumptions)
 
 
-def _image_cobracket(d_pairs, coeffs) -> dict[tuple, Scalar]:
-    """(a, b) -> sum over m of coeff_m d[m][a][b], for the nonzero (m, coeff_m) given."""
-    acc: dict[tuple, Scalar] = {}
-    for m, v in coeffs:
-        for key, w in d_pairs[m]:
-            add_term(acc, key, v * w)
-    return acc
-
-
-def _dense(entries: dict[tuple, Scalar], n: int) -> Matrix:
-    out = zeros(n, n)
-    for (a, b), v in entries.items():
-        out[a][b] = v
-    return out
-
-
-def _left(m_cols, s: Matrix) -> dict[tuple, Scalar]:
-    """(a, b) -> sum over x of M[a][x] s[x][b]."""
-    acc: dict[tuple, Scalar] = {}
-    for x, row in enumerate(s):
-        entries = nonzero(row)
-        for a, v in m_cols[x]:
-            for b, w in entries:
-                add_term(acc, (a, b), v * w)
-    return acc
-
-
-def _right(s: Matrix, m_cols) -> dict[tuple, Scalar]:
-    """(a, b) -> sum over y of s[a][y] M[b][y]."""
-    acc: dict[tuple, Scalar] = {}
-    for y, col in enumerate(nonzero_columns(s)):
-        for b, w in m_cols[y]:
-            for a, v in col:
-                add_term(acc, (a, b), v * w)
-    return acc
-
-
-def _both(s: Matrix, m1_cols, m2_cols) -> dict[tuple, Scalar]:
-    """(a, b) -> sum over (x, y) of s[x][y] M1[a][x] M2[b][y]."""
-    acc: dict[tuple, Scalar] = {}
-    for x, row in enumerate(s):
-        for y, v in nonzero(row):
-            for a, w in m1_cols[x]:
-                for b, u in m2_cols[y]:
-                    add_term(acc, (a, b), v * w * u)
-    return acc
-
-
-def _four_term_items(name: str, i: int, n: int, t1, t2, t3, t4) -> list[tuple[str, tuple, Scalar]]:
-    """The components t1 + t2 - t3 - t4 of four sparse matrices, in index order."""
-    return [(name, (i, a, b),
-             t1.get((a, b), ZERO) + t2.get((a, b), ZERO)
-             - t3.get((a, b), ZERO) - t4.get((a, b), ZERO)) for a, b in _pairs(n)]
-
-
 def check_nijenhuis_coalgebra(C: LieCoalgebra, P: LinearOperator,
                               assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """(P(x)P)delta + delta P^2 = (P(x)id)(delta P) + (id(x)P)(delta P)."""
     n = C.space.dim
     if P.domain.dim != n or P.codomain.dim != n:
         raise ShapeError("operator does not act on the coalgebra")
-    p = P.matrix
-    p_cols, p2_cols = nonzero_columns(p), nonzero_columns(mat_mul(p, p))
-    d_pairs = _nonzero_pairs(C.d)
-    items = []
-    for i in range(n):
-        d_pi = _dense(_image_cobracket(d_pairs, p_cols[i]), n)  # delta(P e_i)
-        items += _four_term_items(
-            "nijenhuis-cobracket", i, n,
-            _both(C.d[i], p_cols, p_cols),            # (P(x)P) delta(e_i)
-            _image_cobracket(d_pairs, p2_cols[i]),    # delta(P^2 e_i)
-            _left(p_cols, d_pi),                      # (P(x)id) delta(P e_i)
-            _right(d_pi, p_cols))                     # (id(x)P) delta(P e_i)
-    return _build_report(items, [C, P], assumptions)
+    p, d = P.matrix, Tensor.of(C.d)
+    values = NIJENHUIS_COBRACKET.evaluate(d=d, P=p, P2=mat_mul(p, p), dP=IMAGE.evaluate(M=p, T=d))
+    return _build_report(_items("nijenhuis-cobracket", values), [C, P], assumptions)
 
 
 # -- Yang-Baxter checks -----------------------------------------------------
 
 def cybe_residual(L: LieAlgebra, r: TwoTensor) -> list[tuple[tuple, Scalar]]:
     """Components of [r12,r13] + [r13,r23] + [r12,r23]."""
-    n = L.space.dim
-    c, rm = L.c, r.matrix
-    # by_out[x]: (i, k, c_ikx) of the nonzero constants with output index x, in (i, k) order
-    by_out = [[(i, k, c[i][k][x]) for i, k in _pairs(n) if not c[i][k][x].is_zero()]
-              for x in range(n)]
-    nz = [[not v.is_zero() for v in row] for row in rm]
-    out = []
-    for a, b, cc in _triples(n):
-        terms = [rm[i][b] * rm[k][cc] * v for i, k, v in by_out[a] if nz[i][b] and nz[k][cc]]
-        terms += [rm[a][j] * rm[b][l] * v for j, l, v in by_out[cc] if nz[a][j] and nz[b][l]]
-        terms += [rm[a][j] * rm[k][cc] * v for j, k, v in by_out[b] if nz[a][j] and nz[k][cc]]
-        out.append(((a, b, cc), sum_terms(terms)))
-    return out
+    values = CYBE.evaluate(c=L.c, r=r.matrix).entries
+    return [(idx, values.get(idx, ZERO)) for idx in _triples(L.space.dim)]
 
 
 def check_cybe(L: LieAlgebra, r: TwoTensor,
@@ -526,7 +450,7 @@ def check_cybe(L: LieAlgebra, r: TwoTensor,
         raise ShapeError("tensor does not live on the algebra's space")
     n = L.space.dim
     items = [("antisymmetry", (i, j), r.matrix[i][j] + r.matrix[j][i]) for i, j in _pairs(n)]
-    items += [("cybe", idx, value) for idx, value in cybe_residual(L, r)]
+    items += _items("cybe", CYBE.evaluate(c=L.c, r=r.matrix))
     return _build_report(items, [L, r], assumptions)
 
 
@@ -536,30 +460,10 @@ def check_co_cybe(C: LieCoalgebra, omega: BilinearForm,
     n = C.space.dim
     if omega.space.dim != n:
         raise ShapeError("form does not live on the coalgebra's space")
-    om, d = omega.matrix, C.d
+    om = omega.matrix
     items = [("skew", (i, j), om[i][j] + om[j][i]) for i, j in _pairs(n)]
-    for i, j, k in _triples(n):
-        total = ZERO
-        for a, b in _pairs(n):
-            total = (total
-                     + d[i][a][b] * om[a][j] * om[b][k]
-                     + d[k][a][b] * om[i][a] * om[j][b]
-                     + d[j][a][b] * om[i][a] * om[b][k])
-        items.append(("co-cybe", (i, j, k), total))
+    items += _items("co-cybe", CO_CYBE.evaluate(d=C.d, om=om))
     return _build_report(items, [C, omega], assumptions)
-
-
-def _omega_bracket(C: LieCoalgebra, omega: BilinearForm) -> list[list[list[Scalar]]]:
-    """Structure constants of the bracket induced by a skew form on a coalgebra."""
-    n = C.space.dim
-    d, om = C.d, omega.matrix
-    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k in _triples(n):
-        total = ZERO
-        for b in range(n):
-            total = total + d[i][k][b] * om[b][j] + d[j][k][b] * om[i][b]
-        c[i][j][k] = total
-    return c
 
 
 def check_dual_qt(C: LieCoalgebra, omega: BilinearForm,
@@ -568,22 +472,11 @@ def check_dual_qt(C: LieCoalgebra, omega: BilinearForm,
     n = C.space.dim
     if omega.space.dim != n:
         raise ShapeError("form does not live on the coalgebra's space")
-    om, d = omega.matrix, C.d
-    c_om = _omega_bracket(C, omega)
+    om, d = omega.matrix, Tensor.of(C.d)
+    w = INDUCED_BRACKET.evaluate(d=d, om=om)
     items = [("skew", (i, j), om[i][j] + om[j][i]) for i, j in _pairs(n)]
-    for i, j, k in _triples(n):
-        e1 = ZERO
-        for m in range(n):
-            e1 = e1 + c_om[i][j][m] * om[m][k]
-        for a, b in _pairs(n):
-            e1 = e1 - d[k][a][b] * om[i][a] * om[j][b]
-        items.append(("dual-qt-1", (i, j, k), e1))
-        e2 = ZERO
-        for m in range(n):
-            e2 = e2 + c_om[j][k][m] * om[i][m]
-        for a, b in _pairs(n):
-            e2 = e2 + d[i][a][b] * om[a][j] * om[b][k]
-        items.append(("dual-qt-2", (i, j, k), e2))
+    items += _interleaved(("dual-qt-1", DUAL_QT_1.evaluate(w=w, om=om, d=d)),
+                          ("dual-qt-2", DUAL_QT_2.evaluate(w=w, om=om, d=d)))
     return _build_report(items, [C, omega], assumptions)
 
 
@@ -593,15 +486,9 @@ def check_weak_symplectic(L: LieAlgebra, omega: BilinearForm,
     n = L.space.dim
     if omega.space.dim != n:
         raise ShapeError("form does not live on the algebra's space")
-    om, c = omega.matrix, L.c
+    om = omega.matrix
     items = [("skew", (i, j), om[i][j] + om[j][i]) for i, j in _pairs(n)]
-    for i, j, k in _triples(n):
-        total = ZERO
-        for m in range(n):
-            total = (total + c[i][j][m] * om[m][k]
-                     + c[j][k][m] * om[m][i]
-                     + c[k][i][m] * om[m][j])
-        items.append(("weak-symplectic", (i, j, k), total))
+    items += _items("weak-symplectic", WEAK_SYMPLECTIC.evaluate(c=L.c, om=om))
     return _build_report(items, [L, omega], assumptions)
 
 
@@ -611,17 +498,9 @@ def check_weak_cosymplectic(C: LieCoalgebra, r: TwoTensor,
     n = C.space.dim
     if r.space.dim != n:
         raise ShapeError("tensor does not live on the coalgebra's space")
-    rm, d = r.matrix, C.d
+    rm = r.matrix
     items = [("antisymmetry", (i, j), rm[i][j] + rm[j][i]) for i, j in _pairs(n)]
-    t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for a, b, cc in _triples(n):
-        total = ZERO
-        for i in range(n):
-            total = total + rm[i][cc] * d[i][a][b]
-        t[a][b][cc] = total
-    for a, b, cc in _triples(n):
-        items.append(("weak-cosymplectic", (a, b, cc),
-                      t[a][b][cc] + t[b][cc][a] + t[cc][a][b]))
+    items += _items("weak-cosymplectic", WEAK_COSYMPLECTIC.evaluate(t=DELTA_R.evaluate(d=C.d, r=rm)))
     return _build_report(items, [C, r], assumptions)
 
 
@@ -630,64 +509,33 @@ def check_weak_cosymplectic(C: LieCoalgebra, r: TwoTensor,
 def check_representation(R: Representation,
                          assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis pairs."""
-    n = R.algebra.space.dim
-    m = R.space.dim
-    items = []
-    for i, j in _pairs(n):
-        lhs = zeros(m, m)
-        for k in range(n):
-            if R.algebra.c[i][j][k].num.is_zero():
-                continue
-            lhs = mat_add(lhs, [[R.algebra.c[i][j][k] * v for v in row] for row in R.action[k]])
-        rhs = mat_sub(mat_mul(R.action[i], R.action[j]), mat_mul(R.action[j], R.action[i]))
-        diff = mat_sub(lhs, rhs)
-        for a, b in _pairs(m):
-            items.append(("representation", (i, j, a, b), diff[a][b]))
-    return _build_report(items, [R], assumptions)
+    a = Tensor.of(R.action)
+    values = REPRESENTATION.evaluate(c=R.algebra.c, A=a, comm=COMMUTATOR.evaluate(A=a))
+    return _build_report(_items("representation", values), [R], assumptions)
 
 
 def check_nij_representation(R: Representation, N: LinearOperator, alpha: LinearOperator,
                              assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """rho(Nx)alpha + alpha^2 rho(x) = alpha rho(Nx) + alpha rho(x) alpha."""
-    n = R.algebra.space.dim
-    m = R.space.dim
-    if alpha.domain.dim != m or N.domain.dim != n:
+    if alpha.domain.dim != R.space.dim or N.domain.dim != R.algebra.space.dim:
         raise ShapeError("operator shapes do not match the representation")
-    a = alpha.matrix
-    a2 = mat_mul(a, a)
-    items = []
-    for i in range(n):
-        x = [ONE if t == i else ZERO for t in range(n)]
-        rho_nx = R.rho(N.apply(x))
-        rho_x = R.action[i]
-        lhs = mat_add(mat_mul(rho_nx, a), mat_mul(a2, rho_x))
-        rhs = mat_add(mat_mul(a, rho_nx), mat_mul(a, mat_mul(rho_x, a)))
-        diff = mat_sub(lhs, rhs)
-        for p, q in _pairs(m):
-            items.append(("nijenhuis-representation", (i, p, q), diff[p][q]))
-    return _build_report(items, [R, N, alpha], assumptions)
+    a, al = Tensor.of(R.action), alpha.matrix
+    r_n = IMAGE.evaluate(M=N.matrix, T=a)
+    rhs = NIJ_REPRESENTATION_RHS.evaluate(al=al, rN=r_n, rA=RIGHT_PRODUCT.evaluate(T=a, M=al))
+    values = NIJ_REPRESENTATION.evaluate(rN=r_n, al=al, al2=mat_mul(al, al), A=a, rhs=rhs)
+    return _build_report(_items("nijenhuis-representation", values), [R, N, alpha], assumptions)
 
 
 def check_admissible(R: Representation, N: LinearOperator, beta: LinearOperator,
                      assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """beta rho(Nx) + rho(x) beta^2 = rho(Nx) beta + beta rho(x) beta."""
-    n = R.algebra.space.dim
-    m = R.space.dim
-    if beta.domain.dim != m or N.domain.dim != n:
+    if beta.domain.dim != R.space.dim or N.domain.dim != R.algebra.space.dim:
         raise ShapeError("operator shapes do not match the representation")
-    b = beta.matrix
-    b2 = mat_mul(b, b)
-    items = []
-    for i in range(n):
-        x = [ONE if t == i else ZERO for t in range(n)]
-        rho_nx = R.rho(N.apply(x))
-        rho_x = R.action[i]
-        lhs = mat_add(mat_mul(b, rho_nx), mat_mul(rho_x, b2))
-        rhs = mat_add(mat_mul(rho_nx, b), mat_mul(b, mat_mul(rho_x, b)))
-        diff = mat_sub(lhs, rhs)
-        for p, q in _pairs(m):
-            items.append(("admissible", (i, p, q), diff[p][q]))
-    return _build_report(items, [R, N, beta], assumptions)
+    a, be = Tensor.of(R.action), beta.matrix
+    r_n = IMAGE.evaluate(M=N.matrix, T=a)
+    rhs = ADMISSIBLE_RHS.evaluate(be=be, rN=r_n, rB=RIGHT_PRODUCT.evaluate(T=a, M=be))
+    values = ADMISSIBLE.evaluate(rN=r_n, be=be, be2=mat_mul(be, be), A=a, rhs=rhs)
+    return _build_report(_items("admissible", values), [R, N, beta], assumptions)
 
 
 def check_corepresentation(K: Corepresentation,
@@ -695,44 +543,14 @@ def check_corepresentation(K: Corepresentation,
                            beta: LinearOperator | None = None,
                            assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """Coaction axiom; with (P, beta), also the Nijenhuis corepresentation identity."""
-    n = K.coalgebra.space.dim
-    m = K.space.dim
-    g, d = K.coaction, K.coalgebra.d
-    items = []
-    for i in range(m):
-        for a, b in _pairs(n):
-            for k in range(m):
-                lhs = ZERO
-                for j in range(n):
-                    lhs = lhs + g[i][j][k] * d[j][a][b]
-                rhs = ZERO
-                for mm in range(m):
-                    rhs = rhs + g[i][a][mm] * g[mm][b][k] - g[i][b][mm] * g[mm][a][k]
-                items.append(("corepresentation", (i, a, b, k), lhs - rhs))
     if (P is None) != (beta is None):
         raise ShapeError("P and beta must be supplied together")
+    g = Tensor.of(K.coaction)
+    items = _items("corepresentation", COREPRESENTATION.evaluate(g=g, d=K.coalgebra.d))
     if P is not None and beta is not None:
-        p, bt = P.matrix, beta.matrix
-        bt2 = mat_mul(bt, bt)
-        for i in range(m):
-            for a in range(n):
-                for k in range(m):
-                    t1 = ZERO
-                    for j in range(n):
-                        for mm in range(m):
-                            t1 = t1 + p[a][j] * bt[k][mm] * g[i][j][mm]
-                    t2 = ZERO
-                    for mm in range(m):
-                        t2 = t2 + bt2[mm][i] * g[mm][a][k]
-                    t3 = ZERO
-                    for mm in range(m):
-                        for j in range(n):
-                            t3 = t3 + bt[mm][i] * p[a][j] * g[mm][j][k]
-                    t4 = ZERO
-                    for mm in range(m):
-                        for q in range(m):
-                            t4 = t4 + bt[mm][i] * g[mm][a][q] * bt[k][q]
-                    items.append(("nijenhuis-corepresentation", (i, a, k), t1 + t2 - t3 - t4))
+        be = beta.matrix
+        items += _items("nijenhuis-corepresentation", NIJ_COREPRESENTATION.evaluate(
+            g=g, P=P.matrix, be=be, be2=mat_mul(be, be)))
     inputs = [K, P, beta] if P is not None else [K]
     return _build_report(items, inputs, assumptions)
 
@@ -758,39 +576,20 @@ def check_compatible_pair(C1: LieCoalgebra, C2: LieCoalgebra,
     r2 = check_lie_coalgebra(C2)
     items += [(f"first.{r.identity}", r.index, r.value) for r in r1.residuals]
     items += [(f"second.{r.identity}", r.index, r.value) for r in r2.residuals]
-    rows1, pairs1 = _nonzero_rows(C1.d), _nonzero_pairs(C1.d)
-    rows2, pairs2 = _nonzero_rows(C2.d), _nonzero_pairs(C2.d)
-    for i in range(n):
-        # the co-Jacobi sums of delta2 applied after delta1 and of delta1 after delta2,
-        # added as one chain
-        items += [("mixed-co-jacobi", (i,) + idx, value)
-                  for idx, value in _cyclic_sums([_cojacobi_products(rows1, pairs2, i, n),
-                                                  _cojacobi_products(rows2, pairs1, i, n)])]
+    items += _items("mixed-co-jacobi", MIXED_CYCLIC.evaluate(
+        t=COMPOSITE.evaluate(d=C1.d, e=C2.d), u=COMPOSITE.evaluate(d=C2.d, e=C1.d)))
     inputs = [C1, C2, s, t]
     if (corep1 is None) != (corep2 is None):
         raise ShapeError("coreps must be supplied together")
     if corep1 is not None and corep2 is not None:
-        m = corep1.space.dim
-        if corep2.space.dim != m:
+        if corep2.space.dim != corep1.space.dim:
             raise ShapeError("coreps live on different module spaces")
         k1 = check_corepresentation(corep1)
         k2 = check_corepresentation(corep2)
         items += [(f"first.{r.identity}", r.index, r.value) for r in k1.residuals]
         items += [(f"second.{r.identity}", r.index, r.value) for r in k2.residuals]
-        g1, g2 = corep1.coaction, corep2.coaction
-        d1, d2 = C1.d, C2.d
-        for i in range(m):
-            for a, b in _pairs(n):
-                for k in range(m):
-                    lhs = ZERO
-                    for j in range(n):
-                        lhs = lhs + g1[i][j][k] * d2[j][a][b] + g2[i][j][k] * d1[j][a][b]
-                    rhs = ZERO
-                    for mm in range(m):
-                        rhs = (rhs
-                               + g1[i][a][mm] * g2[mm][b][k] + g2[i][a][mm] * g1[mm][b][k]
-                               - g1[i][b][mm] * g2[mm][a][k] - g2[i][b][mm] * g1[mm][a][k])
-                    items.append(("mixed-corepresentation", (i, a, b, k), lhs - rhs))
+        items += _items("mixed-corepresentation", MIXED_COREPRESENTATION.evaluate(
+            g=corep1.coaction, h=corep2.coaction, d=C1.d, e=C2.d))
         inputs += [corep1, corep2]
     return _build_report(items, inputs, assumptions)
 
@@ -810,57 +609,20 @@ def check_deformed_homomorphism(C: LieCoalgebra, C_st: LieCoalgebra,
     if t.is_zero():
         raise ShapeError("deformation weight t must be invertible to recover the second cobracket")
     inv_t = ONE / t
-    d = C.d
-    dd = [[[(C_st.d[i][a][b] - s * d[i][a][b]) * inv_t for b in range(n)] for a in range(n)]
-          for i in range(n)]
-    g = K.coaction
-    gg = [[[(K_st.coaction[i][j][k] - s * g[i][j][k]) * inv_t for k in range(m)]
-           for j in range(n)] for i in range(m)]
+    d = Tensor.of(C.d)
+    dd = Tensor.of([[[(C_st.d[i][a][b] - s * C.d[i][a][b]) * inv_t for b in range(n)]
+                     for a in range(n)] for i in range(n)])
+    g = Tensor.of(K.coaction)
+    gg = Tensor.of([[[(K_st.coaction[i][j][k] - s * K.coaction[i][j][k]) * inv_t
+                      for k in range(m)] for j in range(n)] for i in range(m)])
     p, bt = P.matrix, beta.matrix
-    items = []
-    for i in range(n):
-        d_pi = zeros(n, n)
-        dd_pi = zeros(n, n)
-        for mm in range(n):
-            if p[mm][i].num.is_zero():
-                continue
-            for a, b in _pairs(n):
-                d_pi[a][b] = d_pi[a][b] + p[mm][i] * d[mm][a][b]
-                dd_pi[a][b] = dd_pi[a][b] + p[mm][i] * dd[mm][a][b]
-        for a, b in _pairs(n):
-            t1 = dd_pi[a][b]
-            for x, y in _pairs(n):
-                t1 = t1 - d[i][x][y] * p[a][x] * p[b][y]
-            items.append(("deformation-1", (i, a, b), t1))
-            t2 = d_pi[a][b] + dd[i][a][b]
-            for y in range(n):
-                t2 = t2 - d[i][a][y] * p[b][y]
-            for x in range(n):
-                t2 = t2 - d[i][x][b] * p[a][x]
-            items.append(("deformation-2", (i, a, b), t2))
-    for i in range(m):
-        g_bi = zeros(n, m)
-        gg_bi = zeros(n, m)
-        for mm in range(m):
-            if bt[mm][i].num.is_zero():
-                continue
-            for a in range(n):
-                for k in range(m):
-                    g_bi[a][k] = g_bi[a][k] + bt[mm][i] * g[mm][a][k]
-                    gg_bi[a][k] = gg_bi[a][k] + bt[mm][i] * gg[mm][a][k]
-        for a in range(n):
-            for k in range(m):
-                t3 = gg_bi[a][k]
-                for x in range(n):
-                    for q in range(m):
-                        t3 = t3 - p[a][x] * bt[k][q] * g[i][x][q]
-                items.append(("deformation-3", (i, a, k), t3))
-                t4 = g_bi[a][k] + gg[i][a][k]
-                for q in range(m):
-                    t4 = t4 - g[i][a][q] * bt[k][q]
-                for x in range(n):
-                    t4 = t4 - p[a][x] * g[i][x][k]
-                items.append(("deformation-4", (i, a, k), t4))
+    items = _interleaved(
+        ("deformation-1", DEFORMATION_1.evaluate(DP=IMAGE.evaluate(M=p, T=dd), d=d, P=p)),
+        ("deformation-2", DEFORMATION_2.evaluate(dP=IMAGE.evaluate(M=p, T=d), D=dd, d=d, P=p)))
+    items += _interleaved(
+        ("deformation-3", DEFORMATION_3.evaluate(Gb=IMAGE.evaluate(M=bt, T=gg), g=g, P=p, be=bt)),
+        ("deformation-4", DEFORMATION_4.evaluate(gb=IMAGE.evaluate(M=bt, T=g), G=gg, g=g,
+                                                 P=p, be=bt)))
     return _build_report(items, [C, C_st, K, K_st, P, beta, s, t, inv_t], assumptions)
 
 
@@ -929,13 +691,7 @@ def check_frobenius(L: LieAlgebra, B: BilinearForm,
         raise ShapeError("form does not live on the algebra's space")
     bm, c = B.matrix, L.c
     items = [("symmetry", (i, j), bm[i][j] - bm[j][i]) for i, j in _pairs(n)]
-    for i, j, k in _triples(n):
-        lhs = ZERO
-        rhs = ZERO
-        for mm in range(n):
-            lhs = lhs + c[i][j][mm] * bm[mm][k]
-            rhs = rhs + c[j][k][mm] * bm[i][mm]
-        items.append(("invariance", (i, j, k), lhs - rhs))
+    items += _items("invariance", INVARIANCE.evaluate(c=c, B=bm))
     det = determinant(bm)
     extra: list[Assumption] = []
     if det.is_zero():
@@ -960,9 +716,7 @@ def nijenhuis_bialgebra_residuals(L: LieAlgebra, C: LieCoalgebra,
     """The two extra compatibility identities of a Nijenhuis Lie bialgebra."""
     n = L.space.dim
     items = []
-    p, nm = P.matrix, N.matrix
-    p2 = mat_mul(p, p)
-    n2 = mat_mul(nm, nm)
+    p2 = mat_mul(P.matrix, P.matrix)
     for i, j in _pairs(n):
         x = [ONE if idx == i else ZERO for idx in range(n)]
         y = [ONE if idx == j else ZERO for idx in range(n)]
@@ -971,17 +725,15 @@ def nijenhuis_bialgebra_residuals(L: LieAlgebra, C: LieCoalgebra,
         rhs = [a + b for a, b in zip(L.bracket(nx, P.apply(y)), P.apply(L.bracket(x, P.apply(y))))]
         for k in range(n):
             items.append(("operator-compatibility", (i, j, k), lhs[k] - rhs[k]))
-    p_cols, n_cols, n2_cols = nonzero_columns(p), nonzero_columns(nm), nonzero_columns(n2)
-    d_pairs = _nonzero_pairs(C.d)
-    for i in range(n):
-        d_ni = _dense(_image_cobracket(d_pairs, n_cols[i]), n)  # delta(N e_i)
-        items += _four_term_items(
-            "cobracket-compatibility", i, n,
-            _left(p_cols, d_ni),                # (P(x)id) delta(N e_i)
-            _right(C.d[i], n2_cols),            # (id(x)N^2) delta(e_i)
-            _both(C.d[i], p_cols, n_cols),      # (P(x)N) delta(e_i)
-            _right(d_ni, n_cols))               # (id(x)N) delta(N e_i)
+    compatibility = _cobracket_compatibility(C, N, P).entries
+    items += [("cobracket-compatibility", idx, compatibility.get(idx, ZERO)) for idx in _triples(n)]
     return items
+
+
+def _cobracket_compatibility(C: LieCoalgebra, N: LinearOperator, P: LinearOperator) -> Tensor:
+    nm, d = N.matrix, Tensor.of(C.d)
+    return COBRACKET_COMPATIBILITY.evaluate(d=d, P=P.matrix, N=nm, N2=mat_mul(nm, nm),
+                                            dN=IMAGE.evaluate(M=nm, T=d))
 
 
 def check_nij_lie_bialgebra(L: LieAlgebra, C: LieCoalgebra,
@@ -1016,7 +768,7 @@ def check_cpnybe(L: LieAlgebra, r: TwoTensor, N: LinearOperator, P: LinearOperat
     """The Yang-Baxter equation enriched with the operator-pairing constraint."""
     n = L.space.dim
     items = [("antisymmetry", (i, j), r.matrix[i][j] + r.matrix[j][i]) for i, j in _pairs(n)]
-    items += [("cybe", idx, value) for idx, value in cybe_residual(L, r)]
+    items += _items("cybe", CYBE.evaluate(c=L.c, r=r.matrix))
     pairing = pairing_residual(r, P, N)
     items += [("operator-pairing", (i, j), pairing[i][j]) for i, j in _pairs(n)]
     return _build_report(items, [L, r, N, P], assumptions)
@@ -1038,9 +790,7 @@ def check_pq_equivalents(L: LieAlgebra, r: TwoTensor,
     C = delta_from_r(L, r)
     nc_direct = check_nijenhuis_coalgebra(C, P)
     nlb2_direct = _build_report(
-        [item for item in nijenhuis_bialgebra_residuals(L, C, N, P)
-         if item[0] == "cobracket-compatibility"],
-        [L, C, N, P], ())
+        _items("cobracket-compatibility", _cobracket_compatibility(C, N, P)), [L, C, N, P], ())
 
     rho_t = pairing_residual(r, P, N)                     # (P(x)id - id(x)N)(r)
     sig_t = pairing_residual(r, N, P)                     # (N(x)id - id(x)P)(r)

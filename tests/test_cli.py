@@ -159,11 +159,36 @@ def test_solve_co_cybe_slice(tmp_path, capsys):
     assert "solution dimension 3" in out
 
 
-def test_solve_accepts_seed_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LIEB_SEED", "17")
+def test_solve_rejects_seed_flag(tmp_path, capsys):
+    # no sampling runs on the solve path, so there is nothing to seed
     path = _data_path(tmp_path, "sl2.lieb")
-    code, _, _ = _run(capsys, "solve", str(path), "--problem", "ad-invariance")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path), "--problem", "ad-invariance", "--seed", "1"])
+    assert exc.value.code == EXIT_PARSE_ERROR
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_solve_reports_pivot_assumptions(tmp_path, capsys):
+    path = tmp_path / "affine.lieb"
+    path.write_text("params k\n"
+                    "space L : a b\n"
+                    "algebra aff on L {\n"
+                    "  [a, b] = k*b\n"
+                    "}\n"
+                    "assume k\n", encoding="utf-8")
+    code, out, _ = _run(capsys, "solve", str(path), "--problem", "ad-invariance")
     assert code == EXIT_OK
+    assert out.splitlines()[:2] == ["problem ad-invariance: solution dimension 1 "
+                                    "(rank 3 of 4 unknowns)", "assuming k != 0"]
+    code, out, _ = _run(capsys, "--format", "json", "solve", str(path),
+                        "--problem", "ad-invariance")
+    assert code == EXIT_OK
+    assert json.loads(out)["assumptions_used"] == ["k != 0"]
+    # without a divisor to certify, there is nothing to report
+    path = _data_path(tmp_path, "sl2.lieb")
+    code, out, _ = _run(capsys, "--format", "json", "solve", str(path),
+                        "--problem", "ad-invariance")
+    assert json.loads(out)["assumptions_used"] == []
 
 
 def test_catalog_commands(tmp_path, capsys, monkeypatch):

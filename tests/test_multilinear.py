@@ -149,18 +149,6 @@ def test_solve_right_inverts():
         solve_right(singular, identity(2))
 
 
-def test_three_tensor_shape_validation():
-    from lieb.multilinear import ThreeTensor
-
-    sp = BasisSpace(("e", "f"))
-    cube = [[[sc("0") for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    cube[0][1][0] = sc("5")
-    tensor = ThreeTensor(sp, cube)
-    assert tensor.entries[0][1][0] == sc("5")
-    with pytest.raises(ShapeError):
-        ThreeTensor(sp, [[[sc("0")] * 2] * 2] * 3)
-
-
 def test_operator_application_examples(sl2, n_example):
     # N applied to the first basis vector lands on -lambda*kappa times the second
     e = [sc("1"), sc("0"), sc("0")]

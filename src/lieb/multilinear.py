@@ -164,7 +164,9 @@ class Tensor:
         """A nested-list tensor (or a Scalar) as a Tensor; a Tensor as itself."""
         if isinstance(tensor, Tensor):
             return tensor
-        shape = _shape(tensor)
+        shape, sub = (), tensor
+        while isinstance(sub, list):
+            shape, sub = shape + (len(sub),), sub[0]
         items = [((), tensor)]
         for _ in shape[:-1]:
             items = [(idx + (k,), sub) for idx, t in items for k, sub in enumerate(t)]
@@ -191,11 +193,11 @@ class Table:
     ``-(...)`` negates one.  A sub-sum folds its segments, separated by
     ``;``.  A segment ``letters: terms`` sums its signed terms over its
     summation letters; a segment with no summation letters has no colon.  A
-    term is a product of factors ``name[letters]``.  A component's value is
-    the left fold of its sub-sums, each the left fold of its terms over the
-    segments in order, summation index (lexicographic) outer and term inner.
-    Only nonzero entries are visited, and a component that no nonzero term
-    reaches is absent.
+    term is a product of factors ``name[letters]``, formed left to right.  A
+    component's value is the left fold of its sub-sums, each the left fold of
+    its terms over the segments in order, summation index (lexicographic)
+    outer and term inner.  Only nonzero entries are visited, and a component
+    that no nonzero term reaches is absent.
     """
 
     def __init__(self, out: str, *subsums: str):
@@ -208,64 +210,30 @@ class Table:
                     if set("".join(spec for _, spec in factors)) != set(out + letters):
                         raise ValueError(f"a term of {letters!r} does not cover {out + letters!r}")
                     self._factors += factors
-        self._plans: dict[tuple, tuple] = {}  # by operand shapes, see _compile
+        self._plans = self._compile(None, 0)
 
     def evaluate(self, **operands) -> Tensor:
         """The nonvanishing components, in index order."""
-        return self._fold(operands, None, 0)
+        shape, products = self._products(operands, self._plans)
+        parts = left_folds(((key, position[0]), v) for key, position, v in products)
+        total = left_folds((key, v) for (key, _), v in parts.items())
+        return Tensor(shape, {key: total[key] for key in sorted(total) if not total[key].is_zero()})
 
-    def coefficients(self, unknown: str, occurrence: int = 0, **operands) -> Tensor:
-        """The coefficients of a table that is linear in one factor of each term.
+    def coefficients(self, unknown: str, occurrence: int = 0, **operands):
+        """The terms of a table that is linear in one factor of each term,
+        with that factor left out.
 
         That factor is the ``occurrence``-th one named ``unknown``; any other
-        factor of that name takes the operand's value.  The result is indexed
-        by the output letters followed by the unknown's indices.
+        factor of that name takes the operand's value, and a letter that only
+        the unknown carries ranges over its whole dimension.  Returns the shape
+        of the coefficients, indexed by the output letters and then the
+        unknown's, and each nonzero term as (index, (sub-sum, segment,
+        summation index, term), signed product).
         """
-        return self._fold(operands, unknown, occurrence)
+        return self._products(operands, self._compile(unknown, occurrence), unknown)
 
-    def _fold(self, operands, unknown, occurrence) -> Tensor:
+    def _products(self, operands, plans, unknown=None):
         tensors = {name: Tensor.of(t) for name, t in operands.items()}
-        layout = (unknown, occurrence, tuple(sorted([(name, t.shape) for name, t in tensors.items()])))
-        compiled = self._plans.get(layout)
-        if compiled is None:
-            compiled = self._plans[layout] = self._compile(tensors, unknown, occurrence)
-        shape, strides, plans = compiled
-        # Scalar does not cancel polynomial factors, so a sum's rendering
-        # depends on the order of its terms when some term has a non-constant
-        # denominator; sums of polynomials are canonical in any order.
-        if any(v.q is None and not v.den.is_constant()
-               for t in tensors.values() for v in t.entries.values()):
-            parts = []
-            for subsum in plans:
-                flat = []
-                for g, t, positive, (steps, order) in subsum:
-                    partial, (get, lookup) = _term(steps, positive, tensors)
-                    flat += [(s + at, (g, order(b + r), t), _times(x, v))
-                             for b, x, s in partial for r, v, at in get(lookup(b), ())]
-                flat.sort()
-                parts.append(_sums((k, v) for k, _, v in flat))
-            total = _sums((k, part[k]) for k in sorted(set().union(*parts))
-                          for part in parts if k in part)
-        else:
-            # _sums and _times, inlined on this hot path
-            total = {}
-            prior = total.get
-            for subsum in plans:
-                for _, _, positive, (steps, _) in subsum:
-                    partial, (get, lookup) = _term(steps, positive, tensors)
-                    for b, x, s in partial:
-                        for _, v, at in get(lookup(b), ()):
-                            k = s + at
-                            term = v if x is None else x if v is None else x * v
-                            prev = prior(k)
-                            total[k] = term if prev is None else prev + term
-        radix = list(zip(strides, shape))
-        return Tensor(shape, {tuple([k // stride % size for stride, size in radix]): total[k]
-                              for k in sorted(total) if not total[k].is_zero()})
-
-    def _compile(self, tensors, unknown, occurrence):
-        """(result shape, its strides, the join plans of each sub-sum's terms)
-        for operands of the given shapes, checked to fit together."""
         dims: dict[str, int] = {}
         for name, spec in self._factors:
             shape = tensors[name].shape
@@ -275,15 +243,32 @@ class Table:
                 if dims.setdefault(letter, size) != size:
                     raise ShapeError(f"index {letter!r} has conflicting sizes")
         shape = tuple(dims[x] for x in self.out) + (tensors[unknown].shape if unknown else ())
-        # components are keyed by their index in the flattened result
-        strides = [1] * len(shape)
-        for q in range(len(shape) - 2, -1, -1):
-            strides[q] = strides[q + 1] * shape[q + 1]
-        return shape, strides, [
-            [(g, t, positive, _plan(self.out, letters, factors, unknown, occurrence, dims, strides))
-             for g, (letters, terms) in enumerate(segments)
-             for t, (positive, factors) in enumerate(terms)]
-            for segments in self.subsums]
+        products = []
+        for (h, g, t), positive, steps, key, order in plans:
+            products += [(key(b), (h, g, order(b), t), x)
+                         for b, x in _join(steps, positive, tensors, dims)]
+        # Scalar does not cancel polynomial factors, so a sum's rendering
+        # depends on the order of its terms when some term has a non-constant
+        # denominator; sums of polynomials are canonical in any order.
+        if any(v.q is None and not v.den.is_constant()
+               for t in tensors.values() for v in t.entries.values()):
+            products.sort(key=_POSITION)
+        return shape, products
+
+    def _compile(self, unknown, occurrence):
+        """For each term: its (sub-sum, segment, term), sign and join steps,
+        and the getters of its key and summation index from a binding."""
+        plans = []
+        for h, segments in enumerate(self.subsums):
+            for g, (letters, terms) in enumerate(segments):
+                for t, (positive, factors) in enumerate(terms):
+                    steps, bound, keyed = _plan(self.out, factors, unknown, occurrence)
+                    plans.append(((h, g, t), positive, steps, _picker([bound.index(x) for x in keyed]),
+                                  _picker([bound.index(x) for x in letters])))
+        return plans
+
+
+_POSITION = itemgetter(0, 1)
 
 
 def _parse_subsum(text: str):
@@ -309,46 +294,22 @@ def _parse_subsum(text: str):
     return tuple(segments)
 
 
-class _Step:
-    """One factor of a term, in join order: the positions of its letters that
-    are bound already (``at``, read from a binding by ``lookup``), that it
-    binds (``new``) and that repeat one of its own; and, for each key letter
-    it binds, (its place among the new letters, its stride in the flattened
-    key).  A step with no factor binds one letter over its whole ``size``."""
-
-    __slots__ = ("name", "at", "new", "repeats", "lookup", "offset", "size", "keyget", "whole")
-
-    def __init__(self, name, at, new, repeats, lookup, weights, size=None):
-        self.name, self.at, self.new, self.repeats = name, at, new, repeats
-        self.lookup, self.size = lookup, size
-        self.keyget = itemgetter(*at) if at else _unbound
-        # the new letters are the factor's index as it is
-        self.whole = not at and not repeats and new == tuple(range(len(new)))
-        if len(weights) == 1:  # the common case, without a loop
-            ((i, w),) = weights
-            self.offset = lambda r: r[i] * w
-        else:
-            self.offset = lambda r: sum([r[i] * w for i, w in weights])
-
-
-def _plan(out, letters, factors, unknown, occurrence, dims, strides):
-    """(join steps, summation order getter) for one term.
+def _plan(out, factors, unknown, occurrence):
+    """(join steps, the letters in the order bound, the key letters) for one term.
 
     A step binds the new letters of one factor, looking its entries up by the
-    letters already bound.  The key letters are the output letters, then with
-    an unknown the unknown's; its factor is left out of the join, and any
-    letter only it carries ranges over its whole dimension.
+    letters already bound: (name, getter of the bound letters' values from an
+    entry's index, getter of its new letters' values, pairs of positions that
+    repeat a letter, getter of the lookup key from a binding).  The key letters
+    are the output letters, then with an unknown the unknown's; its factor is
+    left out of the join, and a letter that only it carries gets a step with
+    no factor (name None) over the letter's whole dimension.
     """
-    skip = [k for k, (name, _) in enumerate(factors) if name == unknown][occurrence] \
-        if unknown is not None else None
+    skip = ([k for k, (name, _) in enumerate(factors) if name == unknown][occurrence]
+            if unknown is not None else None)
     keyed = out + (factors[skip][1] if skip is not None else "")
     bound: list[str] = []
     steps = []
-
-    def weights(new_letters):
-        return tuple((i, strides[q]) for q, x in enumerate(keyed)
-                     for i, y in enumerate(new_letters) if x == y)
-
     for k, (name, spec) in enumerate(factors):
         if k == skip:
             continue
@@ -360,66 +321,59 @@ def _plan(out, letters, factors, unknown, occurrence, dims, strides):
                 repeats.append((spec.index(letter), p))
             else:
                 new.append(p)
-        lookup = itemgetter(*[bound.index(spec[p]) for p in at]) if at else _unbound
-        steps.append(_Step(name, tuple(at), tuple(new), tuple(repeats), lookup,
-                           weights([spec[p] for p in new])))
+        steps.append((name, _picker(at), _picker(new), repeats,
+                      _picker([bound.index(spec[p]) for p in at])))
         bound += [spec[p] for p in new]
     if not steps:
         raise ValueError("a term needs a factor besides the unknown")
     for letter in keyed:
         if letter not in bound:
-            steps.append(_Step(None, (), (0,), (), _unbound, weights([letter]), dims[letter]))
+            steps.append((None, letter, None, [], _unbound))
             bound.append(letter)
-    order = itemgetter(*[bound.index(x) for x in letters]) if letters else _unbound
-    return steps, order
+    return steps, bound, keyed
 
 
-def _term(steps, positive, tensors):
-    """The signed partial products of a term's factors but the last, with
-    their bindings (the letters in the order bound) and their parts of the
-    key; and the last factor's index with the getter of its lookup key.  A
-    partial binding that the next factor cannot extend is dropped before its
-    product is formed."""
-    indexed = [(_index(step, tensors).get, step.lookup) for step in steps]
-    partial = [((), None if positive else -ONE, 0)]  # None: no factor yet
-    for count, ((get, lookup), (extend, key)) in enumerate(zip(indexed, indexed[1:])):
-        if count:
-            partial = [(br, x if v is None else x * v, s + at)
-                       for b, x, s in partial for r, v, at in get(lookup(b), ())
-                       for br in (b + r,) if extend(key(br))]
-        else:
-            partial = [(r, v if positive else -v, at) for r, v, at in get((), ()) if extend(key(r))]
-    return partial, indexed[-1]
+def _join(steps, positive, tensors, dims):
+    """(binding, signed product) for each choice of one nonzero entry per
+    factor that agree on their shared letters; a binding holds the letters'
+    values in the order bound.  A partial binding that the next factor cannot
+    extend is dropped before its product is formed."""
+    indexed = [_index(step, tensors, dims) for step in steps] + [({(): None}, _unbound)]
+    partial = [((), None)]  # None: no factor yet
+    for count, ((index, lookup), (after, key)) in enumerate(zip(indexed, indexed[1:])):
+        partial = [(br, v if x is None else x if v is None else x * v)  # None: no factor
+                   for b, x in partial for r, v in index.get(lookup(b), ())
+                   for br in (b + r,) if key(br) in after]
+        if not count and not positive:
+            partial = [(b, -x) for b, x in partial]
+    return partial
 
 
-def _index(step, tensors) -> dict:
+def _index(step, tensors, dims):
     """The entries of one step's factor by the values of its letters already
-    bound: key -> [(new letters, entry, part of the key)]."""
-    entries = (tensors[step.name].entries.items() if step.name is not None
-               else [((x,), None) for x in range(step.size)])  # None: no factor
-    offset = step.offset
-    if step.whole:
-        return {(): [(idx, v, offset(idx)) for idx, v in entries]}
+    bound, key -> [(its new letters' values, entry)]; and the getter of the
+    key from a binding."""
+    name, at, new, repeats, lookup = step
+    if name is None:  # at is the letter here
+        return {(): [((x,), None) for x in range(dims[at])]}, lookup
     index: dict = {}
-    keyget, new, repeats = step.keyget, step.new, step.repeats
-    for idx, v in entries:
+    for idx, v in tensors[name].entries.items():
         if not repeats or all(idx[p] == idx[q] for p, q in repeats):
-            r = tuple([idx[p] for p in new])
-            index.setdefault(keyget(idx), []).append((r, v, offset(r)))
-    return index
+            index.setdefault(at(idx), []).append((new(idx), v))
+    return index, lookup
 
 
-def _times(x, v):
-    """x * v, where None stands for a missing factor."""
-    return v if x is None else x if v is None else x * v
+def _picker(positions):
+    """The getter of the tuple of a sequence's items at the given positions."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions) if positions else _unbound
 
 
-def _unbound(b) -> tuple:
-    """The key of a lookup by no letters."""
-    return ()
+_unbound = itemgetter(slice(0))  # the key of a lookup by no letters: ()
 
 
-def _sums(pairs) -> dict:
+def left_folds(pairs) -> dict:
     """key -> the left fold of its values, in the order given."""
     total: dict = {}
     get = total.get
@@ -449,17 +403,6 @@ def contract(plan: str, *operands):
     summed = "".join(sorted(letters - set(out_spec)))
     table = Table(out_spec, f"{summed}: " + " ".join(f"x{k}[{spec}]" for k, spec in enumerate(specs)))
     return table.evaluate(**{f"x{k}": op for k, op in enumerate(operands)}).dense()
-
-
-def _shape(op) -> tuple[int, ...]:
-    if isinstance(op, Scalar):
-        return ()
-    shape = []
-    current = op
-    while isinstance(current, list):
-        shape.append(len(current))
-        current = current[0]
-    return tuple(shape)
 
 
 # -- structured wrappers ----------------------------------------------------

@@ -16,12 +16,13 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 # nullspace and rank are not called here; they stay in this namespace for code
 # that looks up lieb.solver.nullspace and lieb.solver.rank.
 from .multilinear import (  # noqa: F401
-    BilinearForm, Tensor, TwoTensor, ZERO, kernel, nullspace, rank,
+    BilinearForm, Table, Tensor, TwoTensor, ZERO, kernel, left_folds, nullspace, rank,
 )
 from .scalars import Assumption, EvalSingular, Scalar
 from . import structures
@@ -83,37 +84,54 @@ class LinearSolution:
         return len(self.basis)
 
 
-_SKEW = (WEAK_SYMPLECTIC, CO_CYBE_SLICE)  # kinds whose unknown is a skew form
+@dataclass(frozen=True)
+class _Kind:
+    """How one kind of problem reads its rows off an identity table."""
+
+    table: Table
+    known: Callable[[dict], dict]  # the operands besides the unknown, from the context
+    unknown: str  # its operand name; each of its axes spans the space
+    rank: int
+    element: Callable  # (space, dense value) -> basis element
+    verify: Callable | None = None  # (context, element) -> CheckReport
+    skew: bool = False  # a skew form, whose free entries are the upper triangle
+    occurrences: tuple[int, ...] = (0,)  # the unknown's occurrences the rows take
+    # whether a cell adds its terms term by term, not summation index by
+    # summation index (see coefficient_rows)
+    by_term: bool = False
+
+
+_KINDS = {
+    WEAK_SYMPLECTIC: _Kind(
+        structures.WEAK_SYMPLECTIC, lambda ctx: {"c": ctx["algebra"].c}, "om", 2, BilinearForm,
+        lambda ctx, x: check_weak_symplectic(ctx["algebra"], x), skew=True),
+    # the symmetrised linearisation B(omega0, omega) + B(omega, omega0) of the
+    # quadratic co-Yang-Baxter equation: omega0 in one slot of each term, the
+    # unknown in the other
+    CO_CYBE_SLICE: _Kind(
+        structures.CO_CYBE, lambda ctx: {"d": ctx["coalgebra"].d, "om": ctx["omega0"].matrix},
+        "om", 2, BilinearForm, skew=True, occurrences=(0, 1)),
+    COCYCLE_IN_DELTA: _Kind(
+        structures.COCYCLE, lambda ctx: {"c": ctx["algebra"].c}, "d", 3, LieCoalgebra,
+        lambda ctx, x: check_cocycle(ctx["algebra"], x), by_term=True),
+    AD_INVARIANCE: _Kind(
+        structures.AD_INVARIANCE, lambda ctx: {"c": ctx["algebra"].c}, "r", 2, TwoTensor),
+}
 
 
 def _system(problem: LinearProblem):
-    """The problem's identity table, its operands (the unknown as a zero of its
-    shape), the unknown's name, and the occurrences of it in each term that
-    the rows take, added together."""
-    if problem.kind == CO_CYBE_SLICE:
-        # the symmetrised linearisation B(omega0, omega) + B(omega, omega0) of
-        # the quadratic co-Yang-Baxter equation: omega0 in one slot of each
-        # term, the unknown in the other
-        C = problem.context["coalgebra"]
-        return structures.CO_CYBE, {"d": C.d, "om": problem.context["omega0"].matrix}, "om", (1, 0)
-    if problem.kind not in (WEAK_SYMPLECTIC, COCYCLE_IN_DELTA, AD_INVARIANCE):
+    """The problem's kind, its space, the unknown's shape and free entries (all
+    of them, or the upper triangle of a skew form), and the table's operands
+    with the unknown as a zero of its shape unless the context gives it."""
+    if problem.kind not in _KINDS:
         raise ValueError(f"unknown linear problem kind {problem.kind!r}")
-    c = problem.context["algebra"].c
-    n = len(c)
-    return {
-        WEAK_SYMPLECTIC: (structures.WEAK_SYMPLECTIC, {"c": c, "om": Tensor((n, n), {})}, "om"),
-        COCYCLE_IN_DELTA: (structures.COCYCLE, {"c": c, "d": Tensor((n, n, n), {})}, "d"),
-        AD_INVARIANCE: (structures.AD_INVARIANCE, {"c": c, "r": Tensor((n, n), {})}, "r"),
-    }[problem.kind] + ((0,),)
-
-
-def _slots(problem: LinearProblem) -> tuple[tuple[int, ...], list[tuple]]:
-    """The unknown's shape and its free entries: all of them, or the upper
-    triangle of a skew form."""
-    _, operands, unknown, _ = _system(problem)
-    shape = Tensor.of(operands[unknown]).shape
+    kind, ctx = _KINDS[problem.kind], problem.context
+    space = (ctx.get("algebra") or ctx["coalgebra"]).space
+    shape = (space.dim,) * kind.rank
     slots = list(itertools.product(*map(range, shape)))
-    return shape, [(i, j) for i, j in slots if i < j] if problem.kind in _SKEW else slots
+    if kind.skew:
+        slots = [(i, j) for i, j in slots if i < j]
+    return kind, space, shape, slots, {kind.unknown: Tensor(shape, {}), **kind.known(ctx)}
 
 
 def coefficient_rows(problem: LinearProblem) -> list[list[Scalar]]:
@@ -121,26 +139,32 @@ def coefficient_rows(problem: LinearProblem) -> list[list[Scalar]]:
 
     Row by row, the components of the identity in index order, zero rows
     included; column by column, the coefficient of each free entry, which for
-    a skew form is that of (i, j) less that of (j, i).
+    a skew form is that of (i, j) less that of (j, i).  A cell is the left
+    fold of its terms across the sub-sums and segments in order, term by term
+    or summation index by summation index as the kind says; with several
+    occurrences of the unknown, the sum of one such fold for each.  The order
+    matters because Scalar does not cancel polynomial factors and pivots are
+    certified by their unreduced numerators; it is the order of the rows that
+    were derived by hand before the tables existed.
     """
-    table, operands, unknown, occurrences = _system(problem)
-    shape, slots = _slots(problem)
+    kind, _, shape, slots, operands = _system(problem)
     column = {slot: (col, True) for col, slot in enumerate(slots)}
-    if problem.kind in _SKEW:
+    if kind.skew:
         column.update({(j, i): (col, False) for col, (i, j) in enumerate(slots)})
-    cells: dict[tuple, Scalar] = {}
-    for occurrence in occurrences:
-        coefficients = table.coefficients(unknown, occurrence, **operands)
-        split = len(coefficients.shape) - len(shape)
-        for idx, value in coefficients.entries.items():
-            if idx[split:] in column:
-                col, positive = column[idx[split:]]
-                cell = (idx[:split], col)
-                value = value if positive else -value
-                cells[cell] = value if cell not in cells else cells[cell] + value
-    rows = {out: [ZERO] * len(slots)
-            for out in itertools.product(*map(range, coefficients.shape[:split]))}
-    for (out, col), value in cells.items():
+    order = itemgetter(0, 1, 3, 2) if kind.by_term else itemgetter(0, 1, 2, 3)
+    cells = []
+    for turn, occurrence in enumerate(kind.occurrences):
+        out_shape, products = kind.table.coefficients(kind.unknown, occurrence, **operands)
+        out_shape = out_shape[:len(out_shape) - len(shape)]
+        for idx, position, value in products:
+            col, positive = column.get(idx[len(out_shape):], (None, True))
+            if col is not None:
+                cells.append(((idx[:len(out_shape)], col), turn, order(position),
+                              value if positive else -value))
+    cells.sort(key=itemgetter(0, 1, 2))
+    parts = left_folds(((cell, turn), value) for cell, turn, _, value in cells)
+    rows = {out: [ZERO] * len(slots) for out in itertools.product(*map(range, out_shape))}
+    for (out, col), value in left_folds((cell, v) for (cell, _), v in parts.items()).items():
         rows[out][col] = value
     return list(rows.values())
 
@@ -153,25 +177,15 @@ def solve_linear(problem: LinearProblem,
     into the defining identity and must satisfy it exactly; a violation
     raises.  The solution carries the assumptions that certified its pivots.
     """
-    shape, slots = _slots(problem)
+    kind, space, shape, slots, _ = _system(problem)
     vectors, used = kernel(coefficient_rows(problem), assumptions)
-    space = (problem.context.get("algebra") or problem.context["coalgebra"]).space
     basis = []
     for vec in vectors:
         entries = dict(zip(slots, vec))
-        if problem.kind in _SKEW:
+        if kind.skew:
             entries.update({(j, i): -value for (i, j), value in zip(slots, vec)})
-        value = Tensor(shape, entries).dense()
-        if problem.kind == COCYCLE_IN_DELTA:
-            element = LieCoalgebra(space, value)
-            report = check_cocycle(problem.context["algebra"], element)
-        elif problem.kind == AD_INVARIANCE:
-            element, report = TwoTensor(space, value), None
-        else:
-            element = BilinearForm(space, value)
-            report = (check_weak_symplectic(problem.context["algebra"], element)
-                      if problem.kind == WEAK_SYMPLECTIC else None)
-        if report is not None and not report.passed:
+        element = kind.element(space, Tensor(shape, entries).dense())
+        if kind.verify is not None and not kind.verify(problem.context, element).passed:
             raise AssertionError("solver produced a non-solution; this is a bug")
         basis.append(element)
     return LinearSolution(problem.kind, basis, len(slots) - len(vectors), len(slots), used)

@@ -191,6 +191,31 @@ def test_solve_reports_pivot_assumptions(tmp_path, capsys):
     assert json.loads(out)["assumptions_used"] == []
 
 
+# the pivots each solve of tests/golden/solve/parametric.lieb certifies
+_PARAMETRIC_ASSUMPTIONS = {
+    "weak-symplectic": ["2*k + 1 != 0"],
+    "ad-invariance": ["k != 0", "2*k + 1 != 0", "k + 1 != 0"],
+    "cocycle-in-delta": ["k != 0", "k + 1 != 0", "k - 1 != 0", "k + 2 != 0"],
+    "co-cybe-slice": ["k != 0", "k + 1 != 0", "k^2 + 2*k + 2 != 0"],
+}
+
+
+@pytest.mark.parametrize("problem", sorted(_PARAMETRIC_ASSUMPTIONS))
+def test_parametric_solve_matches_golden(problem, capsys, monkeypatch):
+    # The golden payloads were written by `lieb --format json solve
+    # parametric.lieb --problem <problem>`, run in tests/golden/solve, while
+    # the rows were still built by hand; assumptions_used came later.  With
+    # parametric denominators the rows' unreduced forms decide the pivots and
+    # the rendered basis, so the rows must fold their terms in the same order.
+    monkeypatch.chdir(GOLDEN / "solve")
+    code, out, _ = _run(capsys, "--format", "json", "solve", "parametric.lieb",
+                        "--problem", problem)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload.pop("assumptions_used") == _PARAMETRIC_ASSUMPTIONS[problem]
+    assert payload == json.loads((GOLDEN / "solve" / f"{problem}.json").read_text(encoding="utf-8"))
+
+
 def test_catalog_commands(tmp_path, capsys, monkeypatch):
     code, out, _ = _run(capsys, "catalog", "list")
     assert code == EXIT_OK

@@ -6,15 +6,12 @@ indices in every component's numerator and denominator terms, not only in
 value, on the cancelling palette of ``test_sparse_kernels`` (zeros and
 ``+-1/k``, ``+-1/(k+1)``, ``+-1``), where a reordered or regrouped sum would
 render differently.  The solver's rows are the coefficients of the unknown in
-the same tables; they must equal the hand-derived rows in value, and in
-rendering when the constants are polynomials (whose sums are canonical in
-any order).
+the same tables; they must render like the hand-derived rows too.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,18 +59,6 @@ _SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 
 # nonzero weights for the deformation checks
 _WEIGHTS = [parse_scalar(text) for text in ("1", "-1", "2", "1/k", "k + 1")]
-
-# polynomial constants, for the rows that must render alike
-_POLYNOMIAL = ["0"] * 3 + ["1", "-1", "k", "-k", "k + 1", "2*k"]
-_POLY_PALETTE = {text: parse_scalar(text) for text in set(_POLYNOMIAL)}
-
-
-@st.composite
-def polynomial_tensors3(draw, n):
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
-    return [[[_POLY_PALETTE[rng.choice(_POLYNOMIAL)] for _ in range(n)] for _ in range(n)]
-            for _ in range(n)]
-
 
 def _pairs(n):
     return itertools.product(range(n), repeat=2)
@@ -538,18 +523,9 @@ def _problems(c, d, om):
 @_SETTINGS
 @given(st.data())
 def test_solver_rows_equal_the_hand_derived_rows(data):
+    # pivots are certified by their unreduced numerators, so the rows must
+    # render alike, not only agree in value
     c, d, om = data.draw(tensors3(N)), data.draw(tensors3(N)), data.draw(matrices(N))
-    for problem, want in _problems(c, d, om):
-        got = coefficient_rows(problem)
-        assert len(got) == len(want) and all(len(g) == len(w) for g, w in zip(got, want))
-        assert all(x == y for g, w in zip(got, want) for x, y in zip(g, w)), problem.kind
-
-
-@_SETTINGS
-@given(st.data())
-def test_solver_rows_render_alike_on_polynomial_constants(data):
-    c, d = data.draw(polynomial_tensors3(N)), data.draw(polynomial_tensors3(N))
-    om = data.draw(polynomial_tensors3(N))[0]
     for problem, want in _problems(c, d, om):
         assert [[_form(x) for x in row] for row in coefficient_rows(problem)] == \
             [[_form(x) for x in row] for row in want], problem.kind

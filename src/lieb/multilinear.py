@@ -214,25 +214,48 @@ class Table:
 
     def evaluate(self, **operands) -> Tensor:
         """The nonvanishing components, in index order."""
-        shape, products = self._products(operands, self._plans)
-        parts = left_folds(((key, position[0]), v) for key, position, v in products)
-        total = left_folds((key, v) for (key, _), v in parts.items())
-        return Tensor(shape, {key: total[key] for key in sorted(total) if not total[key].is_zero()})
+        tensors, shape, strides = self._operands(operands)
+        # Scalar does not cancel polynomial factors, so a sum's rendering
+        # depends on the order of its terms when some term has a non-constant
+        # denominator.  Sums of polynomials are canonical in any order, so
+        # otherwise the products are added as they are joined, not kept.
+        if any(v.q is None and not v.den.is_constant()
+               for t in tensors.values() for v in t.entries.values()):
+            products = sorted(self._products(tensors, strides, self._plans), key=_POSITION)
+            parts = left_folds(((key, position[0]), v) for key, position, v in products)
+            total = left_folds((key, v) for (key, _), v in parts.items())
+        else:
+            total = {}
+            for _, positive, steps, _ in self._plans:
+                partial, (index, lookup) = _join(steps, positive, tensors, strides)
+                for b, x, s in partial:
+                    for _, v, at in index.get(lookup(b), ()):
+                        k, term = s + at, v if x is None else x * v
+                        prev = total.get(k)
+                        total[k] = term if prev is None else prev + term
+        radix = list(zip(strides, shape))
+        return Tensor(shape, {tuple([k // stride % size for stride, size in radix]): total[k]
+                              for k in sorted(total) if not total[k].is_zero()})
 
     def coefficients(self, unknown: str, occurrence: int = 0, **operands):
         """The terms of a table that is linear in one factor of each term,
         with that factor left out.
 
         That factor is the ``occurrence``-th one named ``unknown``; any other
-        factor of that name takes the operand's value, and a letter that only
-        the unknown carries ranges over its whole dimension.  Returns the shape
-        of the coefficients, indexed by the output letters and then the
-        unknown's, and each nonzero term as (index, (sub-sum, segment,
-        summation index, term), signed product).
+        factor of that name takes the operand's value.  Returns the shape of
+        the coefficients, indexed by the output letters and then the
+        unknown's, and each nonzero term, in no particular order, as (its
+        index flattened in row-major order, (sub-sum, segment, summation
+        index, term), signed product).
         """
-        return self._products(operands, self._compile(unknown, occurrence), unknown)
+        tensors, shape, strides = self._operands(operands, unknown)
+        unknown_shape = tensors[unknown].shape
+        # the unknown's factor: every index, each with no value
+        tensors[_UNKNOWN] = Tensor(unknown_shape, dict.fromkeys(product(*map(range, unknown_shape))))
+        return shape, self._products(tensors, strides, self._compile(unknown, occurrence))
 
-    def _products(self, operands, plans, unknown=None):
+    def _operands(self, operands, unknown=None):
+        """The operands as Tensors, the result's shape and its row-major strides."""
         tensors = {name: Tensor.of(t) for name, t in operands.items()}
         dims: dict[str, int] = {}
         for name, spec in self._factors:
@@ -243,32 +266,33 @@ class Table:
                 if dims.setdefault(letter, size) != size:
                     raise ShapeError(f"index {letter!r} has conflicting sizes")
         shape = tuple(dims[x] for x in self.out) + (tensors[unknown].shape if unknown else ())
+        strides = [1] * len(shape)
+        for q in range(len(shape) - 2, -1, -1):
+            strides[q] = strides[q + 1] * shape[q + 1]
+        return tensors, shape, strides
+
+    def _products(self, tensors, strides, plans):
         products = []
-        for (h, g, t), positive, steps, key, order in plans:
-            products += [(key(b), (h, g, order(b), t), x)
-                         for b, x in _join(steps, positive, tensors, dims)]
-        # Scalar does not cancel polynomial factors, so a sum's rendering
-        # depends on the order of its terms when some term has a non-constant
-        # denominator; sums of polynomials are canonical in any order.
-        if any(v.q is None and not v.den.is_constant()
-               for t in tensors.values() for v in t.entries.values()):
-            products.sort(key=_POSITION)
-        return shape, products
+        for (h, g, t), positive, steps, order in plans:
+            partial, (index, lookup) = _join(steps, positive, tensors, strides)
+            products += [(s + at, (h, g, order(b + r), t), v if x is None else x if v is None else x * v)
+                         for b, x, s in partial for r, v, at in index.get(lookup(b), ())]
+        return products
 
     def _compile(self, unknown, occurrence):
         """For each term: its (sub-sum, segment, term), sign and join steps,
-        and the getters of its key and summation index from a binding."""
+        and the getter of its summation index from a binding."""
         plans = []
         for h, segments in enumerate(self.subsums):
             for g, (letters, terms) in enumerate(segments):
                 for t, (positive, factors) in enumerate(terms):
-                    steps, bound, keyed = _plan(self.out, factors, unknown, occurrence)
-                    plans.append(((h, g, t), positive, steps, _picker([bound.index(x) for x in keyed]),
-                                  _picker([bound.index(x) for x in letters])))
+                    steps, bound = _plan(self.out, factors, unknown, occurrence)
+                    plans.append(((h, g, t), positive, steps, _picker([bound.index(x) for x in letters])))
         return plans
 
 
 _POSITION = itemgetter(0, 1)
+_UNKNOWN = "*"  # the operand name of the unknown's factor in a coefficient plan
 
 
 def _parse_subsum(text: str):
@@ -295,24 +319,25 @@ def _parse_subsum(text: str):
 
 
 def _plan(out, factors, unknown, occurrence):
-    """(join steps, the letters in the order bound, the key letters) for one term.
+    """(join steps, the letters in the order bound) for one term.
 
     A step binds the new letters of one factor, looking its entries up by the
-    letters already bound: (name, getter of the bound letters' values from an
-    entry's index, getter of its new letters' values, pairs of positions that
-    repeat a letter, getter of the lookup key from a binding).  The key letters
-    are the output letters, then with an unknown the unknown's; its factor is
-    left out of the join, and a letter that only it carries gets a step with
-    no factor (name None) over the letter's whole dimension.
+    letters already bound: (operand name, getter of the bound letters' values
+    from an entry's index, getter of its new letters' values, pairs of
+    positions that repeat a letter, getter of the lookup key from a binding,
+    (place among the new letters, place in the key) of each key letter it
+    binds).  The key letters are the output letters, then with an unknown the
+    unknown's, whose factor reads the operand ``_UNKNOWN``.
     """
-    skip = ([k for k, (name, _) in enumerate(factors) if name == unknown][occurrence]
-            if unknown is not None else None)
-    keyed = out + (factors[skip][1] if skip is not None else "")
+    if unknown is not None:
+        skip = [k for k, (name, _) in enumerate(factors) if name == unknown][occurrence]
+        if len(factors) == 1:
+            raise ValueError("a term needs a factor besides the unknown")
+        out += factors[skip][1]
+        factors = factors[:skip] + ((_UNKNOWN, factors[skip][1]),) + factors[skip + 1:]
     bound: list[str] = []
     steps = []
-    for k, (name, spec) in enumerate(factors):
-        if k == skip:
-            continue
+    for name, spec in factors:
         at, new, repeats = [], [], []
         for p, letter in enumerate(spec):
             if letter in bound:
@@ -321,45 +346,39 @@ def _plan(out, factors, unknown, occurrence):
                 repeats.append((spec.index(letter), p))
             else:
                 new.append(p)
+        keyed = [(i, q) for i, p in enumerate(new) for q, x in enumerate(out) if x == spec[p]]
         steps.append((name, _picker(at), _picker(new), repeats,
-                      _picker([bound.index(spec[p]) for p in at])))
+                      _picker([bound.index(spec[p]) for p in at]), keyed))
         bound += [spec[p] for p in new]
-    if not steps:
-        raise ValueError("a term needs a factor besides the unknown")
-    for letter in keyed:
-        if letter not in bound:
-            steps.append((None, letter, None, [], _unbound))
-            bound.append(letter)
-    return steps, bound, keyed
+    return steps, bound
 
 
-def _join(steps, positive, tensors, dims):
-    """(binding, signed product) for each choice of one nonzero entry per
-    factor that agree on their shared letters; a binding holds the letters'
-    values in the order bound.  A partial binding that the next factor cannot
-    extend is dropped before its product is formed."""
-    indexed = [_index(step, tensors, dims) for step in steps] + [({(): None}, _unbound)]
-    partial = [((), None)]  # None: no factor yet
-    for count, ((index, lookup), (after, key)) in enumerate(zip(indexed, indexed[1:])):
-        partial = [(br, v if x is None else x if v is None else x * v)  # None: no factor
-                   for b, x in partial for r, v in index.get(lookup(b), ())
+def _join(steps, positive, tensors, strides):
+    """The signed partial products of a term's factors but the last, each with
+    its binding (the letters' values in the order bound) and its part of the
+    flattened key; and the last factor's index and lookup.  A partial binding
+    that the next factor cannot extend is dropped before its product is
+    formed."""
+    indexed = [_index(step, tensors, strides) for step in steps]
+    partial = [((), None if positive else -ONE, 0)]  # None: no factor yet
+    for (index, lookup), (after, key) in zip(indexed, indexed[1:]):
+        partial = [(br, v if x is None else x if v is None else x * v, s + at)  # v None: no factor
+                   for b, x, s in partial for r, v, at in index.get(lookup(b), ())
                    for br in (b + r,) if key(br) in after]
-        if not count and not positive:
-            partial = [(b, -x) for b, x in partial]
-    return partial
+    return partial, indexed[-1]
 
 
-def _index(step, tensors, dims):
+def _index(step, tensors, strides):
     """The entries of one step's factor by the values of its letters already
-    bound, key -> [(its new letters' values, entry)]; and the getter of the
-    key from a binding."""
-    name, at, new, repeats, lookup = step
-    if name is None:  # at is the letter here
-        return {(): [((x,), None) for x in range(dims[at])]}, lookup
+    bound, key -> [(its new letters' values, entry, its part of the flattened
+    key)]; and the getter of the key from a binding."""
+    name, at, new, repeats, lookup, keyed = step
+    weights = [(i, strides[q]) for i, q in keyed]
     index: dict = {}
     for idx, v in tensors[name].entries.items():
         if not repeats or all(idx[p] == idx[q] for p, q in repeats):
-            index.setdefault(at(idx), []).append((new(idx), v))
+            r = new(idx)
+            index.setdefault(at(idx), []).append((r, v, sum([r[i] * w for i, w in weights])))
     return index, lookup
 
 

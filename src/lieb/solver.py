@@ -13,6 +13,7 @@ labelled as evidence, never proof).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -148,25 +149,26 @@ def coefficient_rows(problem: LinearProblem) -> list[list[Scalar]]:
     were derived by hand before the tables existed.
     """
     kind, _, shape, slots, operands = _system(problem)
-    column = {slot: (col, True) for col, slot in enumerate(slots)}
+    # the unknown's entries by their row-major place in its shape
+    flat = {idx: k for k, idx in enumerate(itertools.product(*map(range, shape)))}
+    column = {flat[slot]: (col, True) for col, slot in enumerate(slots)}
     if kind.skew:
-        column.update({(j, i): (col, False) for col, (i, j) in enumerate(slots)})
+        column.update({flat[j, i]: (col, False) for col, (i, j) in enumerate(slots)})
     order = itemgetter(0, 1, 3, 2) if kind.by_term else itemgetter(0, 1, 2, 3)
     cells = []
     for turn, occurrence in enumerate(kind.occurrences):
-        out_shape, products = kind.table.coefficients(kind.unknown, occurrence, **operands)
-        out_shape = out_shape[:len(out_shape) - len(shape)]
-        for idx, position, value in products:
-            col, positive = column.get(idx[len(out_shape):], (None, True))
-            if col is not None:
-                cells.append(((idx[:len(out_shape)], col), turn, order(position),
-                              value if positive else -value))
+        full, products = kind.table.coefficients(kind.unknown, occurrence, **operands)
+        for key, position, value in products:
+            row, entry = divmod(key, len(flat))
+            if entry in column:
+                col, positive = column[entry]
+                cells.append(((row, col), turn, order(position), value if positive else -value))
     cells.sort(key=itemgetter(0, 1, 2))
     parts = left_folds(((cell, turn), value) for cell, turn, _, value in cells)
-    rows = {out: [ZERO] * len(slots) for out in itertools.product(*map(range, out_shape))}
-    for (out, col), value in left_folds((cell, v) for (cell, _), v in parts.items()).items():
-        rows[out][col] = value
-    return list(rows.values())
+    rows = [[ZERO] * len(slots) for _ in range(math.prod(full) // len(flat))]
+    for (row, col), value in left_folds((cell, v) for (cell, _), v in parts.items()).items():
+        rows[row][col] = value
+    return rows
 
 
 def solve_linear(problem: LinearProblem,

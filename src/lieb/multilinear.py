@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import itemgetter
 from typing import Sequence
@@ -210,7 +211,12 @@ class Table:
                     if set("".join(spec for _, spec in factors)) != set(out + letters):
                         raise ValueError(f"a term of {letters!r} does not cover {out + letters!r}")
                     self._factors += factors
-        self._plans = self._compile(None, 0)
+
+    @cached_property
+    def _plans(self):
+        """The join plans, compiled on first use so that importing the tables
+        stays cheap."""
+        return self._compile(None, 0)
 
     def evaluate(self, **operands) -> Tensor:
         """The nonvanishing components, in index order."""

@@ -112,6 +112,8 @@ _KINDS = {
     CO_CYBE_SLICE: _Kind(
         structures.CO_CYBE, lambda ctx: {"d": ctx["coalgebra"].d, "om": ctx["omega0"].matrix},
         "om", 2, BilinearForm, skew=True, occurrences=(0, 1)),
+    # its hand-derived rows added term by term, while check_cocycle adds
+    # summation index by summation index
     COCYCLE_IN_DELTA: _Kind(
         structures.COCYCLE, lambda ctx: {"c": ctx["algebra"].c}, "d", 3, LieCoalgebra,
         lambda ctx, x: check_cocycle(ctx["algebra"], x), by_term=True),

@@ -150,7 +150,10 @@ def coefficient_rows(problem: LinearProblem) -> list[list[Scalar]]:
     certified by their unreduced numerators; it is the order of the rows that
     were derived by hand before the tables existed.
     """
-    kind, _, shape, slots, operands = _system(problem)
+    return _rows(*_system(problem))
+
+
+def _rows(kind, space, shape, slots, operands) -> list[list[Scalar]]:
     # the unknown's entries by their row-major place in its shape
     flat = {idx: k for k, idx in enumerate(itertools.product(*map(range, shape)))}
     column = {flat[slot]: (col, True) for col, slot in enumerate(slots)}
@@ -181,8 +184,8 @@ def solve_linear(problem: LinearProblem,
     into the defining identity and must satisfy it exactly; a violation
     raises.  The solution carries the assumptions that certified its pivots.
     """
-    kind, space, shape, slots, _ = _system(problem)
-    vectors, used = kernel(coefficient_rows(problem), assumptions)
+    system = kind, space, shape, slots, _ = _system(problem)
+    vectors, used = kernel(_rows(*system), assumptions)
     basis = []
     for vec in vectors:
         entries = dict(zip(slots, vec))

@@ -61,9 +61,6 @@ class BasisSpace:
     def dual(self) -> BasisSpace:
         return BasisSpace(tuple(f"{name}*" for name in self.labels))
 
-    def concat(self, other: BasisSpace) -> BasisSpace:
-        return BasisSpace(self.labels + other.labels)
-
 
 def space(*labels: str) -> BasisSpace:
     return BasisSpace(tuple(labels))
@@ -455,23 +452,8 @@ class LinearOperator:
         codomain = codomain or domain
         return cls(domain, codomain, zeros(codomain.dim, domain.dim))
 
-    @classmethod
-    def from_images(cls, domain: BasisSpace, codomain: BasisSpace,
-                    images: dict[str, Vector]) -> LinearOperator:
-        mat = zeros(codomain.dim, domain.dim)
-        for label, vec in images.items():
-            j = domain.index(label)
-            for i, value in enumerate(vec):
-                mat[i][j] = value
-        return cls(domain, codomain, mat)
-
     def apply(self, vec: Vector) -> Vector:
         return mat_vec(self.matrix, vec)
-
-    def compose(self, inner: LinearOperator) -> LinearOperator:
-        if inner.codomain.dim != self.domain.dim:
-            raise ShapeError("operator composition dimensions disagree")
-        return LinearOperator(inner.domain, self.codomain, mat_mul(self.matrix, inner.matrix))
 
     def transpose(self) -> LinearOperator:
         return LinearOperator(self.codomain.dual(), self.domain.dual(),
@@ -508,9 +490,6 @@ class BilinearForm:
     @classmethod
     def zero(cls, sp: BasisSpace) -> BilinearForm:
         return cls(sp, zeros(sp.dim, sp.dim))
-
-    def value(self, i: int, j: int) -> Scalar:
-        return self.matrix[i][j]
 
 
 @dataclass

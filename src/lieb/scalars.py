@@ -90,7 +90,8 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {_EMPTY}
+        terms = self.terms
+        return not terms or (len(terms) == 1 and _EMPTY in terms)
 
     def constant_value(self) -> int:
         if not self.is_constant():

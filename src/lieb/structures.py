@@ -6,9 +6,9 @@ residual components.  A check passes when every residual is the zero scalar;
 it passes conditionally when the input data carries parametric denominators
 whose nonvanishing had to be assumed.
 
-The multilinear identities are written once, as tables of signed einsum
-terms (``multilinear.Table``), and one sparse engine evaluates them: it
-multiplies only nonzero entries and reports the components in index order.
+Every identity is written once, as a table of signed einsum terms
+(``multilinear.Table``), and one sparse engine evaluates them: it multiplies
+only nonzero entries and reports the components in index order.
 The fold-order rule: a component adds its terms segment by segment,
 summation index outer and term inner, and its sub-sums in the order written,
 which is the order the dense loops over all indices used.  ``Scalar`` does
@@ -17,8 +17,6 @@ the denominator it had built up, and a reordered sum of the same terms can
 render differently.  Zero terms may be skipped, since ``x + 0``, ``0 + x``
 and ``x - 0`` give x's canonical form.  Once ``Scalar`` keeps num/den
 reduced, the form no longer depends on the order and the rule goes away.
-The vector-level checks (torsion, operator compatibility, matched pairs,
-relative Rota-Baxter, the r-forms of ``check_pq_equivalents``) stay loops.
 """
 
 from __future__ import annotations
@@ -40,11 +38,7 @@ from .multilinear import (
     Vector,
     ZERO,
     determinant,
-    mat_add,
     mat_mul,
-    mat_sub,
-    mat_vec,
-    transpose_matrix,
     zeros,
 )
 from .scalars import Assumption, ONE, Scalar, covered_by_assumptions, iter_scalars
@@ -114,16 +108,6 @@ class LieAlgebra:
         n = self.space.dim
         return [[self.c[i][q][p] for q in range(n)] for p in range(n)]
 
-    def ad_of(self, x: Vector) -> Matrix:
-        n = self.space.dim
-        out = zeros(n, n)
-        for i in range(n):
-            if x[i].num.is_zero():
-                continue
-            a = self.ad(i)
-            out = mat_add(out, [[x[i] * a[p][q] for q in range(n)] for p in range(n)])
-        return out
-
 
 @dataclass
 class LieCoalgebra:
@@ -165,15 +149,6 @@ class Representation:
             len(mat) != m or any(len(row) != m for row in mat) for mat in self.action
         ):
             raise ShapeError("action matrices do not match the spaces")
-
-    def rho(self, x: Vector) -> Matrix:
-        m = self.space.dim
-        out = zeros(m, m)
-        for i, coeff in enumerate(x):
-            if coeff.num.is_zero():
-                continue
-            out = mat_add(out, [[coeff * v for v in row] for row in self.action[i]])
-        return out
 
 
 @dataclass
@@ -322,8 +297,16 @@ CYCLIC = Table("ipqs", "t[ipqs]", "t[iqsp]", "t[ispq]")
 MIXED_CYCLIC = Table("ipqs", "t[ipqs]", "t[iqsp]", "t[ispq]", "u[ipqs]", "u[iqsp]", "u[ispq]")
 COCYCLE = Table("ijpq", "k: c[ijk] d[kpq]",
                 "-(a: c[iap] d[jaq] + d[jpa] c[iaq] - c[jap] d[iaq] - d[ipa] c[jaq])")
-# the image T(M e_i) of a basis vector: delta(P e_i), rho(N e_i), gamma(beta v_i)
+# the image T(M e_i) of a basis vector: [N e_i, -], delta(P e_i), rho(N e_i), gamma(beta v_i)
 IMAGE = Table("iab", "m: M[mi] T[mab]")
+# [e_i, M e_j]
+RIGHT_IMAGE = Table("ijk", "b: M[bj] c[ibk]")
+# [Nx, Ny] + N^2[x, y] - (N[Nx, y] + N[x, Ny]), with left = [Nx, y], right = [x, Ny]
+TORSION_RHS = Table("ijk", "m: N[km] left[ijm]", "m: N[km] right[ijm]")
+TORSION = Table("ijk", "ab: N[ai] N[bj] c[abk]", "m: N2[km] c[ijm]", "-(rhs[ijk])")
+# P[Nx, y] + [x, P^2 y] - ([Nx, Py] + P[x, Py]), with left = [Nx, y], right = [x, Py]
+OPERATOR_COMPATIBILITY_RHS = Table("ijk", "ab: N[ai] P[bj] c[abk]", "m: P[km] right[ijm]")
+OPERATOR_COMPATIBILITY = Table("ijk", "m: P[km] left[ijm]", "b: P2[bj] c[ibk]", "-(rhs[ijk])")
 # (P(x)P) delta + delta P^2 - (P(x)id)(delta P) - (id(x)P)(delta P), with dP = delta(P e_i)
 NIJENHUIS_COBRACKET = Table("iab", "xy: d[ixy] P[ax] P[by]", "m: P2[mi] d[mab]",
                             "-(x: P[ax] dP[ixb])", "-(y: dP[iay] P[by])")
@@ -332,6 +315,16 @@ COBRACKET_COMPATIBILITY = Table("iab", "x: P[ax] dN[ixb]", "q: d[iaq] N2[bq]",
                                 "-(xq: d[ixq] P[ax] N[bq])", "-(q: dN[iaq] N[bq])")
 # [r12, r13] + [r12, r23] + [r13, r23]
 CYBE = Table("xyz", "ik: c[ikx] r[iy] r[kz]; jl: c[jlz] r[xj] r[yl]; jk: c[jky] r[xj] r[kz]")
+# (P (x) id - id (x) N)(r)
+PAIRING = Table("ab", "x: P[ax] r[xb]", "-(y: r[ay] N[by])")
+# the r-forms of the Nijenhuis cobracket identity and of the cobracket
+# compatibility for delta_r, with rho = (P (x) id - id (x) N)(r) and
+# sig = (N (x) id - id (x) P)(r); only whether they vanish is read
+PAIRING_FORM_1 = Table("iab", "xy: rho[ay] P[bx] c[iyx] - rho[ay] P[xi] c[xyb]"
+                              " + P[xi] c[xya] sig[yb] - P[ax] c[iyx] sig[yb]")
+PAIRING_FORM_2 = Table("iab", "xy: rho[ay] N[xi] c[xyb] - rho[ay] N[bx] c[iyx]"
+                              " + N[xi] c[xya] rho[yb] + P[ax] c[iyx] rho[yb]"
+                              " - c[iya] P2[yx] r[xb] + c[iya] r[yx] N2[bx]")
 CO_CYBE = Table("ijk", "ab: d[iab] om[aj] om[bk] + d[kab] om[ia] om[jb] + d[jab] om[ia] om[bk]")
 # [x, y] = x_(1) omega(x_(2), y) - y_(2) omega(x, y_(1))
 INDUCED_BRACKET = Table("ijk", "b: d[ikb] om[bj] + d[jkb] om[ib]")
@@ -367,6 +360,16 @@ DEFORMATION_4 = Table("iak", "gb[iak] + G[iak]; q: -g[iaq] be[kq]; x: -g[ixk] P[
 INVARIANCE = Table("ijk", "m: c[ijm] B[mk]", "-(m: c[jkm] B[im])")
 # (ad_x (x) id + id (x) ad_x)(r + r^sigma)
 AD_INVARIANCE = Table("xpq", "y: c[xyp] r[yq] + c[xyp] r[qy] + c[xyq] r[py] + c[xyq] r[yp]")
+# x.[u, v] - [x.u, v] - [u, x.v] - ((v.x).u - (u.x).v), where x acts by A on the
+# algebra of c and u, v act back on x's by B; rhs is the last part
+MATCHED_PAIR_RHS = Table("xuvk", "t: B[vtx] A[tku]", "-(t: B[utx] A[tkv])")
+MATCHED_PAIR = Table("xuvk", "p: A[xkp] c[uvp]", "-(p: A[xpu] c[pvk])", "-(q: A[xqv] c[uqk])",
+                     "-(rhs[xuvk])")
+# [Tu, Tv] - T(rho(Tu) v - rho(Tv) u), with inner = rho(Tu) v - rho(Tv) u
+ROTA_BAXTER_INNER = Table("ijs", "p: T[pi] A[psj]", "-(p: T[pj] A[psi])")
+ROTA_BAXTER = Table("ija", "pq: T[pi] T[qj] c[pqa]", "-(s: T[as] inner[ijs])")
+# N T - T alpha
+INTERTWINING = Table("ia", "p: N[ap] T[pi]", "-(b: T[ab] al[bi])")
 
 
 # -- Lie algebra / coalgebra axioms ----------------------------------------
@@ -400,28 +403,16 @@ def check_cocycle(L: LieAlgebra, C: LieCoalgebra,
 
 # -- Nijenhuis conditions ----------------------------------------------------
 
-def _torsion(L: LieAlgebra, N: LinearOperator) -> list[tuple[tuple, Vector]]:
-    n = L.space.dim
-    out = []
-    nn = mat_mul(N.matrix, N.matrix)
-    for i, j in _pairs(n):
-        x = [ONE if t == i else ZERO for t in range(n)]
-        y = [ONE if t == j else ZERO for t in range(n)]
-        nx, ny = N.apply(x), N.apply(y)
-        lhs = [a + b for a, b in zip(L.bracket(nx, ny), mat_vec(nn, L.bracket(x, y)))]
-        rhs = [a + b for a, b in zip(N.apply(L.bracket(nx, y)), N.apply(L.bracket(x, ny)))]
-        out.append(((i, j), [a - b for a, b in zip(lhs, rhs)]))
-    return out
-
-
 def check_nijenhuis(L: LieAlgebra, N: LinearOperator,
                     assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """The torsion identity [Nx,Ny] + N^2[x,y] = N[Nx,y] + N[x,Ny]."""
     if N.domain.dim != L.space.dim or N.codomain.dim != L.space.dim:
         raise ShapeError("operator does not act on the algebra")
-    items = [("nijenhuis", idx + (k,), value)
-             for idx, vec in _torsion(L, N) for k, value in enumerate(vec)]
-    return _build_report(items, [L, N], assumptions)
+    c, nm = Tensor.of(L.c), Tensor.of(N.matrix)
+    rhs = TORSION_RHS.evaluate(N=nm, left=IMAGE.evaluate(M=nm, T=c),
+                               right=RIGHT_IMAGE.evaluate(M=nm, c=c))
+    values = TORSION.evaluate(N=nm, N2=mat_mul(N.matrix, N.matrix), c=c, rhs=rhs)
+    return _build_report(_items("nijenhuis", values), [L, N], assumptions)
 
 
 def check_nijenhuis_coalgebra(C: LieCoalgebra, P: LinearOperator,
@@ -647,34 +638,11 @@ def check_matched_pair(L: LieAlgebra, H: LieAlgebra,
                              ("second-action", rho_H, N_H, N_L)):
         sub = check_nij_representation(rep, nn, al)
         items += [(f"{tag}.{r.identity}", r.index, r.value) for r in sub.residuals]
-    # mixing identity on the first algebra
-    for a in range(m):
-        av = [ONE if t == a else ZERO for t in range(m)]
-        rho_a = rho_H.rho(av)
-        for i, j in _pairs(n):
-            x = [ONE if t == i else ZERO for t in range(n)]
-            y = [ONE if t == j else ZERO for t in range(n)]
-            lhs = mat_vec(rho_a, L.bracket(x, y))
-            lhs = [v - w for v, w in zip(lhs, L.bracket(mat_vec(rho_a, x), y))]
-            lhs = [v - w for v, w in zip(lhs, L.bracket(x, mat_vec(rho_a, y)))]
-            rhs = mat_vec(rho_H.rho(mat_vec(rho_L.action[j], av)), x)
-            rhs = [v - w for v, w in zip(rhs, mat_vec(rho_H.rho(mat_vec(rho_L.action[i], av)), y))]
-            for k in range(n):
-                items.append(("matched-pair-1", (a, i, j, k), lhs[k] - rhs[k]))
-    # mixing identity on the second algebra
-    for i in range(n):
-        rho_x = rho_L.action[i]
-        for a, b in _pairs(m):
-            u = [ONE if t == a else ZERO for t in range(m)]
-            v = [ONE if t == b else ZERO for t in range(m)]
-            lhs = mat_vec(rho_x, H.bracket(u, v))
-            lhs = [p - q for p, q in zip(lhs, H.bracket(mat_vec(rho_x, u), v))]
-            lhs = [p - q for p, q in zip(lhs, H.bracket(u, mat_vec(rho_x, v)))]
-            x = [ONE if t == i else ZERO for t in range(n)]
-            rhs = mat_vec(rho_L.rho(mat_vec(rho_H.action[b], x)), u)
-            rhs = [p - q for p, q in zip(rhs, mat_vec(rho_L.rho(mat_vec(rho_H.action[a], x)), v))]
-            for k in range(m):
-                items.append(("matched-pair-2", (i, a, b, k), lhs[k] - rhs[k]))
+    for name, c, act, back in (("matched-pair-1", L.c, rho_H.action, rho_L.action),
+                               ("matched-pair-2", H.c, rho_L.action, rho_H.action)):
+        a, b = Tensor.of(act), Tensor.of(back)
+        items += _items(name, MATCHED_PAIR.evaluate(
+            A=a, c=c, rhs=MATCHED_PAIR_RHS.evaluate(A=a, B=b)))
     return _build_report(items, [L, H, rho_L, rho_H, N_L, N_H], assumptions)
 
 
@@ -714,20 +682,15 @@ def check_frobenius(L: LieAlgebra, B: BilinearForm,
 def nijenhuis_bialgebra_residuals(L: LieAlgebra, C: LieCoalgebra,
                                   N: LinearOperator, P: LinearOperator):
     """The two extra compatibility identities of a Nijenhuis Lie bialgebra."""
-    n = L.space.dim
-    items = []
-    p2 = mat_mul(P.matrix, P.matrix)
-    for i, j in _pairs(n):
-        x = [ONE if idx == i else ZERO for idx in range(n)]
-        y = [ONE if idx == j else ZERO for idx in range(n)]
-        nx = N.apply(x)
-        lhs = [a + b for a, b in zip(P.apply(L.bracket(nx, y)), L.bracket(x, mat_vec(p2, y)))]
-        rhs = [a + b for a, b in zip(L.bracket(nx, P.apply(y)), P.apply(L.bracket(x, P.apply(y))))]
-        for k in range(n):
-            items.append(("operator-compatibility", (i, j, k), lhs[k] - rhs[k]))
-    compatibility = _cobracket_compatibility(C, N, P).entries
-    items += [("cobracket-compatibility", idx, compatibility.get(idx, ZERO)) for idx in _triples(n)]
-    return items
+    c, nm, p = Tensor.of(L.c), Tensor.of(N.matrix), Tensor.of(P.matrix)
+    rhs = OPERATOR_COMPATIBILITY_RHS.evaluate(N=nm, P=p, c=c,
+                                              right=RIGHT_IMAGE.evaluate(M=p, c=c))
+    operator = OPERATOR_COMPATIBILITY.evaluate(P=p, P2=mat_mul(P.matrix, P.matrix), c=c,
+                                               left=IMAGE.evaluate(M=nm, T=c), rhs=rhs)
+    return [(name, idx, values.entries.get(idx, ZERO))
+            for name, values in (("operator-compatibility", operator),
+                                 ("cobracket-compatibility", _cobracket_compatibility(C, N, P)))
+            for idx in _triples(L.space.dim)]
 
 
 def _cobracket_compatibility(C: LieCoalgebra, N: LinearOperator, P: LinearOperator) -> Tensor:
@@ -758,19 +721,13 @@ def check_nij_lie_bialgebra(L: LieAlgebra, C: LieCoalgebra,
 
 # -- enriched Yang-Baxter checks ---------------------------------------------
 
-def pairing_residual(r: TwoTensor, P: LinearOperator, N: LinearOperator) -> Matrix:
-    """(P (x) id - id (x) N)(r) as a coefficient matrix."""
-    return mat_sub(mat_mul(P.matrix, r.matrix), mat_mul(r.matrix, transpose_matrix(N.matrix)))
-
-
 def check_cpnybe(L: LieAlgebra, r: TwoTensor, N: LinearOperator, P: LinearOperator,
                  assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """The Yang-Baxter equation enriched with the operator-pairing constraint."""
     n = L.space.dim
     items = [("antisymmetry", (i, j), r.matrix[i][j] + r.matrix[j][i]) for i, j in _pairs(n)]
     items += _items("cybe", CYBE.evaluate(c=L.c, r=r.matrix))
-    pairing = pairing_residual(r, P, N)
-    items += [("operator-pairing", (i, j), pairing[i][j]) for i, j in _pairs(n)]
+    items += _items("operator-pairing", PAIRING.evaluate(P=P.matrix, r=r.matrix, N=N.matrix))
     return _build_report(items, [L, r, N, P], assumptions)
 
 
@@ -786,42 +743,18 @@ def check_pq_equivalents(L: LieAlgebra, r: TwoTensor,
     """
     from .construct import delta_from_r  # local import to avoid a cycle
 
-    n = L.space.dim
     C = delta_from_r(L, r)
     nc_direct = check_nijenhuis_coalgebra(C, P)
     nlb2_direct = _build_report(
         _items("cobracket-compatibility", _cobracket_compatibility(C, N, P)), [L, C, N, P], ())
 
-    rho_t = pairing_residual(r, P, N)                     # (P(x)id - id(x)N)(r)
-    sig_t = pairing_residual(r, N, P)                     # (N(x)id - id(x)P)(r)
-    p, nm = P.matrix, N.matrix
-    p2, n2 = mat_mul(p, p), mat_mul(nm, nm)
-    items_nc1 = []
-    items_nlb21 = []
-    for i in range(n):
-        a_i = L.ad(i)
-        a_px = L.ad_of(P.apply([ONE if t == i else ZERO for t in range(n)]))
-        a_nx = L.ad_of(N.apply([ONE if t == i else ZERO for t in range(n)]))
-        p_ai = mat_mul(p, a_i)
-        lhs = mat_add(
-            mat_sub(mat_mul(rho_t, transpose_matrix(p_ai)),
-                    mat_mul(rho_t, transpose_matrix(a_px))),
-            mat_sub(mat_mul(a_px, sig_t), mat_mul(p_ai, sig_t)))
-        for a, b in _pairs(n):
-            items_nc1.append(("pairing-form-1", (i, a, b), lhs[a][b]))
-        n_ai = mat_mul(nm, a_i)
-        lhs2 = mat_add(
-            mat_add(mat_sub(mat_mul(rho_t, transpose_matrix(a_nx)),
-                            mat_mul(rho_t, transpose_matrix(n_ai))),
-                    mat_mul(a_nx, rho_t)),
-            mat_mul(p_ai, rho_t))
-        rhs2 = mat_sub(mat_mul(mat_mul(a_i, p2), r.matrix),
-                       mat_mul(a_i, mat_mul(r.matrix, transpose_matrix(n2))))
-        diff = mat_sub(lhs2, rhs2)
-        for a, b in _pairs(n):
-            items_nlb21.append(("pairing-form-2", (i, a, b), diff[a][b]))
-    nc_r = _build_report(items_nc1, [L, r, N, P], ())
-    nlb2_r = _build_report(items_nlb21, [L, r, N, P], ())
+    c, rm, nm, p = Tensor.of(L.c), Tensor.of(r.matrix), Tensor.of(N.matrix), Tensor.of(P.matrix)
+    rho = PAIRING.evaluate(P=p, r=rm, N=nm)
+    form_1 = PAIRING_FORM_1.evaluate(rho=rho, sig=PAIRING.evaluate(P=nm, r=rm, N=p), P=p, c=c)
+    form_2 = PAIRING_FORM_2.evaluate(rho=rho, N=nm, P=p, c=c, r=rm, P2=mat_mul(P.matrix, P.matrix),
+                                     N2=mat_mul(N.matrix, N.matrix))
+    nc_r = _build_report(_items("pairing-form-1", form_1), [L, r, N, P], ())
+    nlb2_r = _build_report(_items("pairing-form-2", form_2), [L, r, N, P], ())
 
     items = []
     if nc_direct.passed != nc_r.passed:
@@ -845,20 +778,14 @@ def check_rrbo(L: LieAlgebra, R: Representation, alpha: LinearOperator,
     m = R.space.dim
     if T.domain.dim != m or T.codomain.dim != n:
         raise ShapeError("T must map the module into the algebra")
-    items = []
-    for i, j in _pairs(m):
-        tu = [T.matrix[a][i] for a in range(n)]
-        tv = [T.matrix[a][j] for a in range(n)]
-        lhs = L.bracket(tu, tv)
-        inner = [x - y for x, y in zip(mat_vec(R.rho(tu), [ONE if t == j else ZERO for t in range(m)]),
-                                       mat_vec(R.rho(tv), [ONE if t == i else ZERO for t in range(m)]))]
-        rhs = T.apply(inner)
-        for a in range(n):
-            items.append(("rota-baxter", (i, j, a), lhs[a] - rhs[a]))
-    for i in range(m):
-        tu = [T.matrix[a][i] for a in range(n)]
-        lhs = N.apply(tu)
-        rhs = T.apply([alpha.matrix[b][i] for b in range(m)])
-        for a in range(n):
-            items.append(("operator-intertwining", (i, a), lhs[a] - rhs[a]))
+    if alpha.domain.dim != m or alpha.codomain.dim != m:
+        raise ShapeError("alpha must act on the module")
+    if N.domain.dim != n or N.codomain.dim != n:
+        raise ShapeError("N must act on the algebra")
+    if R.algebra.space.dim != n:
+        raise ShapeError("R must represent the algebra")
+    t = Tensor.of(T.matrix)
+    inner = ROTA_BAXTER_INNER.evaluate(T=t, A=R.action)
+    items = _items("rota-baxter", ROTA_BAXTER.evaluate(T=t, c=L.c, inner=inner))
+    items += _items("operator-intertwining", INTERTWINING.evaluate(N=N.matrix, T=t, al=alpha.matrix))
     return _build_report(items, [L, R, alpha, N, T], assumptions)

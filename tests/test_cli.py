@@ -252,6 +252,18 @@ def test_shipped_file_json_report_matches_golden(golden, tmp_path, capsys, monke
     assert out == golden.read_text(encoding="utf-8")
 
 
+def test_parametric_check_matches_golden(capsys, monkeypatch):
+    # The golden report was written by `lieb --format json check parametric.lieb`,
+    # run in tests/golden/check, while torsion, operator compatibility, the
+    # pairing, the r-forms and rrbo were still loops over basis vectors.  Its
+    # residuals are rational functions, whose rendering depends on the order
+    # in which their terms are added.
+    monkeypatch.chdir(GOLDEN / "check")
+    code, out, _ = _run(capsys, "--format", "json", "check", "parametric.lieb")
+    assert code == EXIT_CHECK_FAILED
+    assert out == (GOLDEN / "check" / "parametric.json").read_text(encoding="utf-8")
+
+
 def test_golden_reports_cover_every_shipped_file():
     shipped = {p.name for p in resources.files("lieb.data").iterdir() if p.name.endswith(".lieb")}
     assert {p.stem + ".lieb" for p in GOLDEN.glob("*.json")} == shipped
@@ -272,6 +284,34 @@ def test_check_on_mismatched_shapes_is_a_parse_error(tmp_path, capsys):
     code, out, err = _run(capsys, "check", str(bad))
     assert code == EXIT_PARSE_ERROR
     assert err == "error: line 12, column 1: check nijenhuis: operator does not act on the algebra\n"
+    assert out == ""
+
+
+def test_rrbo_with_alpha_on_the_algebra_is_a_parse_error(tmp_path, capsys):
+    # alpha must act on the 2-dimensional module, not on the 3-dimensional algebra
+    bad = tmp_path / "rrbo.lieb"
+    bad.write_text(
+        _SL2.replace("sl2", "g")
+        + "space V : u v\n"
+        "rep R of g on V {\n"
+        "  e : v -> u\n"
+        "  f : u -> v\n"
+        "}\n"
+        "operator al : L -> L {\n"
+        "  e -> e\n"
+        "}\n"
+        "operator N : L -> L {\n"
+        "  e -> e\n"
+        "}\n"
+        "operator T : V -> L {\n"
+        "  u -> e\n"
+        "  v -> f\n"
+        "}\n"
+        "check rrbo g R al N T\n",
+        encoding="utf-8")
+    code, out, err = _run(capsys, "check", str(bad))
+    assert code == EXIT_PARSE_ERROR
+    assert err == "error: line 22, column 1: check rrbo: alpha must act on the module\n"
     assert out == ""
 
 

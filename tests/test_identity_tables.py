@@ -6,12 +6,19 @@ indices in every component's numerator and denominator terms, not only in
 value, on the cancelling palette of ``test_sparse_kernels`` (zeros and
 ``+-1/k``, ``+-1/(k+1)``, ``+-1``), where a reordered or regrouped sum would
 render differently.  The solver's rows are the coefficients of the unknown in
-the same tables; they must render like the hand-derived rows too.
+the same tables; they must render like the hand-derived rows too.  The
+vector-level identities (torsion, operator compatibility, the pairing, the
+matched-pair mixing identities, the relative Rota-Baxter conditions) must
+render like the loops over basis vectors they replaced, on algebras of
+dimension 2 and 3 and on modules of another dimension; the r-forms of
+``check_pq_equivalents`` reach the report only as verdicts, so they must
+agree with their loops in value.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,19 +39,42 @@ from lieb import (
     check_corepresentation,
     check_deformed_homomorphism,
     check_dual_qt,
+    check_cpnybe,
     check_frobenius,
+    check_matched_pair,
     check_nij_representation,
+    check_nijenhuis,
+    check_pq_equivalents,
     check_representation,
+    check_rrbo,
     check_weak_cosymplectic,
     check_weak_symplectic,
     parse_scalar,
 )
-from lieb.multilinear import ONE, ZERO, mat_add, mat_mul, mat_sub, zeros
+from lieb.multilinear import (
+    ONE,
+    ZERO,
+    mat_add,
+    mat_mul,
+    mat_sub,
+    mat_vec,
+    transpose_matrix,
+    zeros,
+)
 from lieb.solver import coefficient_rows
+from lieb.structures import (
+    PAIRING,
+    PAIRING_FORM_1,
+    PAIRING_FORM_2,
+    Verdict,
+    nijenhuis_bialgebra_residuals,
+)
 
 from test_sparse_kernels import (
     N,
+    _entries,
     _form,
+    _forms,
     _nonzero_forms,
     _residual_forms,
     _space,
@@ -306,6 +336,140 @@ def dense_invariance(c, bm, n):
     return items
 
 
+# -- the loops over basis vectors that the vector-level tables replaced ----------------
+
+def _unit(i, n):
+    return [ONE if t == i else ZERO for t in range(n)]
+
+
+def _ad_of(L, x):
+    n = L.space.dim
+    out = zeros(n, n)
+    for i in range(n):
+        if x[i].num.is_zero():
+            continue
+        a = L.ad(i)
+        out = mat_add(out, [[x[i] * a[p][q] for q in range(n)] for p in range(n)])
+    return out
+
+
+def loop_torsion(L, nm):
+    n = L.space.dim
+    N_ = _op(nm)
+    nn = mat_mul(nm, nm)
+    items = []
+    for i, j in _pairs(n):
+        x, y = _unit(i, n), _unit(j, n)
+        nx, ny = N_.apply(x), N_.apply(y)
+        lhs = [a + b for a, b in zip(L.bracket(nx, ny), mat_vec(nn, L.bracket(x, y)))]
+        rhs = [a + b for a, b in zip(N_.apply(L.bracket(nx, y)), N_.apply(L.bracket(x, ny)))]
+        items += [("nijenhuis", (i, j, k), a - b) for k, (a, b) in enumerate(zip(lhs, rhs))]
+    return items
+
+
+def loop_operator_compatibility(L, nm, p):
+    n = L.space.dim
+    N_, P_ = _op(nm), _op(p)
+    p2 = mat_mul(p, p)
+    items = []
+    for i, j in _pairs(n):
+        x, y = _unit(i, n), _unit(j, n)
+        nx = N_.apply(x)
+        lhs = [a + b for a, b in zip(P_.apply(L.bracket(nx, y)), L.bracket(x, mat_vec(p2, y)))]
+        rhs = [a + b for a, b in zip(L.bracket(nx, P_.apply(y)),
+                                     P_.apply(L.bracket(x, P_.apply(y))))]
+        for k in range(n):
+            items.append(("operator-compatibility", (i, j, k), lhs[k] - rhs[k]))
+    return items
+
+
+def loop_pairing(rm, p, nm):
+    return mat_sub(mat_mul(p, rm), mat_mul(rm, transpose_matrix(nm)))
+
+
+def loop_pairing_forms(L, rm, nm, p):
+    """The two r-forms of check_pq_equivalents, as the parent loop built them."""
+    n = L.space.dim
+    N_, P_ = _op(nm), _op(p)
+    rho_t, sig_t = loop_pairing(rm, p, nm), loop_pairing(rm, nm, p)
+    p2, n2 = mat_mul(p, p), mat_mul(nm, nm)
+    form_1, form_2 = [], []
+    for i in range(n):
+        a_i = L.ad(i)
+        a_px = _ad_of(L, P_.apply(_unit(i, n)))
+        a_nx = _ad_of(L, N_.apply(_unit(i, n)))
+        p_ai = mat_mul(p, a_i)
+        lhs = mat_add(
+            mat_sub(mat_mul(rho_t, transpose_matrix(p_ai)),
+                    mat_mul(rho_t, transpose_matrix(a_px))),
+            mat_sub(mat_mul(a_px, sig_t), mat_mul(p_ai, sig_t)))
+        form_1 += [((i, a, b), lhs[a][b]) for a, b in _pairs(n)]
+        n_ai = mat_mul(nm, a_i)
+        lhs2 = mat_add(
+            mat_add(mat_sub(mat_mul(rho_t, transpose_matrix(a_nx)),
+                            mat_mul(rho_t, transpose_matrix(n_ai))),
+                    mat_mul(a_nx, rho_t)),
+            mat_mul(p_ai, rho_t))
+        rhs2 = mat_sub(mat_mul(mat_mul(a_i, p2), rm),
+                       mat_mul(a_i, mat_mul(rm, transpose_matrix(n2))))
+        diff = mat_sub(lhs2, rhs2)
+        form_2 += [((i, a, b), diff[a][b]) for a, b in _pairs(n)]
+    return form_1, form_2
+
+
+def loop_matched_pair(L, H, action_l, action_h):
+    n, m = L.space.dim, H.space.dim
+    items = []
+    for a in range(m):
+        rho_a = _rho(action_h, _unit(a, m), n)
+        for i, j in _pairs(n):
+            x, y = _unit(i, n), _unit(j, n)
+            lhs = mat_vec(rho_a, L.bracket(x, y))
+            lhs = [v - w for v, w in zip(lhs, L.bracket(mat_vec(rho_a, x), y))]
+            lhs = [v - w for v, w in zip(lhs, L.bracket(x, mat_vec(rho_a, y)))]
+            rhs = mat_vec(_rho(action_h, mat_vec(action_l[j], _unit(a, m)), n), x)
+            rhs = [v - w for v, w in
+                   zip(rhs, mat_vec(_rho(action_h, mat_vec(action_l[i], _unit(a, m)), n), y))]
+            for k in range(n):
+                items.append(("matched-pair-1", (a, i, j, k), lhs[k] - rhs[k]))
+    for i in range(n):
+        rho_x = action_l[i]
+        for a, b in _pairs(m):
+            u, v = _unit(a, m), _unit(b, m)
+            lhs = mat_vec(rho_x, H.bracket(u, v))
+            lhs = [p - q for p, q in zip(lhs, H.bracket(mat_vec(rho_x, u), v))]
+            lhs = [p - q for p, q in zip(lhs, H.bracket(u, mat_vec(rho_x, v)))]
+            x = _unit(i, n)
+            rhs = mat_vec(_rho(action_l, mat_vec(action_h[b], x), m), u)
+            rhs = [p - q for p, q in
+                   zip(rhs, mat_vec(_rho(action_l, mat_vec(action_h[a], x), m), v))]
+            for k in range(m):
+                items.append(("matched-pair-2", (i, a, b, k), lhs[k] - rhs[k]))
+    return items
+
+
+def loop_rrbo(L, action, alpha, nm, t):
+    n, m = L.space.dim, len(alpha)
+    T_ = LinearOperator(_space(m), _space(n), t)
+    items = []
+    for i, j in _pairs(m):
+        tu = [t[a][i] for a in range(n)]
+        tv = [t[a][j] for a in range(n)]
+        lhs = L.bracket(tu, tv)
+        inner = [x - y for x, y in zip(mat_vec(_rho(action, tu, m), _unit(j, m)),
+                                       mat_vec(_rho(action, tv, m), _unit(i, m)))]
+        rhs = T_.apply(inner)
+        for a in range(n):
+            items.append(("rota-baxter", (i, j, a), lhs[a] - rhs[a]))
+    for i in range(m):
+        tu = [t[a][i] for a in range(n)]
+        lhs = mat_vec(nm, tu)
+        rhs = T_.apply([alpha[b][i] for b in range(m)])
+        for a in range(n):
+            items.append(("operator-intertwining", (i, a), lhs[a] - rhs[a]))
+    return items
+
+
 # -- the solver's hand-derived rows ----------------------------------------------------
 
 def _skew_unknowns(n):
@@ -504,6 +668,119 @@ def test_frobenius_invariance_matches_dense(data):
     got = [(r.identity, r.index, _form(r.value)) for r in report.residuals
            if r.identity == "invariance"]
     assert got == _nonzero_forms(dense_invariance(c, bm, N))
+
+
+# -- vector-level checks == loops over basis vectors -----------------------------------
+
+@st.composite
+def tensors(draw, *shape, entries=_entries):
+    """A nested-list tensor of the given shape with palette entries."""
+    it = iter(entries(draw, len(list(itertools.product(*map(range, shape))))))
+
+    def build(dims):
+        if len(dims) == 1:
+            return [next(it) for _ in range(dims[0])]
+        return [build(dims[1:]) for _ in range(dims[0])]
+    return build(shape)
+
+
+_DIMS = st.sampled_from([3, 2])
+
+
+def _named(items, *names):
+    return [item for item in items if item[0] in names]
+
+
+@_SETTINGS
+@given(st.data())
+def test_torsion_and_operator_compatibility_match_loops(data):
+    n = data.draw(_DIMS)
+    c, d = data.draw(tensors(n, n, n)), data.draw(tensors(n, n, n))
+    nm, p = data.draw(tensors(n, n)), data.draw(tensors(n, n))
+    space = _space(n)
+    algebra = LieAlgebra(space, c)
+    assert _residual_forms(check_nijenhuis(algebra, _op(nm))) == \
+        _nonzero_forms(loop_torsion(algebra, nm))
+    items = nijenhuis_bialgebra_residuals(algebra, LieCoalgebra(space, d), _op(nm), _op(p))
+    # every component, zeros included
+    assert _forms(_named(items, "operator-compatibility")) == \
+        _forms(loop_operator_compatibility(algebra, nm, p))
+
+
+@_SETTINGS
+@given(st.data())
+def test_pairing_matches_loop(data):
+    n = data.draw(_DIMS)
+    c, rm = data.draw(tensors(n, n, n)), data.draw(tensors(n, n))
+    nm, p = data.draw(tensors(n, n)), data.draw(tensors(n, n))
+    space = _space(n)
+    report = check_cpnybe(LieAlgebra(space, c), TwoTensor(space, rm), _op(nm), _op(p))
+    want = loop_pairing(rm, p, nm)
+    assert _named(_residual_forms(report), "operator-pairing") == \
+        _nonzero_forms(("operator-pairing", (a, b), want[a][b]) for a, b in _pairs(n))
+
+
+# The r-forms reach the report only as verdicts, so polynomial entries do:
+# rational ones would make the expressions large and the test slow.
+_POLYNOMIALS = [parse_scalar(text) for text in ["0"] * 3 + ["1", "-1", "k", "-k", "k + 1"]]
+
+
+def _polynomials(draw, count):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    return [rng.choice(_POLYNOMIALS) for _ in range(count)]
+
+
+@_SETTINGS
+@given(st.data())
+def test_pq_r_forms_match_loops(data):
+    n = data.draw(_DIMS)
+    c = data.draw(tensors(n, n, n, entries=_polynomials))
+    rm, nm, p = (data.draw(tensors(n, n, entries=_polynomials)) for _ in range(3))
+    # one draw in three takes N = P = s id, where both r-forms vanish
+    if data.draw(st.integers(0, 2)) == 0:
+        nm = p = [[_POLYNOMIALS[-1] if a == b else ZERO for b in range(n)] for a in range(n)]
+    space = _space(n)
+    algebra = LieAlgebra(space, c)
+    want_1, want_2 = loop_pairing_forms(algebra, rm, nm, p)
+    rho = PAIRING.evaluate(P=p, r=rm, N=nm)
+    got_1 = PAIRING_FORM_1.evaluate(rho=rho, sig=PAIRING.evaluate(P=nm, r=rm, N=p), P=p, c=c)
+    got_2 = PAIRING_FORM_2.evaluate(rho=rho, N=nm, P=p, c=c, r=rm, P2=mat_mul(p, p),
+                                    N2=mat_mul(nm, nm))
+    for got, want in ((got_1, want_1), (got_2, want_2)):
+        assert all(got.entries.get(idx, ZERO) == v for idx, v in want)
+    details = check_pq_equivalents(algebra, TwoTensor(space, rm), _op(nm), _op(p)).details
+    for key, want in (("cobracket-identity-r-form", want_1),
+                      ("compatibility-identity-r-form", want_2)):
+        assert (details[key] is Verdict.FAIL) == any(not v.is_zero() for _, v in want), key
+
+
+@_SETTINGS
+@given(st.data())
+def test_matched_pair_matches_loops(data):
+    n, m = data.draw(_DIMS), data.draw(_DIMS)
+    c, h = data.draw(tensors(n, n, n)), data.draw(tensors(m, m, m))
+    action_l, action_h = data.draw(tensors(n, m, m)), data.draw(tensors(m, n, n))
+    L, H = LieAlgebra(_space(n), c), LieAlgebra(_space(m), h)
+    rho_l = Representation(L, _space(m), action_l)
+    rho_h = Representation(H, _space(n), action_h)
+    report = check_matched_pair(L, H, rho_l, rho_h, _op(data.draw(tensors(n, n))),
+                                _op(data.draw(tensors(m, m))))
+    assert _named(_residual_forms(report), "matched-pair-1", "matched-pair-2") == \
+        _nonzero_forms(loop_matched_pair(L, H, action_l, action_h))
+
+
+# cheap enough for more examples, which a regrouping of the intertwining needs
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_rrbo_matches_loops(data):
+    n, m = data.draw(_DIMS), data.draw(_DIMS)
+    c, action = data.draw(tensors(n, n, n)), data.draw(tensors(n, m, m))
+    alpha, nm, t = data.draw(tensors(m, m)), data.draw(tensors(n, n)), data.draw(tensors(n, m))
+    L = LieAlgebra(_space(n), c)
+    report = check_rrbo(L, Representation(L, _space(m), action),
+                        LinearOperator(_space(m), _space(m), alpha), _op(nm),
+                        LinearOperator(_space(m), _space(n), t))
+    assert _residual_forms(report) == _nonzero_forms(loop_rrbo(L, action, alpha, nm, t))
 
 
 # -- solver rows == hand-derived rows --------------------------------------------------

@@ -40,7 +40,6 @@ def test_basis_space_invariants():
         BasisSpace(())
     sp = BasisSpace(("e", "f"))
     assert sp.dual().labels == ("e*", "f*")
-    assert sp.concat(sp.dual()).dim == 4
 
 
 def test_contract_matches_matrix_product():
@@ -160,9 +159,8 @@ def test_operator_application_examples(sl2, n_example):
 
 def test_operator_wrappers():
     sp = BasisSpace(("e", "f"))
-    op = LinearOperator.from_images(sp, sp, {"e": [sc("0"), sc("1")], "f": [sc("0"), sc("0")]})
+    op = LinearOperator(sp, sp, [[sc("0"), sc("0")], [sc("1"), sc("0")]])
     assert op.apply([sc("1"), sc("0")]) == [sc("0"), sc("1")]
-    assert op.compose(op).matrix == zeros(2, 2)
     assert op.transpose().domain.labels == ("e*", "f*")
     shifted = op.shift(sc("3"))
     assert shifted.matrix[0][0] == sc("3")

@@ -285,8 +285,9 @@ def _interleaved(*named: tuple[str, Tensor]) -> list[tuple[str, tuple, Scalar]]:
 
 # -- identity tables ----------------------------------------------------------
 # Operands: c bracket and d, e cobracket constants, r a 2-tensor, om and B
-# forms, A action matrices, g, h coaction tensors, P, N, al, be operators.
-# A name ending in 2 is the operator squared; the others are intermediates.
+# forms, A action matrices (B too, in the matched pair), g, h coaction
+# tensors, P, N, al, be operators and T: V -> L (a tensor in IMAGE).  A name
+# ending in 2 is the operator squared; the others are intermediates.
 
 JACOBI = Table("ijkm", "l: c[ijl] c[lkm] + c[jkl] c[lim] + c[kil] c[ljm]")
 # (id (x) e) d: e applied to the second factor of d; with the cyclic sum of

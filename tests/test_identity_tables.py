@@ -18,6 +18,7 @@ agree with their loops in value.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from hypothesis import given, settings
@@ -675,7 +676,7 @@ def test_frobenius_invariance_matches_dense(data):
 @st.composite
 def tensors(draw, *shape, entries=_entries):
     """A nested-list tensor of the given shape with palette entries."""
-    it = iter(entries(draw, len(list(itertools.product(*map(range, shape))))))
+    it = iter(entries(draw, math.prod(shape)))
 
     def build(dims):
         if len(dims) == 1:

@@ -218,10 +218,9 @@ class Table:
     def evaluate(self, **operands) -> Tensor:
         """The nonvanishing components, in index order."""
         tensors, shape, strides = self._operands(operands)
-        # Scalar does not cancel polynomial factors, so a sum's rendering
-        # depends on the order of its terms when some term has a non-constant
-        # denominator.  Sums of polynomials are canonical in any order, so
-        # otherwise the products are added as they are joined, not kept.
+        # With a non-constant denominator among the operands the products are
+        # added in the fold order; otherwise as they are joined.  Scalar keeps
+        # num/den in lowest terms, so both give the same forms.
         if any(v.q is None and not v.den.is_constant()
                for t in tensors.values() for v in t.entries.values()):
             products = sorted(self._products(tensors, strides, self._plans), key=_POSITION)

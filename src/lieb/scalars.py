@@ -5,11 +5,18 @@ with all exponents >= 1.  A Polynomial maps monomials to arbitrary-precision
 integer coefficients; zero coefficients are never stored, so the representation
 is canonical and equality is plain dict equality.
 
-A Scalar is a quotient num/den of two Polynomials in canonical form: the
-denominator is nonzero, num and den are jointly reduced by their integer
-content, and the denominator's leading coefficient (graded-lex order) is
-positive.  Equality of scalars is decided by cross-multiplication, so no
-multivariate gcd is ever needed.  Ordering of monomials affects printing only.
+A Scalar is a quotient num/den of two Polynomials in lowest terms: the
+denominator is nonzero, num and den have no common factor in Z[parameters]
+(their gcd, content included, is 1), and the denominator's leading
+coefficient (graded-lex order) is positive.  Every value of Q(parameters) has
+exactly one such form, so equality of scalars is equality of num and den and
+a result does not depend on the order its terms were added in.  The gcd is
+primitive PRS (Collins, JACM 1967; Brown & Traub, JACM 1971): on dense int
+coefficient lists for two polynomials in one parameter, and recursively in a
+main parameter over Z[the others] otherwise.  A constant or monomial side
+and a constant denominator need no polynomial gcd, and + and * on reduced
+operands take the smaller gcds of their denominators and cross factors, as
+fractions.Fraction does.  Ordering of monomials affects printing only.
 
 Constants take a fast path.  A Scalar whose num and den are both constant
 also carries its value as a reduced int pair p/q with q > 0.  When every
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -88,6 +95,9 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_constant(self) -> bool:
         terms = self.terms
@@ -164,36 +174,50 @@ class Polynomial:
     def divide_by_content(self, g: int) -> Polynomial:
         return Polynomial({m: c // g for m, c in self.terms.items()})
 
-    def divide_exact(self, divisor: Polynomial) -> Polynomial | None:
-        """Exact polynomial quotient self/divisor, or None if not divisible."""
+    def gcd(self, other: Polynomial) -> Polynomial:
+        """The greatest common divisor in Z[parameters], content included, with
+        a positive leading coefficient; gcd(0, 0) is 0."""
+        if len(self.terms) <= 1 or len(other.terms) <= 1:
+            return _monomial_gcd(self, other)
+        mine, theirs = self.parameters(), other.parameters()
+        names = mine | theirs
+        if len(names) == 1:
+            (x,) = names
+            ca, fa = _primitive(_int_coeffs(self, x), gcd, 1)
+            cb, fb = _primitive(_int_coeffs(other, x), gcd, 1)
+            c, g = gcd(ca, cb), _prs(fa, fb, gcd, 1)
+            if g is None:
+                return Polynomial.integer(c)
+            return _from_ints([c * v for v in g] if g[0] > 0 else [-c * v for v in g], x)
+        if not mine & theirs:
+            return Polynomial.integer(gcd(self.content(), other.content()))
+        # over Z[the others], in the parameter of least degree
+        x = min(names, key=lambda name: (max(_degree_in(self, name), _degree_in(other, name)), name))
+        ca, fa = _primitive(_poly_coeffs(self, x), Polynomial.gcd, _P_ONE)
+        cb, fb = _primitive(_poly_coeffs(other, x), Polynomial.gcd, _P_ONE)
+        c = ca.gcd(cb)
+        if len(fa) == 1 or len(fb) == 1 or _coprime_images(fa, fb, sorted(names - {x})):
+            return c
+        g = _prs(fa, fb, Polynomial.gcd, _P_ONE)
+        if g is None:
+            return c
+        out = c * _from_polys(g, x)
+        return -out if out.leading_coefficient() < 0 else out
+
+    def __floordiv__(self, divisor: Polynomial) -> Polynomial:
+        """The exact quotient by a divisor of self."""
         if divisor.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        if self.is_zero():
-            return Polynomial()
-        lead_m, lead_c = divisor.leading_term()
-        lead_exp = dict(lead_m)
-        quotient: dict[Monomial, int] = {}
-        rem = self
-        while not rem.is_zero():
-            rm, rc = rem.leading_term()
-            rexp = dict(rm)
-            if rc % lead_c != 0:
-                return None
-            qexp = {}
-            for name, e in lead_exp.items():
-                re = rexp.get(name, 0)
-                if re < e:
-                    return None
-                if re > e:
-                    qexp[name] = re - e
-            for name, e in rexp.items():
-                if name not in lead_exp and e > 0:
-                    qexp[name] = e
-            qm = tuple(sorted(qexp.items()))
-            qc = rc // lead_c
-            quotient[qm] = quotient.get(qm, 0) + qc
-            rem = rem - Polynomial({qm: qc}) * divisor
-        return Polynomial(quotient)
+        if len(divisor.terms) == 1:
+            ((m, c),) = divisor.terms.items()
+            return _raw({_mono_div(mono, m): v // c for mono, v in self.terms.items()})
+        if not self.terms:
+            return self
+        names = self.parameters() | divisor.parameters()
+        x = min(names)
+        if len(names) == 1:
+            return _from_ints(_quo(_int_coeffs(self, x), _int_coeffs(divisor, x)), x)
+        return _from_polys(_quo(_poly_coeffs(self, x), _poly_coeffs(divisor, x)), x)
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -235,6 +259,151 @@ class Polynomial:
 
 _P_ZERO = Polynomial()
 _P_ONE = Polynomial.integer(1)
+_ONE_TERMS = _P_ONE.terms
+
+
+def _raw(terms: dict[Monomial, int]) -> Polynomial:
+    """The polynomial with these terms, which hold no zero coefficient."""
+    p = object.__new__(Polynomial)
+    p.terms = terms
+    return p
+
+
+def _mono_div(a: Monomial, b: Monomial) -> Monomial:
+    """a / b for a monomial b dividing a."""
+    if not b:
+        return a
+    exps = dict(a)
+    for name, e in b:
+        exps[name] -= e
+    return tuple((name, e) for name, e in exps.items() if e)
+
+
+def _monomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """gcd(a, b) when one side is zero, a constant or a monomial: the gcd of
+    its coefficient with the other's content, times the least power of each of
+    its parameters in the other."""
+    if not a.terms or not b.terms:
+        other = b if not a.terms else a
+        return -other if other.leading_coefficient() < 0 else other
+    if len(a.terms) > 1:
+        a, b = b, a
+    ((mono, c),) = a.terms.items()
+    exps = dict(mono)
+    for m in b.terms:
+        powers = dict(m)
+        exps = {name: min(e, p) for name, e in exps.items() if (p := powers.get(name, 0))}
+    return _raw({tuple(exps.items()): gcd(c, *b.terms.values())})
+
+
+def _int_coeffs(p: Polynomial, x: str) -> list[int]:
+    """The coefficients of a polynomial in x alone, highest degree first."""
+    deg = max(m[0][1] if m else 0 for m in p.terms)
+    out = [0] * (deg + 1)
+    for m, c in p.terms.items():
+        out[deg - (m[0][1] if m else 0)] = c
+    return out
+
+
+def _from_ints(coeffs: list[int], x: str) -> Polynomial:
+    deg = len(coeffs) - 1
+    return _raw({((x, deg - i),) if i < deg else _EMPTY: c for i, c in enumerate(coeffs) if c})
+
+
+def _degree_in(p: Polynomial, x: str) -> int:
+    return max((e for m in p.terms for name, e in m if name == x), default=0)
+
+
+def _poly_coeffs(p: Polynomial, x: str) -> list[Polynomial]:
+    """The coefficients of p as a polynomial in x over the other parameters,
+    highest degree first."""
+    split: dict[int, dict[Monomial, int]] = {}
+    for m, c in p.terms.items():
+        for k, (name, e) in enumerate(m):
+            if name == x:
+                split.setdefault(e, {})[m[:k] + m[k + 1:]] = c
+                break
+        else:
+            split.setdefault(0, {})[m] = c
+    return [_raw(split[e]) if e in split else _P_ZERO for e in range(max(split), -1, -1)]
+
+
+def _from_polys(coeffs: list[Polynomial], x: str) -> Polynomial:
+    deg = len(coeffs) - 1
+    out: dict[Monomial, int] = {}
+    for i, c in enumerate(coeffs):
+        for m, v in c.terms.items():
+            out[tuple(sorted(m + ((x, deg - i),))) if i < deg else m] = v
+    return _raw(out)
+
+
+def _coprime_images(f: list[Polynomial], g: list[Polynomial], rest: list[str]) -> bool:
+    """Whether f and g, primitive in x over Z[rest], are shown coprime by their
+    images at a point of rest where neither leading coefficient vanishes: the
+    gcd's degree in x is at most its image's."""
+    for shift in range(3):
+        point = {name: 2 + 3 * j + 5 * shift for j, name in enumerate(rest)}
+        if f[0].evaluate(point) and g[0].evaluate(point):
+            fi = _primitive([int(v.evaluate(point)) for v in f], gcd, 1)[1]
+            gi = _primitive([int(v.evaluate(point)) for v in g], gcd, 1)[1]
+            return _prs(fi, gi, gcd, 1) is None
+    return False
+
+
+# Dense polynomials in one variable, highest degree first, over Z (int
+# coefficients) or Z[other parameters] (Polynomial coefficients): both support
+# -, *, exact // and a truth value.
+
+def _primitive(f: list, gcd2, one) -> tuple:
+    """(the content of f, the primitive part of f)."""
+    c = f[0]
+    for v in f[1:]:
+        if c == one:
+            break
+        c = gcd2(c, v)
+    return c, f if c == one else [v // c for v in f]
+
+
+def _prem(f: list, g: list) -> list:
+    """A nonzero constant multiple of the remainder of f by g, deg f >= deg g,
+    with no leading zeros: the pseudo-remainder."""
+    lc, n = g[0], len(g)
+    r = f
+    while len(r) >= n:
+        q = r[0]
+        r = [lc * a - q * b for a, b in zip(r[1:n], g[1:])] + [lc * a for a in r[n:]]
+        k = 0
+        while k < len(r) and not r[k]:
+            k += 1
+        r = r[k:]
+    return r
+
+
+def _prs(f: list, g: list, gcd2, one):
+    """The gcd of primitive f and g up to sign by primitive PRS, or None when
+    it is 1."""
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        r = _prem(f, g)
+        if not r:
+            return g
+        f, g = g, _primitive(r, gcd2, one)[1]
+    return None
+
+
+def _quo(f: list, g: list) -> list:
+    """The exact quotient f / g for a divisor g of f."""
+    lc, n = g[0], len(g)
+    r = list(f)
+    q = []
+    for i in range(len(f) - n + 1):
+        c = r[i] // lc
+        q.append(c)
+        if c:
+            for j in range(1, n):
+                r[i + j] = r[i + j] - c * g[j]
+    return q
 
 
 class Assumption:
@@ -279,12 +448,23 @@ class Scalar:
         if num.is_zero():
             self.num, self.den, self.p, self.q = _P_ZERO, _P_ONE, 0, 1
             return
-        g = gcd(num.content(), den.content())
-        if den.leading_coefficient() < 0:
-            g = -g
-        if g not in (0, 1):
-            num = num.divide_by_content(g)
-            den = den.divide_by_content(g)
+        if den.is_constant():
+            # the gcd of num and a constant is its content's gcd with it
+            g = gcd(num.content(), den.terms[_EMPTY])
+            if den.terms[_EMPTY] < 0:
+                g = -g
+            if g != 1:
+                num = num.divide_by_content(g)
+                den = den.divide_by_content(g)
+        else:
+            g = num.gcd(den)
+            if g.terms != _ONE_TERMS:
+                num, den = num // g, den // g
+            if den.leading_coefficient() < 0:
+                num, den = -num, -den
+        self._set(num, den)
+
+    def _set(self, num: Polynomial, den: Polynomial) -> None:
         self.num = num
         self.den = den
         nt, dt = num.terms, den.terms
@@ -330,14 +510,30 @@ class Scalar:
             other = self._coerce(other)
         if self.q is not None and other.q is not None:
             return _constant_sum(self.p, self.q, other.p, other.q)
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        na, da, nb, db = self.num, self.den, other.num, other.den
+        if not na.terms:
+            return other
+        if not nb.terms:
+            return self
+        if da.is_constant() and db.is_constant():
+            return Scalar(na * db + nb * da, da * db)
+        # Fraction's sum: only the gcd of the denominators can be common
+        g = da.gcd(db)
+        if g.terms == _ONE_TERMS:
+            return _coprime(na * db + nb * da, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = t.gcd(g)
+        if g2.terms == _ONE_TERMS:
+            return _coprime(t, s * db)
+        return _coprime(t // g2, s * (db // g2))
 
     __radd__ = __add__
 
     def __neg__(self) -> Scalar:
         if self.q is not None:
             return _constant(-self.p, self.q)
-        return Scalar(-self.num, self.den)
+        return _coprime(-self.num, self.den)
 
     def __sub__(self, other) -> Scalar:
         if not isinstance(other, Scalar):
@@ -359,7 +555,18 @@ class Scalar:
                 return ZERO
             g1, g2 = gcd(p1, q2), gcd(p2, q1)
             return _constant((p1 // g1) * (p2 // g2), (q1 // g2) * (q2 // g1))
-        return Scalar(self.num * other.num, self.den * other.den)
+        na, da, nb, db = self.num, self.den, other.num, other.den
+        if da.is_constant() and db.is_constant():
+            return Scalar(na * nb, da * db)
+        if not na.terms or not nb.terms:
+            return ZERO
+        # Fraction's product: only the cross pairs can have common factors
+        g1, g2 = na.gcd(db), nb.gcd(da)
+        if g1.terms != _ONE_TERMS:
+            na, db = na // g1, db // g1
+        if g2.terms != _ONE_TERMS:
+            nb, da = nb // g2, da // g2
+        return _coprime(na * nb, da * db)
 
     __rmul__ = __mul__
 
@@ -376,7 +583,10 @@ class Scalar:
             g1, g2 = gcd(p1, p2), gcd(q1, q2)
             num, den = (p1 // g1) * (q2 // g2), (q1 // g2) * (p2 // g1)
             return _constant(-num, -den) if den < 0 else _constant(num, den)
-        return Scalar(self.num * other.den, self.den * other.num)
+        num, den = other.num, other.den
+        if num.leading_coefficient() < 0:
+            num, den = -num, -den
+        return self * _coprime(den, num)
 
     def __rtruediv__(self, other) -> Scalar:
         return self._coerce(other) / self
@@ -386,18 +596,19 @@ class Scalar:
             return ONE / self ** (-n)
         if self.q is not None:
             return _constant(self.p**n, self.q**n)
-        return Scalar(self.num**n, self.den**n)
+        return _coprime(self.num**n, self.den**n)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.q is not None and other.q is not None:
-            return self.p == other.p and self.q == other.q
-        return (self.num * other.den - other.num * self.den).is_zero()
+        return self.num.terms == other.num.terms and self.den.terms == other.den.terms
 
-    __hash__ = None  # cross-multiplied equality is not hash-compatible
+    def __hash__(self) -> int:
+        if self.q is not None:  # equal to the int or Fraction of the same value
+            return hash(Fraction(self.p, self.q))
+        return hash((self.num, self.den))
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         den = self.den.evaluate(assignment)
@@ -449,6 +660,15 @@ def _constant(p: int, q: int) -> Scalar:
     return s
 
 
+def _coprime(num: Polynomial, den: Polynomial) -> Scalar:
+    """num/den for coprime num and den, den with a positive leading coefficient."""
+    if not num.terms:
+        return ZERO
+    s = object.__new__(Scalar)
+    s._set(num, den)
+    return s
+
+
 def _constant_sum(p1: int, q1: int, p2: int, q2: int) -> Scalar:
     """p1/q1 + p2/q2 for reduced pairs."""
     if q1 == q2:
@@ -479,9 +699,8 @@ def covered_by_assumptions(poly: Polynomial, assumptions: Iterable[Assumption]) 
         for a in assumptions:
             if a.nonzero.is_constant():
                 continue
-            q = current.divide_exact(a.nonzero)
-            if q is not None:
-                current = q
+            if current.gcd(a.nonzero) == a.nonzero:
+                current = current // a.nonzero
                 if a not in used:
                     used.append(a)
                 progress = True
@@ -619,15 +838,3 @@ def parse_scalar(text: str, allowed: Iterable[str] | None = None) -> Scalar:
     if end[0] != "end":
         raise ExpressionError(f"trailing input {end[1]!r}", end[2])
     return value
-
-
-def iter_scalars(obj) -> Iterator[Scalar]:
-    """Walk nested lists/tuples/dicts yielding every Scalar inside."""
-    if isinstance(obj, Scalar):
-        yield obj
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            yield from iter_scalars(item)
-    elif isinstance(obj, dict):
-        for item in obj.values():
-            yield from iter_scalars(item)

@@ -2,9 +2,10 @@
 
 Linear problems pose one of the identity tables of ``structures`` in a
 declared unknown: the rows are the unknown's coefficients in the table, and
-an exact nullspace solves them, reporting the assumptions its pivots used.
-Weak-symplectic and cocycle-in-delta bases are re-substituted into the
-identity as a built-in verification.  Nonlinear claims are attacked by
+an exact nullspace solves them, reporting the side conditions of the inputs'
+denominators and the assumptions its pivots used.  Every basis element is
+verified exactly: weak-symplectic and cocycle-in-delta ones by re-running
+their check, co-CYBE-slice and ad-invariance ones by M v = 0 on the rows.  Nonlinear claims are attacked by
 sampling: draw exact rational parameter values, re-check, and return either a
 re-verified nonzero witness or sampling evidence of vanishing (which is
 labelled as evidence, never proof).
@@ -23,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 # nullspace and rank are not called here; they stay in this namespace for code
 # that looks up lieb.solver.nullspace and lieb.solver.rank.
 from .multilinear import (  # noqa: F401
-    BilinearForm, Table, Tensor, TwoTensor, ZERO, kernel, left_folds, nullspace, rank,
+    BilinearForm, Table, Tensor, TwoTensor, ZERO, kernel, left_folds, mat_vec, nullspace, rank,
 )
 from .scalars import Assumption, EvalSingular, Scalar
 from . import structures
@@ -33,6 +34,7 @@ from .structures import (
     LieCoalgebra,
     check_cocycle,
     check_weak_symplectic,
+    denominator_assumptions,
     map_scalars,
     structure_parameters,
 )
@@ -94,7 +96,7 @@ class _Kind:
     unknown: str  # its operand name; each of its axes spans the space
     rank: int
     element: Callable  # (space, dense value) -> basis element
-    verify: Callable | None = None  # (context, element) -> CheckReport
+    verify: Callable | None = None  # (context, element) -> CheckReport; else M v = 0
     skew: bool = False  # a skew form, whose free entries are the upper triangle
     occurrences: tuple[int, ...] = (0,)  # the unknown's occurrences the rows take
     # whether a cell adds its terms term by term, not summation index by
@@ -145,10 +147,10 @@ def coefficient_rows(problem: LinearProblem) -> list[list[Scalar]]:
     a skew form is that of (i, j) less that of (j, i).  A cell is the left
     fold of its terms across the sub-sums and segments in order, term by term
     or summation index by summation index as the kind says; with several
-    occurrences of the unknown, the sum of one such fold for each.  The order
-    matters because Scalar does not cancel polynomial factors and pivots are
-    certified by their unreduced numerators; it is the order of the rows that
-    were derived by hand before the tables existed.
+    occurrences of the unknown, the sum of one such fold for each.  That is
+    the order of the rows that were derived by hand before the tables existed;
+    since Scalar keeps num/den in lowest terms, a cell's value and rendering
+    no longer depend on it.
     """
     return _rows(*_system(problem))
 
@@ -180,21 +182,27 @@ def solve_linear(problem: LinearProblem,
                  assumptions: Sequence[Assumption] = ()) -> LinearSolution:
     """Exact basis of the solution space of a linear problem.
 
-    Weak-symplectic and cocycle-in-delta basis elements are re-substituted
-    into the defining identity and must satisfy it exactly; a violation
-    raises.  The solution carries the assumptions that certified its pivots.
+    Every basis element is verified exactly, by its kind's check or else by
+    M v = 0 on the rows; a violation raises.  The solution carries the side
+    conditions of the inputs' non-constant denominators (the declared
+    assumptions that certify them, or else the denominators themselves), then
+    the assumptions that certified its pivots.
     """
     system = kind, space, shape, slots, _ = _system(problem)
-    vectors, used = kernel(_rows(*system), assumptions)
+    rows = _rows(*system)
+    vectors, pivots = kernel(rows, assumptions)
     basis = []
     for vec in vectors:
         entries = dict(zip(slots, vec))
         if kind.skew:
             entries.update({(j, i): -value for (i, j), value in zip(slots, vec)})
         element = kind.element(space, Tensor(shape, entries).dense())
-        if kind.verify is not None and not kind.verify(problem.context, element).passed:
+        if (not kind.verify(problem.context, element).passed if kind.verify is not None
+                else any(mat_vec(rows, vec))):
             raise AssertionError("solver produced a non-solution; this is a bug")
         basis.append(element)
+    used = denominator_assumptions(problem.context.values(), assumptions)
+    used += [a for a in pivots if a not in used]
     return LinearSolution(problem.kind, basis, len(slots) - len(vectors), len(slots), used)
 
 

@@ -9,14 +9,10 @@ whose nonvanishing had to be assumed.
 Every identity is written once, as a table of signed einsum terms
 (``multilinear.Table``), and one sparse engine evaluates them: it multiplies
 only nonzero entries and reports the components in index order.
-The fold-order rule: a component adds its terms segment by segment,
-summation index outer and term inner, and its sub-sums in the order written,
-which is the order the dense loops over all indices used.  ``Scalar`` does
-not cancel polynomial factors, so a partial sum that cancels to zero drops
-the denominator it had built up, and a reordered sum of the same terms can
-render differently.  Zero terms may be skipped, since ``x + 0``, ``0 + x``
-and ``x - 0`` give x's canonical form.  Once ``Scalar`` keeps num/den
-reduced, the form no longer depends on the order and the rule goes away.
+A component adds its terms segment by segment, summation index outer and
+term inner, and its sub-sums in the order written, which is the order the
+dense loops over all indices used.  ``Scalar`` keeps num/den in lowest terms,
+so the value's rendering does not depend on that order.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from .multilinear import (
     mat_mul,
     zeros,
 )
-from .scalars import Assumption, ONE, Scalar, covered_by_assumptions, iter_scalars
+from .scalars import Assumption, ONE, Scalar, covered_by_assumptions
 
 
 class Verdict(Enum):
@@ -188,20 +184,7 @@ def _build_report(items: Iterable[tuple[str, tuple, Scalar]],
                   details: dict | None = None) -> CheckReport:
     residuals = [Residual(name, idx, value)
                  for name, idx, value in items if not value.is_zero()]
-    used: list[Assumption] = []
-    for scalar in _all_scalars(inputs):
-        den = scalar.den
-        if den.is_constant():
-            continue
-        certified = covered_by_assumptions(den, assumptions)
-        if certified is None:
-            implicit = Assumption(den)
-            if implicit not in used:
-                used.append(implicit)
-        else:
-            for a in certified:
-                if a not in used:
-                    used.append(a)
+    used = denominator_assumptions(inputs, assumptions)
     if residuals:
         verdict = Verdict.FAIL
     elif used:
@@ -211,22 +194,49 @@ def _build_report(items: Iterable[tuple[str, tuple, Scalar]],
     return CheckReport(verdict, residuals, used, details or {})
 
 
-def _all_scalars(objs: Iterable):
+def denominator_assumptions(inputs: Iterable, assumptions: Sequence[Assumption]) -> list[Assumption]:
+    """The side conditions of the inputs' non-constant denominators, in input
+    order: the declared assumptions that certify a denominator nonzero, or
+    else the denominator itself, as an implicit assumption."""
+    used: list[Assumption] = []
+    seen = set()
+    for scalar in _all_scalars(inputs):
+        den = scalar.den
+        if scalar.q is not None or den.is_constant() or den in seen:
+            continue
+        seen.add(den)
+        certified = covered_by_assumptions(den, assumptions)
+        for a in [Assumption(den)] if certified is None else certified:
+            if a not in used:
+                used.append(a)
+    return used
+
+
+def _all_scalars(objs: Iterable) -> list[Scalar]:
+    """Every scalar of the given structures (or scalars, or nested lists of
+    them), in order."""
+    out: list[Scalar] = []
     for obj in objs:
-        if isinstance(obj, (LieAlgebra,)):
-            yield from iter_scalars(obj.c)
+        if isinstance(obj, LieAlgebra):
+            values = obj.c
         elif isinstance(obj, LieCoalgebra):
-            yield from iter_scalars(obj.d)
+            values = obj.d
         elif isinstance(obj, Representation):
-            yield from iter_scalars(obj.action)
+            values = obj.action
         elif isinstance(obj, Corepresentation):
-            yield from iter_scalars(obj.coaction)
+            values = obj.coaction
         elif isinstance(obj, (LinearOperator, BilinearForm, TwoTensor)):
-            yield from iter_scalars(obj.matrix)
+            values = obj.matrix
+        elif isinstance(obj, Scalar):
+            values = [obj]
         elif obj is None:
             continue
         else:
-            yield from iter_scalars(obj)
+            values = obj
+        while values and isinstance(values[0], (list, tuple)):
+            values = [v for row in values for v in row]
+        out += values
+    return out
 
 
 def map_scalars(obj, fn):

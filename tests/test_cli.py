@@ -191,10 +191,11 @@ def test_solve_reports_pivot_assumptions(tmp_path, capsys):
     assert json.loads(out)["assumptions_used"] == []
 
 
-# the pivots each solve of tests/golden/solve/parametric.lieb certifies
+# the side conditions each solve of tests/golden/solve/parametric.lieb
+# reports: its inputs' denominators k and k + 1, then its pivots' assumptions
 _PARAMETRIC_ASSUMPTIONS = {
-    "weak-symplectic": ["2*k + 1 != 0"],
-    "ad-invariance": ["k != 0", "2*k + 1 != 0", "k + 1 != 0"],
+    "weak-symplectic": ["k != 0", "k + 1 != 0", "2*k + 1 != 0"],
+    "ad-invariance": ["k != 0", "k + 1 != 0", "2*k + 1 != 0"],
     "cocycle-in-delta": ["k != 0", "k + 1 != 0", "k - 1 != 0", "k + 2 != 0"],
     "co-cybe-slice": ["k != 0", "k + 1 != 0", "k^2 + 2*k + 2 != 0"],
 }
@@ -203,10 +204,9 @@ _PARAMETRIC_ASSUMPTIONS = {
 @pytest.mark.parametrize("problem", sorted(_PARAMETRIC_ASSUMPTIONS))
 def test_parametric_solve_matches_golden(problem, capsys, monkeypatch):
     # The golden payloads were written by `lieb --format json solve
-    # parametric.lieb --problem <problem>`, run in tests/golden/solve, while
-    # the rows were still built by hand; assumptions_used came later.  With
-    # parametric denominators the rows' unreduced forms decide the pivots and
-    # the rendered basis, so the rows must fold their terms in the same order.
+    # parametric.lieb --problem <problem>`, run in tests/golden/solve, without
+    # assumptions_used, which is checked above.  Scalar keeps num/den in lowest
+    # terms, so each rendered entry is the value's one canonical form.
     monkeypatch.chdir(GOLDEN / "solve")
     code, out, _ = _run(capsys, "--format", "json", "solve", "parametric.lieb",
                         "--problem", problem)
@@ -254,10 +254,8 @@ def test_shipped_file_json_report_matches_golden(golden, tmp_path, capsys, monke
 
 def test_parametric_check_matches_golden(capsys, monkeypatch):
     # The golden report was written by `lieb --format json check parametric.lieb`,
-    # run in tests/golden/check, while torsion, operator compatibility, the
-    # pairing, the r-forms and rrbo were still loops over basis vectors.  Its
-    # residuals are rational functions, whose rendering depends on the order
-    # in which their terms are added.
+    # run in tests/golden/check.  Its residuals are rational functions of k,
+    # each rendered in its one lowest-terms form.
     monkeypatch.chdir(GOLDEN / "check")
     code, out, _ = _run(capsys, "--format", "json", "check", "parametric.lieb")
     assert code == EXIT_CHECK_FAILED

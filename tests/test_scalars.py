@@ -100,6 +100,18 @@ def test_denominator_sign_normalised():
     assert value.den.leading_coefficient() > 0
 
 
+def test_two_parameter_common_factor_cancels():
+    assert str(sc("((k1 - k2)*(k1 + k2))/((k1 - k2)*k2)")) == "(k1 + k2)/(k2)"
+
+
+def test_equal_values_are_equal_forms_and_hashes():
+    a, b = sc("(k^2 - 1)/(k^2 + k)"), sc("1 - 1/k")
+    assert (a.num.terms, a.den.terms) == (b.num.terms, b.den.terms)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # a constant hashes as the int or Fraction it equals
+    assert hash(sc("6/4")) == hash(Fraction(3, 2)) and hash(sc("k/k + 2")) == hash(3)
+
+
 @given(a=scalars(), b=scalars(), c=scalars())
 @settings(max_examples=60, deadline=None)
 def test_ring_laws(a, b, c):
@@ -325,6 +337,21 @@ def _to_sympy(sympy, poly: Polynomial):
 
 def _scalar_to_sympy(sympy, value: Scalar):
     return _to_sympy(sympy, value.num) / _to_sympy(sympy, value.den)
+
+
+@given(a=scalars(), b=scalars())
+@settings(max_examples=40, deadline=None)
+def test_results_are_in_lowest_terms(a, b):
+    sympy = pytest.importorskip("sympy")
+    A, B = _scalar_to_sympy(sympy, a), _scalar_to_sympy(sympy, b)
+    results = [(a + b, A + B), (a - b, A - B), (a * b, A * B)]
+    if not b.is_zero():
+        results.append((a / b, A / B))
+    for ours, theirs in results:
+        num, den = _to_sympy(sympy, ours.num), _to_sympy(sympy, ours.den)
+        assert sympy.gcd(num, den).is_number
+        p, q = sympy.fraction(sympy.cancel(theirs))
+        assert sympy.expand(num * q - den * p) == 0
 
 
 _SMALL = scalars(max_terms=3, max_degree=2)

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from lieb import (
+    BilinearForm,
     LieAlgebra,
+    LieCoalgebra,
     LinearProblem,
     RefutedAt,
     ConfirmedZero,
@@ -23,7 +25,8 @@ from lieb import (
     solve_linear,
 )
 from lieb.multilinear import BasisSpace, zeros, zeros3
-from lieb.scalars import Assumption, Polynomial, Scalar, ZERO
+from lieb import solver
+from lieb.scalars import Assumption, ONE, Polynomial, Scalar, ZERO
 from lieb.solver import ExhaustedSamples, bind_parameters
 
 from conftest import abelian, make_operator, sc
@@ -122,6 +125,28 @@ def test_co_cybe_slice_at_the_kappa_form(dr, omega_symp):
     # the equation vanishes identically on skew forms here, so its
     # polarisation does too: the whole skew space solves the slice
     assert solution.dimension == 3
+
+
+def _skew_slice_problem() -> LinearProblem:
+    # tests/golden/solve/parametric.lieb at k = 1, where the slice has rank 1
+    sp = BasisSpace(("a", "b", "c"))
+    d, om = zeros3(3, 3, 3), zeros(3, 3)
+    for i, a, b, value in [(1, 0, 1, "1"), (2, 0, 2, "1/2"), (2, 1, 2, "1")]:
+        d[i][a][b], d[i][b][a] = sc(value), -sc(value)
+    for a, b, value in [(0, 1, "1"), (0, 2, "-1/2"), (1, 2, "1")]:
+        om[a][b], om[b][a] = sc(value), -sc(value)
+    return LinearProblem.co_cybe_slice(LieCoalgebra(sp, d), BilinearForm(sp, om))
+
+
+@pytest.mark.parametrize("kind", ["ad-invariance", "co-cybe-slice"])
+def test_basis_is_resubstituted_into_the_rows(kind, sl2, monkeypatch):
+    problem = (LinearProblem.ad_invariance(sl2) if kind == "ad-invariance"
+               else _skew_slice_problem())
+    assert solve_linear(problem).rank > 0
+    # a kernel that returns the all-ones vector, which solves neither system
+    monkeypatch.setattr(solver, "kernel", lambda rows, assumptions: ([[ONE] * len(rows[0])], []))
+    with pytest.raises(AssertionError, match="non-solution"):
+        solve_linear(problem)
 
 
 # -- stability under basis permutation ----------------------------------------------------

@@ -5,10 +5,10 @@ declared unknown: the rows are the unknown's coefficients in the table, and
 an exact nullspace solves them, reporting the side conditions of the inputs'
 denominators and the assumptions its pivots used.  Every basis element is
 verified exactly: weak-symplectic and cocycle-in-delta ones by re-running
-their check, co-CYBE-slice and ad-invariance ones by M v = 0 on the rows.  Nonlinear claims are attacked by
-sampling: draw exact rational parameter values, re-check, and return either a
-re-verified nonzero witness or sampling evidence of vanishing (which is
-labelled as evidence, never proof).
+their check, co-CYBE-slice and ad-invariance ones by M v = 0 on the rows.
+Nonlinear claims are attacked by sampling: draw exact rational parameter
+values, re-check, and return either a re-verified nonzero witness or sampling
+evidence of vanishing (which is labelled as evidence, never proof).
 """
 
 from __future__ import annotations
@@ -197,8 +197,11 @@ def solve_linear(problem: LinearProblem,
         if kind.skew:
             entries.update({(j, i): -value for (i, j), value in zip(slots, vec)})
         element = kind.element(space, Tensor(shape, entries).dense())
-        if (not kind.verify(problem.context, element).passed if kind.verify is not None
-                else any(mat_vec(rows, vec))):
+        if kind.verify is not None:
+            solves = kind.verify(problem.context, element).passed
+        else:
+            solves = not any(mat_vec(rows, vec))
+        if not solves:
             raise AssertionError("solver produced a non-solution; this is a bug")
         basis.append(element)
     used = denominator_assumptions(problem.context.values(), assumptions)

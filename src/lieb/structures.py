@@ -229,10 +229,10 @@ def _all_scalars(objs: Iterable) -> list[Scalar]:
             values = obj.matrix
         elif isinstance(obj, Scalar):
             values = [obj]
-        elif obj is None:
-            continue
-        else:
+        elif isinstance(obj, (list, tuple)):
             values = obj
+        else:
+            continue
         while values and isinstance(values[0], (list, tuple)):
             values = [v for row in values for v in row]
         out += values

@@ -2,10 +2,10 @@
 
 One engine evaluates every multilinear identity from its table of signed
 einsum terms.  Each check below must agree with the dense loop over all
-indices in every component's numerator and denominator terms, not only in
-value, on the cancelling palette of ``test_sparse_kernels`` (zeros and
-``+-1/k``, ``+-1/(k+1)``, ``+-1``), where a reordered or regrouped sum would
-render differently.  The solver's rows are the coefficients of the unknown in
+indices in every component's numerator and denominator terms (in value, since
+Scalar keeps num/den in lowest terms) on the cancelling palette of
+``test_sparse_kernels`` (zeros and ``+-1/k``, ``+-1/(k+1)``, ``+-1``).  The
+solver's rows are the coefficients of the unknown in
 the same tables; they must render like the hand-derived rows too.  The
 vector-level identities (torsion, operator compatibility, the pairing, the
 matched-pair mixing identities, the relative Rota-Baxter conditions) must
@@ -801,8 +801,6 @@ def _problems(c, d, om):
 @_SETTINGS
 @given(st.data())
 def test_solver_rows_equal_the_hand_derived_rows(data):
-    # pivots are certified by their unreduced numerators, so the rows must
-    # render alike, not only agree in value
     c, d, om = data.draw(tensors3(N)), data.draw(tensors3(N)), data.draw(matrices(N))
     for problem, want in _problems(c, d, om):
         assert [[_form(x) for x in row] for row in coefficient_rows(problem)] == \

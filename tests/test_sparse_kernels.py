@@ -1,13 +1,11 @@
 """The sparse identity kernels against their dense reference loops.
 
-The kernels skip zero structure constants but must add the remaining terms of
-each component in the dense loop's order, because the canonical form of a sum
-depends on where its partial sums cancel: ``1/k + (-1/k) + 1/(k+1)`` renders
-``(1)/(k + 1)`` while ``1/k + 1/(k+1) + (-1/k)`` renders ``(k^2)/(k^3 + k^2)``.
-The references below are the dense loops over every index; the inputs mix
-zeros with entries ``+-1/k``, ``+-1/(k+1)``, ``+-1`` that make such
-cancellations common.  Every component must agree in its numerator and
-denominator terms, not only in value.
+The kernels skip zero structure constants and add the remaining terms of each
+component in the dense loop's order.  The references below are the dense
+loops over every index; the inputs mix zeros with entries ``+-1/k``,
+``+-1/(k+1)``, ``+-1``, whose partial sums often cancel.  Every component must
+agree in its numerator and denominator terms; since Scalar keeps num/den in
+lowest terms, that is agreement in value, whatever the order of the terms.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ exactly one such form, so equality of scalars is equality of num and den and
 a result does not depend on the order its terms were added in.  The gcd is
 primitive PRS (Collins, JACM 1967; Brown & Traub, JACM 1971): on dense int
 coefficient lists for two polynomials in one parameter, and recursively in a
-main parameter over Z[the others] otherwise.  A constant or monomial side
+main parameter over Z[the others] otherwise, where coprime inputs are first
+settled by their images at an integer point.  A constant or monomial side
 and a constant denominator need no polynomial gcd, and + and * on reduced
 operands take the smaller gcds of their denominators and cross factors, as
 fractions.Fraction does.  Ordering of monomials affects printing only.
@@ -179,8 +180,7 @@ class Polynomial:
         a positive leading coefficient; gcd(0, 0) is 0."""
         if len(self.terms) <= 1 or len(other.terms) <= 1:
             return _monomial_gcd(self, other)
-        mine, theirs = self.parameters(), other.parameters()
-        names = mine | theirs
+        names = self.parameters() | other.parameters()
         if len(names) == 1:
             (x,) = names
             ca, fa = _primitive(_int_coeffs(self, x), gcd, 1)
@@ -189,14 +189,14 @@ class Polynomial:
             if g is None:
                 return Polynomial.integer(c)
             return _from_ints([c * v for v in g] if g[0] > 0 else [-c * v for v in g], x)
-        if not mine & theirs:
-            return Polynomial.integer(gcd(self.content(), other.content()))
         # over Z[the others], in the parameter of least degree
         x = min(names, key=lambda name: (max(_degree_in(self, name), _degree_in(other, name)), name))
         ca, fa = _primitive(_poly_coeffs(self, x), Polynomial.gcd, _P_ONE)
         cb, fb = _primitive(_poly_coeffs(other, x), Polynomial.gcd, _P_ONE)
         c = ca.gcd(cb)
-        if len(fa) == 1 or len(fb) == 1 or _coprime_images(fa, fb, sorted(names - {x})):
+        # coprime inputs, about half of those that get here, are settled by
+        # their images: primitive PRS over Z[the others] swells on them
+        if _coprime_images(fa, fb, sorted(names - {x})):
             return c
         g = _prs(fa, fb, Polynomial.gcd, _P_ONE)
         if g is None:
@@ -205,7 +205,8 @@ class Polynomial:
         return -out if out.leading_coefficient() < 0 else out
 
     def __floordiv__(self, divisor: Polynomial) -> Polynomial:
-        """The exact quotient by a divisor of self."""
+        """The exact quotient by a divisor of self.  No remainder is checked:
+        for a divisor that does not divide self the result is undefined."""
         if divisor.is_zero():
             raise DivisionByZero("polynomial division by zero")
         if len(divisor.terms) == 1:

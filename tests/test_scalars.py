@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lieb.scalars
 from lieb.scalars import (
     Assumption,
     DivisionByZero,
@@ -102,6 +103,31 @@ def test_denominator_sign_normalised():
 
 def test_two_parameter_common_factor_cancels():
     assert str(sc("((k1 - k2)*(k1 + k2))/((k1 - k2)*k2)")) == "(k1 + k2)/(k2)"
+
+
+def test_coprime_multivariate_pair_is_settled_by_images(monkeypatch):
+    # a Hypothesis draw: primitive PRS in lambda over Z[k1, k2] takes about
+    # 25 s to find that these are coprime, their images at a point a few us
+    a = sc("10*k1^4*k2^3*lambda - 40*k1^4*k2^2*lambda^2 + 18*k1^2*k2^5*lambda"
+           " - 72*k1^2*k2^4*lambda^2 - 80*k1^3*k2^2*lambda^2 - 15*k1^2*k2^3*lambda^2"
+           " + 60*k1^2*k2^2*lambda^3 - 144*k1*k2^4*lambda^2 + 36*k1^2*k2^4"
+           " - 144*k1^2*k2^3*lambda - 5*k1^2*k2^2*lambda^2 + 20*k1^2*k2*lambda^3"
+           " + 120*k1*k2^2*lambda^3 - 50*k1^3*k2*lambda + 10*k1^2*k2^2*lambda"
+           " - 40*k1^2*k2*lambda^2 - 387*k1*k2^3*lambda + 36*k1*k2^2*lambda^2"
+           " + 40*k1*k2*lambda^3 - 5*k1*k2*lambda^2 + 72*k2^2*lambda^2 - 198*k1*k2^2"
+           " + 72*k1*k2*lambda + 25*k1*lambda^2 - 50*k1*lambda + 189*k2*lambda + 90").num
+    b = sc("6*k1*k2^2 + lambda^3").num
+    prs = lieb.scalars._prs
+
+    def over_z_only(f, g, gcd2, one):
+        assert gcd2 is not Polynomial.gcd, "primitive PRS over a polynomial ring"
+        return prs(f, g, gcd2, one)
+
+    monkeypatch.setattr(lieb.scalars, "_prs", over_z_only)
+    assert str(a.gcd(b)) == "1"
+    h = sc("k1 + k2*lambda + 1").num
+    monkeypatch.setattr(lieb.scalars, "_prs", prs)
+    assert (a * h).gcd(b * h) == h
 
 
 def test_equal_values_are_equal_forms_and_hashes():

@@ -188,14 +188,14 @@ class Table:
 
     ``Table("ijkm", "l: c[ijl] c[lkm] + c[jkl] c[lim] + c[kil] c[ljm]")`` is
     the Jacobi sum.  Each argument after the output letters is a sub-sum, and
-    ``-(...)`` negates one.  A sub-sum folds its segments, separated by
+    ``-(...)`` negates one.  A sub-sum joins its segments, separated by
     ``;``.  A segment ``letters: terms`` sums its signed terms over its
     summation letters; a segment with no summation letters has no colon.  A
-    term is a product of factors ``name[letters]``, formed left to right.  A
-    component's value is the left fold of its sub-sums, each the left fold of
-    its terms over the segments in order, summation index (lexicographic)
-    outer and term inner.  Only nonzero entries are visited, and a component
-    that no nonzero term reaches is absent.
+    term is a product of factors ``name[letters]``.  A component's value is
+    the sum of every signed product that reaches it; ``Scalar`` keeps num/den
+    in lowest terms, so that sum renders the same in any order.  Only nonzero
+    entries are visited, and a component that no nonzero term reaches is
+    absent.
     """
 
     def __init__(self, out: str, *subsums: str):
@@ -218,43 +218,26 @@ class Table:
     def evaluate(self, **operands) -> Tensor:
         """The nonvanishing components, in index order."""
         tensors, shape, strides = self._operands(operands)
-        # With a non-constant denominator among the operands the products are
-        # added in the fold order; otherwise as they are joined.  Scalar keeps
-        # num/den in lowest terms, so both give the same forms.
-        if any(v.q is None and not v.den.is_constant()
-               for t in tensors.values() for v in t.entries.values()):
-            products = sorted(self._products(tensors, strides, self._plans), key=_POSITION)
-            parts = left_folds(((key, position[0]), v) for key, position, v in products)
-            total = left_folds((key, v) for (key, _), v in parts.items())
-        else:
-            total = {}
-            for _, positive, steps, _ in self._plans:
-                partial, (index, lookup) = _join(steps, positive, tensors, strides)
-                for b, x, s in partial:
-                    for _, v, at in index.get(lookup(b), ()):
-                        k, term = s + at, v if x is None else x * v
-                        prev = total.get(k)
-                        total[k] = term if prev is None else prev + term
+        total = _fold(self._plans, tensors, strides)
         radix = list(zip(strides, shape))
         return Tensor(shape, {tuple([k // stride % size for stride, size in radix]): total[k]
                               for k in sorted(total) if not total[k].is_zero()})
 
     def coefficients(self, unknown: str, occurrence: int = 0, **operands):
-        """The terms of a table that is linear in one factor of each term,
-        with that factor left out.
+        """The coefficients of a table that is linear in one factor of each
+        term.
 
         That factor is the ``occurrence``-th one named ``unknown``; any other
         factor of that name takes the operand's value.  Returns the shape of
         the coefficients, indexed by the output letters and then the
-        unknown's, and each nonzero term, in no particular order, as (its
-        index flattened in row-major order, (sub-sum, segment, summation
-        index, term), signed product).
+        unknown's, and a dict from each index that a nonzero term reaches,
+        flattened in row-major order, to its coefficient.
         """
         tensors, shape, strides = self._operands(operands, unknown)
         unknown_shape = tensors[unknown].shape
         # the unknown's factor: every index, each with no value
         tensors[_UNKNOWN] = Tensor(unknown_shape, dict.fromkeys(product(*map(range, unknown_shape))))
-        return shape, self._products(tensors, strides, self._compile(unknown, occurrence))
+        return shape, _fold(self._compile(unknown, occurrence), tensors, strides)
 
     def _operands(self, operands, unknown=None):
         """The operands as Tensors, the result's shape and its row-major strides."""
@@ -273,27 +256,13 @@ class Table:
             strides[q] = strides[q + 1] * shape[q + 1]
         return tensors, shape, strides
 
-    def _products(self, tensors, strides, plans):
-        products = []
-        for (h, g, t), positive, steps, order in plans:
-            partial, (index, lookup) = _join(steps, positive, tensors, strides)
-            products += [(s + at, (h, g, order(b + r), t), v if x is None else x if v is None else x * v)
-                         for b, x, s in partial for r, v, at in index.get(lookup(b), ())]
-        return products
-
     def _compile(self, unknown, occurrence):
-        """For each term: its (sub-sum, segment, term), sign and join steps,
-        and the getter of its summation index from a binding."""
-        plans = []
-        for h, segments in enumerate(self.subsums):
-            for g, (letters, terms) in enumerate(segments):
-                for t, (positive, factors) in enumerate(terms):
-                    steps, bound = _plan(self.out, factors, unknown, occurrence)
-                    plans.append(((h, g, t), positive, steps, _picker([bound.index(x) for x in letters])))
-        return plans
+        """For each term: its sign and join steps."""
+        return [(positive, _plan(self.out, factors, unknown, occurrence))
+                for segments in self.subsums for _, terms in segments
+                for positive, factors in terms]
 
 
-_POSITION = itemgetter(0, 1)
 _UNKNOWN = "*"  # the operand name of the unknown's factor in a coefficient plan
 
 
@@ -321,7 +290,7 @@ def _parse_subsum(text: str):
 
 
 def _plan(out, factors, unknown, occurrence):
-    """(join steps, the letters in the order bound) for one term.
+    """The join steps of one term.
 
     A step binds the new letters of one factor, looking its entries up by the
     letters already bound: (operand name, getter of the bound letters' values
@@ -352,7 +321,22 @@ def _plan(out, factors, unknown, occurrence):
         steps.append((name, _picker(at), _picker(new), repeats,
                       _picker([bound.index(spec[p]) for p in at]), keyed))
         bound += [spec[p] for p in new]
-    return steps, bound
+    return steps
+
+
+def _fold(plans, tensors, strides) -> dict:
+    """Flattened key -> the sum of the signed products of every term that
+    reaches it, added as they are joined."""
+    total: dict = {}
+    get = total.get
+    for positive, steps in plans:
+        partial, (index, lookup) = _join(steps, positive, tensors, strides)
+        for b, x, s in partial:
+            for _, v, at in index.get(lookup(b), ()):
+                k, term = s + at, v if x is None else x if v is None else x * v  # v None: the unknown
+                prev = get(k)
+                total[k] = term if prev is None else prev + term
+    return total
 
 
 def _join(steps, positive, tensors, strides):
@@ -392,16 +376,6 @@ def _picker(positions):
 
 
 _unbound = itemgetter(slice(0))  # the key of a lookup by no letters: ()
-
-
-def left_folds(pairs) -> dict:
-    """key -> the left fold of its values, in the order given."""
-    total: dict = {}
-    get = total.get
-    for key, v in pairs:
-        prev = get(key)
-        total[key] = v if prev is None else prev + v
-    return total
 
 
 def contract(plan: str, *operands):

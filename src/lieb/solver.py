@@ -18,13 +18,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 # nullspace and rank are not called here; they stay in this namespace for code
 # that looks up lieb.solver.nullspace and lieb.solver.rank.
 from .multilinear import (  # noqa: F401
-    BilinearForm, Table, Tensor, TwoTensor, ZERO, kernel, left_folds, mat_vec, nullspace, rank,
+    BilinearForm, Table, Tensor, TwoTensor, ZERO, kernel, mat_vec, nullspace, rank,
 )
 from .scalars import Assumption, EvalSingular, Scalar
 from . import structures
@@ -99,9 +98,6 @@ class _Kind:
     verify: Callable | None = None  # (context, element) -> CheckReport; else M v = 0
     skew: bool = False  # a skew form, whose free entries are the upper triangle
     occurrences: tuple[int, ...] = (0,)  # the unknown's occurrences the rows take
-    # whether a cell adds its terms term by term, not summation index by
-    # summation index (see coefficient_rows)
-    by_term: bool = False
 
 
 _KINDS = {
@@ -114,11 +110,9 @@ _KINDS = {
     CO_CYBE_SLICE: _Kind(
         structures.CO_CYBE, lambda ctx: {"d": ctx["coalgebra"].d, "om": ctx["omega0"].matrix},
         "om", 2, BilinearForm, skew=True, occurrences=(0, 1)),
-    # its hand-derived rows added term by term, while check_cocycle adds
-    # summation index by summation index
     COCYCLE_IN_DELTA: _Kind(
         structures.COCYCLE, lambda ctx: {"c": ctx["algebra"].c}, "d", 3, LieCoalgebra,
-        lambda ctx, x: check_cocycle(ctx["algebra"], x), by_term=True),
+        lambda ctx, x: check_cocycle(ctx["algebra"], x)),
     AD_INVARIANCE: _Kind(
         structures.AD_INVARIANCE, lambda ctx: {"c": ctx["algebra"].c}, "r", 2, TwoTensor),
 }
@@ -144,13 +138,8 @@ def coefficient_rows(problem: LinearProblem) -> list[list[Scalar]]:
 
     Row by row, the components of the identity in index order, zero rows
     included; column by column, the coefficient of each free entry, which for
-    a skew form is that of (i, j) less that of (j, i).  A cell is the left
-    fold of its terms across the sub-sums and segments in order, term by term
-    or summation index by summation index as the kind says; with several
-    occurrences of the unknown, the sum of one such fold for each.  That is
-    the order of the rows that were derived by hand before the tables existed;
-    since Scalar keeps num/den in lowest terms, a cell's value and rendering
-    no longer depend on it.
+    a skew form is that of (i, j) less that of (j, i).  With several
+    occurrences of the unknown, a cell is the sum of its coefficient in each.
     """
     return _rows(*_system(problem))
 
@@ -161,20 +150,15 @@ def _rows(kind, space, shape, slots, operands) -> list[list[Scalar]]:
     column = {flat[slot]: (col, True) for col, slot in enumerate(slots)}
     if kind.skew:
         column.update({flat[j, i]: (col, False) for col, (i, j) in enumerate(slots)})
-    order = itemgetter(0, 1, 3, 2) if kind.by_term else itemgetter(0, 1, 2, 3)
-    cells = []
-    for turn, occurrence in enumerate(kind.occurrences):
-        full, products = kind.table.coefficients(kind.unknown, occurrence, **operands)
-        for key, position, value in products:
+    rows = []
+    for occurrence in kind.occurrences:
+        full, sums = kind.table.coefficients(kind.unknown, occurrence, **operands)
+        rows = rows or [[ZERO] * len(slots) for _ in range(math.prod(full) // len(flat))]
+        for key, value in sums.items():
             row, entry = divmod(key, len(flat))
             if entry in column:
                 col, positive = column[entry]
-                cells.append(((row, col), turn, order(position), value if positive else -value))
-    cells.sort(key=itemgetter(0, 1, 2))
-    parts = left_folds(((cell, turn), value) for cell, turn, _, value in cells)
-    rows = [[ZERO] * len(slots) for _ in range(math.prod(full) // len(flat))]
-    for (row, col), value in left_folds((cell, v) for (cell, _), v in parts.items()).items():
-        rows[row][col] = value
+                rows[row][col] = rows[row][col] + value if positive else rows[row][col] - value
     return rows
 
 

@@ -313,11 +313,11 @@ IMAGE = Table("iab", "m: M[mi] T[mab]")
 # [e_i, M e_j]
 RIGHT_IMAGE = Table("ijk", "b: M[bj] c[ibk]")
 # [Nx, Ny] + N^2[x, y] - (N[Nx, y] + N[x, Ny]), with left = [Nx, y], right = [x, Ny]
-TORSION_RHS = Table("ijk", "m: N[km] left[ijm]", "m: N[km] right[ijm]")
-TORSION = Table("ijk", "ab: N[ai] N[bj] c[abk]", "m: N2[km] c[ijm]", "-(rhs[ijk])")
+TORSION = Table("ijk", "ab: N[ai] N[bj] c[abk]", "m: N2[km] c[ijm]",
+                "-(m: N[km] left[ijm] + N[km] right[ijm])")
 # P[Nx, y] + [x, P^2 y] - ([Nx, Py] + P[x, Py]), with left = [Nx, y], right = [x, Py]
-OPERATOR_COMPATIBILITY_RHS = Table("ijk", "ab: N[ai] P[bj] c[abk]", "m: P[km] right[ijm]")
-OPERATOR_COMPATIBILITY = Table("ijk", "m: P[km] left[ijm]", "b: P2[bj] c[ibk]", "-(rhs[ijk])")
+OPERATOR_COMPATIBILITY = Table("ijk", "m: P[km] left[ijm]", "b: P2[bj] c[ibk]",
+                               "-(ab: N[ai] P[bj] c[abk]; m: P[km] right[ijm])")
 # (P(x)P) delta + delta P^2 - (P(x)id)(delta P) - (id(x)P)(delta P), with dP = delta(P e_i)
 NIJENHUIS_COBRACKET = Table("iab", "xy: d[ixy] P[ax] P[by]", "m: P2[mi] d[mab]",
                             "-(x: P[ax] dP[ixb])", "-(y: dP[iay] P[by])")
@@ -346,16 +346,16 @@ WEAK_SYMPLECTIC = Table("ijk", "m: c[ijm] om[mk] + c[jkm] om[mi] + c[kim] om[mj]
 # the cyclic sum of t = (delta (x) id)(r)
 DELTA_R = Table("abc", "x: d[xab] r[xc]")
 WEAK_COSYMPLECTIC = Table("ijk", "t[ijk]", "t[jki]", "t[kij]")
-COMMUTATOR = Table("ijab", "x: A[iax] A[jxb]", "-(x: A[jax] A[ixb])")
-REPRESENTATION = Table("ijab", "k: c[ijk] A[kab]", "-(comm[ijab])")
+# rho([x, y]) - (rho(x) rho(y) - rho(y) rho(x))
+REPRESENTATION = Table("ijab", "k: c[ijk] A[kab]", "-(x: A[iax] A[jxb] - A[jax] A[ixb])")
 # the product T_i M of each matrix T_i with one matrix M: rho(e_i) alpha
 RIGHT_PRODUCT = Table("ipq", "x: T[ipx] M[xq]")
 # rho(Nx) al + al^2 rho(x) - (al rho(Nx) + al rho(x) al), with rN = rho(N e_i), rA = rho(e_i) al
-NIJ_REPRESENTATION_RHS = Table("ipq", "x: al[px] rN[ixq]", "x: al[px] rA[ixq]")
-NIJ_REPRESENTATION = Table("ipq", "x: rN[ipx] al[xq]", "x: al2[px] A[ixq]", "-(rhs[ipq])")
+NIJ_REPRESENTATION = Table("ipq", "x: rN[ipx] al[xq]", "x: al2[px] A[ixq]",
+                           "-(x: al[px] rN[ixq] + al[px] rA[ixq])")
 # be rho(Nx) + rho(x) be^2 - (rho(Nx) be + be rho(x) be), with rB = rho(e_i) be
-ADMISSIBLE_RHS = Table("ipq", "x: rN[ipx] be[xq]", "x: be[px] rB[ixq]")
-ADMISSIBLE = Table("ipq", "x: be[px] rN[ixq]", "x: A[ipx] be2[xq]", "-(rhs[ipq])")
+ADMISSIBLE = Table("ipq", "x: be[px] rN[ixq]", "x: A[ipx] be2[xq]",
+                   "-(x: rN[ipx] be[xq] + be[px] rB[ixq])")
 COREPRESENTATION = Table("iabk", "j: g[ijk] d[jab]", "-(x: g[iax] g[xbk] - g[ibx] g[xak])")
 NIJ_COREPRESENTATION = Table("iak", "jx: g[ijx] P[aj] be[kx]", "x: be2[xi] g[xak]",
                              "-(xj: g[xjk] be[xi] P[aj])", "-(xq: g[xaq] be[xi] be[kq])")
@@ -372,10 +372,9 @@ INVARIANCE = Table("ijk", "m: c[ijm] B[mk]", "-(m: c[jkm] B[im])")
 # (ad_x (x) id + id (x) ad_x)(r + r^sigma)
 AD_INVARIANCE = Table("xpq", "y: c[xyp] r[yq] + c[xyp] r[qy] + c[xyq] r[py] + c[xyq] r[yp]")
 # x.[u, v] - [x.u, v] - [u, x.v] - ((v.x).u - (u.x).v), where x acts by A on the
-# algebra of c and u, v act back on x's by B; rhs is the last part
-MATCHED_PAIR_RHS = Table("xuvk", "t: B[vtx] A[tku]", "-(t: B[utx] A[tkv])")
+# algebra of c and u, v act back on x's by B
 MATCHED_PAIR = Table("xuvk", "p: A[xkp] c[uvp]", "-(p: A[xpu] c[pvk])", "-(q: A[xqv] c[uqk])",
-                     "-(rhs[xuvk])")
+                     "-(t: B[vtx] A[tku] - B[utx] A[tkv])")
 # [Tu, Tv] - T(rho(Tu) v - rho(Tv) u), with inner = rho(Tu) v - rho(Tv) u
 ROTA_BAXTER_INNER = Table("ijs", "p: T[pi] A[psj]", "-(p: T[pj] A[psi])")
 ROTA_BAXTER = Table("ija", "pq: T[pi] T[qj] c[pqa]", "-(s: T[as] inner[ijs])")
@@ -420,9 +419,8 @@ def check_nijenhuis(L: LieAlgebra, N: LinearOperator,
     if N.domain.dim != L.space.dim or N.codomain.dim != L.space.dim:
         raise ShapeError("operator does not act on the algebra")
     c, nm = Tensor.of(L.c), Tensor.of(N.matrix)
-    rhs = TORSION_RHS.evaluate(N=nm, left=IMAGE.evaluate(M=nm, T=c),
-                               right=RIGHT_IMAGE.evaluate(M=nm, c=c))
-    values = TORSION.evaluate(N=nm, N2=mat_mul(N.matrix, N.matrix), c=c, rhs=rhs)
+    values = TORSION.evaluate(N=nm, N2=mat_mul(N.matrix, N.matrix), c=c,
+                              left=IMAGE.evaluate(M=nm, T=c), right=RIGHT_IMAGE.evaluate(M=nm, c=c))
     return _build_report(_items("nijenhuis", values), [L, N], assumptions)
 
 
@@ -511,8 +509,7 @@ def check_weak_cosymplectic(C: LieCoalgebra, r: TwoTensor,
 def check_representation(R: Representation,
                          assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis pairs."""
-    a = Tensor.of(R.action)
-    values = REPRESENTATION.evaluate(c=R.algebra.c, A=a, comm=COMMUTATOR.evaluate(A=a))
+    values = REPRESENTATION.evaluate(c=R.algebra.c, A=R.action)
     return _build_report(_items("representation", values), [R], assumptions)
 
 
@@ -522,9 +519,9 @@ def check_nij_representation(R: Representation, N: LinearOperator, alpha: Linear
     if alpha.domain.dim != R.space.dim or N.domain.dim != R.algebra.space.dim:
         raise ShapeError("operator shapes do not match the representation")
     a, al = Tensor.of(R.action), alpha.matrix
-    r_n = IMAGE.evaluate(M=N.matrix, T=a)
-    rhs = NIJ_REPRESENTATION_RHS.evaluate(al=al, rN=r_n, rA=RIGHT_PRODUCT.evaluate(T=a, M=al))
-    values = NIJ_REPRESENTATION.evaluate(rN=r_n, al=al, al2=mat_mul(al, al), A=a, rhs=rhs)
+    values = NIJ_REPRESENTATION.evaluate(rN=IMAGE.evaluate(M=N.matrix, T=a), al=al,
+                                         al2=mat_mul(al, al), A=a,
+                                         rA=RIGHT_PRODUCT.evaluate(T=a, M=al))
     return _build_report(_items("nijenhuis-representation", values), [R, N, alpha], assumptions)
 
 
@@ -534,9 +531,8 @@ def check_admissible(R: Representation, N: LinearOperator, beta: LinearOperator,
     if beta.domain.dim != R.space.dim or N.domain.dim != R.algebra.space.dim:
         raise ShapeError("operator shapes do not match the representation")
     a, be = Tensor.of(R.action), beta.matrix
-    r_n = IMAGE.evaluate(M=N.matrix, T=a)
-    rhs = ADMISSIBLE_RHS.evaluate(be=be, rN=r_n, rB=RIGHT_PRODUCT.evaluate(T=a, M=be))
-    values = ADMISSIBLE.evaluate(rN=r_n, be=be, be2=mat_mul(be, be), A=a, rhs=rhs)
+    values = ADMISSIBLE.evaluate(rN=IMAGE.evaluate(M=N.matrix, T=a), be=be,
+                                 be2=mat_mul(be, be), A=a, rB=RIGHT_PRODUCT.evaluate(T=a, M=be))
     return _build_report(_items("admissible", values), [R, N, beta], assumptions)
 
 
@@ -651,9 +647,7 @@ def check_matched_pair(L: LieAlgebra, H: LieAlgebra,
         items += [(f"{tag}.{r.identity}", r.index, r.value) for r in sub.residuals]
     for name, c, act, back in (("matched-pair-1", L.c, rho_H.action, rho_L.action),
                                ("matched-pair-2", H.c, rho_L.action, rho_H.action)):
-        a, b = Tensor.of(act), Tensor.of(back)
-        items += _items(name, MATCHED_PAIR.evaluate(
-            A=a, c=c, rhs=MATCHED_PAIR_RHS.evaluate(A=a, B=b)))
+        items += _items(name, MATCHED_PAIR.evaluate(A=act, c=c, B=back))
     return _build_report(items, [L, H, rho_L, rho_H, N_L, N_H], assumptions)
 
 
@@ -694,10 +688,9 @@ def nijenhuis_bialgebra_residuals(L: LieAlgebra, C: LieCoalgebra,
                                   N: LinearOperator, P: LinearOperator):
     """The two extra compatibility identities of a Nijenhuis Lie bialgebra."""
     c, nm, p = Tensor.of(L.c), Tensor.of(N.matrix), Tensor.of(P.matrix)
-    rhs = OPERATOR_COMPATIBILITY_RHS.evaluate(N=nm, P=p, c=c,
-                                              right=RIGHT_IMAGE.evaluate(M=p, c=c))
-    operator = OPERATOR_COMPATIBILITY.evaluate(P=p, P2=mat_mul(P.matrix, P.matrix), c=c,
-                                               left=IMAGE.evaluate(M=nm, T=c), rhs=rhs)
+    operator = OPERATOR_COMPATIBILITY.evaluate(P=p, P2=mat_mul(P.matrix, P.matrix), c=c, N=nm,
+                                               left=IMAGE.evaluate(M=nm, T=c),
+                                               right=RIGHT_IMAGE.evaluate(M=p, c=c))
     return [(name, idx, values.entries.get(idx, ZERO))
             for name, values in (("operator-compatibility", operator),
                                  ("cobracket-compatibility", _cobracket_compatibility(C, N, P)))

@@ -656,8 +656,8 @@ def check_frobenius(L: LieAlgebra, B: BilinearForm,
                     assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """Symmetry, invariance B([x,y],z)=B(x,[y,z]), and exact nondegeneracy.
 
-    A parametric determinant is reported as an assumption rather than a
-    verdict; with N the torsion identity for N is included.
+    A nonzero parametric determinant is a side condition, certified like an
+    input's denominator; with N the torsion identity for N is included.
     """
     n = L.space.dim
     if B.space.dim != n:
@@ -666,22 +666,15 @@ def check_frobenius(L: LieAlgebra, B: BilinearForm,
     items = [("symmetry", (i, j), bm[i][j] - bm[j][i]) for i, j in _pairs(n)]
     items += _items("invariance", INVARIANCE.evaluate(c=c, B=bm))
     det = determinant(bm)
-    extra: list[Assumption] = []
+    inputs = [L, B] + ([N] if N is not None else [])
     if det.is_zero():
         items.append(("nondegeneracy", (), ONE))
-    elif not det.num.is_constant():
-        extra.append(Assumption(det.num))
+    else:
+        inputs.append(ONE / det)
     if N is not None:
         sub = check_nijenhuis(L, N)
         items += [(r.identity, r.index, r.value) for r in sub.residuals]
-    report = _build_report(items, [L, B] + ([N] if N is not None else []),
-                           list(assumptions) + extra, details={"determinant": det})
-    for a in extra:
-        if a not in report.assumptions_used:
-            report.assumptions_used.append(a)
-    if report.verdict is Verdict.PASS and report.assumptions_used:
-        report.verdict = Verdict.CONDITIONAL_PASS
-    return report
+    return _build_report(items, inputs, assumptions, details={"determinant": det})
 
 
 def nijenhuis_bialgebra_residuals(L: LieAlgebra, C: LieCoalgebra,

@@ -540,6 +540,22 @@ def test_zero_form_is_degenerate(sl2):
     assert any(r.identity == "nondegeneracy" for r in report.residuals)
 
 
+def test_frobenius_determinant_is_certified_like_a_denominator():
+    # on an abelian algebra only the determinant and the inputs' denominators
+    # can make the pass conditional
+    plane = abelian(("x", "y"))
+
+    def conditions(diagonal, assumed=()):
+        form = BilinearForm(plane.space, [[sc(diagonal[0]), ZERO], [ZERO, sc(diagonal[1])]])
+        report = check_frobenius(plane, form, assumptions=[Assumption(sc(a).num) for a in assumed])
+        assert report.verdict is Verdict.CONDITIONAL_PASS
+        return [str(a) for a in report.assumptions_used]
+
+    assert conditions(("k", "k + 1"), ("k", "k + 1")) == ["k != 0", "k + 1 != 0"]
+    assert conditions(("k", "k + 1")) == ["k^2 + k != 0"]
+    assert conditions(("1/k", "k + 1")) == ["k != 0", "k + 1 != 0"]
+
+
 def test_double_pairing_form_is_frobenius(sl2, dr):
     n_op, p_op = bialgebra_pair("a", sl2.space)
     double, op, form = manin_double(sl2, dr, n_op, p_op)

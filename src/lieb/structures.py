@@ -8,11 +8,10 @@ whose nonvanishing had to be assumed.
 
 Every identity is written once, as a table of signed einsum terms
 (``multilinear.Table``), and one sparse engine evaluates them: it multiplies
-only nonzero entries and reports the components in index order.
-A component adds its terms segment by segment, summation index outer and
-term inner, and its sub-sums in the order written, which is the order the
-dense loops over all indices used.  ``Scalar`` keeps num/den in lowest terms,
-so the value's rendering does not depend on that order.
+only nonzero entries and reports the components in index order.  A
+component is one sum of its signed products; ``Scalar`` keeps num/den in
+lowest terms, so its value renders the same whatever order the table is
+written or added in.
 """
 
 from __future__ import annotations

@@ -55,6 +55,7 @@ from lieb import (
 from lieb.multilinear import (
     ONE,
     ZERO,
+    Table,
     mat_add,
     mat_mul,
     mat_sub,
@@ -64,6 +65,9 @@ from lieb.multilinear import (
 )
 from lieb.solver import coefficient_rows
 from lieb.structures import (
+    COCYCLE,
+    CYBE,
+    MATCHED_PAIR,
     PAIRING,
     PAIRING_FORM_1,
     PAIRING_FORM_2,
@@ -84,8 +88,8 @@ from test_sparse_kernels import (
 )
 
 # A fixed example sequence, shorter than test_sparse_kernels' since each
-# example runs several dense references; every term-reordering mutation of a
-# table or of the engine that was tried fails within it.
+# example runs several dense references; a wrong sign, letter or term in a
+# table gives a different value within it.
 _SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 
 # nonzero weights for the deformation checks
@@ -782,6 +786,37 @@ def test_rrbo_matches_loops(data):
                         LinearOperator(_space(m), _space(m), alpha), _op(nm),
                         LinearOperator(_space(m), _space(n), t))
     assert _residual_forms(report) == _nonzero_forms(loop_rrbo(L, action, alpha, nm, t))
+
+
+# -- a table's components do not depend on the order it is written in -----------------
+
+# COCYCLE, CYBE and MATCHED_PAIR with their sub-sums, segments and terms reversed
+_REVERSED_COCYCLE = Table(
+    "ijpq", "-(a: -d[ipa] c[jaq] - c[jap] d[iaq] + d[jpa] c[iaq] + c[iap] d[jaq])",
+    "k: c[ijk] d[kpq]")
+_REVERSED_CYBE = Table(
+    "xyz", "jk: c[jky] r[xj] r[kz]; jl: c[jlz] r[xj] r[yl]; ik: c[ikx] r[iy] r[kz]")
+_REVERSED_MATCHED_PAIR = Table(
+    "xuvk", "-(t: -B[utx] A[tkv] + B[vtx] A[tku])", "-(q: A[xqv] c[uqk])",
+    "-(p: A[xpu] c[pvk])", "p: A[xkp] c[uvp]")
+
+
+def _components(tensor):
+    return [(idx, _form(v)) for idx, v in tensor.entries.items()]
+
+
+@_SETTINGS
+@given(st.data())
+def test_reversed_tables_give_the_same_components(data):
+    c, d, rm = data.draw(tensors3(N)), data.draw(tensors3(N)), data.draw(matrices(N))
+    assert _components(_REVERSED_COCYCLE.evaluate(c=c, d=d)) == \
+        _components(COCYCLE.evaluate(c=c, d=d))
+    assert _components(_REVERSED_CYBE.evaluate(c=c, r=rm)) == \
+        _components(CYBE.evaluate(c=c, r=rm))
+    n, m = data.draw(_DIMS), data.draw(_DIMS)
+    h, act, back = data.draw(tensors(n, n, n)), data.draw(tensors(m, n, n)), data.draw(tensors(n, m, m))
+    assert _components(_REVERSED_MATCHED_PAIR.evaluate(A=act, c=h, B=back)) == \
+        _components(MATCHED_PAIR.evaluate(A=act, c=h, B=back))
 
 
 # -- solver rows == hand-derived rows --------------------------------------------------

@@ -13,6 +13,7 @@ from lieb.multilinear import (
     LinearOperator,
     PivotAmbiguous,
     ShapeError,
+    Table,
     contract,
     determinant,
     identity,
@@ -87,6 +88,31 @@ def test_contract_rejects_bad_shapes():
 def test_contract_full_trace():
     a = rational_matrix(BasisSpace(("x", "y")), [[1, 2], [3, 4]])
     assert contract("ii->", a) == sc("5")
+
+
+def test_table_coefficients_are_summed_per_flattened_key():
+    # both terms reach every (i, j), the flattened key 2 i + j; where they
+    # cancel the key keeps a zero, and no nonzero term reaches (1, 0)
+    table = Table("i", "j: a[ij] x[j] + b[ij] x[j]")
+    a = rational_matrix(BasisSpace(("e", "f")), [[1, 2], [0, 3]])
+    b = rational_matrix(BasisSpace(("e", "f")), [[1, 0], [0, -3]])
+    shape, sums = table.coefficients("x", a=a, b=b, x=[sc("0"), sc("0")])
+    assert shape == (2, 2)
+    assert sums == {0: sc("2"), 1: sc("2"), 3: sc("0")}
+
+
+def test_table_coefficients_take_one_occurrence_of_the_unknown():
+    # om[ia] om[aj] as in the co-CYBE slice: the coefficient of the first
+    # factor's entry (i, a) at component (i, j) is m[a][j], of the second's
+    # (a, j) is m[i][a]; keys are (i, j, then the unknown's two letters)
+    table = Table("ij", "a: om[ia] om[aj]")
+    m = rational_matrix(BasisSpace(("e", "f")), [[1, 2], [3, 4]])
+    pairs = list(itertools.product(range(2), repeat=3))
+    shape, first = table.coefficients("om", 0, om=m)
+    assert shape == (2, 2, 2, 2)
+    assert first == {8 * i + 4 * j + 2 * i + a: m[a][j] for i, j, a in pairs}
+    _, second = table.coefficients("om", 1, om=m)
+    assert second == {8 * i + 4 * j + 2 * a + j: m[i][a] for i, j, a in pairs}
 
 
 def test_nullspace_examples():

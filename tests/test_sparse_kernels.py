@@ -1,11 +1,11 @@
 """The sparse identity kernels against their dense reference loops.
 
-The kernels skip zero structure constants and add the remaining terms of each
-component in the dense loop's order.  The references below are the dense
-loops over every index; the inputs mix zeros with entries ``+-1/k``,
+The kernels skip zero structure constants and add the remaining products of
+each component as one sum, in no fixed order.  The references below are the
+dense loops over every index; the inputs mix zeros with entries ``+-1/k``,
 ``+-1/(k+1)``, ``+-1``, whose partial sums often cancel.  Every component must
 agree in its numerator and denominator terms; since Scalar keeps num/den in
-lowest terms, that is agreement in value, whatever the order of the terms.
+lowest terms, that is agreement in value.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _triples(n):
 
 # Entries come from a seeded generator rather than from Hypothesis' own
 # choices, which lean towards the first palette entry (zero) and would leave
-# few components with the three or more terms that a reordering needs.
+# few components with the three or more terms whose partial sums cancel.
 def _entries(draw, count):
     rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     return [_PALETTE[rng.choice(_ENTRIES)] for _ in range(count)]
@@ -87,12 +87,12 @@ def _residual_forms(report):
     return [(r.identity, r.index, _form(r.value)) for r in report.residuals]
 
 
-# Three is the smallest dimension where a reordering of a component's terms
-# can move a cancelling pair into or out of a prefix of the sum.
+# At dimension three a component of a three-term identity sums up to nine
+# products over one summation letter (27 over two), enough for cancelling
+# pairs, while the dense references stay fast.
 N = 3
 
-# A fixed example sequence: every term-reordering mutation of a kernel that was
-# tried fails within it, and the suite stays reproducible.
+# A fixed example sequence, so that the suite stays reproducible.
 _SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 

@@ -188,7 +188,7 @@ class Table:
 
     ``Table("ijkm", "l: c[ijl] c[lkm] + c[jkl] c[lim] + c[kil] c[ljm]")`` is
     the Jacobi sum.  Each argument after the output letters is a sub-sum, and
-    ``-(...)`` negates one.  A sub-sum joins its segments, separated by
+    ``-(...)`` negates one.  A sub-sum adds its segments, separated by
     ``;``.  A segment ``letters: terms`` sums its signed terms over its
     summation letters; a segment with no summation letters has no colon.  A
     term is a product of factors ``name[letters]``.  A component's value is

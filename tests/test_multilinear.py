@@ -91,8 +91,9 @@ def test_contract_full_trace():
 
 
 def test_table_coefficients_are_summed_per_flattened_key():
-    # both terms reach every (i, j), the flattened key 2 i + j; where they
-    # cancel the key keeps a zero, and no nonzero term reaches (1, 0)
+    # the coefficient of x[j] at component i is a[i][j] + b[i][j], under the
+    # flattened key 2 i + j; where they cancel, at (1, 1), the key keeps a
+    # zero, and no nonzero term reaches (1, 0)
     table = Table("i", "j: a[ij] x[j] + b[ij] x[j]")
     a = rational_matrix(BasisSpace(("e", "f")), [[1, 2], [0, 3]])
     b = rational_matrix(BasisSpace(("e", "f")), [[1, 0], [0, -3]])

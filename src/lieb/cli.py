@@ -19,13 +19,14 @@ from . import catalog as _catalog
 from .document import (
     ParseError,
     default_checks,
+    parse_assumptions,
     parse_document,
     render_document,
     run_check_statement,
     run_constructs,
 )
 from .multilinear import BilinearForm, PivotAmbiguous
-from .scalars import Assumption, ExpressionError, parse_scalar
+from .scalars import Assumption
 from .solver import LinearProblem, solve_linear
 from .structures import LieAlgebra, LieCoalgebra
 
@@ -50,13 +51,7 @@ def _emit(payload, fmt: str) -> None:
 
 
 def _parse_assume_flags(values) -> list[Assumption]:
-    out = []
-    for text in values or []:
-        scalar = parse_scalar(text)
-        if not scalar.den.is_constant():
-            raise ExpressionError("assumption must be polynomial (clear denominators)", 0)
-        out.append(Assumption(scalar.num))
-    return out
+    return [a for text in values or [] for a in parse_assumptions(text)]
 
 
 def _report_entry(stmt, report) -> dict:
@@ -281,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("catalog show/export needs an entry id")
     try:
         return args.func(args)
-    except (ParseError, ExpressionError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except FileNotFoundError as exc:

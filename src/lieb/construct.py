@@ -127,7 +127,8 @@ def rep_from_corep(K: Corepresentation) -> Representation:
     return Representation(dual_algebra(K.coalgebra), K.space.dual(), action)
 
 
-def dualize(obj, *companions):
+def dualize(obj: LieAlgebra | LieCoalgebra | Representation | Corepresentation | LinearOperator,
+            *companions: LinearOperator):
     """Dual of a structure (optionally with transposed companion operators)."""
     if isinstance(obj, LieAlgebra):
         out = dual_coalgebra(obj)

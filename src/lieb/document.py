@@ -18,6 +18,7 @@ the header of every exported file:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, get_args, get_type_hints
 
 from .multilinear import (
     BasisSpace, BilinearForm, LinearOperator, ShapeError, TwoTensor, ZERO, zeros, zeros3,
@@ -135,10 +136,17 @@ CONSTRUCT_OPS = {
 }
 
 
+def _argument_types(table: dict) -> dict[str, tuple[tuple[type, ...], ...]]:
+    """kind -> for each structure argument, the types its callee annotates."""
+    return {kind: tuple(get_args(t) or (t,) for t in list(get_type_hints(fn).values())[:argc])
+            for kind, (argc, fn) in table.items()}
+
+
+_CHECK_ARGUMENTS = _argument_types(CHECK_KINDS)
+_CONSTRUCT_ARGUMENTS = _argument_types(CONSTRUCT_OPS)
+
+
 # -- tokenizer ----------------------------------------------------------------
-
-_PUNCT = ("->", "[", "]", "(", ")", "{", "}", ",", ":", "=", "@", "+", "-", "*", "/", "^")
-
 
 @dataclass(frozen=True)
 class _Token:
@@ -147,13 +155,15 @@ class _Token:
     line: int
     col: int
 
+    def describe(self) -> str:
+        return {"nl": "end of line", "end": "end of input"}.get(self.kind, repr(self.text))
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         i, n = 0, len(line)
-        emitted = False
         while i < n:
             ch = line[i]
             if ch.isspace():
@@ -162,12 +172,10 @@ def _tokenize(text: str) -> list[_Token]:
             if line.startswith("->", i):
                 tokens.append(_Token("->", "->", lineno, i + 1))
                 i += 2
-                emitted = True
                 continue
             if ch in "[](){},:=@+-*/^":
                 tokens.append(_Token(ch, ch, lineno, i + 1))
                 i += 1
-                emitted = True
                 continue
             if ch.isdigit():
                 j = i
@@ -175,7 +183,6 @@ def _tokenize(text: str) -> list[_Token]:
                     j += 1
                 tokens.append(_Token("int", line[i:j], lineno, i + 1))
                 i = j
-                emitted = True
                 continue
             if ch.isalpha() or ch == "_":
                 j = i
@@ -183,10 +190,9 @@ def _tokenize(text: str) -> list[_Token]:
                     j += 1
                 tokens.append(_Token("name", line[i:j], lineno, i + 1))
                 i = j
-                emitted = True
                 continue
             raise ParseError(f"unexpected character {ch!r}", lineno, i + 1)
-        if emitted:
+        if tokens and tokens[-1].line == lineno:
             tokens.append(_Token("nl", "", lineno, n + 1))
     tokens.append(_Token("end", "", len(text.splitlines()) + 1, 1))
     return tokens
@@ -198,10 +204,6 @@ def _tokenize(text: str) -> list[_Token]:
 class _Value:
     rank: int
     data: object
-
-    @classmethod
-    def scalar(cls, s: Scalar) -> _Value:
-        return cls(0, s)
 
 
 def _combine(op: str, a: _Value, b: _Value, tok: _Token) -> _Value:
@@ -248,10 +250,6 @@ def _scale(s: Scalar, v: _Value) -> _Value:
     return _Value(2, [[s * x for x in row] for row in v.data])
 
 
-def _negate(v: _Value) -> _Value:
-    return _scale(Scalar.from_int(-1), v)
-
-
 # -- parser --------------------------------------------------------------------
 
 class _Parser:
@@ -274,8 +272,7 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.advance()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or tok.kind!r}",
-                             tok.line, tok.col)
+            raise ParseError(f"expected {kind!r}, found {tok.describe()}", tok.line, tok.col)
         return tok
 
     def expect_name(self, expected: str | None = None) -> _Token:
@@ -455,7 +452,7 @@ class _Parser:
         self.expect_name("on")
         sp = self._space_ref()
         self._open_block()
-        value = self._expr(sp, skip_newlines=True)
+        value = self._expr(sp, skip=True)
         if value.rank != 2:
             tok = self.peek()
             raise ParseError("a tensor block must contain one 2-tensor expression",
@@ -555,19 +552,17 @@ class _Parser:
     def _assumption_list(self) -> list[Assumption]:
         out = []
         while True:
-            value = self._expr(None).data
-            if not isinstance(value, Scalar):
-                tok = self.peek()
-                raise ParseError("assumptions must be scalar expressions", tok.line, tok.col)
+            value = self._scalar_expr(None)
+            tok = self.peek()
+            if value.is_zero():
+                raise ParseError("assumption must be nonzero", tok.line, tok.col)
             if not value.den.is_constant():
-                tok = self.peek()
                 raise ParseError("assumption must be polynomial (clear denominators)",
                                  tok.line, tok.col)
             out.append(Assumption(value.num))
-            if self.peek().kind == ",":
-                self.advance()
-                continue
-            return out
+            if tok.kind != ",":
+                return out
+            self.advance()
 
     def _scalar_expr(self, sp: BasisSpace | None) -> Scalar:
         value = self._expr(sp)
@@ -594,15 +589,13 @@ class _Parser:
             raise ParseError("expected a 2-tensor expression", tok.line, tok.col)
         return value.data
 
-    def _expr(self, sp: BasisSpace | None, skip_newlines: bool = False) -> _Value:
-        return self._expr_sum(sp, skip_newlines)
-
     def _maybe_skip(self, skip: bool):
         if skip:
             while self.peek().kind == "nl" and self.tokens[self.pos + 1].kind != "}":
                 self.advance()
 
-    def _expr_sum(self, sp, skip) -> _Value:
+    def _expr(self, sp: BasisSpace | None, skip: bool = False) -> _Value:
+        """A sum; with ``skip``, line breaks inside it are whitespace."""
         value = self._expr_product(sp, skip)
         while True:
             self._maybe_skip(skip)
@@ -631,7 +624,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "-":
             self.advance()
-            return _negate(self._expr_unary(sp, skip))
+            return _scale(Scalar.from_int(-1), self._expr_unary(sp, skip))
         if tok.kind == "+":
             self.advance()
             return self._expr_unary(sp, skip)
@@ -641,19 +634,25 @@ class _Parser:
         base = self._expr_atom(sp, skip)
         while self.peek().kind == "^":
             tok = self.advance()
-            exp_tok = self.expect("int")
+            sign = 1
+            if self.peek().kind == "-":
+                self.advance()
+                sign = -1
+            exp = sign * int(self.expect("int").text)
             if base.rank != 0:
                 raise ParseError("only scalars can be raised to powers", tok.line, tok.col)
-            base = _Value(0, base.data ** int(exp_tok.text))
+            if exp < 0 and base.data.is_zero():
+                raise ParseError("division by zero", tok.line, tok.col)
+            base = _Value(0, base.data ** exp)
         return base
 
     def _expr_atom(self, sp, skip) -> _Value:
         tok = self.advance()
         if tok.kind == "int":
-            return _Value.scalar(Scalar.from_int(int(tok.text)))
+            return _Value(0, Scalar.from_int(int(tok.text)))
         if tok.kind == "(":
             self._maybe_skip(skip)
-            value = self._expr_sum(sp, skip)
+            value = self._expr(sp, skip)
             self._maybe_skip(skip)
             self.expect(")")
             return value
@@ -663,12 +662,11 @@ class _Parser:
                 return _Value(1, [Scalar.from_int(1) if k == i else ZERO
                                   for k in range(sp.dim)])
             if tok.text in self.doc.params:
-                return _Value.scalar(Scalar.parameter(tok.text))
+                return _Value(0, Scalar.parameter(tok.text))
             raise UnknownNameError(
                 f"{tok.text!r} is neither a basis label here nor a declared parameter",
                 tok.line, tok.col)
-        raise ParseError(f"unexpected {tok.text or tok.kind!r} in expression",
-                         tok.line, tok.col)
+        raise ParseError(f"unexpected {tok.describe()} in expression", tok.line, tok.col)
 
 
 def parse_document(text: str) -> Document:
@@ -676,9 +674,47 @@ def parse_document(text: str) -> Document:
     return _Parser(_tokenize(text)).parse()
 
 
+def _expression_parser(text: str, params: Iterable[str] | None) -> _Parser:
+    """A parser over one expression, in which a line break is whitespace."""
+    tokens = _tokenize(text)
+    parser = _Parser([t for t in tokens[:-2] if t.kind != "nl"] + tokens[-2:])
+    names = [t.text for t in tokens if t.kind == "name"]
+    parser.doc.params = names if params is None else list(params)
+    return parser
+
+
+def parse_scalar(text: str, allowed: Iterable[str] | None = None) -> Scalar:
+    """Parse a coefficient expression; every name is a parameter unless ``allowed`` lists them."""
+    parser = _expression_parser(text, allowed)
+    value = parser._scalar_expr(None)
+    parser.end_statement()
+    return value
+
+
+def parse_assumptions(text: str) -> list[Assumption]:
+    """Parse an ``assume`` list (``k3, k1 - k2``) given outside a document."""
+    parser = _expression_parser(text, None)
+    out = parser._assumption_list()
+    parser.end_statement()
+    return out
+
+
 # Errors that well-typed arguments of the wrong shape or value raise inside a
 # construction or a check; a document that provokes one is ill-formed.
 _ILL_FORMED = (ShapeError, DivisionByZero, _construct.DegenerateForm)
+
+
+def _arguments(doc: Document, stmt, what: str, types: tuple[tuple[type, ...], ...]) -> list:
+    """The statement's structures, each of a type its callee accepts."""
+    args = []
+    for name, accepted in zip(stmt.args, types):
+        obj = doc.structure(name, stmt.line, 1)
+        if not isinstance(obj, accepted):
+            wanted = " or ".join(t.__name__ for t in accepted if t is not type(None))
+            raise ParseError(f"{what}: {name!r} is a {type(obj).__name__}, not a {wanted}",
+                             stmt.line, 1)
+        args.append(obj)
+    return args
 
 
 def run_constructs(doc: Document) -> None:
@@ -686,7 +722,7 @@ def run_constructs(doc: Document) -> None:
     for stmt in doc.constructs:
         if stmt.result in doc.structures:
             continue
-        args = [doc.structure(name, stmt.line, 1) for name in stmt.args]
+        args = _arguments(doc, stmt, f"construct {stmt.op}", _CONSTRUCT_ARGUMENTS[stmt.op])
         try:
             doc.structures[stmt.result] = CONSTRUCT_OPS[stmt.op][1](*args)
         except _ILL_FORMED as exc:
@@ -710,7 +746,7 @@ def default_checks(doc: Document) -> list[CheckStatement]:
 
 def run_check_statement(doc: Document, stmt: CheckStatement,
                         extra_assumptions: tuple[Assumption, ...] = ()):
-    args = [doc.structure(name, stmt.line, 1) for name in stmt.args]
+    args = _arguments(doc, stmt, f"check {stmt.kind}", _CHECK_ARGUMENTS[stmt.kind])
     assumptions = list(doc.assumptions) + list(stmt.assumptions) + list(extra_assumptions)
     try:
         return CHECK_KINDS[stmt.kind][1](*args, assumptions=assumptions)

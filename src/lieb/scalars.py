@@ -46,14 +46,6 @@ class EvalSingular(ArithmeticError):
     """Evaluation hit a point where the denominator vanishes."""
 
 
-class ExpressionError(ValueError):
-    """A coefficient expression failed to parse; carries the offset."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(message)
-        self.pos = pos
-
-
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -709,133 +701,3 @@ def covered_by_assumptions(poly: Polynomial, assumptions: Iterable[Assumption]) 
     if current.is_constant() and current.constant_value() != 0:
         return used
     return None
-
-
-# ---------------------------------------------------------------------------
-# Coefficient expression grammar: integers, parameters, + - * / ^ and parens.
-# ---------------------------------------------------------------------------
-
-_TOKEN_CHARS = set("+-*/^()")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
-
-
-class _ExprParser:
-    def __init__(self, tokens: list[tuple[str, str, int]], allowed: frozenset[str] | None):
-        self.tokens = tokens
-        self.pos = 0
-        self.allowed = allowed
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExpressionError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse_expr(self) -> Scalar:
-        value = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def parse_term(self) -> Scalar:
-        value = self.parse_unary()
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.advance()
-            rhs = self.parse_unary()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs.is_zero():
-                    raise ExpressionError("division by zero", pos)
-                value = value / rhs
-        return value
-
-    def parse_unary(self) -> Scalar:
-        kind = self.peek()[0]
-        if kind == "-":
-            self.advance()
-            return -self.parse_unary()
-        if kind == "+":
-            self.advance()
-            return self.parse_unary()
-        return self.parse_power()
-
-    def parse_power(self) -> Scalar:
-        base = self.parse_atom()
-        while self.peek()[0] == "^":
-            self.advance()
-            neg = False
-            if self.peek()[0] == "-":
-                self.advance()
-                neg = True
-            tok = self.expect("int")
-            exp = int(tok[1])
-            base = base ** (-exp if neg else exp)
-        return base
-
-    def parse_atom(self) -> Scalar:
-        kind, text, pos = self.advance()
-        if kind == "int":
-            return Scalar.from_int(int(text))
-        if kind == "name":
-            if self.allowed is not None and text not in self.allowed:
-                raise ExpressionError(f"unknown parameter {text!r}", pos)
-            return Scalar.parameter(text)
-        if kind == "(":
-            value = self.parse_expr()
-            self.expect(")")
-            return value
-        raise ExpressionError(f"unexpected token {text or 'end of input'!r}", pos)
-
-
-def parse_scalar(text: str, allowed: Iterable[str] | None = None) -> Scalar:
-    """Parse a coefficient expression into an exact Scalar.
-
-    When ``allowed`` is given, parameter tokens outside it are rejected.
-    """
-    parser = _ExprParser(_tokenize(text), None if allowed is None else frozenset(allowed))
-    value = parser.parse_expr()
-    end = parser.peek()
-    if end[0] != "end":
-        raise ExpressionError(f"trailing input {end[1]!r}", end[2])
-    return value

@@ -213,7 +213,7 @@ def denominator_assumptions(inputs: Iterable, assumptions: Sequence[Assumption])
 
 def _all_scalars(objs: Iterable) -> list[Scalar]:
     """Every scalar of the given structures (or scalars, or nested lists of
-    them), in order."""
+    them), in order; a (co)representation lists its (co)algebra's first."""
     out: list[Scalar] = []
     for obj in objs:
         if isinstance(obj, LieAlgebra):
@@ -221,8 +221,10 @@ def _all_scalars(objs: Iterable) -> list[Scalar]:
         elif isinstance(obj, LieCoalgebra):
             values = obj.d
         elif isinstance(obj, Representation):
+            out += _all_scalars([obj.algebra])
             values = obj.action
         elif isinstance(obj, Corepresentation):
+            out += _all_scalars([obj.coalgebra])
             values = obj.coaction
         elif isinstance(obj, (LinearOperator, BilinearForm, TwoTensor)):
             values = obj.matrix
@@ -720,6 +722,8 @@ def check_nij_lie_bialgebra(L: LieAlgebra, C: LieCoalgebra,
 def check_cpnybe(L: LieAlgebra, r: TwoTensor, N: LinearOperator, P: LinearOperator,
                  assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """The Yang-Baxter equation enriched with the operator-pairing constraint."""
+    if r.space.dim != L.space.dim:
+        raise ShapeError("tensor does not live on the algebra's space")
     n = L.space.dim
     items = [("antisymmetry", (i, j), r.matrix[i][j] + r.matrix[j][i]) for i, j in _pairs(n)]
     items += _items("cybe", CYBE.evaluate(c=L.c, r=r.matrix))

@@ -112,6 +112,20 @@ def test_assume_flag_parses(tmp_path, capsys):
     assert code == EXIT_PARSE_ERROR
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1/k", "line 1, column 4: assumption must be polynomial (clear denominators)"),
+    ("0^-1", "line 1, column 2: division by zero"),
+    ("0", "line 1, column 2: assumption must be nonzero"),
+    ("k1 +", "line 1, column 5: unexpected end of line in expression"),
+])
+def test_assume_flag_errors_exit_two(text, message, tmp_path, capsys):
+    path = _data_path(tmp_path, "sl2.lieb")
+    code, out, err = _run(capsys, "check", str(path), "--assume", text)
+    assert code == EXIT_PARSE_ERROR
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 def test_construct_then_check_composes(tmp_path, capsys):
     path = _data_path(tmp_path, "qt-sl2.lieb")
     out_file = tmp_path / "dr_built.lieb"
@@ -326,6 +340,54 @@ def test_construct_on_mismatched_shapes_is_a_parse_error(tmp_path, capsys):
     code, _, err = _run(capsys, "check", str(bad))
     assert code == EXIT_PARSE_ERROR
     assert err.startswith("error: line 11, column 1: construct delta-from-r:")
+
+
+def test_cpnybe_with_a_smaller_tensor_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "cpnybe.lieb"
+    bad.write_text(
+        _SL2
+        + "space M : u v\n"
+        "tensor r on M {\n"
+        "  u@v - v@u\n"
+        "}\n"
+        "operator N : L -> L {\n"
+        "  e -> e\n"
+        "}\n"
+        "check cpnybe sl2 r N N\n",
+        encoding="utf-8")
+    code, out, err = _run(capsys, "check", str(bad))
+    assert code == EXIT_PARSE_ERROR
+    assert err == ("error: line 14, column 1: check cpnybe: "
+                   "tensor does not live on the algebra's space\n")
+    assert out == ""
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("check cybe sl2 N", "check cybe: 'N' is a LinearOperator, not a TwoTensor"),
+    ("check lie-algebra N", "check lie-algebra: 'N' is a LinearOperator, not a LieAlgebra"),
+    ("check nijenhuis sl2 r", "check nijenhuis: 'r' is a TwoTensor, not a LinearOperator"),
+    ("construct dualize r as rd", "construct dualize: 'r' is a TwoTensor, not a LieAlgebra or "
+     "LieCoalgebra or Representation or Corepresentation or LinearOperator"),
+    ("construct delta-from-r sl2 N as dd",
+     "construct delta-from-r: 'N' is a LinearOperator, not a TwoTensor"),
+    ("construct phi-r sl2 as pp", "construct phi-r: 'sl2' is a LieAlgebra, not a TwoTensor"),
+])
+def test_argument_of_the_wrong_kind_is_a_parse_error(statement, message, tmp_path, capsys):
+    bad = tmp_path / "kinds.lieb"
+    bad.write_text(
+        _SL2
+        + "tensor r on L {\n"
+        "  e@f - f@e\n"
+        "}\n"
+        "operator N : L -> L {\n"
+        "  e -> e\n"
+        "}\n"
+        + statement + "\n",
+        encoding="utf-8")
+    code, out, err = _run(capsys, "check", str(bad))
+    assert code == EXIT_PARSE_ERROR
+    assert err == f"error: line 13, column 1: {message}\n"
+    assert out == ""
 
 
 def test_solve_pivot_without_assumption_names_the_polynomial(tmp_path, capsys):

@@ -89,6 +89,25 @@ def test_unknown_parameter_in_expression():
     assert err.value.line == 3
 
 
+def test_negative_powers_in_entries():
+    doc = parse_document("params k\nspace L : e f\nalgebra a on L {\n  [e, f] = k^-1*e\n}\n")
+    assert doc.structures["a"].c[0][1][0] == sc("1/k")
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_document("space L : e f\nalgebra a on L {\n  [e, f] = 0^-1*e\n}\n")
+
+
+def test_dangling_operator_names_the_end_of_line():
+    with pytest.raises(ParseError) as err:
+        parse_document("space L : e f h\nalgebra a on L {\n  [e, f] = h +\n}\n")
+    assert (err.value.line, err.value.col) == (3, 15)
+    assert "unexpected end of line in expression" in str(err.value)
+
+
+def test_zero_assumption_is_a_parse_error():
+    with pytest.raises(ParseError, match="assumption must be nonzero"):
+        parse_document("params k\nassume k - k\n")
+
+
 def test_rank_errors_in_expressions():
     with pytest.raises(ParseError):
         parse_document("space L : e f\nalgebra a on L {\n  [e, f] = e@f\n}\n")

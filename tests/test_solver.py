@@ -19,6 +19,7 @@ from lieb import (
     check_cocycle,
     check_cybe,
     check_nijenhuis,
+    check_representation,
     check_weak_symplectic,
     delta_from_r,
     refute_by_sampling,
@@ -198,6 +199,13 @@ def test_refute_confirms_passing_instance(sl2, n_example):
         lambda n: check_nijenhuis(sl2, n), {"n": n_example}, SampleConfig(seed=5))
     assert isinstance(result, ConfirmedZero)
     assert result.trials == 32
+
+
+def test_refute_binds_the_parameters_of_a_representations_algebra():
+    from test_structures import parametric_line_rep
+    result = refute_by_sampling(check_representation, {"R": parametric_line_rep()},
+                                SampleConfig(seed=2, trials=4))
+    assert isinstance(result, ConfirmedZero)
 
 
 def test_solve_linear_propagates_pivot_ambiguity():

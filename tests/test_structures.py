@@ -47,6 +47,7 @@ from lieb import (
     corep_from_rep,
     delta_from_r,
     dual_algebra,
+    dual_coalgebra,
     dual_pair_actions,
     manin_double,
     phi_r,
@@ -289,6 +290,27 @@ def test_scaled_adjoint_component_fails(sl2):
     report = check_representation(doubled)
     assert report.verdict is Verdict.FAIL
     assert any(r.index[:2] == (0, 1) for r in report.residuals)
+
+
+def parametric_line_rep() -> Representation:
+    """[e, f] = (1/k) e acting on a line: e by 0, f by 2."""
+    c = zeros3(2, 2, 2)
+    c[0][1][0], c[1][0][0] = sc("1/k"), sc("-1/k")
+    algebra = LieAlgebra(BasisSpace(("e", "f")), c)
+    return Representation(algebra, BasisSpace(("v",)), [zeros(1, 1), [[sc("2")]]])
+
+
+def test_representation_reports_its_algebra_denominators():
+    rep = parametric_line_rep()
+    assert check_lie_algebra(rep.algebra).verdict is Verdict.CONDITIONAL_PASS
+    report = check_representation(rep)
+    assert report.verdict is Verdict.CONDITIONAL_PASS
+    assert [str(a) for a in report.assumptions_used] == ["k != 0"]
+    # the dual coalgebra's denominators are a corepresentation's side condition
+    corep = Corepresentation(dual_coalgebra(rep.algebra), BasisSpace(("v",)), [[[ZERO]] * 2])
+    report = check_corepresentation(corep)
+    assert report.verdict is Verdict.CONDITIONAL_PASS
+    assert [str(a) for a in report.assumptions_used] == ["k != 0"]
 
 
 def test_adjoint_with_matching_alpha_is_nijenhuis_rep(sl2, n_example):

@@ -3,9 +3,10 @@
 Exit codes: 0 every requested check passed (possibly conditionally),
 1 at least one check failed, 2 the input failed to parse or is ill-formed
 (arguments of mismatched shape, or a solve pivot its assumptions do not
-certify nonzero), 3 an internal invariant was violated.  Reports are plain
-text or canonical JSON (sorted keys, two-space indent, trailing newline), so
-a JSON report re-serialises byte-identically.
+certify nonzero) or a command-line argument cannot be used, 3 an internal
+invariant was violated.  Reports are plain text or canonical JSON (sorted
+keys, two-space indent, trailing newline), so a JSON report re-serialises
+byte-identically.
 """
 
 from __future__ import annotations
@@ -50,8 +51,18 @@ def _emit(payload, fmt: str) -> None:
         print(line)
 
 
+class UsageError(ValueError):
+    """A command-line argument the command cannot use (exit 2)."""
+
+
 def _parse_assume_flags(values) -> list[Assumption]:
-    return [a for text in values or [] for a in parse_assumptions(text)]
+    assumptions = []
+    for text in values or []:
+        try:
+            assumptions += parse_assumptions(text)
+        except ParseError as exc:
+            raise UsageError(f"--assume {text!r}: {exc}") from None
+    return assumptions
 
 
 def _report_entry(stmt, report) -> dict:
@@ -111,10 +122,11 @@ def _cmd_construct(args) -> int:
     run_constructs(doc)
     if args.op not in doc.structures:
         wanted = [c.result for c in doc.constructs]
-        raise ParseError(
-            f"no construct statement produces {args.op!r} (available: {wanted})", 0, 0)
-    result = doc.structures[args.op]
-    rendered = render_document({args.op: result}, params=doc.params)
+        raise UsageError(f"--op {args.op}: no construct statement produces it (available: {wanted})")
+    try:
+        rendered = render_document({args.op: doc.structures[args.op]}, params=doc.params)
+    except TypeError as exc:
+        raise UsageError(f"--op {args.op}: {exc}") from None
     Path(args.out).write_text(rendered, encoding="utf-8")
     payload = {
         "command": "construct",
@@ -276,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("catalog show/export needs an entry id")
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except FileNotFoundError as exc:

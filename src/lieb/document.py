@@ -161,6 +161,7 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
+    lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         i, n = 0, len(line)
@@ -194,7 +195,7 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(f"unexpected character {ch!r}", lineno, i + 1)
         if tokens and tokens[-1].line == lineno:
             tokens.append(_Token("nl", "", lineno, n + 1))
-    tokens.append(_Token("end", "", len(text.splitlines()) + 1, 1))
+    tokens.append(_Token("end", "", lineno + 1, 1))
     return tokens
 
 
@@ -869,9 +870,9 @@ def render_document(structures: dict[str, object],
                      for i in range(obj.space.dim) for j in range(obj.space.dim)
                      if not obj.matrix[i][j].is_zero()]
             body.append(f"tensor {name} on {sp} {{\n  " + _sum_terms(terms) + "\n}")
-        elif isinstance(obj, Representation):
-            raise TypeError("rendering representations requires naming their algebra; "
-                            "export the algebra alongside and write the rep block by hand")
+        elif isinstance(obj, (Representation, Corepresentation)):
+            raise TypeError("rendering a (co)representation requires naming its (co)algebra; "
+                            "export the (co)algebra alongside and write the block by hand")
         else:
             raise TypeError(f"cannot render {type(obj).__name__}")
     for name, sp in spaces.items():

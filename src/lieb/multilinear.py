@@ -10,6 +10,9 @@ throughout the package (and in the file format):
 * 2-tensor: ``r[i][j]`` is the coefficient of ``e_i (x) e_j``;
 * bracket constants: ``[e_i, e_j] = sum_k c[i][j][k] e_k``;
 * cobracket constants: ``delta(e_i) = sum_{j,k} d[i][j][k] e_j (x) e_k``.
+
+Identity tables run one sparse fold; on constant operands it adds on ints
+over one common denominator and reduces each component once (see Table).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import lcm, prod
 from operator import itemgetter
 from typing import Sequence
 
@@ -196,6 +200,11 @@ class Table:
     in lowest terms, so that sum renders the same in any order.  Only nonzero
     entries are visited, and a component that no nonzero term reaches is
     absent.
+
+    When every operand entry is constant, each operand is scaled to ints by
+    the lcm of its denominators, so a component is one exact integer sum over
+    one common denominator, reduced once into a ``Scalar``: in lowest terms,
+    it is the value the ``Scalar`` fold reaches, and renders the same.
     """
 
     def __init__(self, out: str, *subsums: str):
@@ -218,7 +227,7 @@ class Table:
     def evaluate(self, **operands) -> Tensor:
         """The nonvanishing components, in index order."""
         tensors, shape, strides = self._operands(operands)
-        total = _fold(self._plans, tensors, strides)
+        total = _sum(self._plans, tensors, strides)
         radix = list(zip(strides, shape))
         return Tensor(shape, {tuple([k // stride % size for stride, size in radix]): total[k]
                               for k in sorted(total) if not total[k].is_zero()})
@@ -237,7 +246,7 @@ class Table:
         unknown_shape = tensors[unknown].shape
         # the unknown's factor: every index, each with no value
         tensors[_UNKNOWN] = Tensor(unknown_shape, dict.fromkeys(product(*map(range, unknown_shape))))
-        return shape, _fold(self._compile(unknown, occurrence), tensors, strides)
+        return shape, _sum(self._compile(unknown, occurrence), tensors, strides)
 
     def _operands(self, operands, unknown=None):
         """The operands as Tensors, the result's shape and its row-major strides."""
@@ -324,13 +333,36 @@ def _plan(out, factors, unknown, occurrence):
     return steps
 
 
+def _sum(plans, tensors, strides) -> dict:
+    """Flattened key -> the Scalar sum of the signed products of every term
+    that reaches it: on Scalars, or on ints when every operand entry is
+    constant (the unknown's None counting as 1).  The integer lane scales each
+    operand by the lcm L of its denominators, starts each term from +-common /
+    (the product of its factors' L), common being the lcm of those products,
+    and divides each total by common once."""
+    qs = {name: [v.q for v in t.entries.values() if v is not None] for name, t in tensors.items()}
+    if any(None in q for q in qs.values()):
+        return _fold([(None if positive else -ONE, steps) for positive, steps in plans],
+                     tensors, strides)
+    lcms = {name: lcm(*q) for name, q in qs.items()}
+    ints = {name: Tensor(t.shape, {idx: v if v is None else v.p * (lcms[name] // v.q)
+                                   for idx, v in t.entries.items()}) for name, t in tensors.items()}
+    products = [prod([lcms[step[0]] for step in steps]) for _, steps in plans]
+    common = lcm(*products)
+    starts = [common // d if positive else -(common // d)
+              for d, (positive, _) in zip(products, plans)]
+    total = _fold([(start, steps) for start, (_, steps) in zip(starts, plans)], ints, strides)
+    return {k: Scalar.ratio(v, common) for k, v in total.items()}
+
+
 def _fold(plans, tensors, strides) -> dict:
     """Flattened key -> the sum of the signed products of every term that
-    reaches it, added as they are joined."""
+    reaches it, added as they are joined; each plan is (its start, its
+    steps)."""
     total: dict = {}
     get = total.get
-    for positive, steps in plans:
-        partial, (index, lookup) = _join(steps, positive, tensors, strides)
+    for start, steps in plans:
+        partial, (index, lookup) = _join(steps, start, tensors, strides)
         for b, x, s in partial:
             for _, v, at in index.get(lookup(b), ()):
                 k, term = s + at, v if x is None else x if v is None else x * v  # v None: the unknown
@@ -339,14 +371,14 @@ def _fold(plans, tensors, strides) -> dict:
     return total
 
 
-def _join(steps, positive, tensors, strides):
-    """The signed partial products of a term's factors but the last, each with
-    its binding (the letters' values in the order bound) and its part of the
-    flattened key; and the last factor's index and lookup.  A partial binding
-    that the next factor cannot extend is dropped before its product is
-    formed."""
+def _join(steps, start, tensors, strides):
+    """The partial products of a term's factors but the last, each times the
+    start (None: 1) and with its binding (the letters' values in the order
+    bound) and its part of the flattened key; and the last factor's index and
+    lookup.  A partial binding that the next factor cannot extend is dropped
+    before its product is formed."""
     indexed = [_index(step, tensors, strides) for step in steps]
-    partial = [((), None if positive else -ONE, 0)]  # None: no factor yet
+    partial = [((), start, 0)]
     for (index, lookup), (after, key) in zip(indexed, indexed[1:]):
         partial = [(br, v if x is None else x if v is None else x * v, s + at)  # v None: no factor
                    for b, x, s in partial for r, v, at in index.get(lookup(b), ())

@@ -476,6 +476,12 @@ class Scalar:
         return _constant(q.numerator, q.denominator)
 
     @classmethod
+    def ratio(cls, p: int, q: int) -> Scalar:
+        """p/q for ints p and q > 0."""
+        g = gcd(p, q)
+        return _constant(p // g, q // g)
+
+    @classmethod
     def parameter(cls, name: str) -> Scalar:
         return cls(Polynomial.variable(name))
 

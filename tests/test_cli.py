@@ -122,7 +122,16 @@ def test_assume_flag_errors_exit_two(text, message, tmp_path, capsys):
     path = _data_path(tmp_path, "sl2.lieb")
     code, out, err = _run(capsys, "check", str(path), "--assume", text)
     assert code == EXIT_PARSE_ERROR
-    assert err == f"error: {message}\n"
+    assert err == f"error: --assume {text!r}: {message}\n"
+    assert out == ""
+
+
+def test_assume_flag_error_names_the_failing_flag(tmp_path, capsys):
+    # the position is within the flag's own text, not the file's
+    path = _data_path(tmp_path, "sl2.lieb")
+    code, out, err = _run(capsys, "check", str(path), "--assume", "k1", "--assume", "k1 k2")
+    assert code == EXIT_PARSE_ERROR
+    assert err == "error: --assume 'k1 k2': line 1, column 4: unexpected 'k2' at end of statement\n"
     assert out == ""
 
 
@@ -152,6 +161,26 @@ def test_construct_unknown_op(tmp_path, capsys):
     code, _, err = _run(capsys, "construct", str(path), "--op", "missing",
                         "--out", str(tmp_path / "x.lieb"))
     assert code == EXIT_PARSE_ERROR
+    assert err.startswith("error: --op missing: no construct statement produces it")
+
+
+def test_construct_op_on_a_representation_is_a_usage_error(tmp_path, capsys):
+    # a rep block names its algebra, so a representation alone cannot be written
+    path = tmp_path / "rep.lieb"
+    path.write_text(_SL2 + "space V : u v\n"
+                    "rep rho of sl2 on V {\n"
+                    "  e : v -> u\n"
+                    "  f : u -> v\n"
+                    "  g : u -> u\n"
+                    "  g : v -> -v\n"
+                    "}\n"
+                    "construct dualize rho as Rd\n", encoding="utf-8")
+    out_file = tmp_path / "rd.lieb"
+    code, out, err = _run(capsys, "construct", str(path), "--op", "Rd", "--out", str(out_file))
+    assert code == EXIT_PARSE_ERROR
+    assert err.startswith("error: --op Rd: rendering a (co)representation requires naming")
+    assert out == ""
+    assert not out_file.exists()
 
 
 def test_solve_weak_symplectic(tmp_path, capsys):

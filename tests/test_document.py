@@ -9,6 +9,7 @@ from lieb.document import (
     DuplicateNameError,
     ParseError,
     UnknownNameError,
+    _tokenize,
     default_checks,
     parse_document,
     render_document,
@@ -101,6 +102,12 @@ def test_dangling_operator_names_the_end_of_line():
         parse_document("space L : e f h\nalgebra a on L {\n  [e, f] = h +\n}\n")
     assert (err.value.line, err.value.col) == (3, 15)
     assert "unexpected end of line in expression" in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["", "a", "a\n", "a\n\n# note\n", "a\r\nb", "a\n  "])
+def test_end_token_follows_the_last_line(text):
+    end = _tokenize(text)[-1]
+    assert (end.kind, end.line, end.col) == ("end", len(text.splitlines()) + 1, 1)
 
 
 def test_zero_assumption_is_a_parse_error():

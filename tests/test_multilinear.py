@@ -5,15 +5,20 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lieb import multilinear
 from lieb.multilinear import (
     BasisSpace,
     LinearOperator,
     PivotAmbiguous,
     ShapeError,
     Table,
+    Tensor,
     contract,
     determinant,
     identity,
@@ -24,7 +29,8 @@ from lieb.multilinear import (
     solve_right,
     zeros,
 )
-from lieb.scalars import Assumption, Polynomial, Scalar
+from lieb.scalars import ONE, Assumption, Polynomial, Scalar
+from lieb.structures import CO_CYBE, CYBE, IMAGE, JACOBI, RIGHT_IMAGE, TORSION
 
 from conftest import rational_matrix, sc
 
@@ -114,6 +120,104 @@ def test_table_coefficients_take_one_occurrence_of_the_unknown():
     assert first == {8 * i + 4 * j + 2 * i + a: m[a][j] for i, j, a in pairs}
     _, second = table.coefficients("om", 1, om=m)
     assert second == {8 * i + 4 * j + 2 * a + j: m[i][a] for i, j, a in pairs}
+
+
+# -- the integer lane of the table engine ------------------------------------
+
+_LANE_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+_LANE_DIM = 3
+
+# a third zeros; the rest signed, with denominators up to 10^6
+_CONSTANTS = st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6))
+
+
+@st.composite
+def _constant_tensor(draw, rank):
+    flat = [Scalar.from_fraction(draw(_CONSTANTS)) for _ in range(_LANE_DIM ** rank)]
+    for _ in range(rank - 1):
+        flat = [flat[k:k + _LANE_DIM] for k in range(0, len(flat), _LANE_DIM)]
+    return flat
+
+
+@st.composite
+def _operands(draw):
+    return {"c": draw(_constant_tensor(3)), "r": draw(_constant_tensor(2)),
+            "N": draw(_constant_tensor(2)), "d": draw(_constant_tensor(3)),
+            "om": draw(_constant_tensor(2))}
+
+
+def _cases(ops):
+    """(table, operands, unknown, occurrence): the checks' tables, torsion fed
+    by the images it is evaluated with, and the co-CYBE slice the solver
+    reads its rows from."""
+    c, nm = ops["c"], ops["N"]
+    left, right = IMAGE.evaluate(M=nm, T=c), RIGHT_IMAGE.evaluate(M=nm, c=c)
+    return [(JACOBI, {"c": c}, None, 0),
+            (CYBE, {"c": c, "r": ops["r"]}, None, 0),
+            (IMAGE, {"M": nm, "T": c}, None, 0),
+            (RIGHT_IMAGE, {"M": nm, "c": c}, None, 0),
+            (TORSION, {"N": nm, "N2": mat_mul(nm, nm), "c": c, "left": left, "right": right},
+             None, 0),
+            (CO_CYBE, {"d": ops["d"], "om": ops["om"]}, "om", 0),
+            (CO_CYBE, {"d": ops["d"], "om": ops["om"]}, "om", 1)]
+
+
+def _engine_and_scalar_fold(table, operands, unknown, occurrence):
+    """The engine's components, the starts of the fold it ran, and the Scalar
+    fold's components on the same plans and operands."""
+    tensors, _, strides = table._operands(operands, unknown)
+    plans = table._plans
+    if unknown is not None:
+        plans = table._compile(unknown, occurrence)
+        shape = tensors[unknown].shape
+        tensors[multilinear._UNKNOWN] = Tensor(shape, dict.fromkeys(
+            itertools.product(*map(range, shape))))
+    with mock.patch.object(multilinear, "_fold", wraps=multilinear._fold) as fold:
+        engine = multilinear._sum(plans, tensors, strides)
+    (ran, _, _), _ = fold.call_args
+    scalar = multilinear._fold([(None if positive else -ONE, steps) for positive, steps in plans],
+                               tensors, strides)
+    return engine, [start for start, _ in ran], scalar
+
+
+@_LANE_SETTINGS
+@given(_operands())
+def test_integer_lane_matches_the_scalar_fold(ops):
+    for table, operands, unknown, occurrence in _cases(ops):
+        engine, starts, scalar = _engine_and_scalar_fold(table, operands, unknown, occurrence)
+        assert all(type(start) is int for start in starts)
+        assert engine.keys() == scalar.keys()
+        assert engine == scalar
+        assert all(v.q is not None for v in engine.values())
+
+
+@_LANE_SETTINGS
+@given(_operands(), st.data())
+def test_one_parametric_entry_takes_the_scalar_fold(ops, data):
+    name = data.draw(st.sampled_from(sorted(ops)))
+    entries = Tensor.of(ops[name])
+    index = data.draw(st.sampled_from(sorted(itertools.product(range(_LANE_DIM),
+                                                                repeat=len(entries.shape)))))
+    entries.entries[index] = data.draw(st.sampled_from([sc("k"), sc("-1/(k + 1)"), sc("2*k/3")]))
+    ops[name] = entries.dense()
+    for table, operands, unknown, occurrence in _cases(ops):
+        if not any(operand is ops[name] for operand in operands.values()):
+            continue
+        engine, starts, scalar = _engine_and_scalar_fold(table, operands, unknown, occurrence)
+        assert all(start is None or isinstance(start, Scalar) for start in starts)
+        assert engine == scalar
+
+
+def test_integer_lane_keeps_zero_sums_in_coefficients():
+    # the same cancellation as above on denominators 3 and 7: the lane divides
+    # once per key, and a key whose terms cancel keeps its zero
+    table = Table("i", "j: a[ij] x[j] + b[ij] x[j]")
+    a = [[sc("1/3"), sc("2/7")], [sc("0"), sc("3/7")]]
+    b = [[sc("1/7"), sc("0")], [sc("0"), sc("-3/7")]]
+    _, sums = table.coefficients("x", a=a, b=b, x=[sc("0"), sc("0")])
+    assert sums == {0: sc("10/21"), 1: sc("2/7"), 3: sc("0")}
+    assert table.evaluate(a=a, b=b, x=[sc("21"), sc("7")]).entries == {(0,): sc("12")}
 
 
 def test_nullspace_examples():

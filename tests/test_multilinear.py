@@ -127,7 +127,7 @@ def test_table_coefficients_take_one_occurrence_of_the_unknown():
 _LANE_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 _LANE_DIM = 3
 
-# a third zeros; the rest signed, with denominators up to 10^6
+# zeros, and signed fractions with denominators up to 10^6
 _CONSTANTS = st.one_of(st.just(Fraction(0)),
                        st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6))
 

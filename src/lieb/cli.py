@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import catalog as _catalog
 from .document import (
+    CHECK_KINDS,
     ParseError,
     default_checks,
     parse_assumptions,
@@ -43,12 +44,22 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(payload, fmt: str) -> None:
+def _emit(payload, fmt: str) -> int:
+    """Print the payload's text lines, or its JSON without them; its exit code."""
+    lines = payload.pop("lines", [])
     if fmt == "json":
         sys.stdout.write(canonical_json(payload))
-        return
-    for line in payload.get("lines", []):
-        print(line)
+    else:
+        for line in lines:
+            print(line)
+    return payload["exit_code"]
+
+
+def _load(path: str):
+    """The parsed document at path, its construct statements run."""
+    doc = parse_document(Path(path).read_text(encoding="utf-8"))
+    run_constructs(doc)
+    return doc
 
 
 class UsageError(ValueError):
@@ -91,9 +102,7 @@ def _run_document_checks(doc, identities, extra_assumptions):
 
 
 def _cmd_check(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
-    doc = parse_document(text)
-    run_constructs(doc)
+    doc = _load(args.file)
     extra = _parse_assume_flags(args.assume)
     results = _run_document_checks(doc, args.identity, extra)
     failed = any(not report.passed for _, report in results)
@@ -110,16 +119,11 @@ def _cmd_check(args) -> int:
            if entry["assumptions_used"] else "")
         for entry in payload["results"]
     ]
-    if args.format == "json":
-        payload.pop("lines")
-    _emit(payload, args.format)
-    return payload["exit_code"]
+    return _emit(payload, args.format)
 
 
 def _cmd_construct(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
-    doc = parse_document(text)
-    run_constructs(doc)
+    doc = _load(args.file)
     if args.op not in doc.structures:
         wanted = [c.result for c in doc.constructs]
         raise UsageError(f"--op {args.op}: no construct statement produces it (available: {wanted})")
@@ -136,32 +140,27 @@ def _cmd_construct(args) -> int:
         "exit_code": EXIT_OK,
         "lines": [f"wrote {args.op} to {args.out}"],
     }
-    if args.format == "json":
-        payload.pop("lines")
-    _emit(payload, args.format)
-    return EXIT_OK
+    return _emit(payload, args.format)
 
 
-def _first_of(doc, kind):
+def _first_of(doc, kind, problem: str):
     for obj in doc.structures.values():
         if isinstance(obj, kind):
             return obj
-    raise ParseError(f"the document declares no {kind.__name__}", 0, 0)
+    raise UsageError(f"--problem {problem}: the document declares no {kind.__name__}")
 
 
 def _cmd_solve(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
-    doc = parse_document(text)
-    run_constructs(doc)
+    doc = _load(args.file)
     if args.problem == "weak-symplectic":
-        problem = LinearProblem.weak_symplectic(_first_of(doc, LieAlgebra))
+        problem = LinearProblem.weak_symplectic(_first_of(doc, LieAlgebra, args.problem))
     elif args.problem == "ad-invariance":
-        problem = LinearProblem.ad_invariance(_first_of(doc, LieAlgebra))
+        problem = LinearProblem.ad_invariance(_first_of(doc, LieAlgebra, args.problem))
     elif args.problem == "cocycle-in-delta":
-        problem = LinearProblem.cocycle_in_delta(_first_of(doc, LieAlgebra))
+        problem = LinearProblem.cocycle_in_delta(_first_of(doc, LieAlgebra, args.problem))
     else:
-        problem = LinearProblem.co_cybe_slice(_first_of(doc, LieCoalgebra),
-                                              _first_of(doc, BilinearForm))
+        problem = LinearProblem.co_cybe_slice(_first_of(doc, LieCoalgebra, args.problem),
+                                              _first_of(doc, BilinearForm, args.problem))
     solution = solve_linear(problem, tuple(doc.assumptions))
     basis_payload = []
     for idx, element in enumerate(solution.basis):
@@ -185,10 +184,7 @@ def _cmd_solve(args) -> int:
         *[line for rendered in basis_payload for line in rendered.splitlines()
           if line and not line.startswith("#")],
     ]
-    if args.format == "json":
-        payload.pop("lines")
-    _emit(payload, args.format)
-    return EXIT_OK
+    return _emit(payload, args.format)
 
 
 def _cmd_catalog(args) -> int:
@@ -231,10 +227,7 @@ def _cmd_catalog(args) -> int:
             "exit_code": EXIT_OK,
             "lines": [f"wrote {entry.id} to {out}"],
         }
-    if args.format == "json":
-        payload.pop("lines")
-    _emit(payload, args.format)
-    return EXIT_OK
+    return _emit(payload, args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the checks declared in a file")
     p_check.add_argument("file")
-    p_check.add_argument("--identity", action="append",
+    p_check.add_argument("--identity", action="append", choices=sorted(CHECK_KINDS),
                          help="only run checks of this kind (repeatable)")
     p_check.add_argument("--assume", action="append",
                          help="extra nonzero-polynomial assumption (repeatable)")

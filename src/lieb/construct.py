@@ -22,14 +22,11 @@ from .multilinear import (
     BilinearForm,
     LinearOperator,
     ShapeError,
-    TwoTensor,
-    ONE,
     Table,
-    mat_mul,
+    Tensor,
+    TwoTensor,
+    identity,
     solve_right,
-    transpose_matrix,
-    zeros,
-    zeros3,
 )
 from .scalars import Assumption
 from .structures import (
@@ -91,6 +88,14 @@ def p_from_r_omega(C: LieCoalgebra, r: TwoTensor, omega: BilinearForm) -> Linear
 # the constants of the duals: d*[k][i][j] = c[i][j][k] and c*[i][j][k] = d[k][i][j]
 DUAL_COBRACKET = Table("kij", "c[ijk]")
 DUAL_BRACKET = Table("ijk", "d[kij]")
+# rho*(e_i) = -rho(e_i)^T; on a coaction g[i][a][k], the flipped -g[i][k][a]
+DUAL_ACTION = Table("ipq", "-(A[iqp])")
+# coaction g[i][j][k] <-> action[j][i][k], either way round; no sign
+SWAP_ACTION = Table("jik", "t[ijk]")
+# ad(e_i) has columns [e_i, e_q]
+ADJOINT = Table("ipq", "c[iqp]")
+# rho_H(e^a) e_j = -sum_b d[j][a][b] e_b
+COADJOINT_COACTION = Table("abj", "-(d[jab])")
 
 
 def dual_coalgebra(L: LieAlgebra) -> LieCoalgebra:
@@ -105,9 +110,7 @@ def dual_algebra(C: LieCoalgebra) -> LieAlgebra:
 
 def dual_representation(R: Representation) -> Representation:
     """Representation on the dual module: rho*(x) = -rho(x)^T."""
-    action = [[[-mat[q][p] for q in range(R.space.dim)] for p in range(R.space.dim)]
-              for mat in R.action]
-    return Representation(R.algebra, R.space.dual(), action)
+    return Representation(R.algebra, R.space.dual(), DUAL_ACTION.evaluate(A=R.action).dense())
 
 
 def corep_from_rep(R: Representation) -> Corepresentation:
@@ -115,16 +118,14 @@ def corep_from_rep(R: Representation) -> Corepresentation:
 
     g[i][j][k] = action[j][i][k]; no sign enters here.
     """
-    n, m = R.algebra.space.dim, R.space.dim
-    coaction = [[[R.action[j][i][k] for k in range(m)] for j in range(n)] for i in range(m)]
-    return Corepresentation(dual_coalgebra(R.algebra), R.space.dual(), coaction)
+    return Corepresentation(dual_coalgebra(R.algebra), R.space.dual(),
+                            SWAP_ACTION.evaluate(t=R.action).dense())
 
 
 def rep_from_corep(K: Corepresentation) -> Representation:
     """Representation of the dual algebra on the dual module (no sign)."""
-    n, m = K.coalgebra.space.dim, K.space.dim
-    action = [[[K.coaction[k][j][mm] for mm in range(m)] for k in range(m)] for j in range(n)]
-    return Representation(dual_algebra(K.coalgebra), K.space.dual(), action)
+    return Representation(dual_algebra(K.coalgebra), K.space.dual(),
+                          SWAP_ACTION.evaluate(t=K.coaction).dense())
 
 
 def dualize(obj: LieAlgebra | LieCoalgebra | Representation | Corepresentation | LinearOperator,
@@ -148,7 +149,7 @@ def dualize(obj: LieAlgebra | LieCoalgebra | Representation | Corepresentation |
 
 
 def adjoint_representation(L: LieAlgebra) -> Representation:
-    return Representation(L, L.space, [L.ad(i) for i in range(L.space.dim)])
+    return Representation(L, L.space, ADJOINT.evaluate(c=L.c).dense())
 
 
 def coadjoint_representation(L: LieAlgebra) -> Representation:
@@ -170,58 +171,48 @@ def _sum_space(first: BasisSpace, second: BasisSpace) -> BasisSpace:
     return BasisSpace(tuple(labels))
 
 
+def _blocks(shape: tuple[int, ...], *blocks) -> list:
+    """The dense tensor of the given shape holding each (offsets, block) at its
+    offsets, a block being a Tensor or a nested list; ZERO elsewhere."""
+    entries = {}
+    for offsets, block in blocks:
+        for idx, v in Tensor.of(block).entries.items():
+            entries[tuple([o + k for o, k in zip(offsets, idx)])] = v
+    return Tensor(shape, entries).dense()
+
+
 def _block_operator(first: LinearOperator, second: LinearOperator) -> LinearOperator:
-    n, m = first.domain.dim, second.domain.dim
-    dom = _sum_space(first.domain, second.domain)
-    cod = _sum_space(first.codomain, second.codomain)
-    mat = zeros(first.codomain.dim + second.codomain.dim, n + m)
-    for i in range(first.codomain.dim):
-        for j in range(n):
-            mat[i][j] = first.matrix[i][j]
-    for i in range(second.codomain.dim):
-        for j in range(m):
-            mat[first.codomain.dim + i][n + j] = second.matrix[i][j]
-    return LinearOperator(dom, cod, mat)
+    rows, cols = first.codomain.dim, first.domain.dim
+    mat = _blocks((rows + second.codomain.dim, cols + second.domain.dim),
+                  ((0, 0), first.matrix), ((rows, cols), second.matrix))
+    return LinearOperator(_sum_space(first.domain, second.domain),
+                          _sum_space(first.codomain, second.codomain), mat)
+
+
+# the mixed brackets with a module H: [e_i, h_b] = rho(e_i) h_b, as
+# c[i][n+b][n+k] = A[i][k][b] and its mirror c[n+b][i][n+k]; with the roles
+# swapped they place -rho_H(h_b) e_i too
+ACTION_BRACKET = Table("ibk", "A[ikb]")
+ACTION_MIRROR = Table("bik", "-(A[ikb])")
 
 
 def semidirect_product(L: LieAlgebra, R: Representation,
                        N: LinearOperator, alpha: LinearOperator) -> tuple[LieAlgebra, LinearOperator]:
     """Half-direct bracket [x+u, y+v] = [x,y] + rho(x)v - rho(y)u with block operator."""
-    n, m = L.space.dim, R.space.dim
-    total = n + m
-    sp = _sum_space(L.space, R.space)
-    c = zeros3(total, total, total)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i][j][k] = L.c[i][j][k]
-    for i in range(n):
-        for a in range(m):
-            for b in range(m):
-                value = R.action[i][b][a]
-                c[i][n + a][n + b] = value
-                c[n + a][i][n + b] = -value
-    return LieAlgebra(sp, c), _block_operator(N, alpha)
+    n, total = L.space.dim, L.space.dim + R.space.dim
+    c = _blocks((total,) * 3, ((0, 0, 0), L.c),
+                ((0, n, n), ACTION_BRACKET.evaluate(A=R.action)),
+                ((n, 0, n), ACTION_MIRROR.evaluate(A=R.action)))
+    return LieAlgebra(_sum_space(L.space, R.space), c), _block_operator(N, alpha)
 
 
 def semidirect_coproduct(C: LieCoalgebra, K: Corepresentation,
                          P: LinearOperator, beta: LinearOperator) -> tuple[LieCoalgebra, LinearOperator]:
     """Coproduct (x+v) -> delta(x) + gamma(v) - flip(gamma(v)) with block operator."""
-    n, m = C.space.dim, K.space.dim
-    total = n + m
-    sp = _sum_space(C.space, K.space)
-    d = zeros3(total, total, total)
-    for i in range(n):
-        for a in range(n):
-            for b in range(n):
-                d[i][a][b] = C.d[i][a][b]
-    for i in range(m):
-        for a in range(n):
-            for k in range(m):
-                value = K.coaction[i][a][k]
-                d[n + i][a][n + k] = value
-                d[n + i][n + k][a] = -value
-    return LieCoalgebra(sp, d), _block_operator(P, beta)
+    n, total = C.space.dim, C.space.dim + K.space.dim
+    d = _blocks((total,) * 3, ((0, 0, 0), C.d), ((n, 0, n), K.coaction),
+                ((n, n, 0), DUAL_ACTION.evaluate(A=K.coaction)))
+    return LieCoalgebra(_sum_space(C.space, K.space), d), _block_operator(P, beta)
 
 
 def double_matched_pair(L: LieAlgebra, H: LieAlgebra,
@@ -231,29 +222,13 @@ def double_matched_pair(L: LieAlgebra, H: LieAlgebra,
     n, m = L.space.dim, H.space.dim
     if rho_L.space.dim != m or rho_H.space.dim != n:
         raise ShapeError("matched-pair actions have wrong module dimensions")
-    total = n + m
-    sp = _sum_space(L.space, H.space)
-    c = zeros3(total, total, total)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i][j][k] = L.c[i][j][k]
-    for a in range(m):
-        for b in range(m):
-            for k in range(m):
-                c[n + a][n + b][n + k] = H.c[a][b][k]
-    for i in range(n):
-        for b in range(m):
-            # [e_i, h_b] = rho_L(e_i) h_b - rho_H(h_b) e_i
-            for k in range(m):
-                value = rho_L.action[i][k][b]
-                c[i][n + b][n + k] = value
-                c[n + b][i][n + k] = -value
-            for k in range(n):
-                value = rho_H.action[b][k][i]
-                c[i][n + b][k] = -value
-                c[n + b][i][k] = value
-    return LieAlgebra(sp, c), _block_operator(N_L, N_H)
+    # [e_i, h_b] = rho_L(e_i) h_b - rho_H(h_b) e_i
+    c = _blocks((n + m,) * 3, ((0, 0, 0), L.c), ((n, n, n), H.c),
+                ((0, n, n), ACTION_BRACKET.evaluate(A=rho_L.action)),
+                ((n, 0, n), ACTION_MIRROR.evaluate(A=rho_L.action)),
+                ((0, n, 0), ACTION_MIRROR.evaluate(A=rho_H.action)),
+                ((n, 0, 0), ACTION_BRACKET.evaluate(A=rho_H.action)))
+    return LieAlgebra(_sum_space(L.space, H.space), c), _block_operator(N_L, N_H)
 
 
 def dual_pair_actions(L: LieAlgebra, C: LieCoalgebra) -> tuple[Representation, Representation]:
@@ -262,14 +237,10 @@ def dual_pair_actions(L: LieAlgebra, C: LieCoalgebra) -> tuple[Representation, R
     Returns (rho_L on the dual space, rho_H on the primal space) where
     rho_L(e_i) e^b = -sum_j c[i][j][b] e^j and rho_H(e^a) e_j = -sum_b d[j][a][b] e_b.
     """
-    n = L.space.dim
-    if C.space.dim != n:
+    if C.space.dim != L.space.dim:
         raise ShapeError("algebra and coalgebra live on different spaces")
-    rho_l = coadjoint_representation(L)
-    dual = dual_algebra(C)
-    action = [[[-C.d[j][a][b] for j in range(n)] for b in range(n)] for a in range(n)]
-    rho_h = Representation(dual, L.space, action)
-    return rho_l, rho_h
+    rho_h = Representation(dual_algebra(C), L.space, COADJOINT_COACTION.evaluate(d=C.d).dense())
+    return coadjoint_representation(L), rho_h
 
 
 def manin_double(L: LieAlgebra, C: LieCoalgebra,
@@ -283,14 +254,19 @@ def manin_double(L: LieAlgebra, C: LieCoalgebra,
     rho_l, rho_h = dual_pair_actions(L, C)
     double, op = double_matched_pair(L, dual_algebra(C), rho_l, rho_h, N, P.transpose())
     n = L.space.dim
-    b = zeros(2 * n, 2 * n)
-    for i in range(n):
-        b[i][n + i] = ONE
-        b[n + i][i] = ONE
+    b = _blocks((2 * n, 2 * n), ((0, n), identity(n)), ((n, 0), identity(n)))
     return double, op, BilinearForm(double.space, b)
 
 
 # -- operator bridges ----------------------------------------------------------
+
+# N^T B, the form (x, y) -> B(Nx, y)
+FORM_PULLBACK = Table("ij", "k: N[ki] B[kj]")
+# the matrix of phi_r: column i is the image of e^i
+TRANSPOSE = Table("ji", "r[ij]")
+# the block of r_from_T on V* (x) L: -e^i (x) T(e_i)
+R_FROM_T_MIRROR = Table("ia", "-(T[ai])")
+
 
 def adjoint_operator(B: BilinearForm, N: LinearOperator,
                      assumptions: Sequence[Assumption] = ()) -> LinearOperator:
@@ -302,16 +278,14 @@ def adjoint_operator(B: BilinearForm, N: LinearOperator,
     det = determinant(B.matrix)
     if det.is_zero():
         raise DegenerateForm("the form is degenerate; no adjoint exists")
-    target = mat_mul(transpose_matrix(N.matrix), B.matrix)
+    target = FORM_PULLBACK.evaluate(N=N.matrix, B=B.matrix).dense()
     mat = solve_right(B.matrix, target, assumptions)
     return LinearOperator(N.domain, N.codomain, mat)
 
 
 def phi_r(r: TwoTensor) -> LinearOperator:
     """The map dual space -> space sending e^i to sum_j r[i][j] e_j."""
-    n = r.space.dim
-    mat = [[r.matrix[k][j] for k in range(n)] for j in range(n)]
-    return LinearOperator(r.space.dual(), r.space, mat)
+    return LinearOperator(r.space.dual(), r.space, TRANSPOSE.evaluate(r=r.matrix).dense())
 
 
 def r_from_T(T: LinearOperator, R: Representation) -> tuple[LieAlgebra, TwoTensor]:
@@ -326,10 +300,6 @@ def r_from_T(T: LinearOperator, R: Representation) -> tuple[LieAlgebra, TwoTenso
     ambient, _ = semidirect_product(
         R.algebra, dual_representation(R),
         LinearOperator.zero(R.algebra.space), LinearOperator.zero(R.space.dual()))
-    total = n + m
-    rm = zeros(total, total)
-    for i in range(m):
-        for a in range(n):
-            rm[a][n + i] = rm[a][n + i] + T.matrix[a][i]
-            rm[n + i][a] = rm[n + i][a] - T.matrix[a][i]
+    rm = _blocks((n + m, n + m), ((0, n), T.matrix),
+                 ((n, 0), R_FROM_T_MIRROR.evaluate(T=T.matrix)))
     return ambient, TwoTensor(ambient.space, rm)

@@ -18,6 +18,7 @@ the header of every exported file:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, sub
 from typing import Iterable, get_args, get_type_hints
 
 from .multilinear import (
@@ -207,21 +208,22 @@ class _Value:
     data: object
 
 
+def _entrywise(fn, rank: int, *data):
+    """fn applied entry by entry to equally shaped data of the given rank."""
+    if rank == 0:
+        return fn(*data)
+    return [_entrywise(fn, rank - 1, *rows) for rows in zip(*data)]
+
+
 def _combine(op: str, a: _Value, b: _Value, tok: _Token) -> _Value:
     if op in ("+", "-"):
         if a.rank != b.rank:
             raise ParseError(f"cannot {'add' if op == '+' else 'subtract'} rank {a.rank} "
                              f"and rank {b.rank} expressions", tok.line, tok.col)
-        if a.rank == 0:
-            return _Value(0, a.data + b.data if op == "+" else a.data - b.data)
-        if a.rank == 1:
-            if len(a.data) != len(b.data):
-                raise ParseError("vectors from different spaces", tok.line, tok.col)
-            return _Value(1, [x + y if op == "+" else x - y for x, y in zip(a.data, b.data)])
-        if len(a.data) != len(b.data):
-            raise ParseError("tensors from different spaces", tok.line, tok.col)
-        return _Value(2, [[x + y if op == "+" else x - y for x, y in zip(ra, rb)]
-                          for ra, rb in zip(a.data, b.data)])
+        if a.rank and len(a.data) != len(b.data):
+            raise ParseError(f"{('vectors', 'tensors')[a.rank - 1]} from different spaces",
+                             tok.line, tok.col)
+        return _Value(a.rank, _entrywise(add if op == "+" else sub, a.rank, a.data, b.data))
     if op == "*":
         if a.rank == 0 and b.rank == 0:
             return _Value(0, a.data * b.data)
@@ -244,11 +246,7 @@ def _combine(op: str, a: _Value, b: _Value, tok: _Token) -> _Value:
 
 
 def _scale(s: Scalar, v: _Value) -> _Value:
-    if v.rank == 0:
-        return _Value(0, s * v.data)
-    if v.rank == 1:
-        return _Value(1, [s * x for x in v.data])
-    return _Value(2, [[s * x for x in row] for row in v.data])
+    return _Value(v.rank, _entrywise(lambda x: s * x, v.rank, v.data))
 
 
 # -- parser --------------------------------------------------------------------
@@ -316,12 +314,13 @@ class _Parser:
             self.advance()
             handler()
 
-    def _register(self, name_tok: _Token, obj):
+    def _fresh(self, name_tok: _Token) -> str:
+        """The token's name, which no space or structure may already have."""
         name = name_tok.text
         if name in self.doc.structures or name in self.doc.spaces:
             raise DuplicateNameError(f"name {name!r} is already defined",
                                      name_tok.line, name_tok.col)
-        self.doc.structures[name] = obj
+        return name
 
     def _stmt_params(self):
         while self.peek().kind == "name":
@@ -331,10 +330,7 @@ class _Parser:
         self.end_statement()
 
     def _stmt_space(self):
-        name_tok = self.expect("name")
-        if name_tok.text in self.doc.spaces or name_tok.text in self.doc.structures:
-            raise DuplicateNameError(f"name {name_tok.text!r} is already defined",
-                                     name_tok.line, name_tok.col)
+        name = self._fresh(self.expect("name"))
         self.expect(":")
         labels = []
         while self.peek().kind == "name":
@@ -343,7 +339,7 @@ class _Parser:
             tok = self.peek()
             raise ParseError("a space needs at least one basis label", tok.line, tok.col)
         self.end_statement()
-        self.doc.spaces[name_tok.text] = BasisSpace(tuple(labels))
+        self.doc.spaces[name] = BasisSpace(tuple(labels))
 
     def _space_ref(self) -> BasisSpace:
         tok = self.expect("name")
@@ -355,49 +351,39 @@ class _Parser:
         name_tok = self.expect("name")
         self.expect_name("on")
         sp = self._space_ref()
-        self._open_block()
-        n = sp.dim
-        c = zeros3(n, n, n)
+        c = zeros3(sp.dim, sp.dim, sp.dim)
         listed: set[tuple[int, int]] = set()
-        while not self._at_block_end():
+
+        def entry():
             self.expect("[")
             i = self._label_index(sp)
             self.expect(",")
             j = self._label_index(sp)
             self.expect("]")
             self.expect("=")
-            vec = self._vector_expr(sp)
-            for k, value in enumerate(vec):
-                c[i][j][k] = value
+            c[i][j] = self._rank_expr(sp, 1)
             listed.add((i, j))
-            self.end_statement()
-            self.skip_newlines()
-        self._close_block()
-        for (i, j) in list(listed):
+        self._block(entry)
+        for (i, j) in listed:
             if (j, i) not in listed:
-                for k in range(n):
-                    c[j][i][k] = -c[i][j][k]
-        self._register(name_tok, LieAlgebra(sp, c))
+                c[j][i] = [-v for v in c[i][j]]
+        self.doc.structures[self._fresh(name_tok)] = LieAlgebra(sp, c)
 
     def _stmt_coalgebra(self):
         name_tok = self.expect("name")
         self.expect_name("on")
         sp = self._space_ref()
-        self._open_block()
-        n = sp.dim
-        d = zeros3(n, n, n)
-        while not self._at_block_end():
+        d = zeros3(sp.dim, sp.dim, sp.dim)
+
+        def entry():
             self.expect_name("delta")
             self.expect("(")
             i = self._label_index(sp)
             self.expect(")")
             self.expect("=")
-            mat = self._tensor_expr(sp)
-            d[i] = mat
-            self.end_statement()
-            self.skip_newlines()
-        self._close_block()
-        self._register(name_tok, LieCoalgebra(sp, d))
+            d[i] = self._rank_expr(sp, 2)
+        self._block(entry)
+        self.doc.structures[self._fresh(name_tok)] = LieCoalgebra(sp, d)
 
     def _stmt_operator(self):
         name_tok = self.expect("name")
@@ -405,18 +391,15 @@ class _Parser:
         dom = self._space_ref()
         self.expect("->")
         cod = self._space_ref()
-        self._open_block()
         mat = zeros(cod.dim, dom.dim)
-        while not self._at_block_end():
+
+        def entry():
             j = self._label_index(dom)
             self.expect("->")
-            vec = self._vector_expr(cod)
-            for i, value in enumerate(vec):
+            for i, value in enumerate(self._rank_expr(cod, 1)):
                 mat[i][j] = value
-            self.end_statement()
-            self.skip_newlines()
-        self._close_block()
-        self._register(name_tok, LinearOperator(dom, cod, mat))
+        self._block(entry)
+        self.doc.structures[self._fresh(name_tok)] = LinearOperator(dom, cod, mat)
 
     def _stmt_form(self):
         name_tok = self.expect("name")
@@ -426,27 +409,24 @@ class _Parser:
         if self.peek().kind == "name" and self.peek().text == "skew":
             self.advance()
             skew = True
-        self._open_block()
-        n = sp.dim
-        mat = zeros(n, n)
+        mat = zeros(sp.dim, sp.dim)
         listed: set[tuple[int, int]] = set()
-        while not self._at_block_end():
+
+        def entry():
             self.expect("(")
             i = self._label_index(sp)
             self.expect(",")
             j = self._label_index(sp)
             self.expect(")")
             self.expect("=")
-            mat[i][j] = self._scalar_expr(sp)
+            mat[i][j] = self._rank_expr(sp, 0)
             listed.add((i, j))
-            self.end_statement()
-            self.skip_newlines()
-        self._close_block()
+        self._block(entry)
         if skew:
-            for (i, j) in list(listed):
+            for (i, j) in listed:
                 if (j, i) not in listed and i != j:
                     mat[j][i] = -mat[i][j]
-        self._register(name_tok, BilinearForm(sp, mat))
+        self.doc.structures[self._fresh(name_tok)] = BilinearForm(sp, mat)
 
     def _stmt_tensor(self):
         name_tok = self.expect("name")
@@ -460,7 +440,7 @@ class _Parser:
                              tok.line, tok.col)
         self.skip_newlines()
         self._close_block()
-        self._register(name_tok, TwoTensor(sp, value.data))
+        self.doc.structures[self._fresh(name_tok)] = TwoTensor(sp, value.data)
 
     def _stmt_rep(self):
         name_tok = self.expect("name")
@@ -471,21 +451,17 @@ class _Parser:
             raise ParseError(f"{alg_tok.text!r} is not an algebra", alg_tok.line, alg_tok.col)
         self.expect_name("on")
         sp = self._space_ref()
-        self._open_block()
-        n, m = algebra.space.dim, sp.dim
-        action = [zeros(m, m) for _ in range(n)]
-        while not self._at_block_end():
+        action = [zeros(sp.dim, sp.dim) for _ in algebra.space.labels]
+
+        def entry():
             i = self._label_index(algebra.space)
             self.expect(":")
             j = self._label_index(sp)
             self.expect("->")
-            vec = self._vector_expr(sp)
-            for k, value in enumerate(vec):
+            for k, value in enumerate(self._rank_expr(sp, 1)):
                 action[i][k][j] = value
-            self.end_statement()
-            self.skip_newlines()
-        self._close_block()
-        self._register(name_tok, Representation(algebra, sp, action))
+        self._block(entry)
+        self.doc.structures[self._fresh(name_tok)] = Representation(algebra, sp, action)
 
     def _stmt_assume(self):
         self.doc.assumptions.extend(self._assumption_list())
@@ -522,13 +498,9 @@ class _Parser:
             self.doc.structure(tok.text, tok.line, tok.col)
             args.append(tok.text)
         self.expect_name("as")
-        result_tok = self.expect("name")
-        if result_tok.text in self.doc.structures or result_tok.text in self.doc.spaces:
-            raise DuplicateNameError(f"name {result_tok.text!r} is already defined",
-                                     result_tok.line, result_tok.col)
+        result = self._fresh(self.expect("name"))
         self.end_statement()
-        self.doc.constructs.append(
-            ConstructStatement(op_tok.text, args, result_tok.text, op_tok.line))
+        self.doc.constructs.append(ConstructStatement(op_tok.text, args, result, op_tok.line))
 
     # block and expression helpers
 
@@ -540,8 +512,15 @@ class _Parser:
         self.expect("}")
         self.end_statement()
 
-    def _at_block_end(self) -> bool:
-        return self.peek().kind == "}"
+    def _block(self, entry):
+        """``{``, then entries read by ``entry`` up to ``}``, each ended by a
+        line break and followed by any further ones."""
+        self._open_block()
+        while self.peek().kind != "}":
+            entry()
+            self.end_statement()
+            self.skip_newlines()
+        self._close_block()
 
     def _label_index(self, sp: BasisSpace) -> int:
         tok = self.expect("name")
@@ -553,7 +532,7 @@ class _Parser:
     def _assumption_list(self) -> list[Assumption]:
         out = []
         while True:
-            value = self._scalar_expr(None)
+            value = self._rank_expr(None, 0)
             tok = self.peek()
             if value.is_zero():
                 raise ParseError("assumption must be nonzero", tok.line, tok.col)
@@ -565,29 +544,16 @@ class _Parser:
                 return out
             self.advance()
 
-    def _scalar_expr(self, sp: BasisSpace | None) -> Scalar:
+    def _rank_expr(self, sp: BasisSpace | None, rank: int):
+        """An expression of the given rank (0 scalar, 1 vector, 2 2-tensor); a
+        zero scalar stands for the zero vector or 2-tensor on sp."""
         value = self._expr(sp)
-        if value.rank != 0:
+        if rank and value.rank == 0 and value.data.is_zero():
+            return [ZERO] * sp.dim if rank == 1 else zeros(sp.dim, sp.dim)
+        if value.rank != rank:
             tok = self.peek()
-            raise ParseError("expected a scalar expression", tok.line, tok.col)
-        return value.data
-
-    def _vector_expr(self, sp: BasisSpace) -> list[Scalar]:
-        value = self._expr(sp)
-        if value.rank == 0 and isinstance(value.data, Scalar) and value.data.is_zero():
-            return [ZERO] * sp.dim
-        if value.rank != 1:
-            tok = self.peek()
-            raise ParseError("expected a vector expression", tok.line, tok.col)
-        return value.data
-
-    def _tensor_expr(self, sp: BasisSpace) -> list[list[Scalar]]:
-        value = self._expr(sp)
-        if value.rank == 0 and isinstance(value.data, Scalar) and value.data.is_zero():
-            return zeros(sp.dim, sp.dim)
-        if value.rank != 2:
-            tok = self.peek()
-            raise ParseError("expected a 2-tensor expression", tok.line, tok.col)
+            raise ParseError(f"expected a {('scalar', 'vector', '2-tensor')[rank]} expression",
+                             tok.line, tok.col)
         return value.data
 
     def _maybe_skip(self, skip: bool):
@@ -687,7 +653,7 @@ def _expression_parser(text: str, params: Iterable[str] | None) -> _Parser:
 def parse_scalar(text: str, allowed: Iterable[str] | None = None) -> Scalar:
     """Parse a coefficient expression; every name is a parameter unless ``allowed`` lists them."""
     parser = _expression_parser(text, allowed)
-    value = parser._scalar_expr(None)
+    value = parser._rank_expr(None, 0)
     parser.end_statement()
     return value
 
@@ -730,19 +696,15 @@ def run_constructs(doc: Document) -> None:
             raise ParseError(f"construct {stmt.op}: {exc}", stmt.line, 1) from exc
 
 
+# the check of each structure type's intrinsic axioms
+_DEFAULT_CHECKS = {LieAlgebra: "lie-algebra", LieCoalgebra: "lie-coalgebra",
+                   Representation: "representation", Corepresentation: "corepresentation"}
+
+
 def default_checks(doc: Document) -> list[CheckStatement]:
     """Validity checks for every declared structure with intrinsic axioms."""
-    out = []
-    for name, obj in doc.structures.items():
-        if isinstance(obj, LieAlgebra):
-            out.append(CheckStatement("lie-algebra", [name], [], 0))
-        elif isinstance(obj, LieCoalgebra):
-            out.append(CheckStatement("lie-coalgebra", [name], [], 0))
-        elif isinstance(obj, Representation):
-            out.append(CheckStatement("representation", [name], [], 0))
-        elif isinstance(obj, Corepresentation):
-            out.append(CheckStatement("corepresentation", [name], [], 0))
-    return out
+    return [CheckStatement(_DEFAULT_CHECKS[type(obj)], [name], [], 0)
+            for name, obj in doc.structures.items() if type(obj) in _DEFAULT_CHECKS]
 
 
 def run_check_statement(doc: Document, stmt: CheckStatement,

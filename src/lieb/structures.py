@@ -177,6 +177,11 @@ class Corepresentation:
 
 # -- report assembly --------------------------------------------------------
 
+def _tagged(tag: str, report: CheckReport) -> list[tuple[str, tuple, Scalar]]:
+    """A sub-check's residuals as items, each identity prefixed by the tag."""
+    return [(f"{tag}.{r.identity}", r.index, r.value) for r in report.residuals]
+
+
 def _build_report(items: Iterable[tuple[str, tuple, Scalar]],
                   inputs: Iterable,
                   assumptions: Sequence[Assumption],
@@ -369,6 +374,8 @@ DEFORMATION_1 = Table("iab", "DP[iab]; xy: -d[ixy] P[ax] P[by]")
 DEFORMATION_2 = Table("iab", "dP[iab] + D[iab]; y: -d[iay] P[by]; x: -d[ixb] P[ax]")
 DEFORMATION_3 = Table("iak", "Gb[iak]; xq: -g[ixq] P[ax] be[kq]")
 DEFORMATION_4 = Table("iak", "gb[iak] + G[iak]; q: -g[iaq] be[kq]; x: -g[ixk] P[ax]")
+# the second summand (st - s x) / t of a deformed tensor st = s x + t y, with u = 1/t
+SECOND_SUMMAND = Table("ijk", "u[] st[ijk]", "-(u[] s[] x[ijk])")
 INVARIANCE = Table("ijk", "m: c[ijm] B[mk]", "-(m: c[jkm] B[im])")
 # (ad_x (x) id + id (x) ad_x)(r + r^sigma)
 AD_INVARIANCE = Table("xpq", "y: c[xyp] r[yq] + c[xyp] r[qy] + c[xyq] r[py] + c[xyq] r[yp]")
@@ -570,11 +577,7 @@ def check_compatible_pair(C1: LieCoalgebra, C2: LieCoalgebra,
     n = C1.space.dim
     if C2.space.dim != n:
         raise ShapeError("cobrackets live on different spaces")
-    items = []
-    r1 = check_lie_coalgebra(C1)
-    r2 = check_lie_coalgebra(C2)
-    items += [(f"first.{r.identity}", r.index, r.value) for r in r1.residuals]
-    items += [(f"second.{r.identity}", r.index, r.value) for r in r2.residuals]
+    items = _tagged("first", check_lie_coalgebra(C1)) + _tagged("second", check_lie_coalgebra(C2))
     items += _items("mixed-co-jacobi", MIXED_CYCLIC.evaluate(
         t=COMPOSITE.evaluate(d=C1.d, e=C2.d), u=COMPOSITE.evaluate(d=C2.d, e=C1.d)))
     inputs = [C1, C2, s, t]
@@ -583,10 +586,8 @@ def check_compatible_pair(C1: LieCoalgebra, C2: LieCoalgebra,
     if corep1 is not None and corep2 is not None:
         if corep2.space.dim != corep1.space.dim:
             raise ShapeError("coreps live on different module spaces")
-        k1 = check_corepresentation(corep1)
-        k2 = check_corepresentation(corep2)
-        items += [(f"first.{r.identity}", r.index, r.value) for r in k1.residuals]
-        items += [(f"second.{r.identity}", r.index, r.value) for r in k2.residuals]
+        items += _tagged("first", check_corepresentation(corep1))
+        items += _tagged("second", check_corepresentation(corep2))
         items += _items("mixed-corepresentation", MIXED_COREPRESENTATION.evaluate(
             g=corep1.coaction, h=corep2.coaction, d=C1.d, e=C2.d))
         inputs += [corep1, corep2]
@@ -603,17 +604,12 @@ def check_deformed_homomorphism(C: LieCoalgebra, C_st: LieCoalgebra,
     C_st and K_st carry s*delta + t*Delta and s*gamma + t*Gamma; the second
     summands are recovered by exact division, so t must be invertible.
     """
-    n = C.space.dim
-    m = K.space.dim
     if t.is_zero():
         raise ShapeError("deformation weight t must be invertible to recover the second cobracket")
     inv_t = ONE / t
-    d = Tensor.of(C.d)
-    dd = Tensor.of([[[(C_st.d[i][a][b] - s * C.d[i][a][b]) * inv_t for b in range(n)]
-                     for a in range(n)] for i in range(n)])
-    g = Tensor.of(K.coaction)
-    gg = Tensor.of([[[(K_st.coaction[i][j][k] - s * K.coaction[i][j][k]) * inv_t
-                      for k in range(m)] for j in range(n)] for i in range(m)])
+    d, g = Tensor.of(C.d), Tensor.of(K.coaction)
+    dd = SECOND_SUMMAND.evaluate(u=inv_t, st=C_st.d, s=s, x=d)
+    gg = SECOND_SUMMAND.evaluate(u=inv_t, st=K_st.coaction, s=s, x=g)
     p, bt = P.matrix, beta.matrix
     items = _interleaved(
         ("deformation-1", DEFORMATION_1.evaluate(DP=IMAGE.evaluate(M=p, T=dd), d=d, P=p)),
@@ -638,14 +634,10 @@ def check_matched_pair(L: LieAlgebra, H: LieAlgebra,
         raise ShapeError("rho_L must represent the first algebra")
     if rho_L.space.dim != m or rho_H.space.dim != n:
         raise ShapeError("matched-pair actions have wrong module dimensions")
-    items = []
-    for tag, rep in (("first-action", rho_L), ("second-action", rho_H)):
-        sub = check_representation(rep)
-        items += [(f"{tag}.{r.identity}", r.index, r.value) for r in sub.residuals]
-    for tag, rep, nn, al in (("first-action", rho_L, N_L, N_H),
-                             ("second-action", rho_H, N_H, N_L)):
-        sub = check_nij_representation(rep, nn, al)
-        items += [(f"{tag}.{r.identity}", r.index, r.value) for r in sub.residuals]
+    items = _tagged("first-action", check_representation(rho_L))
+    items += _tagged("second-action", check_representation(rho_H))
+    items += _tagged("first-action", check_nij_representation(rho_L, N_L, N_H))
+    items += _tagged("second-action", check_nij_representation(rho_H, N_H, N_L))
     for name, c, act, back in (("matched-pair-1", L.c, rho_H.action, rho_L.action),
                                ("matched-pair-2", H.c, rho_L.action, rho_H.action)):
         items += _items(name, MATCHED_PAIR.evaluate(A=act, c=c, B=back))

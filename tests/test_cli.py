@@ -104,6 +104,21 @@ def test_identity_filter(tmp_path, capsys):
     assert "cybe" in out and "cocycle" not in out
 
 
+def test_unknown_identity_kind_exits_two(tmp_path, capsys):
+    # a typo must not read as a pass
+    path = _data_path(tmp_path, "qt-sl2.lieb")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(path), "--identity", "cybee"])
+    assert exc.value.code == EXIT_PARSE_ERROR
+    assert "invalid choice: 'cybee'" in capsys.readouterr().err
+
+
+def test_known_identity_kind_with_no_statement_runs_nothing(tmp_path, capsys):
+    path = _data_path(tmp_path, "sl2.lieb")
+    code, out, _ = _run(capsys, "check", str(path), "--identity", "cybe")
+    assert code == EXIT_OK and out == ""
+
+
 def test_assume_flag_parses(tmp_path, capsys):
     path = _data_path(tmp_path, "sl2.lieb")
     code, out, _ = _run(capsys, "check", str(path), "--assume", "k1")
@@ -200,6 +215,13 @@ def test_solve_co_cybe_slice(tmp_path, capsys):
     code, out, _ = _run(capsys, "solve", str(path), "--problem", "co-cybe-slice")
     assert code == EXIT_OK
     assert "solution dimension 3" in out
+
+
+def test_solve_names_the_problem_when_its_structure_is_missing(tmp_path, capsys):
+    path = _data_path(tmp_path, "sl2.lieb")
+    code, out, err = _run(capsys, "solve", str(path), "--problem", "co-cybe-slice")
+    assert code == EXIT_PARSE_ERROR and out == ""
+    assert err == "error: --problem co-cybe-slice: the document declares no LieCoalgebra\n"
 
 
 def test_solve_rejects_seed_flag(tmp_path, capsys):

@@ -43,8 +43,10 @@ from lieb import (
     semidirect_coproduct,
     semidirect_product,
 )
-from lieb.multilinear import determinant, identity, zeros, zeros3
-from lieb.scalars import ZERO, ONE
+from lieb.multilinear import (
+    PivotAmbiguous, determinant, identity, mat_mul, transpose_matrix, zeros, zeros3,
+)
+from lieb.scalars import Assumption, ZERO, ONE
 
 from conftest import abelian, bialgebra_pair, make_operator, sc
 
@@ -251,6 +253,21 @@ def test_adjoint_of_form_multiplication_operator(sl2):
 def test_adjoint_operator_needs_nondegeneracy(sl2, n_example):
     with pytest.raises(DegenerateForm):
         adjoint_operator(BilinearForm.zero(sl2.space), n_example)
+
+
+def test_adjoint_operator_on_a_parametric_form_needs_its_pivot_assumed():
+    # B = diag(k, 1): solving B X = N^T B divides by k, which only a declared
+    # assumption certifies nonzero
+    space = BasisSpace(("x", "y"))
+    form = BilinearForm(space, [[sc("k"), ZERO], [ZERO, ONE]])
+    op = make_operator(space, [["1", "k"], ["2/k", "k + 1"]])
+    with pytest.raises(PivotAmbiguous):
+        adjoint_operator(form, op)
+    adjoint = adjoint_operator(form, op, [Assumption(sc("k").num)])
+    # B(Nx, y) = B(x, N^ y) on every basis pair: N^T B = B N^
+    assert mat_mul(transpose_matrix(op.matrix), form.matrix) == \
+        mat_mul(form.matrix, adjoint.matrix)
+    assert adjoint.matrix == [[ONE, ONE], [sc("2"), sc("k + 1")]]
 
 
 # -- tensor bridges ---------------------------------------------------------------------------

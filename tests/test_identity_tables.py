@@ -12,7 +12,9 @@ matched-pair mixing identities, the relative Rota-Baxter conditions) must
 render like the loops over basis vectors they replaced, on algebras of
 dimension 2 and 3 and on modules of another dimension; the r-forms of
 ``check_pq_equivalents`` reach the report only as verdicts, so they must
-agree with their loops in value.
+agree with their loops in value.  The builders of ``construct`` (index
+permutations and block sums) must equal the loops they replaced, on an
+algebra and a module of different dimensions, where a swapped index shows.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from lieb import (
     LinearProblem,
     Representation,
     TwoTensor,
+    adjoint_operator,
+    adjoint_representation,
     bracket_from_omega,
     check_admissible,
     check_co_cybe,
@@ -50,8 +54,22 @@ from lieb import (
     check_rrbo,
     check_weak_cosymplectic,
     check_weak_symplectic,
+    coadjoint_representation,
+    corep_from_rep,
+    double_matched_pair,
+    dual_algebra,
+    dual_coalgebra,
+    dual_pair_actions,
+    dual_representation,
+    manin_double,
     parse_scalar,
+    phi_r,
+    r_from_T,
+    rep_from_corep,
+    semidirect_coproduct,
+    semidirect_product,
 )
+from lieb.construct import _sum_space
 from lieb.multilinear import (
     ONE,
     ZERO,
@@ -60,9 +78,12 @@ from lieb.multilinear import (
     mat_mul,
     mat_sub,
     mat_vec,
+    solve_right,
     transpose_matrix,
     zeros,
+    zeros3,
 )
+from lieb.scalars import Scalar
 from lieb.solver import coefficient_rows
 from lieb.structures import (
     COCYCLE,
@@ -840,3 +861,212 @@ def test_solver_rows_equal_the_hand_derived_rows(data):
     for problem, want in _problems(c, d, om):
         assert [[_form(x) for x in row] for row in coefficient_rows(problem)] == \
             [[_form(x) for x in row] for row in want], problem.kind
+
+
+# -- construction tables == the loops they replaced ------------------------------------
+
+def loop_dual_representation(R):
+    action = [[[-mat[q][p] for q in range(R.space.dim)] for p in range(R.space.dim)]
+              for mat in R.action]
+    return Representation(R.algebra, R.space.dual(), action)
+
+
+def loop_corep_from_rep(R):
+    n, m = R.algebra.space.dim, R.space.dim
+    coaction = [[[R.action[j][i][k] for k in range(m)] for j in range(n)] for i in range(m)]
+    return Corepresentation(dual_coalgebra(R.algebra), R.space.dual(), coaction)
+
+
+def loop_rep_from_corep(K):
+    n, m = K.coalgebra.space.dim, K.space.dim
+    action = [[[K.coaction[k][j][mm] for mm in range(m)] for k in range(m)] for j in range(n)]
+    return Representation(dual_algebra(K.coalgebra), K.space.dual(), action)
+
+
+def loop_adjoint_representation(L):
+    return Representation(L, L.space, [L.ad(i) for i in range(L.space.dim)])
+
+
+def loop_block_operator(first, second):
+    n, m = first.domain.dim, second.domain.dim
+    mat = zeros(first.codomain.dim + second.codomain.dim, n + m)
+    for i in range(first.codomain.dim):
+        for j in range(n):
+            mat[i][j] = first.matrix[i][j]
+    for i in range(second.codomain.dim):
+        for j in range(m):
+            mat[first.codomain.dim + i][n + j] = second.matrix[i][j]
+    return LinearOperator(_sum_space(first.domain, second.domain),
+                          _sum_space(first.codomain, second.codomain), mat)
+
+
+def loop_semidirect_product(L, R, N, alpha):
+    n, m = L.space.dim, R.space.dim
+    total = n + m
+    c = zeros3(total, total, total)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c[i][j][k] = L.c[i][j][k]
+    for i in range(n):
+        for a in range(m):
+            for b in range(m):
+                value = R.action[i][b][a]
+                c[i][n + a][n + b] = value
+                c[n + a][i][n + b] = -value
+    return LieAlgebra(_sum_space(L.space, R.space), c), loop_block_operator(N, alpha)
+
+
+def loop_semidirect_coproduct(C, K, P, beta):
+    n, m = C.space.dim, K.space.dim
+    total = n + m
+    d = zeros3(total, total, total)
+    for i in range(n):
+        for a in range(n):
+            for b in range(n):
+                d[i][a][b] = C.d[i][a][b]
+    for i in range(m):
+        for a in range(n):
+            for k in range(m):
+                value = K.coaction[i][a][k]
+                d[n + i][a][n + k] = value
+                d[n + i][n + k][a] = -value
+    return LieCoalgebra(_sum_space(C.space, K.space), d), loop_block_operator(P, beta)
+
+
+def loop_double_matched_pair(L, H, rho_L, rho_H, N_L, N_H):
+    n, m = L.space.dim, H.space.dim
+    total = n + m
+    c = zeros3(total, total, total)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c[i][j][k] = L.c[i][j][k]
+    for a in range(m):
+        for b in range(m):
+            for k in range(m):
+                c[n + a][n + b][n + k] = H.c[a][b][k]
+    for i in range(n):
+        for b in range(m):
+            for k in range(m):
+                value = rho_L.action[i][k][b]
+                c[i][n + b][n + k] = value
+                c[n + b][i][n + k] = -value
+            for k in range(n):
+                value = rho_H.action[b][k][i]
+                c[i][n + b][k] = -value
+                c[n + b][i][k] = value
+    return LieAlgebra(_sum_space(L.space, H.space), c), loop_block_operator(N_L, N_H)
+
+
+def loop_dual_pair_actions(L, C):
+    n = L.space.dim
+    rho_l = loop_dual_representation(loop_adjoint_representation(L))
+    action = [[[-C.d[j][a][b] for j in range(n)] for b in range(n)] for a in range(n)]
+    return rho_l, Representation(dual_algebra(C), L.space, action)
+
+
+def loop_manin_double(L, C, N, P):
+    rho_l, rho_h = loop_dual_pair_actions(L, C)
+    double, op = loop_double_matched_pair(L, dual_algebra(C), rho_l, rho_h, N, P.transpose())
+    n = L.space.dim
+    b = zeros(2 * n, 2 * n)
+    for i in range(n):
+        b[i][n + i] = ONE
+        b[n + i][i] = ONE
+    return double, op, BilinearForm(double.space, b)
+
+
+def loop_adjoint_operator(B, N):
+    mat = solve_right(B.matrix, mat_mul(transpose_matrix(N.matrix), B.matrix))
+    return LinearOperator(N.domain, N.codomain, mat)
+
+
+def loop_phi_r(r):
+    n = r.space.dim
+    mat = [[r.matrix[k][j] for k in range(n)] for j in range(n)]
+    return LinearOperator(r.space.dual(), r.space, mat)
+
+
+def loop_r_from_T(T, R):
+    n, m = R.algebra.space.dim, R.space.dim
+    ambient, _ = loop_semidirect_product(
+        R.algebra, loop_dual_representation(R),
+        LinearOperator.zero(R.algebra.space), LinearOperator.zero(R.space.dual()))
+    total = n + m
+    rm = zeros(total, total)
+    for i in range(m):
+        for a in range(n):
+            rm[a][n + i] = rm[a][n + i] + T.matrix[a][i]
+            rm[n + i][a] = rm[n + i][a] - T.matrix[a][i]
+    return ambient, TwoTensor(ambient.space, rm)
+
+
+# (algebra dimension, module dimension): never equal, so a swapped index changes a shape
+_SHAPES = st.sampled_from([(3, 2), (2, 3)])
+
+
+def _unimodular(draw, n):
+    """A full constant matrix of determinant 1: unit upper times unit lower triangular."""
+    ints = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    entries = [[Scalar.from_int(ints[i * n + j]) for j in range(n)] for i in range(n)]
+    upper = [[ONE if i == j else entries[i][j] if j > i else ZERO for j in range(n)]
+             for i in range(n)]
+    lower = [[ONE if i == j else entries[i][j] if j < i else ZERO for j in range(n)]
+             for i in range(n)]
+    return mat_mul(upper, lower)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_construction_tables_match_loops(data):
+    n, m = data.draw(_SHAPES)
+    V, W = _space(n), _space(m)
+    L, H = LieAlgebra(V, data.draw(tensors(n, n, n))), LieAlgebra(W, data.draw(tensors(m, m, m)))
+    C = LieCoalgebra(V, data.draw(tensors(n, n, n)))
+    R = Representation(L, W, data.draw(tensors(n, m, m)))
+    rho_h = Representation(H, V, data.draw(tensors(m, n, n)))
+    K = Corepresentation(C, W, data.draw(tensors(m, n, m)))
+    N, P = _op(data.draw(tensors(n, n))), _op(data.draw(tensors(n, n)))
+    alpha = _op(data.draw(tensors(m, m)))
+    T = LinearOperator(W, V, data.draw(tensors(n, m)))
+    r = TwoTensor(V, data.draw(tensors(n, n)))
+    B = BilinearForm(V, _unimodular(data.draw, n))
+    pairs = [
+        ("dual_representation", dual_representation(R), loop_dual_representation(R)),
+        ("corep_from_rep", corep_from_rep(R), loop_corep_from_rep(R)),
+        ("rep_from_corep", rep_from_corep(K), loop_rep_from_corep(K)),
+        ("adjoint_representation", adjoint_representation(L), loop_adjoint_representation(L)),
+        ("coadjoint_representation", coadjoint_representation(L),
+         loop_dual_representation(loop_adjoint_representation(L))),
+        ("semidirect_product", semidirect_product(L, R, N, alpha),
+         loop_semidirect_product(L, R, N, alpha)),
+        ("semidirect_coproduct", semidirect_coproduct(C, K, P, alpha),
+         loop_semidirect_coproduct(C, K, P, alpha)),
+        ("double_matched_pair", double_matched_pair(L, H, R, rho_h, N, alpha),
+         loop_double_matched_pair(L, H, R, rho_h, N, alpha)),
+        ("dual_pair_actions", dual_pair_actions(L, C), loop_dual_pair_actions(L, C)),
+        ("manin_double", manin_double(L, C, N, P), loop_manin_double(L, C, N, P)),
+        ("adjoint_operator", adjoint_operator(B, N), loop_adjoint_operator(B, N)),
+        ("phi_r", phi_r(r), loop_phi_r(r)),
+        ("r_from_T", r_from_T(T, R), loop_r_from_T(T, R)),
+    ]
+    for name, built, loop in pairs:
+        assert built == loop, name
+
+
+@_SETTINGS
+@given(st.data())
+def test_deformation_matches_dense_on_a_module_of_another_dimension(data):
+    n, m = data.draw(_SHAPES)
+    d, d_st = data.draw(tensors(n, n, n)), data.draw(tensors(n, n, n))
+    g, g_st = data.draw(tensors(m, n, m)), data.draw(tensors(m, n, m))
+    p, bt = data.draw(tensors(n, n)), data.draw(tensors(m, m))
+    s, t = data.draw(st.sampled_from(_WEIGHTS)), data.draw(st.sampled_from(_WEIGHTS))
+    V, W = _space(n), _space(m)
+    c, c_st = LieCoalgebra(V, d), LieCoalgebra(V, d_st)
+    report = check_deformed_homomorphism(
+        c, c_st, Corepresentation(c, W, g), Corepresentation(c_st, W, g_st),
+        _op(p), LinearOperator(W, W, bt), s, t)
+    assert _residual_forms(report) == \
+        _nonzero_forms(dense_deformation(d, d_st, g, g_st, p, bt, s, t, n, m))

@@ -3,7 +3,8 @@
 Exit codes: 0 every requested check passed (possibly conditionally),
 1 at least one check failed, 2 the input failed to parse or is ill-formed
 (arguments of mismatched shape, or a solve pivot its assumptions do not
-certify nonzero) or a command-line argument cannot be used, 3 an internal
+certify nonzero), a command-line argument cannot be used, or a file cannot
+be read or written, 3 an internal
 invariant was violated.  Reports are plain text or canonical JSON (sorted
 keys, two-space indent, trailing newline), so a JSON report re-serialises
 byte-identically.
@@ -94,6 +95,11 @@ def _run_document_checks(doc, identities, extra_assumptions):
     statements = doc.checks or default_checks(doc)
     if identities:
         statements = [s for s in statements if s.kind in identities]
+        # a kind that selects nothing would run nothing and read as a pass
+        missing = [k for k in dict.fromkeys(identities) if all(s.kind != k for s in statements)]
+        if missing:
+            raise UsageError("; ".join(f"--identity {k}: the file runs no {k} check"
+                                       for k in missing))
     results = []
     for stmt in statements:
         report = run_check_statement(doc, stmt, tuple(extra_assumptions))
@@ -284,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except _catalog.UnknownId as exc:

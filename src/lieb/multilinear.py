@@ -84,24 +84,6 @@ def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(s: Scalar, a: Matrix) -> Matrix:
-    return [[s * x for x in row] for row in a]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ShapeError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    return [[_dot(row, [b[k][j] for k in range(len(b))]) for j in range(len(b[0]))] for row in a]
-
-
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     if a and len(a[0]) != len(v):
         raise ShapeError(f"matrix has {len(a[0])} columns, vector has {len(v)} entries")
@@ -195,11 +177,12 @@ class Table:
     ``-(...)`` negates one.  A sub-sum adds its segments, separated by
     ``;``.  A segment ``letters: terms`` sums its signed terms over its
     summation letters; a segment with no summation letters has no colon.  A
-    term is a product of factors ``name[letters]``.  A component's value is
-    the sum of every signed product that reaches it; ``Scalar`` keeps num/den
-    in lowest terms, so that sum renders the same in any order.  Only nonzero
-    entries are visited, and a component that no nonzero term reaches is
-    absent.
+    term is a product of factors ``name[letters]``, and no factor repeats a
+    letter (a diagonal such as ``a[ii]`` is not a table).  A component's value
+    is the sum of every signed product that reaches it; ``Scalar`` keeps
+    num/den in lowest terms, so that sum renders the same in any order.  Only
+    nonzero entries are visited, and a component that no nonzero term reaches
+    is absent.
 
     When every operand entry is constant, each operand is scaled to ints by
     the lcm of its denominators, so a component is one exact integer sum over
@@ -216,6 +199,9 @@ class Table:
                 for _, factors in terms:
                     if set("".join(spec for _, spec in factors)) != set(out + letters):
                         raise ValueError(f"a term of {letters!r} does not cover {out + letters!r}")
+                    for name, spec in factors:
+                        if len(set(spec)) != len(spec):
+                            raise ValueError(f"{name}[{spec}] repeats a letter")
                     self._factors += factors
 
     @cached_property
@@ -303,11 +289,11 @@ def _plan(out, factors, unknown, occurrence):
 
     A step binds the new letters of one factor, looking its entries up by the
     letters already bound: (operand name, getter of the bound letters' values
-    from an entry's index, getter of its new letters' values, pairs of
-    positions that repeat a letter, getter of the lookup key from a binding,
-    (place among the new letters, place in the key) of each key letter it
-    binds).  The key letters are the output letters, then with an unknown the
-    unknown's, whose factor reads the operand ``_UNKNOWN``.
+    from an entry's index, getter of its new letters' values, getter of the
+    lookup key from a binding, (place among the new letters, place in the key)
+    of each key letter it binds).  The key letters are the output letters,
+    then with an unknown the unknown's, whose factor reads the operand
+    ``_UNKNOWN``.
     """
     if unknown is not None:
         skip = [k for k, (name, _) in enumerate(factors) if name == unknown][occurrence]
@@ -318,16 +304,10 @@ def _plan(out, factors, unknown, occurrence):
     bound: list[str] = []
     steps = []
     for name, spec in factors:
-        at, new, repeats = [], [], []
-        for p, letter in enumerate(spec):
-            if letter in bound:
-                at.append(p)
-            elif letter in spec[:p]:
-                repeats.append((spec.index(letter), p))
-            else:
-                new.append(p)
+        at = [p for p, letter in enumerate(spec) if letter in bound]
+        new = [p for p, letter in enumerate(spec) if letter not in bound]
         keyed = [(i, q) for i, p in enumerate(new) for q, x in enumerate(out) if x == spec[p]]
-        steps.append((name, _picker(at), _picker(new), repeats,
+        steps.append((name, _picker(at), _picker(new),
                       _picker([bound.index(spec[p]) for p in at]), keyed))
         bound += [spec[p] for p in new]
     return steps
@@ -390,13 +370,12 @@ def _index(step, tensors, strides):
     """The entries of one step's factor by the values of its letters already
     bound, key -> [(its new letters' values, entry, its part of the flattened
     key)]; and the getter of the key from a binding."""
-    name, at, new, repeats, lookup, keyed = step
+    name, at, new, lookup, keyed = step
     weights = [(i, strides[q]) for i, q in keyed]
     index: dict = {}
     for idx, v in tensors[name].entries.items():
-        if not repeats or all(idx[p] == idx[q] for p, q in repeats):
-            r = new(idx)
-            index.setdefault(at(idx), []).append((r, v, sum([r[i] * w for i, w in weights])))
+        r = new(idx)
+        index.setdefault(at(idx), []).append((r, v, sum([r[i] * w for i, w in weights])))
     return index, lookup
 
 
@@ -408,28 +387,6 @@ def _picker(positions):
 
 
 _unbound = itemgetter(slice(0))  # the key of a lookup by no letters: ()
-
-
-def contract(plan: str, *operands):
-    """Exact einsum-style contraction over nested-list Scalar tensors.
-
-    ``plan`` has the shape ``"ij,jk->ik"``.  Every index letter must have a
-    consistent dimension across operands; omitted output letters are summed.
-    Returns a Scalar for rank-0 results, nested lists otherwise.
-    """
-    if "->" not in plan:
-        raise ValueError("contraction plan needs an explicit '->'")
-    lhs, out_spec = plan.split("->")
-    specs = lhs.split(",")
-    if len(specs) != len(operands):
-        raise ShapeError(f"plan has {len(specs)} operands, got {len(operands)}")
-    letters = set("".join(specs))
-    for letter in out_spec:
-        if letter not in letters:
-            raise ShapeError(f"output index {letter!r} not present in operands")
-    summed = "".join(sorted(letters - set(out_spec)))
-    table = Table(out_spec, f"{summed}: " + " ".join(f"x{k}[{spec}]" for k, spec in enumerate(specs)))
-    return table.evaluate(**{f"x{k}": op for k, op in enumerate(operands)}).dense()
 
 
 # -- structured wrappers ----------------------------------------------------
@@ -457,27 +414,9 @@ class LinearOperator:
         codomain = codomain or domain
         return cls(domain, codomain, zeros(codomain.dim, domain.dim))
 
-    def apply(self, vec: Vector) -> Vector:
-        return mat_vec(self.matrix, vec)
-
     def transpose(self) -> LinearOperator:
         return LinearOperator(self.codomain.dual(), self.domain.dual(),
                               transpose_matrix(self.matrix))
-
-    def add(self, other: LinearOperator) -> LinearOperator:
-        return LinearOperator(self.domain, self.codomain, mat_add(self.matrix, other.matrix))
-
-    def sub(self, other: LinearOperator) -> LinearOperator:
-        return LinearOperator(self.domain, self.codomain, mat_sub(self.matrix, other.matrix))
-
-    def scale(self, s: Scalar) -> LinearOperator:
-        return LinearOperator(self.domain, self.codomain, mat_scale(s, self.matrix))
-
-    def shift(self, s: Scalar) -> LinearOperator:
-        """self + s * id (endomorphisms only)."""
-        if self.domain.dim != self.codomain.dim:
-            raise ShapeError("shift needs an endomorphism")
-        return self.add(LinearOperator.identity(self.domain).scale(s))
 
 
 @dataclass
@@ -512,14 +451,6 @@ class TwoTensor:
     @classmethod
     def zero(cls, sp: BasisSpace) -> TwoTensor:
         return cls(sp, zeros(sp.dim, sp.dim))
-
-    def add(self, other: TwoTensor) -> TwoTensor:
-        return TwoTensor(self.space, mat_add(self.matrix, other.matrix))
-
-    def is_antisymmetric(self) -> bool:
-        n = self.space.dim
-        return all((self.matrix[i][j] + self.matrix[j][i]).is_zero()
-                   for i in range(n) for j in range(n))
 
 
 # -- exact elimination ------------------------------------------------------

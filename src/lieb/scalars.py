@@ -75,10 +75,6 @@ class Polynomial:
         }
 
     @classmethod
-    def zero(cls) -> Polynomial:
-        return cls()
-
-    @classmethod
     def integer(cls, n: int) -> Polynomial:
         return cls({_EMPTY: int(n)})
 

@@ -30,11 +30,8 @@ from .multilinear import (
     Table,
     Tensor,
     TwoTensor,
-    Vector,
     ZERO,
     determinant,
-    mat_mul,
-    zeros,
 )
 from .scalars import Assumption, ONE, Scalar, covered_by_assumptions
 
@@ -83,26 +80,6 @@ class LieAlgebra:
         if len(self.c) != n or any(len(p) != n or any(len(r) != n for r in p) for p in self.c):
             raise ShapeError("bracket constants do not match the space")
 
-    def bracket(self, x: Vector, y: Vector) -> Vector:
-        n = self.space.dim
-        out = [ZERO] * n
-        for i in range(n):
-            if x[i].num.is_zero():
-                continue
-            for j in range(n):
-                if y[j].num.is_zero():
-                    continue
-                coeff = x[i] * y[j]
-                for k in range(n):
-                    if not self.c[i][j][k].num.is_zero():
-                        out[k] = out[k] + coeff * self.c[i][j][k]
-        return out
-
-    def ad(self, i: int) -> Matrix:
-        """Matrix of ad_{e_i} (columns are images of basis vectors)."""
-        n = self.space.dim
-        return [[self.c[i][q][p] for q in range(n)] for p in range(n)]
-
 
 @dataclass
 class LieCoalgebra:
@@ -115,19 +92,6 @@ class LieCoalgebra:
         n = self.space.dim
         if len(self.d) != n or any(len(p) != n or any(len(r) != n for r in p) for p in self.d):
             raise ShapeError("cobracket constants do not match the space")
-
-    def cobracket(self, x: Vector) -> Matrix:
-        """delta(x) as a dim x dim coefficient matrix."""
-        n = self.space.dim
-        out = zeros(n, n)
-        for i in range(n):
-            if x[i].num.is_zero():
-                continue
-            for a in range(n):
-                for b in range(n):
-                    if not self.d[i][a][b].num.is_zero():
-                        out[a][b] = out[a][b] + x[i] * self.d[i][a][b]
-        return out
 
 
 @dataclass
@@ -161,18 +125,6 @@ class Corepresentation:
         ):
             raise ShapeError("coaction tensor does not match the spaces")
 
-    def gamma(self, v: Vector) -> Matrix:
-        """Coaction of a module vector as an (algebra dim) x (module dim) matrix."""
-        n, m = self.coalgebra.space.dim, self.space.dim
-        out = zeros(n, m)
-        for i, coeff in enumerate(v):
-            if coeff.num.is_zero():
-                continue
-            for j in range(n):
-                for k in range(m):
-                    if not self.coaction[i][j][k].num.is_zero():
-                        out[j][k] = out[j][k] + coeff * self.coaction[i][j][k]
-        return out
 
 
 # -- report assembly --------------------------------------------------------
@@ -303,7 +255,7 @@ def _interleaved(*named: tuple[str, Tensor]) -> list[tuple[str, tuple, Scalar]]:
 # Operands: c bracket and d, e cobracket constants, r a 2-tensor, om and B
 # forms, A action matrices (B too, in the matched pair), g, h coaction
 # tensors, P, N, al, be operators and T: V -> L (a tensor in IMAGE).  A name
-# ending in 2 is the operator squared; the others are intermediates.
+# ending in 2 is the operator squared (SQUARE); the others are intermediates.
 
 JACOBI = Table("ijkm", "l: c[ijl] c[lkm] + c[jkl] c[lim] + c[kil] c[ljm]")
 # (id (x) e) d: e applied to the second factor of d; with the cyclic sum of
@@ -314,6 +266,8 @@ CYCLIC = Table("ipqs", "t[ipqs]", "t[iqsp]", "t[ispq]")
 MIXED_CYCLIC = Table("ipqs", "t[ipqs]", "t[iqsp]", "t[ispq]", "u[ipqs]", "u[iqsp]", "u[ispq]")
 COCYCLE = Table("ijpq", "k: c[ijk] d[kpq]",
                 "-(a: c[iap] d[jaq] + d[jpa] c[iaq] - c[jap] d[iaq] - d[ipa] c[jaq])")
+# M^2: the operator squared
+SQUARE = Table("ik", "j: M[ij] M[jk]")
 # the image T(M e_i) of a basis vector: [N e_i, -], delta(P e_i), rho(N e_i), gamma(beta v_i)
 IMAGE = Table("iab", "m: M[mi] T[mab]")
 # [e_i, M e_j]
@@ -427,7 +381,7 @@ def check_nijenhuis(L: LieAlgebra, N: LinearOperator,
     if N.domain.dim != L.space.dim or N.codomain.dim != L.space.dim:
         raise ShapeError("operator does not act on the algebra")
     c, nm = Tensor.of(L.c), Tensor.of(N.matrix)
-    values = TORSION.evaluate(N=nm, N2=mat_mul(N.matrix, N.matrix), c=c,
+    values = TORSION.evaluate(N=nm, N2=SQUARE.evaluate(M=nm), c=c,
                               left=IMAGE.evaluate(M=nm, T=c), right=RIGHT_IMAGE.evaluate(M=nm, c=c))
     return _build_report(_items("nijenhuis", values), [L, N], assumptions)
 
@@ -439,17 +393,12 @@ def check_nijenhuis_coalgebra(C: LieCoalgebra, P: LinearOperator,
     if P.domain.dim != n or P.codomain.dim != n:
         raise ShapeError("operator does not act on the coalgebra")
     p, d = P.matrix, Tensor.of(C.d)
-    values = NIJENHUIS_COBRACKET.evaluate(d=d, P=p, P2=mat_mul(p, p), dP=IMAGE.evaluate(M=p, T=d))
+    values = NIJENHUIS_COBRACKET.evaluate(d=d, P=p, P2=SQUARE.evaluate(M=p),
+                                          dP=IMAGE.evaluate(M=p, T=d))
     return _build_report(_items("nijenhuis-cobracket", values), [C, P], assumptions)
 
 
 # -- Yang-Baxter checks -----------------------------------------------------
-
-def cybe_residual(L: LieAlgebra, r: TwoTensor) -> list[tuple[tuple, Scalar]]:
-    """Components of [r12,r13] + [r13,r23] + [r12,r23]."""
-    values = CYBE.evaluate(c=L.c, r=r.matrix).entries
-    return [(idx, values.get(idx, ZERO)) for idx in _triples(L.space.dim)]
-
 
 def check_cybe(L: LieAlgebra, r: TwoTensor,
                assumptions: Sequence[Assumption] = ()) -> CheckReport:
@@ -528,7 +477,7 @@ def check_nij_representation(R: Representation, N: LinearOperator, alpha: Linear
         raise ShapeError("operator shapes do not match the representation")
     a, al = Tensor.of(R.action), alpha.matrix
     values = NIJ_REPRESENTATION.evaluate(rN=IMAGE.evaluate(M=N.matrix, T=a), al=al,
-                                         al2=mat_mul(al, al), A=a,
+                                         al2=SQUARE.evaluate(M=al), A=a,
                                          rA=RIGHT_PRODUCT.evaluate(T=a, M=al))
     return _build_report(_items("nijenhuis-representation", values), [R, N, alpha], assumptions)
 
@@ -540,7 +489,8 @@ def check_admissible(R: Representation, N: LinearOperator, beta: LinearOperator,
         raise ShapeError("operator shapes do not match the representation")
     a, be = Tensor.of(R.action), beta.matrix
     values = ADMISSIBLE.evaluate(rN=IMAGE.evaluate(M=N.matrix, T=a), be=be,
-                                 be2=mat_mul(be, be), A=a, rB=RIGHT_PRODUCT.evaluate(T=a, M=be))
+                                 be2=SQUARE.evaluate(M=be), A=a,
+                                 rB=RIGHT_PRODUCT.evaluate(T=a, M=be))
     return _build_report(_items("admissible", values), [R, N, beta], assumptions)
 
 
@@ -556,7 +506,7 @@ def check_corepresentation(K: Corepresentation,
     if P is not None and beta is not None:
         be = beta.matrix
         items += _items("nijenhuis-corepresentation", NIJ_COREPRESENTATION.evaluate(
-            g=g, P=P.matrix, be=be, be2=mat_mul(be, be)))
+            g=g, P=P.matrix, be=be, be2=SQUARE.evaluate(M=be)))
     inputs = [K, P, beta] if P is not None else [K]
     return _build_report(items, inputs, assumptions)
 
@@ -674,7 +624,7 @@ def nijenhuis_bialgebra_residuals(L: LieAlgebra, C: LieCoalgebra,
                                   N: LinearOperator, P: LinearOperator):
     """The two extra compatibility identities of a Nijenhuis Lie bialgebra."""
     c, nm, p = Tensor.of(L.c), Tensor.of(N.matrix), Tensor.of(P.matrix)
-    operator = OPERATOR_COMPATIBILITY.evaluate(P=p, P2=mat_mul(P.matrix, P.matrix), c=c, N=nm,
+    operator = OPERATOR_COMPATIBILITY.evaluate(P=p, P2=SQUARE.evaluate(M=p), c=c, N=nm,
                                                left=IMAGE.evaluate(M=nm, T=c),
                                                right=RIGHT_IMAGE.evaluate(M=p, c=c))
     return [(name, idx, values.entries.get(idx, ZERO))
@@ -685,7 +635,7 @@ def nijenhuis_bialgebra_residuals(L: LieAlgebra, C: LieCoalgebra,
 
 def _cobracket_compatibility(C: LieCoalgebra, N: LinearOperator, P: LinearOperator) -> Tensor:
     nm, d = N.matrix, Tensor.of(C.d)
-    return COBRACKET_COMPATIBILITY.evaluate(d=d, P=P.matrix, N=nm, N2=mat_mul(nm, nm),
+    return COBRACKET_COMPATIBILITY.evaluate(d=d, P=P.matrix, N=nm, N2=SQUARE.evaluate(M=nm),
                                             dN=IMAGE.evaluate(M=nm, T=d))
 
 
@@ -743,8 +693,8 @@ def check_pq_equivalents(L: LieAlgebra, r: TwoTensor,
     c, rm, nm, p = Tensor.of(L.c), Tensor.of(r.matrix), Tensor.of(N.matrix), Tensor.of(P.matrix)
     rho = PAIRING.evaluate(P=p, r=rm, N=nm)
     form_1 = PAIRING_FORM_1.evaluate(rho=rho, sig=PAIRING.evaluate(P=nm, r=rm, N=p), P=p, c=c)
-    form_2 = PAIRING_FORM_2.evaluate(rho=rho, N=nm, P=p, c=c, r=rm, P2=mat_mul(P.matrix, P.matrix),
-                                     N2=mat_mul(N.matrix, N.matrix))
+    form_2 = PAIRING_FORM_2.evaluate(rho=rho, N=nm, P=p, c=c, r=rm, P2=SQUARE.evaluate(M=p),
+                                     N2=SQUARE.evaluate(M=nm))
     nc_r = _build_report(_items("pairing-form-1", form_1), [L, r, N, P], ())
     nlb2_r = _build_report(_items("pairing-form-2", form_2), [L, r, N, P], ())
 

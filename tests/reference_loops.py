@@ -1,0 +1,120 @@
+"""Dense reference loops for the tests: matrix arithmetic, operator
+arithmetic and the vector-level bracket, ad, cobracket and coaction.
+
+The package evaluates every identity with identity tables and squares an
+operator with ``structures.SQUARE``; these loops are the independent
+references the tests compare those tables with, and the helpers the tests
+use to build their inputs.
+"""
+
+from __future__ import annotations
+
+from lieb.multilinear import (
+    LinearOperator,
+    Matrix,
+    ShapeError,
+    TwoTensor,
+    Vector,
+    ZERO,
+    _dot,
+    identity,
+    mat_vec,
+    zeros,
+)
+from lieb.scalars import Scalar
+from lieb.structures import Corepresentation, LieAlgebra, LieCoalgebra
+
+
+# -- matrices ---------------------------------------------------------------
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(s: Scalar, a: Matrix) -> Matrix:
+    return [[s * x for x in row] for row in a]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if a and b and len(a[0]) != len(b):
+        raise ShapeError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
+    return [[_dot(row, [b[k][j] for k in range(len(b))]) for j in range(len(b[0]))] for row in a]
+
+
+# -- operators and tensors ----------------------------------------------------
+
+def apply(op: LinearOperator, vec: Vector) -> Vector:
+    return mat_vec(op.matrix, vec)
+
+
+def scale(op: LinearOperator, s: Scalar) -> LinearOperator:
+    return LinearOperator(op.domain, op.codomain, mat_scale(s, op.matrix))
+
+
+def shift(op: LinearOperator, s: Scalar) -> LinearOperator:
+    """op + s * id (endomorphisms only)."""
+    if op.domain.dim != op.codomain.dim:
+        raise ShapeError("shift needs an endomorphism")
+    return LinearOperator(op.domain, op.codomain,
+                          mat_add(op.matrix, mat_scale(s, identity(op.domain.dim))))
+
+
+def is_antisymmetric(r: TwoTensor) -> bool:
+    n = r.space.dim
+    return all((r.matrix[i][j] + r.matrix[j][i]).is_zero() for i in range(n) for j in range(n))
+
+
+# -- brackets, cobrackets and coactions of vectors ---------------------------
+
+def bracket(L: LieAlgebra, x: Vector, y: Vector) -> Vector:
+    n = L.space.dim
+    out = [ZERO] * n
+    for i in range(n):
+        if x[i].num.is_zero():
+            continue
+        for j in range(n):
+            if y[j].num.is_zero():
+                continue
+            coeff = x[i] * y[j]
+            for k in range(n):
+                if not L.c[i][j][k].num.is_zero():
+                    out[k] = out[k] + coeff * L.c[i][j][k]
+    return out
+
+
+def ad(L: LieAlgebra, i: int) -> Matrix:
+    """Matrix of ad_{e_i} (columns are images of basis vectors)."""
+    n = L.space.dim
+    return [[L.c[i][q][p] for q in range(n)] for p in range(n)]
+
+
+def cobracket(C: LieCoalgebra, x: Vector) -> Matrix:
+    """delta(x) as a dim x dim coefficient matrix."""
+    n = C.space.dim
+    out = zeros(n, n)
+    for i in range(n):
+        if x[i].num.is_zero():
+            continue
+        for a in range(n):
+            for b in range(n):
+                if not C.d[i][a][b].num.is_zero():
+                    out[a][b] = out[a][b] + x[i] * C.d[i][a][b]
+    return out
+
+
+def gamma(K: Corepresentation, v: Vector) -> Matrix:
+    """Coaction of a module vector as an (algebra dim) x (module dim) matrix."""
+    n, m = K.coalgebra.space.dim, K.space.dim
+    out = zeros(n, m)
+    for i, coeff in enumerate(v):
+        if coeff.num.is_zero():
+            continue
+        for j in range(n):
+            for k in range(m):
+                if not K.coaction[i][j][k].num.is_zero():
+                    out[j][k] = out[j][k] + coeff * K.coaction[i][j][k]
+    return out

@@ -113,10 +113,32 @@ def test_unknown_identity_kind_exits_two(tmp_path, capsys):
     assert "invalid choice: 'cybee'" in capsys.readouterr().err
 
 
-def test_known_identity_kind_with_no_statement_runs_nothing(tmp_path, capsys):
+def test_known_identity_kind_with_no_statement_is_a_usage_error(tmp_path, capsys):
+    # an empty run must not read as a pass; each kind that selects nothing is named
     path = _data_path(tmp_path, "sl2.lieb")
-    code, out, _ = _run(capsys, "check", str(path), "--identity", "cybe")
-    assert code == EXIT_OK and out == ""
+    code, out, err = _run(capsys, "check", str(path), "--identity", "cybe")
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err == "error: --identity cybe: the file runs no cybe check\n"
+    code, out, err = _run(capsys, "check", str(path), "--identity", "lie-algebra",
+                          "--identity", "cybe", "--identity", "co-cybe", "--identity", "cybe")
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err == ("error: --identity cybe: the file runs no cybe check; "
+                   "--identity co-cybe: the file runs no co-cybe check\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "{dir}"),
+    ("check", "{undecodable}"),
+    ("catalog", "export", "sl2", "--out", "{dir}"),
+], ids=["check-a-directory", "check-undecodable-bytes", "export-to-a-directory"])
+def test_file_io_errors_exit_two(argv, tmp_path, capsys):
+    undecodable = tmp_path / "bytes.lieb"
+    undecodable.write_bytes(b"\xff\xfe")
+    paths = {"dir": str(tmp_path), "undecodable": str(undecodable)}
+    code, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == EXIT_PARSE_ERROR
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
 
 
 def test_assume_flag_parses(tmp_path, capsys):

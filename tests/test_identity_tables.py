@@ -12,7 +12,9 @@ matched-pair mixing identities, the relative Rota-Baxter conditions) must
 render like the loops over basis vectors they replaced, on algebras of
 dimension 2 and 3 and on modules of another dimension; the r-forms of
 ``check_pq_equivalents`` reach the report only as verdicts, so they must
-agree with their loops in value.  The builders of ``construct`` (index
+agree with their loops in value.  The operator square ``SQUARE`` must equal
+the matrix product on constant and parametric operators of dimension 1 to 6,
+zero and nilpotent ones included.  The builders of ``construct`` (index
 permutations and block sums) must equal the loops they replaced, on an
 algebra and a module of different dimensions, where a swapped index shows.
 """
@@ -74,9 +76,6 @@ from lieb.multilinear import (
     ONE,
     ZERO,
     Table,
-    mat_add,
-    mat_mul,
-    mat_sub,
     mat_vec,
     solve_right,
     transpose_matrix,
@@ -92,9 +91,12 @@ from lieb.structures import (
     PAIRING,
     PAIRING_FORM_1,
     PAIRING_FORM_2,
+    SQUARE,
     Verdict,
     nijenhuis_bialgebra_residuals,
 )
+
+from reference_loops import ad, apply, bracket, mat_add, mat_mul, mat_sub
 
 from test_sparse_kernels import (
     N,
@@ -374,7 +376,7 @@ def _ad_of(L, x):
     for i in range(n):
         if x[i].num.is_zero():
             continue
-        a = L.ad(i)
+        a = ad(L, i)
         out = mat_add(out, [[x[i] * a[p][q] for q in range(n)] for p in range(n)])
     return out
 
@@ -386,9 +388,9 @@ def loop_torsion(L, nm):
     items = []
     for i, j in _pairs(n):
         x, y = _unit(i, n), _unit(j, n)
-        nx, ny = N_.apply(x), N_.apply(y)
-        lhs = [a + b for a, b in zip(L.bracket(nx, ny), mat_vec(nn, L.bracket(x, y)))]
-        rhs = [a + b for a, b in zip(N_.apply(L.bracket(nx, y)), N_.apply(L.bracket(x, ny)))]
+        nx, ny = apply(N_, x), apply(N_, y)
+        lhs = [a + b for a, b in zip(bracket(L, nx, ny), mat_vec(nn, bracket(L, x, y)))]
+        rhs = [a + b for a, b in zip(apply(N_, bracket(L, nx, y)), apply(N_, bracket(L, x, ny)))]
         items += [("nijenhuis", (i, j, k), a - b) for k, (a, b) in enumerate(zip(lhs, rhs))]
     return items
 
@@ -400,10 +402,10 @@ def loop_operator_compatibility(L, nm, p):
     items = []
     for i, j in _pairs(n):
         x, y = _unit(i, n), _unit(j, n)
-        nx = N_.apply(x)
-        lhs = [a + b for a, b in zip(P_.apply(L.bracket(nx, y)), L.bracket(x, mat_vec(p2, y)))]
-        rhs = [a + b for a, b in zip(L.bracket(nx, P_.apply(y)),
-                                     P_.apply(L.bracket(x, P_.apply(y))))]
+        nx = apply(N_, x)
+        lhs = [a + b for a, b in zip(apply(P_, bracket(L, nx, y)), bracket(L, x, mat_vec(p2, y)))]
+        rhs = [a + b for a, b in zip(bracket(L, nx, apply(P_, y)),
+                                     apply(P_, bracket(L, x, apply(P_, y))))]
         for k in range(n):
             items.append(("operator-compatibility", (i, j, k), lhs[k] - rhs[k]))
     return items
@@ -421,9 +423,9 @@ def loop_pairing_forms(L, rm, nm, p):
     p2, n2 = mat_mul(p, p), mat_mul(nm, nm)
     form_1, form_2 = [], []
     for i in range(n):
-        a_i = L.ad(i)
-        a_px = _ad_of(L, P_.apply(_unit(i, n)))
-        a_nx = _ad_of(L, N_.apply(_unit(i, n)))
+        a_i = ad(L, i)
+        a_px = _ad_of(L, apply(P_, _unit(i, n)))
+        a_nx = _ad_of(L, apply(N_, _unit(i, n)))
         p_ai = mat_mul(p, a_i)
         lhs = mat_add(
             mat_sub(mat_mul(rho_t, transpose_matrix(p_ai)),
@@ -450,9 +452,9 @@ def loop_matched_pair(L, H, action_l, action_h):
         rho_a = _rho(action_h, _unit(a, m), n)
         for i, j in _pairs(n):
             x, y = _unit(i, n), _unit(j, n)
-            lhs = mat_vec(rho_a, L.bracket(x, y))
-            lhs = [v - w for v, w in zip(lhs, L.bracket(mat_vec(rho_a, x), y))]
-            lhs = [v - w for v, w in zip(lhs, L.bracket(x, mat_vec(rho_a, y)))]
+            lhs = mat_vec(rho_a, bracket(L, x, y))
+            lhs = [v - w for v, w in zip(lhs, bracket(L, mat_vec(rho_a, x), y))]
+            lhs = [v - w for v, w in zip(lhs, bracket(L, x, mat_vec(rho_a, y)))]
             rhs = mat_vec(_rho(action_h, mat_vec(action_l[j], _unit(a, m)), n), x)
             rhs = [v - w for v, w in
                    zip(rhs, mat_vec(_rho(action_h, mat_vec(action_l[i], _unit(a, m)), n), y))]
@@ -462,9 +464,9 @@ def loop_matched_pair(L, H, action_l, action_h):
         rho_x = action_l[i]
         for a, b in _pairs(m):
             u, v = _unit(a, m), _unit(b, m)
-            lhs = mat_vec(rho_x, H.bracket(u, v))
-            lhs = [p - q for p, q in zip(lhs, H.bracket(mat_vec(rho_x, u), v))]
-            lhs = [p - q for p, q in zip(lhs, H.bracket(u, mat_vec(rho_x, v)))]
+            lhs = mat_vec(rho_x, bracket(H, u, v))
+            lhs = [p - q for p, q in zip(lhs, bracket(H, mat_vec(rho_x, u), v))]
+            lhs = [p - q for p, q in zip(lhs, bracket(H, u, mat_vec(rho_x, v)))]
             x = _unit(i, n)
             rhs = mat_vec(_rho(action_l, mat_vec(action_h[b], x), m), u)
             rhs = [p - q for p, q in
@@ -481,16 +483,16 @@ def loop_rrbo(L, action, alpha, nm, t):
     for i, j in _pairs(m):
         tu = [t[a][i] for a in range(n)]
         tv = [t[a][j] for a in range(n)]
-        lhs = L.bracket(tu, tv)
+        lhs = bracket(L, tu, tv)
         inner = [x - y for x, y in zip(mat_vec(_rho(action, tu, m), _unit(j, m)),
                                        mat_vec(_rho(action, tv, m), _unit(i, m)))]
-        rhs = T_.apply(inner)
+        rhs = apply(T_, inner)
         for a in range(n):
             items.append(("rota-baxter", (i, j, a), lhs[a] - rhs[a]))
     for i in range(m):
         tu = [t[a][i] for a in range(n)]
         lhs = mat_vec(nm, tu)
-        rhs = T_.apply([alpha[b][i] for b in range(m)])
+        rhs = apply(T_, [alpha[b][i] for b in range(m)])
         for a in range(n):
             items.append(("operator-intertwining", (i, a), lhs[a] - rhs[a]))
     return items
@@ -770,8 +772,8 @@ def test_pq_r_forms_match_loops(data):
     want_1, want_2 = loop_pairing_forms(algebra, rm, nm, p)
     rho = PAIRING.evaluate(P=p, r=rm, N=nm)
     got_1 = PAIRING_FORM_1.evaluate(rho=rho, sig=PAIRING.evaluate(P=nm, r=rm, N=p), P=p, c=c)
-    got_2 = PAIRING_FORM_2.evaluate(rho=rho, N=nm, P=p, c=c, r=rm, P2=mat_mul(p, p),
-                                    N2=mat_mul(nm, nm))
+    got_2 = PAIRING_FORM_2.evaluate(rho=rho, N=nm, P=p, c=c, r=rm, P2=SQUARE.evaluate(M=p),
+                                    N2=SQUARE.evaluate(M=nm))
     for got, want in ((got_1, want_1), (got_2, want_2)):
         assert all(got.entries.get(idx, ZERO) == v for idx, v in want)
     details = check_pq_equivalents(algebra, TwoTensor(space, rm), _op(nm), _op(p)).details
@@ -807,6 +809,34 @@ def test_rrbo_matches_loops(data):
                         LinearOperator(_space(m), _space(m), alpha), _op(nm),
                         LinearOperator(_space(m), _space(n), t))
     assert _residual_forms(report) == _nonzero_forms(loop_rrbo(L, action, alpha, nm, t))
+
+
+# -- the operator square == the matrix product ------------------------------------------
+
+_CONSTANTS = [parse_scalar(text) for text in ["0"] * 3 + ["1", "-1", "2", "1/3", "-5/7"]]
+
+
+def _constants(draw, count):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    return [rng.choice(_CONSTANTS) for _ in range(count)]
+
+
+# constant operators run the integer lane, palette ones (1/k, 1/(k+1)) the Scalar fold
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_square_matches_the_matrix_product(data):
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(tensors(n, n, entries=data.draw(st.sampled_from([_constants, _entries]))))
+    kind = data.draw(st.sampled_from(["full", "zero", "nilpotent"]))
+    if kind == "zero":
+        m = zeros(n, n)
+    elif kind == "nilpotent":  # strictly upper triangular
+        m = [[v if j > i else ZERO for j, v in enumerate(row)] for i, row in enumerate(m)]
+    got = SQUARE.evaluate(M=m)
+    assert got.shape == (n, n)
+    assert [[_form(v) for v in row] for row in got.dense()] == \
+        [[_form(v) for v in row] for row in mat_mul(m, m)]
+    assert all(not v.is_zero() for v in got.entries.values())
 
 
 # -- a table's components do not depend on the order it is written in -----------------
@@ -884,7 +914,7 @@ def loop_rep_from_corep(K):
 
 
 def loop_adjoint_representation(L):
-    return Representation(L, L.space, [L.ad(i) for i in range(L.space.dim)])
+    return Representation(L, L.space, [ad(L, i) for i in range(L.space.dim)])
 
 
 def loop_block_operator(first, second):

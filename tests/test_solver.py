@@ -31,6 +31,7 @@ from lieb.scalars import Assumption, ONE, Polynomial, Scalar, ZERO
 from lieb.solver import ExhaustedSamples, bind_parameters
 
 from conftest import abelian, make_operator, sc
+from reference_loops import ad
 
 
 # -- weak symplectic classification ----------------------------------------------
@@ -78,7 +79,7 @@ def test_ad_invariance_solutions_on_sl2(sl2):
                            [[tensor.matrix[i][j] + tensor.matrix[j][i]
                              for j in range(3)] for i in range(3)])
         for x in range(3):
-            ad_x = sl2.ad(x)
+            ad_x = ad(sl2, x)
             acted = [[ZERO] * 3 for _ in range(3)]
             for p in range(3):
                 for q in range(3):

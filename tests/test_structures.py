@@ -56,6 +56,7 @@ from lieb.multilinear import zeros, zeros3
 from lieb.scalars import ONE, ZERO, Assumption, Polynomial
 
 from conftest import abelian, bialgebra_pair, make_operator, sc
+from reference_loops import ad, bracket, scale
 
 
 # -- Lie algebra axioms --------------------------------------------------------
@@ -125,24 +126,24 @@ def _oracle_cocycle_residual_at(L, d_tensor, i, j):
     def basis(k):
         return [ONE if t == k else ZERO for t in range(n)]
 
-    lhs = delta(L.bracket(basis(i), basis(j)))
+    lhs = delta(bracket(L, basis(i), basis(j)))
     rhs = [[ZERO] * n for _ in range(n)]
     dj = delta(basis(j))
     di = delta(basis(i))
     for a in range(n):
         for b in range(n):
             if not dj[a][b].is_zero():
-                vec = L.bracket(basis(i), basis(a))
+                vec = bracket(L, basis(i), basis(a))
                 for p in range(n):
                     rhs[p][b] = rhs[p][b] + dj[a][b] * vec[p]
-                vec = L.bracket(basis(i), basis(b))
+                vec = bracket(L, basis(i), basis(b))
                 for q in range(n):
                     rhs[a][q] = rhs[a][q] + dj[a][b] * vec[q]
             if not di[a][b].is_zero():
-                vec = L.bracket(basis(j), basis(a))
+                vec = bracket(L, basis(j), basis(a))
                 for p in range(n):
                     rhs[p][b] = rhs[p][b] - di[a][b] * vec[p]
-                vec = L.bracket(basis(j), basis(b))
+                vec = bracket(L, basis(j), basis(b))
                 for q in range(n):
                     rhs[a][q] = rhs[a][q] - di[a][b] * vec[q]
     return [[lhs[a][b] - rhs[a][b] for b in range(n)] for a in range(n)]
@@ -202,7 +203,7 @@ def test_family_six_fails_with_recorded_residual(sl2):
 
 
 def test_scalar_operator_satisfies_cobracket_torsion(dr):
-    p = LinearOperator.identity(dr.space).scale(sc("k1"))
+    p = scale(LinearOperator.identity(dr.space), sc("k1"))
     assert check_nijenhuis_coalgebra(dr, p).verdict is Verdict.PASS
     assert check_nijenhuis_coalgebra(dr, LinearOperator.zero(dr.space)).verdict is Verdict.PASS
 
@@ -331,7 +332,7 @@ def test_admissibility(sl2, n_example):
     rep = adjoint_representation(sl2)
     coad = coadjoint_representation(sl2)
     # beta = ell * id is admissible for any operator
-    ell = LinearOperator.identity(sl2.space).scale(sc("ell"))
+    ell = scale(LinearOperator.identity(sl2.space), sc("ell"))
     assert check_admissible(rep, n_example, ell).verdict is Verdict.PASS
     # the transpose of a torsion-free operator is admissible on the dual module
     n_bound = bind_parameters(n_example, {"lambda": Fraction(1), "kappa": Fraction(1)})
@@ -515,7 +516,7 @@ def test_semidirect_case_is_a_matched_pair(sl2, n_example):
     # vanishes and the pair reduces to the semidirect case, here with the
     # adjoint action and matching operator weights
     h = abelian(("u", "v", "w"))
-    rho_l = Representation(sl2, h.space, [sl2.ad(i) for i in range(3)])
+    rho_l = Representation(sl2, h.space, [ad(sl2, i) for i in range(3)])
     rho_h = Representation(h, sl2.space, [zeros(3, 3) for _ in range(3)])
     report = check_matched_pair(sl2, h, rho_l, rho_h, n_example, n_example)
     assert report.verdict is Verdict.PASS

@@ -58,7 +58,15 @@ def _emit(payload, fmt: str) -> int:
 
 def _load(path: str):
     """The parsed document at path, its construct statements run."""
-    doc = parse_document(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        start = head.rfind(b"\n") + 1
+        raise ParseError(f"{path} is not UTF-8: byte 0x{data[exc.start]:02x}",
+                         head.count(b"\n") + 1, len(head[start:].decode("utf-8")) + 1) from None
+    doc = parse_document(text)
     run_constructs(doc)
     return doc
 
@@ -290,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except _catalog.UnknownId as exc:

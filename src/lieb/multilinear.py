@@ -11,8 +11,12 @@ throughout the package (and in the file format):
 * bracket constants: ``[e_i, e_j] = sum_k c[i][j][k] e_k``;
 * cobracket constants: ``delta(e_i) = sum_{j,k} d[i][j][k] e_j (x) e_k``.
 
-Identity tables run one sparse fold; on constant operands it adds on ints
-over one common denominator and reduces each component once (see Table).
+Identity tables run one sparse fold that normalises late: each operand is
+scaled by the lcm of its denominators, the numerators are added on ints when
+every operand entry is constant and in Z[parameters] otherwise, and each
+component is reduced once over the common denominator (see Table).  Exact
+elimination works on sparse rows ``{column: entry}``: fraction-free on ints
+when every entry is constant, on Scalars otherwise.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import itemgetter
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .scalars import Assumption, Polynomial, Scalar, ZERO, ONE, covered_by_assumptions
 
@@ -66,10 +70,6 @@ class BasisSpace:
         return BasisSpace(tuple(f"{name}*" for name in self.labels))
 
 
-def space(*labels: str) -> BasisSpace:
-    return BasisSpace(tuple(labels))
-
-
 # -- dense helpers ----------------------------------------------------------
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -84,23 +84,8 @@ def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    if a and len(a[0]) != len(v):
-        raise ShapeError(f"matrix has {len(a[0])} columns, vector has {len(v)} entries")
-    return [_dot(row, v) for row in a]
-
-
 def transpose_matrix(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
-
-
-def _dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
-    total = ZERO
-    for x, y in zip(xs, ys):
-        if x.num.is_zero() or y.num.is_zero():
-            continue
-        total = total + x * y
-    return total
 
 
 def determinant(a: Matrix) -> Scalar:
@@ -184,10 +169,13 @@ class Table:
     nonzero entries are visited, and a component that no nonzero term reaches
     is absent.
 
-    When every operand entry is constant, each operand is scaled to ints by
-    the lcm of its denominators, so a component is one exact integer sum over
-    one common denominator, reduced once into a ``Scalar``: in lowest terms,
-    it is the value the ``Scalar`` fold reaches, and renders the same.
+    No component is normalised until its sum is complete.  Each operand is
+    scaled by the lcm of its denominators, so a component is one exact sum of
+    numerators over one common denominator, reduced once into a ``Scalar``:
+    on the integer lane, when every operand entry is constant, the sum is of
+    ints; on the polynomial lane, when any entry is parametric, it is of
+    integer polynomials, added with no gcd.  In lowest terms either is the
+    value a ``Scalar`` fold reaches, and renders the same.
     """
 
     def __init__(self, out: str, *subsums: str):
@@ -213,10 +201,10 @@ class Table:
     def evaluate(self, **operands) -> Tensor:
         """The nonvanishing components, in index order."""
         tensors, shape, strides = self._operands(operands)
-        total = _sum(self._plans, tensors, strides)
+        total = _sum(self._plans, tensors, strides, zeros=False)
         radix = list(zip(strides, shape))
         return Tensor(shape, {tuple([k // stride % size for stride, size in radix]): total[k]
-                              for k in sorted(total) if not total[k].is_zero()})
+                              for k in sorted(total)})
 
     def coefficients(self, unknown: str, occurrence: int = 0, **operands):
         """The coefficients of a table that is linear in one factor of each
@@ -313,26 +301,76 @@ def _plan(out, factors, unknown, occurrence):
     return steps
 
 
-def _sum(plans, tensors, strides) -> dict:
+def _sum(plans, tensors, strides, zeros: bool = True) -> dict:
     """Flattened key -> the Scalar sum of the signed products of every term
-    that reaches it: on Scalars, or on ints when every operand entry is
-    constant (the unknown's None counting as 1).  The integer lane scales each
-    operand by the lcm L of its denominators, starts each term from +-common /
-    (the product of its factors' L), common being the lcm of those products,
-    and divides each total by common once."""
+    that reaches it, keys whose sum is zero included only with ``zeros``.
+
+    Each operand is scaled by the lcm L of its denominators (the unknown's
+    None counting as 1), each term starts from +-common / (the product of its
+    factors' L), common being the lcm of those products, and each total is
+    divided by common once.  When every operand entry is constant this runs
+    on ints; otherwise the numerators are folded in Z[parameters] with no gcd,
+    L being an int for an operand whose denominators are all constant.
+    """
     qs = {name: [v.q for v in t.entries.values() if v is not None] for name, t in tensors.items()}
-    if any(None in q for q in qs.values()):
-        return _fold([(None if positive else -ONE, steps) for positive, steps in plans],
-                     tensors, strides)
-    lcms = {name: lcm(*q) for name, q in qs.items()}
-    ints = {name: Tensor(t.shape, {idx: v if v is None else v.p * (lcms[name] // v.q)
-                                   for idx, v in t.entries.items()}) for name, t in tensors.items()}
-    products = [prod([lcms[step[0]] for step in steps]) for _, steps in plans]
-    common = lcm(*products)
+    ints = not any(None in q for q in qs.values())
+    if ints:
+        lcms = {name: lcm(*q) for name, q in qs.items()}
+        scaled = {name: Tensor(t.shape, {idx: v if v is None else v.p * (lcms[name] // v.q)
+                                         for idx, v in t.entries.items()})
+                  for name, t in tensors.items()}
+    else:
+        lcms, scaled = {}, {}
+        for name, t in tensors.items():
+            lcms[name], scaled[name] = _numerators(t)
+        if any(type(L) is Polynomial for L in lcms.values()):
+            lcms = {name: Polynomial.integer(L) if type(L) is int else L
+                    for name, L in lcms.items()}
+    factors = [[lcms[step[0]] for step in steps] for _, steps in plans]
+    products = [prod(ls[1:], start=ls[0]) for ls in factors]
+    common = lcm(*products) if type(products[0]) is int else _polynomial_lcm(products)
     starts = [common // d if positive else -(common // d)
               for d, (positive, _) in zip(products, plans)]
-    total = _fold([(start, steps) for start, (_, steps) in zip(starts, plans)], ints, strides)
-    return {k: Scalar.ratio(v, common) for k, v in total.items()}
+    if ints:
+        total = _fold(list(zip(starts, [steps for _, steps in plans])), scaled, strides)
+        return {k: Scalar.ratio(v, common) for k, v in total.items() if zeros or v}
+    total = _fold([(None if start == 1 else start, steps)
+                   for start, (_, steps) in zip(starts, plans)], scaled, strides)
+    den = Polynomial.integer(common) if type(common) is int else common
+    return {k: Scalar(v, den) for k, v in total.items() if zeros or v}
+
+
+def _polynomial_lcm(polys) -> Polynomial:
+    out = polys[0]
+    for d in set(polys):
+        if d != out:
+            out = out * (d // out.gcd(d))
+    return out
+
+
+def _numerators(t: Tensor):
+    """(L, t times L): L the lcm of t's denominators, an int when every one
+    is constant, and the tensor of each entry's numerator times L / its
+    denominator, a Polynomial; the unknown's None stays None."""
+    consts, polys = set(), set()
+    for v in t.entries.values():
+        if v is not None:
+            if v.den.is_constant():
+                consts.add(v.den.constant_value())
+            else:
+                polys.add(v.den)
+    L = lcm(*consts)
+    if polys:
+        L = _polynomial_lcm([Polynomial.integer(L), *polys])
+    cofactor = {q: L // q if type(L) is int else L.divide_by_content(q) for q in consts}
+    cofactor.update({d: L // d for d in polys})
+    scaled = {}
+    for idx, v in t.entries.items():
+        if v is not None:
+            c = cofactor[v.den.constant_value() if v.den.is_constant() else v.den]
+            v = v.num if c == 1 else c * v.num
+        scaled[idx] = v
+    return L, Tensor(t.shape, scaled)
 
 
 def _fold(plans, tensors, strides) -> dict:
@@ -466,77 +504,132 @@ def _certify_pivot(pivot: Scalar, assumptions: Sequence[Assumption]) -> list[Ass
     return used
 
 
-def row_reduce(matrix: Sequence[Sequence[Scalar]],
-               assumptions: Sequence[Assumption] = ()) -> tuple[Matrix, list[int], list[Assumption]]:
-    """Reduced row echelon form; returns (rref, pivot columns, assumptions used).
+Row = dict[int, Scalar]  # a sparse matrix row: column -> entry
 
-    Pivots are the first nonzero entry of each column in row order; a pivot
-    whose nonvanishing does not follow from the assumptions raises
-    PivotAmbiguous rather than branching into cases.
+
+def row_reduce(rows: Sequence[Mapping[int, Scalar]],
+               assumptions: Sequence[Assumption] = ()) -> tuple[list[Row], list[int], list[Assumption]]:
+    """Reduced row echelon form of sparse rows; returns (rref, pivot columns,
+    assumptions used).  Stored zeros are dropped, and rref holds nonzeros only.
+
+    Column by column, the pivot is the first row at or below the current one
+    with an entry there, swapped into place; a pivot whose nonvanishing does
+    not follow from the assumptions raises PivotAmbiguous rather than
+    branching into cases.  Each row update walks the pivot row's nonzeros.
+    When every entry is constant the rows are eliminated on primitive ints,
+    fraction-free, and each pivot row is divided by its pivot once at the end;
+    the rref is unique, so it is the one the Scalar elimination reaches.
     """
-    m = [list(row) for row in matrix]
-    if not m:
-        return [], [], []
-    rows, cols = len(m), len(m[0])
+    m = [{c: v for c, v in row.items() if v} for row in rows]
+    ints = not any(v.q is None for row in m for v in row.values())
+    if ints:
+        for k, row in enumerate(m):
+            if row:
+                scale = lcm(*[v.q for v in row.values()])
+                row = {c: v.p * (scale // v.q) for c, v in row.items()}
+                g = gcd(*row.values())
+                m[k] = {c: x // g for c, x in row.items()} if g > 1 else row
+    where: dict[int, set[int]] = {}  # column -> the rows with an entry there
+    for i, row in enumerate(m):
+        for c in row:
+            where.setdefault(c, set()).add(i)
     pivots: list[int] = []
     used: list[Assumption] = []
     r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if not m[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
+    for c in sorted(where):
+        below = [i for i in where[c] if i >= r]
+        if not below:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for a in _certify_pivot(m[r][c], assumptions):
-            if a not in used:
-                used.append(a)
-        inv = ONE / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                factor = m[i][c]
-                # where the pivot row is zero, x - factor * 0 is x itself
-                m[i] = [x if y.is_zero() else x - factor * y for x, y in zip(m[i], m[r])]
+        top = min(below)
+        if top != r:
+            for i in (r, top):
+                for j in m[i]:
+                    where[j].discard(i)
+            m[r], m[top] = m[top], m[r]
+            for i in (r, top):
+                for j in m[i]:
+                    where[j].add(i)
+        if not ints:
+            for a in _certify_pivot(m[r][c], assumptions):
+                if a not in used:
+                    used.append(a)
+            inv = ONE / m[r][c]
+            m[r] = {j: inv * x for j, x in m[r].items()}
+        _eliminate(m, where, r, c, ints)
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == len(m):
             break
+    if ints:
+        for k, c in enumerate(pivots):
+            p = m[k][c]
+            m[k] = {j: Scalar.ratio(x, p) if p > 0 else Scalar.ratio(-x, -p)
+                    for j, x in m[k].items()}
     return m, pivots, used
 
 
-def kernel(matrix: Sequence[Sequence[Scalar]],
+def _eliminate(m: list[dict], where, r: int, c: int, ints: bool) -> None:
+    """Clear column c from every row but the pivot row r, walking its
+    nonzeros: on Scalars, whose pivot is 1, row - f pivot row for the row's
+    entry f; on ints, (p row - f pivot row) / its content for the pivot p."""
+    pivot = m[r]
+    p = pivot[c]
+    for i in [i for i in where[c] if i != r]:
+        row = m[i]
+        factor = -row[c]
+        if ints:
+            g = gcd(p, factor)
+            factor //= g
+            if p != g:
+                row = {j: p // g * x for j, x in row.items()}
+        for j, y in pivot.items():
+            x = row.get(j)
+            if x is None:
+                row[j] = factor * y
+                where[j].add(i)
+            else:
+                x = x + factor * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+                    where[j].discard(i)
+        if ints:
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: x // g for j, x in row.items()}
+        m[i] = row
+
+
+def _sparse(matrix: Sequence[Sequence[Scalar]]) -> list[Row]:
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
+def kernel(rows: Sequence[Mapping[int, Scalar]], cols: int,
            assumptions: Sequence[Assumption] = ()) -> tuple[list[Vector], list[Assumption]]:
-    """Exact basis of the right kernel, and the assumptions its pivots used."""
-    if not matrix:
-        return [], []
-    cols = len(matrix[0])
-    rref, pivots, used = row_reduce(matrix, assumptions)
-    free = [c for c in range(cols) if c not in pivots]
-    basis: list[Vector] = []
-    for f in free:
-        vec = [ZERO] * cols
-        vec[f] = ONE
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][f]
-        basis.append(vec)
-    return basis, used
+    """Exact basis of the right kernel of sparse rows over cols columns, and
+    the assumptions its pivots used."""
+    rref, pivots, used = row_reduce(rows, assumptions)
+    free = set(range(cols)) - set(pivots)
+    basis = {f: [ONE if k == f else ZERO for k in range(cols)] for f in sorted(free)}
+    for row, p in zip(rref, pivots):
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = -x
+    return list(basis.values()), used
 
 
 def nullspace(matrix: Sequence[Sequence[Scalar]],
               assumptions: Sequence[Assumption] = ()) -> list[Vector]:
     """Exact basis of the right kernel; vectors satisfy M v = 0 identically."""
-    return kernel(matrix, assumptions)[0]
+    if not matrix:
+        return []
+    return kernel(_sparse(matrix), len(matrix[0]), assumptions)[0]
 
 
 def rank(matrix: Sequence[Sequence[Scalar]],
          assumptions: Sequence[Assumption] = ()) -> int:
-    if not matrix:
-        return 0
-    _, pivots, _ = row_reduce(matrix, assumptions)
-    return len(pivots)
+    return len(row_reduce(_sparse(matrix), assumptions)[1])
 
 
 def solve_right(a: Matrix, b: Matrix, assumptions: Sequence[Assumption] = ()) -> Matrix:
@@ -545,8 +638,8 @@ def solve_right(a: Matrix, b: Matrix, assumptions: Sequence[Assumption] = ()) ->
     if any(len(row) != n for row in a) or len(b) != n:
         raise ShapeError("solve_right needs square A and matching B")
     width = len(b[0])
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    rref, pivots, _ = row_reduce(aug, assumptions)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+    rref, pivots, _ = row_reduce(_sparse([list(ra) + list(rb) for ra, rb in zip(a, b)]),
+                                 assumptions)
+    if pivots[:n] != list(range(n)):
         raise ShapeError("matrix is singular; cannot solve")
-    return [row[n:n + width] for row in rref[:n]]
+    return [[row.get(j, ZERO) for j in range(n, n + width)] for row in rref[:n]]

@@ -135,6 +135,10 @@ class Polynomial:
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
 
+    def __rmul__(self, n: int) -> Polynomial:
+        """n * self for an int n."""
+        return self.scale(n)
+
     def __mul__(self, other: Polynomial) -> Polynomial:
         if not self.terms or not other.terms:
             return Polynomial()

@@ -5,7 +5,8 @@ declared unknown: the rows are the unknown's coefficients in the table, and
 an exact nullspace solves them, reporting the side conditions of the inputs'
 denominators and the assumptions its pivots used.  Every basis element is
 verified exactly: weak-symplectic and cocycle-in-delta ones by re-running
-their check, co-CYBE-slice and ad-invariance ones by M v = 0 on the rows.
+their check, co-CYBE-slice and ad-invariance ones by M v = 0 over the rows'
+nonzeros.
 Nonlinear claims are attacked by sampling: draw exact rational parameter
 values, re-check, and return either a re-verified nonzero witness or sampling
 evidence of vanishing (which is labelled as evidence, never proof).
@@ -23,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 # nullspace and rank are not called here; they stay in this namespace for code
 # that looks up lieb.solver.nullspace and lieb.solver.rank.
 from .multilinear import (  # noqa: F401
-    BilinearForm, Table, Tensor, TwoTensor, ZERO, kernel, mat_vec, nullspace, rank,
+    BilinearForm, Row, Table, Tensor, TwoTensor, ZERO, kernel, nullspace, rank,
 )
 from .scalars import Assumption, EvalSingular, Scalar
 from . import structures
@@ -141,25 +142,53 @@ def coefficient_rows(problem: LinearProblem) -> list[list[Scalar]]:
     a skew form is that of (i, j) less that of (j, i).  With several
     occurrences of the unknown, a cell is the sum of its coefficient in each.
     """
-    return _rows(*_system(problem))
+    system = _system(problem)
+    cols = range(len(system[3]))
+    return [[row.get(col, ZERO) for col in cols] for row in _rows(*system)]
 
 
-def _rows(kind, space, shape, slots, operands) -> list[list[Scalar]]:
+def _rows(kind, space, shape, slots, operands) -> list[Row]:
+    """coefficient_rows as sparse rows: the cells that a term reaches."""
     # the unknown's entries by their row-major place in its shape
     flat = {idx: k for k, idx in enumerate(itertools.product(*map(range, shape)))}
     column = {flat[slot]: (col, True) for col, slot in enumerate(slots)}
     if kind.skew:
         column.update({flat[j, i]: (col, False) for col, (i, j) in enumerate(slots)})
-    rows = []
+    rows: list[Row] = []
     for occurrence in kind.occurrences:
         full, sums = kind.table.coefficients(kind.unknown, occurrence, **operands)
-        rows = rows or [[ZERO] * len(slots) for _ in range(math.prod(full) // len(flat))]
+        rows = rows or [{} for _ in range(math.prod(full) // len(flat))]
         for key, value in sums.items():
             row, entry = divmod(key, len(flat))
             if entry in column:
                 col, positive = column[entry]
-                rows[row][col] = rows[row][col] + value if positive else rows[row][col] - value
+                cells = rows[row]
+                cell = cells.get(col)
+                if cell is None:
+                    cells[col] = value if positive else -value
+                else:
+                    cells[col] = cell + value if positive else cell - value
     return rows
+
+
+def _by_column(rows: list[Row]) -> dict[int, list]:
+    """The rows' entries by column: col -> [(row, entry)]."""
+    columns: dict[int, list] = {}
+    for i, row in enumerate(rows):
+        for col, value in row.items():
+            columns.setdefault(col, []).append((i, value))
+    return columns
+
+
+def _annihilates(columns: dict[int, list], vec) -> bool:
+    """Whether M v = 0, adding only products of nonzeros of M and v; M is
+    given by column."""
+    totals: dict[int, Scalar] = {}
+    for col, x in enumerate(vec):
+        if x:
+            for i, value in columns.get(col, ()):
+                totals[i] = totals.get(i, ZERO) + value * x
+    return not any(totals.values())
 
 
 def solve_linear(problem: LinearProblem,
@@ -174,7 +203,8 @@ def solve_linear(problem: LinearProblem,
     """
     system = kind, space, shape, slots, _ = _system(problem)
     rows = _rows(*system)
-    vectors, pivots = kernel(rows, assumptions)
+    vectors, pivots = kernel(rows, len(slots), assumptions)
+    columns = _by_column(rows) if kind.verify is None else {}
     basis = []
     for vec in vectors:
         entries = dict(zip(slots, vec))
@@ -184,7 +214,7 @@ def solve_linear(problem: LinearProblem,
         if kind.verify is not None:
             solves = kind.verify(problem.context, element).passed
         else:
-            solves = not any(mat_vec(rows, vec))
+            solves = _annihilates(columns, vec)
         if not solves:
             raise AssertionError("solver produced a non-solution; this is a bug")
         basis.append(element)
@@ -221,7 +251,8 @@ class ConfirmedZero:
 
 def bind_parameters(obj, assignment: Mapping[str, Fraction]):
     """Substitute exact rational values for every parameter of a structure."""
-    return map_scalars(obj, lambda s: Scalar.from_fraction(s.evaluate(assignment)))
+    return map_scalars(obj, lambda s: s if s.q is not None
+                       else Scalar.from_fraction(s.evaluate(assignment)))
 
 
 def refute_by_sampling(check: Callable[..., CheckReport],

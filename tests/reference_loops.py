@@ -1,13 +1,16 @@
-"""Dense reference loops for the tests: matrix arithmetic, operator
-arithmetic and the vector-level bracket, ad, cobracket and coaction.
+"""Dense reference loops for the tests: matrix arithmetic, dense
+elimination, operator arithmetic and the vector-level bracket, ad, cobracket
+and coaction.
 
-The package evaluates every identity with identity tables and squares an
-operator with ``structures.SQUARE``; these loops are the independent
-references the tests compare those tables with, and the helpers the tests
-use to build their inputs.
+The package evaluates every identity with identity tables, squares an
+operator with ``structures.SQUARE`` and eliminates on sparse rows; these
+loops are the independent references the tests compare those with, and the
+helpers the tests use to build their inputs.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from lieb.multilinear import (
     LinearOperator,
@@ -16,16 +19,30 @@ from lieb.multilinear import (
     TwoTensor,
     Vector,
     ZERO,
-    _dot,
+    _certify_pivot,
     identity,
-    mat_vec,
     zeros,
 )
-from lieb.scalars import Scalar
+from lieb.scalars import ONE, Assumption, Scalar
 from lieb.structures import Corepresentation, LieAlgebra, LieCoalgebra
 
 
 # -- matrices ---------------------------------------------------------------
+
+def _dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
+    total = ZERO
+    for x, y in zip(xs, ys):
+        if x.num.is_zero() or y.num.is_zero():
+            continue
+        total = total + x * y
+    return total
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    if a and len(a[0]) != len(v):
+        raise ShapeError(f"matrix has {len(a[0])} columns, vector has {len(v)} entries")
+    return [_dot(row, v) for row in a]
+
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -43,6 +60,43 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ShapeError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
     return [[_dot(row, [b[k][j] for k in range(len(b))]) for j in range(len(b[0]))] for row in a]
+
+
+def row_reduce(matrix: Sequence[Sequence[Scalar]],
+               assumptions: Sequence[Assumption] = ()) -> tuple[Matrix, list[int], list[Assumption]]:
+    """Dense reduced row echelon form on Scalars: (rref, pivot columns,
+    assumptions used), by the pivot rule of ``multilinear.row_reduce`` (the
+    first row at or below the current one that is nonzero in the column)."""
+    m = [list(row) for row in matrix]
+    if not m:
+        return [], [], []
+    rows, cols = len(m), len(m[0])
+    pivots: list[int] = []
+    used: list[Assumption] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if not m[i][c].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        for a in _certify_pivot(m[r][c], assumptions):
+            if a not in used:
+                used.append(a)
+        inv = ONE / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(rows):
+            if i != r and not m[i][c].is_zero():
+                factor = m[i][c]
+                m[i] = [x if y.is_zero() else x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots, used
 
 
 # -- operators and tensors ----------------------------------------------------

@@ -141,6 +141,18 @@ def test_file_io_errors_exit_two(argv, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("data, line, col", [
+    (b"\xff\xfe", 1, 1),
+    ("# über\nalgebra L ü".encode() + b"\xff\xfe", 2, 12),
+], ids=["first-byte", "second-line"])
+def test_undecodable_file_names_the_file_and_the_first_bad_byte(data, line, col, tmp_path, capsys):
+    path = tmp_path / "bytes.lieb"
+    path.write_bytes(data)
+    code, out, err = _run(capsys, "check", str(path))
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err == f"error: line {line}, column {col}: {path} is not UTF-8: byte 0xff\n"
+
+
 def test_assume_flag_parses(tmp_path, capsys):
     path = _data_path(tmp_path, "sl2.lieb")
     code, out, _ = _run(capsys, "check", str(path), "--assume", "k1")

@@ -76,7 +76,6 @@ from lieb.multilinear import (
     ONE,
     ZERO,
     Table,
-    mat_vec,
     solve_right,
     transpose_matrix,
     zeros,
@@ -96,7 +95,7 @@ from lieb.structures import (
     nijenhuis_bialgebra_residuals,
 )
 
-from reference_loops import ad, apply, bracket, mat_add, mat_mul, mat_sub
+from reference_loops import ad, apply, bracket, mat_add, mat_mul, mat_sub, mat_vec
 
 from test_sparse_kernels import (
     N,

@@ -21,7 +21,6 @@ from lieb.multilinear import (
     Tensor,
     determinant,
     identity,
-    mat_vec,
     nullspace,
     rank,
     solve_right,
@@ -31,7 +30,8 @@ from lieb.scalars import ONE, Assumption, Polynomial, Scalar
 from lieb.structures import CO_CYBE, CYBE, IMAGE, JACOBI, RIGHT_IMAGE, SQUARE, TORSION
 
 from conftest import rational_matrix, sc
-from reference_loops import mat_mul
+import reference_loops
+from reference_loops import mat_mul, mat_vec
 
 
 def _rand_matrix(rng, rows, cols):
@@ -169,8 +169,9 @@ def _cases(ops):
 
 
 def _engine_and_scalar_fold(table, operands, unknown, occurrence):
-    """The engine's components, the starts of the fold it ran, and the Scalar
-    fold's components on the same plans and operands."""
+    """The engine's components, the starts and the operands' entries of the
+    fold it ran, and the Scalar fold's components on the same plans and
+    operands."""
     tensors, _, strides = table._operands(operands, unknown)
     plans = table._plans
     if unknown is not None:
@@ -180,37 +181,44 @@ def _engine_and_scalar_fold(table, operands, unknown, occurrence):
             itertools.product(*map(range, shape))))
     with mock.patch.object(multilinear, "_fold", wraps=multilinear._fold) as fold:
         engine = multilinear._sum(plans, tensors, strides)
-    (ran, _, _), _ = fold.call_args
+    (ran, scaled, _), _ = fold.call_args
     scalar = multilinear._fold([(None if positive else -ONE, steps) for positive, steps in plans],
                                tensors, strides)
-    return engine, [start for start, _ in ran], scalar
+    entries = [v for t in scaled.values() for v in t.entries.values() if v is not None]
+    return engine, [start for start, _ in ran], entries, scalar
 
 
 @_LANE_SETTINGS
 @given(_operands())
 def test_integer_lane_matches_the_scalar_fold(ops):
     for table, operands, unknown, occurrence in _cases(ops):
-        engine, starts, scalar = _engine_and_scalar_fold(table, operands, unknown, occurrence)
+        engine, starts, _, scalar = _engine_and_scalar_fold(table, operands, unknown, occurrence)
         assert all(type(start) is int for start in starts)
         assert engine.keys() == scalar.keys()
         assert engine == scalar
         assert all(v.q is not None for v in engine.values())
 
 
+# parametric entries, with constant and polynomial denominators
+_PARAMETRIC = [sc("k"), sc("-1/(k + 1)"), sc("2*k/3"), sc("(k^2 - 1)/(k + 2)"), sc("1/(2*k)"),
+               sc("k1*k/(k1 + 1)"), sc("3/(k + 1)")]
+
+
 @_LANE_SETTINGS
 @given(_operands(), st.data())
-def test_one_parametric_entry_takes_the_scalar_fold(ops, data):
-    name = data.draw(st.sampled_from(sorted(ops)))
-    entries = Tensor.of(ops[name])
-    index = data.draw(st.sampled_from(sorted(itertools.product(range(_LANE_DIM),
-                                                                repeat=len(entries.shape)))))
-    entries.entries[index] = data.draw(st.sampled_from([sc("k"), sc("-1/(k + 1)"), sc("2*k/3")]))
-    ops[name] = entries.dense()
+def test_polynomial_lane_matches_the_scalar_fold(ops, data):
+    for name in data.draw(st.lists(st.sampled_from(sorted(ops)), min_size=1, max_size=3)):
+        entries = Tensor.of(ops[name])
+        cells = sorted(itertools.product(range(_LANE_DIM), repeat=len(entries.shape)))
+        for index in data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4)):
+            entries.entries[index] = data.draw(st.sampled_from(_PARAMETRIC))
+        ops[name] = entries.dense()
     for table, operands, unknown, occurrence in _cases(ops):
-        if not any(operand is ops[name] for operand in operands.values()):
-            continue
-        engine, starts, scalar = _engine_and_scalar_fold(table, operands, unknown, occurrence)
-        assert all(start is None or isinstance(start, Scalar) for start in starts)
+        engine, _, entries, scalar = _engine_and_scalar_fold(table, operands, unknown, occurrence)
+        values = [v for t in operands.values() for v in Tensor.of(t).entries.values()]
+        if any(v.q is None for v in values):  # the numerators were folded in Z[k, k1]
+            assert all(type(v) is Polynomial for v in entries)
+        assert engine.keys() == scalar.keys()
         assert engine == scalar
 
 
@@ -223,6 +231,53 @@ def test_integer_lane_keeps_zero_sums_in_coefficients():
     _, sums = table.coefficients("x", a=a, b=b, x=[sc("0"), sc("0")])
     assert sums == {0: sc("10/21"), 1: sc("2/7"), 3: sc("0")}
     assert table.evaluate(a=a, b=b, x=[sc("21"), sc("7")]).entries == {(0,): sc("12")}
+
+
+# -- sparse elimination against the dense reference ---------------------------------
+
+_CONSTANT_ENTRIES = [sc("1"), sc("-1"), sc("2"), sc("-3/2"), sc("5/7"), sc("12")]
+_PARAMETRIC_ENTRIES = _CONSTANT_ENTRIES + [sc("k"), sc("k - 1"), sc("1/(k + 1)"), sc("2*k/3"),
+                                           sc("k1"), sc("k*k1")]
+_PIVOT_ASSUMPTIONS = [Assumption(sc(text).num) for text in ("k", "k - 1", "k + 1", "k1")]
+
+
+@st.composite
+def _matrices(draw):
+    """A matrix of zeros (about half its entries) and constant or, in about
+    half the draws, parametric entries, with some rows repeated or combined
+    so that its rank falls short, and a subset of the pivot assumptions."""
+    palette = draw(st.sampled_from([_CONSTANT_ENTRIES, _PARAMETRIC_ENTRIES]))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(sc("0")), st.sampled_from(palette))
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            j, f = draw(st.integers(0, i - 1)), draw(st.sampled_from(palette))
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    return m, draw(st.one_of(st.just(_PIVOT_ASSUMPTIONS),
+                             st.lists(st.sampled_from(_PIVOT_ASSUMPTIONS), unique=True)))
+
+
+def _reduced(reduce, rows, assumptions):
+    try:
+        return reduce(rows, assumptions)
+    except PivotAmbiguous as err:
+        return err.offending
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_matrices())
+def test_sparse_row_reduce_matches_the_dense_reference(case):
+    m, assumptions = case
+    cols = len(m[0])
+    sparse = _reduced(multilinear.row_reduce, multilinear._sparse(m), assumptions)
+    dense = _reduced(reference_loops.row_reduce, m, assumptions)
+    if isinstance(dense, Polynomial):  # both raise PivotAmbiguous on the same pivot
+        assert sparse == dense
+        return
+    rref, pivots, used = sparse
+    assert all(all(row.values()) for row in rref)  # no stored zeros
+    assert ([[row.get(c, sc("0")) for c in range(cols)] for row in rref], pivots, used) == dense
 
 
 def test_nullspace_examples():

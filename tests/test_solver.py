@@ -146,7 +146,7 @@ def test_basis_is_resubstituted_into_the_rows(kind, sl2, monkeypatch):
                else _skew_slice_problem())
     assert solve_linear(problem).rank > 0
     # a kernel that returns the all-ones vector, which solves neither system
-    monkeypatch.setattr(solver, "kernel", lambda rows, assumptions: ([[ONE] * len(rows[0])], []))
+    monkeypatch.setattr(solver, "kernel", lambda rows, cols, assumptions: ([[ONE] * cols], []))
     with pytest.raises(AssertionError, match="non-solution"):
         solve_linear(problem)
 

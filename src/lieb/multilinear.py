@@ -15,8 +15,9 @@ Identity tables run one sparse fold that normalises late: each operand is
 scaled by the lcm of its denominators, the numerators are added on ints when
 every operand entry is constant and in Z[parameters] otherwise, and each
 component is reduced once over the common denominator (see Table).  Exact
-elimination works on sparse rows ``{column: entry}``: fraction-free on ints
-when every entry is constant, on Scalars otherwise.
+elimination works on sparse rows ``{column: entry}``, fraction-free: on ints
+when every entry is constant and in Z[parameters] otherwise, with one
+division per pivot row at the end (see row_reduce).
 """
 
 from __future__ import annotations
@@ -322,7 +323,8 @@ def _sum(plans, tensors, strides, zeros: bool = True) -> dict:
     else:
         lcms, scaled = {}, {}
         for name, t in tensors.items():
-            lcms[name], scaled[name] = _numerators(t)
+            lcms[name], entries = _numerators(t.entries)
+            scaled[name] = Tensor(t.shape, entries)
         if any(type(L) is Polynomial for L in lcms.values()):
             lcms = {name: Polynomial.integer(L) if type(L) is int else L
                     for name, L in lcms.items()}
@@ -348,12 +350,12 @@ def _polynomial_lcm(polys) -> Polynomial:
     return out
 
 
-def _numerators(t: Tensor):
-    """(L, t times L): L the lcm of t's denominators, an int when every one
-    is constant, and the tensor of each entry's numerator times L / its
+def _numerators(entries: dict):
+    """(L, the entries times L): L the lcm of the entries' denominators, an
+    int when every one is constant, and each entry's numerator times L / its
     denominator, a Polynomial; the unknown's None stays None."""
     consts, polys = set(), set()
-    for v in t.entries.values():
+    for v in entries.values():
         if v is not None:
             if v.den.is_constant():
                 consts.add(v.den.constant_value())
@@ -365,12 +367,12 @@ def _numerators(t: Tensor):
     cofactor = {q: L // q if type(L) is int else L.divide_by_content(q) for q in consts}
     cofactor.update({d: L // d for d in polys})
     scaled = {}
-    for idx, v in t.entries.items():
+    for idx, v in entries.items():
         if v is not None:
             c = cofactor[v.den.constant_value() if v.den.is_constant() else v.den]
             v = v.num if c == 1 else c * v.num
         scaled[idx] = v
-    return L, Tensor(t.shape, scaled)
+    return L, scaled
 
 
 def _fold(plans, tensors, strides) -> dict:
@@ -507,6 +509,21 @@ def _certify_pivot(pivot: Scalar, assumptions: Sequence[Assumption]) -> list[Ass
 Row = dict[int, Scalar]  # a sparse matrix row: column -> entry
 
 
+def _polynomial_gcd(*polys: Polynomial) -> Polynomial:
+    """The gcd of polynomials in Z[parameters], up to sign."""
+    g = polys[0]
+    for f in polys[1:]:
+        if g == ONE.num:
+            break
+        g = g.gcd(f)
+    return g
+
+
+# The rings rows are eliminated in: (the gcd of ring elements, 1, x / p as a Scalar).
+_INTS = (gcd, 1, lambda x, p: Scalar.ratio(x, p) if p > 0 else Scalar.ratio(-x, -p))
+_POLYNOMIALS = (_polynomial_gcd, ONE.num, Scalar)
+
+
 def row_reduce(rows: Sequence[Mapping[int, Scalar]],
                assumptions: Sequence[Assumption] = ()) -> tuple[list[Row], list[int], list[Assumption]]:
     """Reduced row echelon form of sparse rows; returns (rref, pivot columns,
@@ -516,19 +533,32 @@ def row_reduce(rows: Sequence[Mapping[int, Scalar]],
     with an entry there, swapped into place; a pivot whose nonvanishing does
     not follow from the assumptions raises PivotAmbiguous rather than
     branching into cases.  Each row update walks the pivot row's nonzeros.
-    When every entry is constant the rows are eliminated on primitive ints,
-    fraction-free, and each pivot row is divided by its pivot once at the end;
-    the rref is unique, so it is the one the Scalar elimination reaches.
+
+    Rows are eliminated fraction-free and primitive, on ints when every entry
+    is constant and in Z[parameters] otherwise, and each pivot row is divided
+    by its pivot once at the end; the rref is unique, so it is the one an
+    elimination on Scalars reaches.  A parametric row carries its multiplier
+    num/den, left unreduced: the row is num/den times the row that
+    elimination holds.  So each pivot is certified as that elimination's
+    pivot, reduced once, and the same assumptions are used in the same order.
     """
     m = [{c: v for c, v in row.items() if v} for row in rows]
     ints = not any(v.q is None for row in m for v in row.values())
-    if ints:
-        for k, row in enumerate(m):
-            if row:
-                scale = lcm(*[v.q for v in row.values()])
-                row = {c: v.p * (scale // v.q) for c, v in row.items()}
-                g = gcd(*row.values())
-                m[k] = {c: x // g for c, x in row.items()} if g > 1 else row
+    ring = _INTS if ints else _POLYNOMIALS
+    gcd_of, one, over = ring
+    multipliers = None if ints else [None] * len(m)  # of each nonempty row: [num, den]
+    for k, row in enumerate(m):
+        if not row:
+            continue
+        if ints:
+            L = lcm(*[v.q for v in row.values()])
+            row = {c: v.p * (L // v.q) for c, v in row.items()}
+        else:
+            L, row = _numerators(row)
+        g = gcd_of(*row.values())
+        m[k] = row if g == one else {c: x // g for c, x in row.items()}
+        if multipliers is not None:
+            multipliers[k] = [Polynomial.integer(L) if type(L) is int else L, g]
     where: dict[int, set[int]] = {}  # column -> the rows with an entry there
     for i, row in enumerate(m):
         for c in row:
@@ -549,39 +579,41 @@ def row_reduce(rows: Sequence[Mapping[int, Scalar]],
             for i in (r, top):
                 for j in m[i]:
                     where[j].add(i)
-        if not ints:
-            for a in _certify_pivot(m[r][c], assumptions):
+            if multipliers is not None:
+                multipliers[r], multipliers[top] = multipliers[top], multipliers[r]
+        if multipliers is not None:
+            num, den = multipliers[r]
+            for a in _certify_pivot(Scalar(m[r][c] * den, num), assumptions):
                 if a not in used:
                     used.append(a)
-            inv = ONE / m[r][c]
-            m[r] = {j: inv * x for j, x in m[r].items()}
-        _eliminate(m, where, r, c, ints)
+        _eliminate(m, where, r, c, ring, multipliers)
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    if ints:
-        for k, c in enumerate(pivots):
-            p = m[k][c]
-            m[k] = {j: Scalar.ratio(x, p) if p > 0 else Scalar.ratio(-x, -p)
-                    for j, x in m[k].items()}
+    for k, c in enumerate(pivots):
+        p = m[k][c]
+        m[k] = {j: over(x, p) for j, x in m[k].items()}
     return m, pivots, used
 
 
-def _eliminate(m: list[dict], where, r: int, c: int, ints: bool) -> None:
+def _eliminate(m: list[dict], where, r: int, c: int, ring, multipliers) -> None:
     """Clear column c from every row but the pivot row r, walking its
-    nonzeros: on Scalars, whose pivot is 1, row - f pivot row for the row's
-    entry f; on ints, (p row - f pivot row) / its content for the pivot p."""
+    nonzeros: row <- (p row - f pivot row) / its content, for the pivot p and
+    the row's entry f each divided by their gcd.  A row's multiplier, if
+    given, takes the same factor and divisor."""
+    gcd_of, one, _ = ring
     pivot = m[r]
     p = pivot[c]
     for i in [i for i in where[c] if i != r]:
         row = m[i]
-        factor = -row[c]
-        if ints:
-            g = gcd(p, factor)
-            factor //= g
-            if p != g:
-                row = {j: p // g * x for j, x in row.items()}
+        g = gcd_of(p, row[c])
+        factor = -(row[c] // g)
+        if p != g:
+            s = p // g
+            row = {j: s * x for j, x in row.items()}
+            if multipliers is not None:
+                multipliers[i][0] = s * multipliers[i][0]
         for j, y in pivot.items():
             x = row.get(j)
             if x is None:
@@ -594,10 +626,10 @@ def _eliminate(m: list[dict], where, r: int, c: int, ints: bool) -> None:
                 else:
                     del row[j]
                     where[j].discard(i)
-        if ints:
-            g = gcd(*row.values())
-            if g > 1:
-                row = {j: x // g for j, x in row.items()}
+        if row and (g := gcd_of(*row.values())) != one:
+            row = {j: x // g for j, x in row.items()}
+            if multipliers is not None:
+                multipliers[i][1] = g * multipliers[i][1]
         m[i] = row
 
 

@@ -262,16 +262,18 @@ def refute_by_sampling(check: Callable[..., CheckReport],
     """Search for an exact rational witness that a check fails.
 
     ``check`` is called with the structures in ``instances`` (as keyword
-    arguments) after binding every parameter to a random rational.  Draws that
-    vanish on an ``avoid`` assumption or hit a singular denominator are
-    redrawn.  A refutation is re-verified exactly before being returned;
-    ConfirmedZero is evidence of vanishing, not proof.
+    arguments) after binding every parameter to a random rational; a structure
+    with no parameter is passed as given.  Draws that vanish on an ``avoid``
+    assumption or hit a singular denominator are redrawn.  A refutation is
+    re-verified exactly before being returned; ConfirmedZero is evidence of
+    vanishing, not proof.
     """
-    names = sorted(structure_parameters(*instances.values()))
+    parametric = {key: value for key, value in instances.items() if structure_parameters(value)}
+    names = sorted(structure_parameters(*parametric.values()))
     rng = random.Random(cfg.seed)
     for _ in range(cfg.trials):
-        assignment, bound = _draw(rng, names, cfg, avoid, instances)
-        report = check(**bound)
+        assignment, bound = _draw(rng, names, cfg, avoid, parametric)
+        report = check(**{**instances, **bound})
         if report.residuals:
             witness = report.residuals[0]
             if witness.value.is_zero():

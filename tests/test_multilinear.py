@@ -236,8 +236,11 @@ def test_integer_lane_keeps_zero_sums_in_coefficients():
 # -- sparse elimination against the dense reference ---------------------------------
 
 _CONSTANT_ENTRIES = [sc("1"), sc("-1"), sc("2"), sc("-3/2"), sc("5/7"), sc("12")]
+# denominators that share factors within a row exercise the row's polynomial
+# lcm and the reduction of its multiplier
 _PARAMETRIC_ENTRIES = _CONSTANT_ENTRIES + [sc("k"), sc("k - 1"), sc("1/(k + 1)"), sc("2*k/3"),
-                                           sc("k1"), sc("k*k1")]
+                                           sc("k1"), sc("k*k1"), sc("1/(k^2 - 1)"),
+                                           sc("(k - 1)/(k + 1)"), sc("k/(k1 + 1)")]
 _PIVOT_ASSUMPTIONS = [Assumption(sc(text).num) for text in ("k", "k - 1", "k + 1", "k1")]
 
 

@@ -11,6 +11,7 @@ from lieb import (
     LieAlgebra,
     LieCoalgebra,
     LinearProblem,
+    PivotAmbiguous,
     RefutedAt,
     ConfirmedZero,
     SampleConfig,
@@ -25,12 +26,13 @@ from lieb import (
     refute_by_sampling,
     solve_linear,
 )
-from lieb.multilinear import BasisSpace, zeros, zeros3
+from lieb.multilinear import BasisSpace, _sparse, row_reduce, zeros, zeros3
 from lieb import solver
 from lieb.scalars import Assumption, ONE, Polynomial, Scalar, ZERO
 from lieb.solver import ExhaustedSamples, bind_parameters
 
 from conftest import abelian, make_operator, sc
+import reference_loops
 from reference_loops import ad
 
 
@@ -151,6 +153,47 @@ def test_basis_is_resubstituted_into_the_rows(kind, sl2, monkeypatch):
         solve_linear(problem)
 
 
+# -- a parametric family: numerators in Z[k] ------------------------------------------
+
+def bianchi_vi_k() -> LieAlgebra:
+    """Bianchi VI_k: [e1, e2] = k e2 - e3 and [e1, e3] = -e2 + k e3."""
+    c = zeros3(3, 3, 3)
+    for i, j, k, value in [(0, 1, 1, "k"), (0, 1, 2, "-1"), (0, 2, 1, "-1"), (0, 2, 2, "k")]:
+        c[i][j][k], c[j][i][k] = sc(value), -sc(value)
+    return LieAlgebra(BasisSpace(("e1", "e2", "e3")), c)
+
+
+_VI_K_ASSUMPTIONS = [Assumption(sc(text).num) for text in
+                     ("k", "k - 1", "k + 1", "k - 3", "k + 3", "2*k^2 - 1", "5*k^2 - 13")]
+
+
+@pytest.mark.parametrize("problem, used", [
+    (LinearProblem.weak_symplectic, ["k"]),
+    (LinearProblem.ad_invariance, ["k", "k - 1", "k + 1", "2*k^2 - 1"]),
+    (LinearProblem.cocycle_in_delta, ["k", "k - 1", "k + 1", "5*k^2 - 13", "k - 3", "k + 3"]),
+])
+def test_parametric_rows_reduce_as_the_dense_reference(problem, used):
+    problem = problem(bianchi_vi_k())
+    matrix = solver.coefficient_rows(problem)
+    rref, pivots, pivot_used = row_reduce(_sparse(matrix), _VI_K_ASSUMPTIONS)
+    cols = range(len(matrix[0]))
+    assert ([[row.get(c, ZERO) for c in cols] for row in rref], pivots, pivot_used) \
+        == reference_loops.row_reduce(matrix, _VI_K_ASSUMPTIONS)
+    solution = solve_linear(problem, _VI_K_ASSUMPTIONS)
+    assert [str(a.nonzero) for a in solution.assumptions_used] == used
+
+
+def test_an_uncertified_parametric_pivot_is_the_dense_reference_pivot():
+    matrix = solver.coefficient_rows(LinearProblem.cocycle_in_delta(bianchi_vi_k()))
+    assumptions = [a for a in _VI_K_ASSUMPTIONS if str(a.nonzero) != "5*k^2 - 13"]
+    with pytest.raises(PivotAmbiguous) as sparse:
+        row_reduce(_sparse(matrix), assumptions)
+    with pytest.raises(PivotAmbiguous) as dense:
+        reference_loops.row_reduce(matrix, assumptions)
+    assert sparse.value.offending == dense.value.offending
+    assert str(sparse.value.offending) == "-5*k^3 + 13*k"
+
+
 # -- stability under basis permutation ----------------------------------------------------
 
 def test_solution_dimension_is_basis_independent(sl2):
@@ -225,6 +268,21 @@ def test_solve_linear_propagates_pivot_ambiguity():
     solution = solve_linear(LinearProblem.ad_invariance(parametric),
                             [Assumption(Polynomial.variable("k1"))])
     assert solution.dimension >= 1
+
+
+def test_refute_passes_a_structure_with_no_parameter_as_given(sl2):
+    r = zeros(3, 3)
+    r[1][2], r[2][1] = sc("lambda"), sc("-lambda")
+    seen = []
+
+    def check(L, r):
+        seen.append(L)
+        return check_cybe(L, r)
+
+    result = refute_by_sampling(check, {"L": sl2, "r": TwoTensor(sl2.space, r)},
+                                SampleConfig(seed=1, trials=4))
+    assert isinstance(result, ConfirmedZero)
+    assert len(seen) == 4 and all(L is sl2 for L in seen)
 
 
 def test_refute_redraws_on_singular_denominators(sl2):

@@ -305,9 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: unknown catalog id {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except PivotAmbiguous as exc:
-        print(f"error: elimination divides by {exc.offending}, which the assumptions do not "
-              f"certify nonzero; if it is nonzero, declare 'assume {exc.offending}'",
-              file=sys.stderr)
+        print(f"error: elimination divides by a pivot with the factor {exc.offending}, which "
+              f"the assumptions do not certify nonzero; if it is nonzero, declare "
+              f"'assume {exc.offending}'", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

@@ -24,11 +24,11 @@ from .multilinear import (
     ShapeError,
     Table,
     Tensor,
+    TRANSPOSE,
     TwoTensor,
-    identity,
     solve_right,
 )
-from .scalars import Assumption
+from .scalars import ONE, Assumption
 from .structures import (
     INDUCED_BRACKET, Corepresentation, LieAlgebra, LieCoalgebra, Representation,
 )
@@ -48,7 +48,7 @@ def delta_from_r(L: LieAlgebra, r: TwoTensor) -> LieCoalgebra:
     """Cobracket x -> r^1 (x) [x, r^2] + [x, r^1] (x) r^2."""
     if r.space.dim != L.space.dim:
         raise ShapeError("tensor does not live on the algebra's space")
-    return LieCoalgebra(L.space, DELTA_FROM_R.evaluate(c=L.c, r=r.matrix).dense())
+    return LieCoalgebra(L.space, DELTA_FROM_R.evaluate(c=L.tensor, r=r.tensor))
 
 
 def bracket_from_omega(C: LieCoalgebra, omega: BilinearForm) -> LieAlgebra:
@@ -60,7 +60,7 @@ def bracket_from_omega(C: LieCoalgebra, omega: BilinearForm) -> LieAlgebra:
     """
     if omega.space.dim != C.space.dim:
         raise ShapeError("form does not live on the coalgebra's space")
-    return LieAlgebra(C.space, INDUCED_BRACKET.evaluate(d=C.d, om=omega.matrix).dense())
+    return LieAlgebra(C.space, INDUCED_BRACKET.evaluate(d=C.tensor, om=omega.tensor))
 
 
 # the operators x -> omega(x, r^1) r^2 and x -> r^1 omega(r^2, x), as matrices
@@ -72,15 +72,15 @@ def nijenhuis_from_omega_r(L: LieAlgebra, omega: BilinearForm, r: TwoTensor) -> 
     """The operator x -> omega(x, r^1) r^2."""
     if omega.space.dim != L.space.dim or r.space.dim != L.space.dim:
         raise ShapeError("data does not live on the algebra's space")
-    mat = NIJENHUIS_FROM_OMEGA_R.evaluate(om=omega.matrix, r=r.matrix).dense()
-    return LinearOperator(L.space, L.space, mat)
+    return LinearOperator(L.space, L.space,
+                          NIJENHUIS_FROM_OMEGA_R.evaluate(om=omega.tensor, r=r.tensor))
 
 
 def p_from_r_omega(C: LieCoalgebra, r: TwoTensor, omega: BilinearForm) -> LinearOperator:
     """The operator x -> r^1 omega(r^2, x)."""
     if omega.space.dim != C.space.dim or r.space.dim != C.space.dim:
         raise ShapeError("data does not live on the coalgebra's space")
-    return LinearOperator(C.space, C.space, P_FROM_R_OMEGA.evaluate(r=r.matrix, om=omega.matrix).dense())
+    return LinearOperator(C.space, C.space, P_FROM_R_OMEGA.evaluate(r=r.tensor, om=omega.tensor))
 
 
 # -- duals --------------------------------------------------------------------
@@ -100,17 +100,17 @@ COADJOINT_COACTION = Table("abj", "-(d[jab])")
 
 def dual_coalgebra(L: LieAlgebra) -> LieCoalgebra:
     """Cobracket on the dual space with d*[k][i][j] = c[i][j][k]."""
-    return LieCoalgebra(L.space.dual(), DUAL_COBRACKET.evaluate(c=L.c).dense())
+    return LieCoalgebra(L.space.dual(), DUAL_COBRACKET.evaluate(c=L.tensor))
 
 
 def dual_algebra(C: LieCoalgebra) -> LieAlgebra:
     """Bracket on the dual space with c*[i][j][k] = d[k][i][j]."""
-    return LieAlgebra(C.space.dual(), DUAL_BRACKET.evaluate(d=C.d).dense())
+    return LieAlgebra(C.space.dual(), DUAL_BRACKET.evaluate(d=C.tensor))
 
 
 def dual_representation(R: Representation) -> Representation:
     """Representation on the dual module: rho*(x) = -rho(x)^T."""
-    return Representation(R.algebra, R.space.dual(), DUAL_ACTION.evaluate(A=R.action).dense())
+    return Representation(R.algebra, R.space.dual(), DUAL_ACTION.evaluate(A=R.tensor))
 
 
 def corep_from_rep(R: Representation) -> Corepresentation:
@@ -119,13 +119,13 @@ def corep_from_rep(R: Representation) -> Corepresentation:
     g[i][j][k] = action[j][i][k]; no sign enters here.
     """
     return Corepresentation(dual_coalgebra(R.algebra), R.space.dual(),
-                            SWAP_ACTION.evaluate(t=R.action).dense())
+                            SWAP_ACTION.evaluate(t=R.tensor))
 
 
 def rep_from_corep(K: Corepresentation) -> Representation:
     """Representation of the dual algebra on the dual module (no sign)."""
     return Representation(dual_algebra(K.coalgebra), K.space.dual(),
-                          SWAP_ACTION.evaluate(t=K.coaction).dense())
+                          SWAP_ACTION.evaluate(t=K.tensor))
 
 
 def dualize(obj: LieAlgebra | LieCoalgebra | Representation | Corepresentation | LinearOperator,
@@ -149,7 +149,7 @@ def dualize(obj: LieAlgebra | LieCoalgebra | Representation | Corepresentation |
 
 
 def adjoint_representation(L: LieAlgebra) -> Representation:
-    return Representation(L, L.space, ADJOINT.evaluate(c=L.c).dense())
+    return Representation(L, L.space, ADJOINT.evaluate(c=L.tensor))
 
 
 def coadjoint_representation(L: LieAlgebra) -> Representation:
@@ -171,20 +171,20 @@ def _sum_space(first: BasisSpace, second: BasisSpace) -> BasisSpace:
     return BasisSpace(tuple(labels))
 
 
-def _blocks(shape: tuple[int, ...], *blocks) -> list:
-    """The dense tensor of the given shape holding each (offsets, block) at its
-    offsets, a block being a Tensor or a nested list; ZERO elsewhere."""
+def _blocks(shape: tuple[int, ...], *blocks: tuple[tuple[int, ...], Tensor]) -> Tensor:
+    """The tensor of the given shape holding each (offsets, block) at its
+    offsets, its entries in block order."""
     entries = {}
     for offsets, block in blocks:
-        for idx, v in Tensor.of(block).entries.items():
+        for idx, v in block.entries.items():
             entries[tuple([o + k for o, k in zip(offsets, idx)])] = v
-    return Tensor(shape, entries).dense()
+    return Tensor(shape, entries)
 
 
 def _block_operator(first: LinearOperator, second: LinearOperator) -> LinearOperator:
     rows, cols = first.codomain.dim, first.domain.dim
     mat = _blocks((rows + second.codomain.dim, cols + second.domain.dim),
-                  ((0, 0), first.matrix), ((rows, cols), second.matrix))
+                  ((0, 0), first.tensor), ((rows, cols), second.tensor))
     return LinearOperator(_sum_space(first.domain, second.domain),
                           _sum_space(first.codomain, second.codomain), mat)
 
@@ -200,9 +200,9 @@ def semidirect_product(L: LieAlgebra, R: Representation,
                        N: LinearOperator, alpha: LinearOperator) -> tuple[LieAlgebra, LinearOperator]:
     """Half-direct bracket [x+u, y+v] = [x,y] + rho(x)v - rho(y)u with block operator."""
     n, total = L.space.dim, L.space.dim + R.space.dim
-    c = _blocks((total,) * 3, ((0, 0, 0), L.c),
-                ((0, n, n), ACTION_BRACKET.evaluate(A=R.action)),
-                ((n, 0, n), ACTION_MIRROR.evaluate(A=R.action)))
+    c = _blocks((total,) * 3, ((0, 0, 0), L.tensor),
+                ((0, n, n), ACTION_BRACKET.evaluate(A=R.tensor)),
+                ((n, 0, n), ACTION_MIRROR.evaluate(A=R.tensor)))
     return LieAlgebra(_sum_space(L.space, R.space), c), _block_operator(N, alpha)
 
 
@@ -210,8 +210,8 @@ def semidirect_coproduct(C: LieCoalgebra, K: Corepresentation,
                          P: LinearOperator, beta: LinearOperator) -> tuple[LieCoalgebra, LinearOperator]:
     """Coproduct (x+v) -> delta(x) + gamma(v) - flip(gamma(v)) with block operator."""
     n, total = C.space.dim, C.space.dim + K.space.dim
-    d = _blocks((total,) * 3, ((0, 0, 0), C.d), ((n, 0, n), K.coaction),
-                ((n, n, 0), DUAL_ACTION.evaluate(A=K.coaction)))
+    d = _blocks((total,) * 3, ((0, 0, 0), C.tensor), ((n, 0, n), K.tensor),
+                ((n, n, 0), DUAL_ACTION.evaluate(A=K.tensor)))
     return LieCoalgebra(_sum_space(C.space, K.space), d), _block_operator(P, beta)
 
 
@@ -223,11 +223,11 @@ def double_matched_pair(L: LieAlgebra, H: LieAlgebra,
     if rho_L.space.dim != m or rho_H.space.dim != n:
         raise ShapeError("matched-pair actions have wrong module dimensions")
     # [e_i, h_b] = rho_L(e_i) h_b - rho_H(h_b) e_i
-    c = _blocks((n + m,) * 3, ((0, 0, 0), L.c), ((n, n, n), H.c),
-                ((0, n, n), ACTION_BRACKET.evaluate(A=rho_L.action)),
-                ((n, 0, n), ACTION_MIRROR.evaluate(A=rho_L.action)),
-                ((0, n, 0), ACTION_MIRROR.evaluate(A=rho_H.action)),
-                ((n, 0, 0), ACTION_BRACKET.evaluate(A=rho_H.action)))
+    c = _blocks((n + m,) * 3, ((0, 0, 0), L.tensor), ((n, n, n), H.tensor),
+                ((0, n, n), ACTION_BRACKET.evaluate(A=rho_L.tensor)),
+                ((n, 0, n), ACTION_MIRROR.evaluate(A=rho_L.tensor)),
+                ((0, n, 0), ACTION_MIRROR.evaluate(A=rho_H.tensor)),
+                ((n, 0, 0), ACTION_BRACKET.evaluate(A=rho_H.tensor)))
     return LieAlgebra(_sum_space(L.space, H.space), c), _block_operator(N_L, N_H)
 
 
@@ -239,7 +239,7 @@ def dual_pair_actions(L: LieAlgebra, C: LieCoalgebra) -> tuple[Representation, R
     """
     if C.space.dim != L.space.dim:
         raise ShapeError("algebra and coalgebra live on different spaces")
-    rho_h = Representation(dual_algebra(C), L.space, COADJOINT_COACTION.evaluate(d=C.d).dense())
+    rho_h = Representation(dual_algebra(C), L.space, COADJOINT_COACTION.evaluate(d=C.tensor))
     return coadjoint_representation(L), rho_h
 
 
@@ -254,7 +254,8 @@ def manin_double(L: LieAlgebra, C: LieCoalgebra,
     rho_l, rho_h = dual_pair_actions(L, C)
     double, op = double_matched_pair(L, dual_algebra(C), rho_l, rho_h, N, P.transpose())
     n = L.space.dim
-    b = _blocks((2 * n, 2 * n), ((0, n), identity(n)), ((n, 0), identity(n)))
+    eye = Tensor((n, n), {(i, i): ONE for i in range(n)})
+    b = _blocks((2 * n, 2 * n), ((0, n), eye), ((n, 0), eye))
     return double, op, BilinearForm(double.space, b)
 
 
@@ -262,8 +263,6 @@ def manin_double(L: LieAlgebra, C: LieCoalgebra,
 
 # N^T B, the form (x, y) -> B(Nx, y)
 FORM_PULLBACK = Table("ij", "k: N[ki] B[kj]")
-# the matrix of phi_r: column i is the image of e^i
-TRANSPOSE = Table("ji", "r[ij]")
 # the block of r_from_T on V* (x) L: -e^i (x) T(e_i)
 R_FROM_T_MIRROR = Table("ia", "-(T[ai])")
 
@@ -278,14 +277,14 @@ def adjoint_operator(B: BilinearForm, N: LinearOperator,
     det = determinant(B.matrix)
     if det.is_zero():
         raise DegenerateForm("the form is degenerate; no adjoint exists")
-    target = FORM_PULLBACK.evaluate(N=N.matrix, B=B.matrix).dense()
-    mat = solve_right(B.matrix, target, assumptions)
-    return LinearOperator(N.domain, N.codomain, mat)
+    target = BilinearForm(B.space, FORM_PULLBACK.evaluate(N=N.tensor, B=B.tensor))
+    return LinearOperator(N.domain, N.codomain, solve_right(B.matrix, target.matrix, assumptions))
 
 
 def phi_r(r: TwoTensor) -> LinearOperator:
-    """The map dual space -> space sending e^i to sum_j r[i][j] e_j."""
-    return LinearOperator(r.space.dual(), r.space, TRANSPOSE.evaluate(r=r.matrix).dense())
+    """The map dual space -> space sending e^i to sum_j r[i][j] e_j: its
+    matrix is r's transpose."""
+    return LinearOperator(r.space.dual(), r.space, TRANSPOSE.evaluate(M=r.tensor))
 
 
 def r_from_T(T: LinearOperator, R: Representation) -> tuple[LieAlgebra, TwoTensor]:
@@ -300,6 +299,6 @@ def r_from_T(T: LinearOperator, R: Representation) -> tuple[LieAlgebra, TwoTenso
     ambient, _ = semidirect_product(
         R.algebra, dual_representation(R),
         LinearOperator.zero(R.algebra.space), LinearOperator.zero(R.space.dual()))
-    rm = _blocks((n + m, n + m), ((0, n), T.matrix),
-                 ((n, 0), R_FROM_T_MIRROR.evaluate(T=T.matrix)))
+    rm = _blocks((n + m, n + m), ((0, n), T.tensor),
+                 ((n, 0), R_FROM_T_MIRROR.evaluate(T=T.tensor)))
     return ambient, TwoTensor(ambient.space, rm)

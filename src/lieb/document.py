@@ -22,7 +22,8 @@ from operator import add, sub
 from typing import Iterable, get_args, get_type_hints
 
 from .multilinear import (
-    BasisSpace, BilinearForm, LinearOperator, ShapeError, TwoTensor, ZERO, zeros, zeros3,
+    TRANSPOSE, BasisSpace, BilinearForm, LinearOperator, ShapeError, Tensor, TwoTensor, ZERO,
+    zeros, zeros3,
 )
 from .scalars import Assumption, DivisionByZero, Scalar
 from .structures import (
@@ -351,8 +352,7 @@ class _Parser:
         name_tok = self.expect("name")
         self.expect_name("on")
         sp = self._space_ref()
-        c = zeros3(sp.dim, sp.dim, sp.dim)
-        listed: set[tuple[int, int]] = set()
+        listed: dict[tuple[int, int], list[Scalar]] = {}  # [e_i, e_j] by (i, j)
 
         def entry():
             self.expect("[")
@@ -361,13 +361,12 @@ class _Parser:
             j = self._label_index(sp)
             self.expect("]")
             self.expect("=")
-            c[i][j] = self._rank_expr(sp, 1)
-            listed.add((i, j))
+            listed[i, j] = self._rank_expr(sp, 1)
         self._block(entry)
-        for (i, j) in listed:
-            if (j, i) not in listed:
-                c[j][i] = [-v for v in c[i][j]]
-        self.doc.structures[self._fresh(name_tok)] = LieAlgebra(sp, c)
+        for (i, j), vector in list(listed.items()):
+            listed.setdefault((j, i), [-v for v in vector])
+        c = {(i, j, k): v for (i, j), vector in listed.items() for k, v in enumerate(vector)}
+        self.doc.structures[self._fresh(name_tok)] = LieAlgebra(sp, Tensor((sp.dim,) * 3, c))
 
     def _stmt_coalgebra(self):
         name_tok = self.expect("name")
@@ -409,8 +408,7 @@ class _Parser:
         if self.peek().kind == "name" and self.peek().text == "skew":
             self.advance()
             skew = True
-        mat = zeros(sp.dim, sp.dim)
-        listed: set[tuple[int, int]] = set()
+        listed: dict[tuple[int, int], Scalar] = {}
 
         def entry():
             self.expect("(")
@@ -419,14 +417,12 @@ class _Parser:
             j = self._label_index(sp)
             self.expect(")")
             self.expect("=")
-            mat[i][j] = self._rank_expr(sp, 0)
-            listed.add((i, j))
+            listed[i, j] = self._rank_expr(sp, 0)
         self._block(entry)
         if skew:
-            for (i, j) in listed:
-                if (j, i) not in listed and i != j:
-                    mat[j][i] = -mat[i][j]
-        self.doc.structures[self._fresh(name_tok)] = BilinearForm(sp, mat)
+            for (i, j), v in list(listed.items()):
+                listed.setdefault((j, i), -v)
+        self.doc.structures[self._fresh(name_tok)] = BilinearForm(sp, Tensor((sp.dim,) * 2, listed))
 
     def _stmt_tensor(self):
         name_tok = self.expect("name")
@@ -760,6 +756,15 @@ def _sum_terms(terms: list[str]) -> str:
     return out
 
 
+def _grouped(tensor, lead: int) -> dict[tuple, list]:
+    """A tensor's entries in order, grouped by the first ``lead`` places of
+    their index: those places -> [(the rest of the index, value)]."""
+    groups: dict[tuple, list] = {}
+    for idx, v in tensor.entries.items():
+        groups.setdefault(idx[:lead], []).append((idx[lead:], v))
+    return groups
+
+
 def render_document(structures: dict[str, object],
                     params: list[str] | None = None) -> str:
     """Canonical text for a set of named structures (with header conventions)."""
@@ -777,60 +782,39 @@ def render_document(structures: dict[str, object],
     for name, obj in structures.items():
         if isinstance(obj, LieAlgebra):
             sp = _space_name(spaces, obj.space, counter)
-            entries = []
-            n = obj.space.dim
             labels = obj.space.labels
-
-            def emit(i, j):
-                terms = [_term(v, labels[k]) for k, v in enumerate(obj.c[i][j])
-                         if not v.is_zero()]
-                entries.append(f"  [{labels[i]}, {labels[j]}] = " + _sum_terms(terms))
-
-            for i in range(n):
-                if any(not v.is_zero() for v in obj.c[i][i]):
-                    emit(i, i)
-                for j in range(i + 1, n):
-                    mirrored = all((obj.c[i][j][k] + obj.c[j][i][k]).is_zero()
-                                   for k in range(n))
-                    if mirrored:
-                        if any(not v.is_zero() for v in obj.c[i][j]):
-                            emit(i, j)
-                    else:
-                        emit(i, j)
-                        emit(j, i)
+            pairs = _grouped(obj.tensor, 2)
+            entries = []
+            for i, j in sorted({(min(pair), max(pair)) for pair in pairs}):
+                # a pair is listed both ways, zero included, unless its mirror is its negation
+                mirrored = pairs.get((j, i), []) == [(k, -v) for k, v in pairs.get((i, j), [])]
+                for a, b in [(i, j)] if i == j or mirrored else [(i, j), (j, i)]:
+                    terms = [_term(v, labels[k]) for (k,), v in pairs.get((a, b), [])]
+                    entries.append(f"  [{labels[a]}, {labels[b]}] = " + _sum_terms(terms))
             body.append(f"algebra {name} on {sp} {{\n" + "\n".join(entries) + "\n}")
         elif isinstance(obj, LieCoalgebra):
             sp = _space_name(spaces, obj.space, counter)
-            entries = []
-            n = obj.space.dim
-            for i in range(n):
-                terms = [_term(obj.d[i][a][b], obj.space.labels[a], obj.space.labels[b])
-                         for a in range(n) for b in range(n)
-                         if not obj.d[i][a][b].is_zero()]
-                if terms:
-                    entries.append(f"  delta({obj.space.labels[i]}) = " + _sum_terms(terms))
+            labels = obj.space.labels
+            entries = [f"  delta({labels[i]}) = " + _sum_terms([_term(v, labels[a], labels[b])
+                                                                for (a, b), v in row])
+                       for (i,), row in _grouped(obj.tensor, 1).items()]
             body.append(f"coalgebra {name} on {sp} {{\n" + "\n".join(entries) + "\n}")
         elif isinstance(obj, LinearOperator):
             dom = _space_name(spaces, obj.domain, counter)
             cod = _space_name(spaces, obj.codomain, counter)
-            entries = []
-            for j in range(obj.domain.dim):
-                terms = [_term(obj.matrix[i][j], obj.codomain.labels[i])
-                         for i in range(obj.codomain.dim) if not obj.matrix[i][j].is_zero()]
-                if terms:
-                    entries.append(f"  {obj.domain.labels[j]} -> " + _sum_terms(terms))
+            entries = [f"  {obj.domain.labels[j]} -> "
+                       + _sum_terms([_term(v, obj.codomain.labels[i]) for (i,), v in column])
+                       for (j,), column in _grouped(TRANSPOSE.evaluate(M=obj.tensor), 1).items()]
             body.append(f"operator {name} : {dom} -> {cod} {{\n" + "\n".join(entries) + "\n}")
         elif isinstance(obj, BilinearForm):
             sp = _space_name(spaces, obj.space, counter)
-            entries = [f"  ({obj.space.labels[i]}, {obj.space.labels[j]}) = {obj.matrix[i][j]}"
-                       for i in range(obj.space.dim) for j in range(obj.space.dim)
-                       if not obj.matrix[i][j].is_zero()]
+            labels = obj.space.labels
+            entries = [f"  ({labels[i]}, {labels[j]}) = {v}" for (i, j), v in obj.tensor.entries.items()]
             body.append(f"form {name} on {sp} {{\n" + "\n".join(entries) + "\n}")
         elif isinstance(obj, TwoTensor):
             sp = _space_name(spaces, obj.space, counter)
-            terms = [_term(obj.matrix[i][j], obj.space.labels[i], obj.space.labels[j])
-                     for i in range(obj.space.dim) for j in range(obj.space.dim)
-                     if not obj.matrix[i][j].is_zero()]
+            labels = obj.space.labels
+            terms = [_term(v, labels[i], labels[j]) for (i, j), v in obj.tensor.entries.items()]
             body.append(f"tensor {name} on {sp} {{\n  " + _sum_terms(terms) + "\n}")
         elif isinstance(obj, (Representation, Corepresentation)):
             raise TypeError("rendering a (co)representation requires naming its (co)algebra; "

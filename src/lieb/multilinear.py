@@ -1,7 +1,11 @@
 """Finite-dimensional basis spaces, exact multilinear algebra, and the engine
 that evaluates identity tables over sparse tensors.
 
-Matrices and tensors are nested lists of Scalar.  Index conventions used
+A structure's data is a sparse ``Tensor``: its shape and its nonzero
+Scalar entries by index tuple.  Each record stores one, zero-free and keyed
+in row-major order, and shows it as nested lists of Scalar only through a
+read-only dense view (see Record); the dense helpers (``zeros``,
+``determinant``, ``solve_right``) take such lists.  Index conventions used
 throughout the package (and in the file format):
 
 * operator matrix: column j holds the image of basis vector j, so
@@ -23,14 +27,14 @@ division per pivot row at the end (see row_reduce).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .scalars import Assumption, Polynomial, Scalar, ZERO, ONE, covered_by_assumptions
+from .scalars import Assumption, Polynomial, Scalar, ZERO, ONE, divide_out_assumptions
 
 Vector = list[Scalar]
 Matrix = list[list[Scalar]]
@@ -41,10 +45,11 @@ class ShapeError(ValueError):
 
 
 class PivotAmbiguous(Exception):
-    """Elimination needed to divide by a polynomial not covered by assumptions."""
+    """Elimination needed to divide by a polynomial not covered by
+    assumptions; ``offending`` is its factor that they leave uncovered."""
 
     def __init__(self, offending: Polynomial):
-        super().__init__(f"pivot {offending} is not certified nonzero")
+        super().__init__(f"pivot factor {offending} is not certified nonzero")
         self.offending = offending
 
 
@@ -79,14 +84,6 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 def zeros3(a: int, b: int, c: int) -> list[list[list[Scalar]]]:
     return [[[ZERO for _ in range(c)] for _ in range(b)] for _ in range(a)]
-
-
-def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def transpose_matrix(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def determinant(a: Matrix) -> Scalar:
@@ -149,6 +146,12 @@ class Tensor:
         for size in reversed(self.shape[1:]):
             flat = [flat[k:k + size] for k in range(0, len(flat), size)]
         return flat[0] if not self.shape else flat
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Tensor) and (self.shape, self.entries) == (other.shape, other.entries)
+
+    def __repr__(self) -> str:
+        return f"Tensor({self.shape}, {self.entries})"
 
 
 _FACTOR = re.compile(r"(\w+)\[(\w*)\]")
@@ -429,80 +432,124 @@ def _picker(positions):
 _unbound = itemgetter(slice(0))  # the key of a lookup by no letters: ()
 
 
-# -- structured wrappers ----------------------------------------------------
+# -- structure records ---------------------------------------------------------
 
-@dataclass
-class LinearOperator:
-    """Linear map stored as a codomain.dim x domain.dim matrix (columns = images)."""
+class Record:
+    """A structure record: its spaces, and its data stored once as
+    ``tensor``, a zero-free Tensor keyed in row-major order.  Records are
+    frozen and equal when their fields are.
+
+    The constructor is the one place that takes a nested list of Scalars: it
+    takes that or a Tensor, raises ShapeError unless the data has the
+    record's shape (a ragged list has none), and drops every zero entry.
+    """
+
+    def _store(self, shape: tuple[int, ...], mismatch: str) -> None:
+        data = self.tensor
+        if isinstance(data, Tensor):
+            if data.shape != shape:
+                raise ShapeError(mismatch)
+            entries = {idx: v for idx, v in sorted(data.entries.items(), key=itemgetter(0))
+                       if not v.is_zero()}
+        else:
+            rows = [((), data)]  # the lists at one depth, by the index that reaches them
+            for depth, size in enumerate(shape):
+                if any(not isinstance(row, (list, tuple)) or len(row) != size for _, row in rows):
+                    raise ShapeError(mismatch)
+                if depth + 1 < len(shape):
+                    rows = [(idx + (k,), t) for idx, row in rows for k, t in enumerate(row)]
+            try:
+                entries = {idx + (k,): v for idx, row in rows for k, v in enumerate(row)
+                           if not v.is_zero()}
+            except AttributeError:  # a leaf that is no Scalar: the list is too deep
+                raise ShapeError(mismatch) from None
+        object.__setattr__(self, "tensor", Tensor(shape, entries))
+
+    @property
+    def _dense(self):
+        """The dense view of the data (a record's ``c``, ``d``, ``matrix``,
+        ``action`` or ``coaction``): nested lists with ZERO where nothing is
+        stored, built on first read and then cached.  It is read-only and a
+        snapshot: writing into it changes nothing stored, so a changed record
+        is built from a changed list."""
+        view = self.__dict__.get("_view")
+        if view is None:
+            view = self.__dict__["_view"] = self.tensor.dense()
+        return view
+
+    def parts(self) -> list:
+        """The record's fields, in order."""
+        return [getattr(self, f.name) for f in fields(self)]
+
+
+# the transpose of a matrix; of an operator's, the dual operator's
+TRANSPOSE = Table("ji", "M[ij]")
+
+
+@dataclass(frozen=True)
+class LinearOperator(Record):
+    """Linear map with a codomain.dim x domain.dim matrix (columns = images);
+    ``matrix`` is the dense view."""
 
     domain: BasisSpace
     codomain: BasisSpace
-    matrix: Matrix
+    tensor: Tensor
+
+    matrix = Record._dense
 
     def __post_init__(self):
-        if len(self.matrix) != self.codomain.dim or any(
-            len(row) != self.domain.dim for row in self.matrix
-        ):
-            raise ShapeError("operator matrix does not match its spaces")
-
-    @classmethod
-    def identity(cls, sp: BasisSpace) -> LinearOperator:
-        return cls(sp, sp, identity(sp.dim))
+        self._store((self.codomain.dim, self.domain.dim), "operator matrix does not match its spaces")
 
     @classmethod
     def zero(cls, domain: BasisSpace, codomain: BasisSpace | None = None) -> LinearOperator:
         codomain = codomain or domain
-        return cls(domain, codomain, zeros(codomain.dim, domain.dim))
+        return cls(domain, codomain, Tensor((codomain.dim, domain.dim), {}))
 
     def transpose(self) -> LinearOperator:
         return LinearOperator(self.codomain.dual(), self.domain.dual(),
-                              transpose_matrix(self.matrix))
+                              TRANSPOSE.evaluate(M=self.tensor))
 
 
-@dataclass
-class BilinearForm:
-    """Bilinear form with matrix entry (i, j) = value on (e_i, e_j)."""
-
-    space: BasisSpace
-    matrix: Matrix
-
-    def __post_init__(self):
-        n = self.space.dim
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
-            raise ShapeError("form matrix does not match its space")
-
-    @classmethod
-    def zero(cls, sp: BasisSpace) -> BilinearForm:
-        return cls(sp, zeros(sp.dim, sp.dim))
-
-
-@dataclass
-class TwoTensor:
-    """Element of V (x) V with matrix entry (i, j) = coefficient of e_i (x) e_j."""
+@dataclass(frozen=True)
+class BilinearForm(Record):
+    """Bilinear form with matrix entry (i, j) = value on (e_i, e_j);
+    ``matrix`` is the dense view."""
 
     space: BasisSpace
-    matrix: Matrix
+    tensor: Tensor
+
+    matrix = Record._dense
 
     def __post_init__(self):
-        n = self.space.dim
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
-            raise ShapeError("tensor matrix does not match its space")
+        self._store((self.space.dim,) * 2, "form matrix does not match its space")
 
-    @classmethod
-    def zero(cls, sp: BasisSpace) -> TwoTensor:
-        return cls(sp, zeros(sp.dim, sp.dim))
+
+@dataclass(frozen=True)
+class TwoTensor(Record):
+    """Element of V (x) V with matrix entry (i, j) = coefficient of
+    e_i (x) e_j; ``matrix`` is the dense view."""
+
+    space: BasisSpace
+    tensor: Tensor
+
+    matrix = Record._dense
+
+    def __post_init__(self):
+        self._store((self.space.dim,) * 2, "tensor matrix does not match its space")
 
 
 # -- exact elimination ------------------------------------------------------
 
 def _certify_pivot(pivot: Scalar, assumptions: Sequence[Assumption]) -> list[Assumption]:
-    """Assumptions certifying that the pivot numerator is nonzero."""
+    """Assumptions certifying that the pivot numerator is nonzero; else
+    PivotAmbiguous names the factor left once they are divided out, with its
+    content and sign removed."""
     num = pivot.num
     if num.is_constant():
         return []
-    used = covered_by_assumptions(num, assumptions)
-    if used is None:
-        raise PivotAmbiguous(num)
+    used, rest = divide_out_assumptions(num, assumptions)
+    if not rest.is_constant():
+        raise PivotAmbiguous(Assumption(rest).nonzero)
     return used
 
 

@@ -496,10 +496,10 @@ class Scalar:
         raise TypeError(f"cannot treat {value!r} as a scalar")
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return bool(self.num.terms)
 
     def parameters(self) -> frozenset[str]:
         return self.num.parameters() | self.den.parameters()
@@ -688,6 +688,14 @@ def covered_by_assumptions(poly: Polynomial, assumptions: Iterable[Assumption]) 
     A polynomial is certified when repeated exact division by assumption
     polynomials reduces it to a nonzero integer constant.
     """
+    used, rest = divide_out_assumptions(poly, assumptions)
+    return used if rest.is_constant() and rest.constant_value() != 0 else None
+
+
+def divide_out_assumptions(poly: Polynomial,
+                           assumptions: Iterable[Assumption]) -> tuple[list[Assumption], Polynomial]:
+    """(the assumptions whose polynomials divide poly, what is left of poly
+    once they are divided out and its content is removed)."""
     g = abs(poly.content())
     current = poly.divide_by_content(g) if g > 1 else poly
     used: list[Assumption] = []
@@ -704,6 +712,4 @@ def covered_by_assumptions(poly: Polynomial, assumptions: Iterable[Assumption]) 
                     used.append(a)
                 progress = True
                 break
-    if current.is_constant() and current.constant_value() != 0:
-        return used
-    return None
+    return used, current

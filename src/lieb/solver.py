@@ -95,7 +95,7 @@ class _Kind:
     known: Callable[[dict], dict]  # the operands besides the unknown, from the context
     unknown: str  # its operand name; each of its axes spans the space
     rank: int
-    element: Callable  # (space, dense value) -> basis element
+    element: Callable  # (space, Tensor) -> basis element
     verify: Callable | None = None  # (context, element) -> CheckReport; else M v = 0
     skew: bool = False  # a skew form, whose free entries are the upper triangle
     occurrences: tuple[int, ...] = (0,)  # the unknown's occurrences the rows take
@@ -103,19 +103,19 @@ class _Kind:
 
 _KINDS = {
     WEAK_SYMPLECTIC: _Kind(
-        structures.WEAK_SYMPLECTIC, lambda ctx: {"c": ctx["algebra"].c}, "om", 2, BilinearForm,
+        structures.WEAK_SYMPLECTIC, lambda ctx: {"c": ctx["algebra"].tensor}, "om", 2, BilinearForm,
         lambda ctx, x: check_weak_symplectic(ctx["algebra"], x), skew=True),
     # the symmetrised linearisation B(omega0, omega) + B(omega, omega0) of the
     # quadratic co-Yang-Baxter equation: omega0 in one slot of each term, the
     # unknown in the other
     CO_CYBE_SLICE: _Kind(
-        structures.CO_CYBE, lambda ctx: {"d": ctx["coalgebra"].d, "om": ctx["omega0"].matrix},
+        structures.CO_CYBE, lambda ctx: {"d": ctx["coalgebra"].tensor, "om": ctx["omega0"].tensor},
         "om", 2, BilinearForm, skew=True, occurrences=(0, 1)),
     COCYCLE_IN_DELTA: _Kind(
-        structures.COCYCLE, lambda ctx: {"c": ctx["algebra"].c}, "d", 3, LieCoalgebra,
+        structures.COCYCLE, lambda ctx: {"c": ctx["algebra"].tensor}, "d", 3, LieCoalgebra,
         lambda ctx, x: check_cocycle(ctx["algebra"], x)),
     AD_INVARIANCE: _Kind(
-        structures.AD_INVARIANCE, lambda ctx: {"c": ctx["algebra"].c}, "r", 2, TwoTensor),
+        structures.AD_INVARIANCE, lambda ctx: {"c": ctx["algebra"].tensor}, "r", 2, TwoTensor),
 }
 
 
@@ -134,21 +134,15 @@ def _system(problem: LinearProblem):
     return kind, space, shape, slots, {kind.unknown: Tensor(shape, {}), **kind.known(ctx)}
 
 
-def coefficient_rows(problem: LinearProblem) -> list[list[Scalar]]:
-    """The problem's identity as a matrix over the unknown's free entries.
+def _rows(kind, space, shape, slots, operands) -> list[Row]:
+    """The problem's identity as sparse rows over the unknown's free entries.
 
-    Row by row, the components of the identity in index order, zero rows
+    Row by row, the components of the identity in index order, empty rows
     included; column by column, the coefficient of each free entry, which for
     a skew form is that of (i, j) less that of (j, i).  With several
     occurrences of the unknown, a cell is the sum of its coefficient in each.
+    A row holds the cells that a term reaches.
     """
-    system = _system(problem)
-    cols = range(len(system[3]))
-    return [[row.get(col, ZERO) for col in cols] for row in _rows(*system)]
-
-
-def _rows(kind, space, shape, slots, operands) -> list[Row]:
-    """coefficient_rows as sparse rows: the cells that a term reaches."""
     # the unknown's entries by their row-major place in its shape
     flat = {idx: k for k, idx in enumerate(itertools.product(*map(range, shape)))}
     column = {flat[slot]: (col, True) for col, slot in enumerate(slots)}
@@ -210,7 +204,7 @@ def solve_linear(problem: LinearProblem,
         entries = dict(zip(slots, vec))
         if kind.skew:
             entries.update({(j, i): -value for (i, j), value in zip(slots, vec)})
-        element = kind.element(space, Tensor(shape, entries).dense())
+        element = kind.element(space, Tensor(shape, entries))
         if kind.verify is not None:
             solves = kind.verify(problem.context, element).passed
         else:
@@ -250,7 +244,8 @@ class ConfirmedZero:
 
 
 def bind_parameters(obj, assignment: Mapping[str, Fraction]):
-    """Substitute exact rational values for every parameter of a structure."""
+    """Substitute exact rational values for every parameter of a structure;
+    an entry that binds to zero is dropped."""
     return map_scalars(obj, lambda s: s if s.q is not None
                        else Scalar.from_fraction(s.evaluate(assignment)))
 

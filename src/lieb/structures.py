@@ -7,16 +7,15 @@ it passes conditionally when the input data carries parametric denominators
 whose nonvanishing had to be assumed.
 
 Every identity is written once, as a table of signed einsum terms
-(``multilinear.Table``), and one sparse engine evaluates them: it multiplies
-only nonzero entries and reports the components in index order.  A
-component is one sum of its signed products; ``Scalar`` keeps num/den in
-lowest terms, so its value renders the same whatever order the table is
-written or added in.
+(``multilinear.Table``), and one sparse engine evaluates them on the records'
+stored tensors: it multiplies only nonzero entries and reports the
+components in index order.  A component is one sum of its signed products;
+``Scalar`` keeps num/den in lowest terms, so its value renders the same
+whatever order the table is written or added in.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -25,12 +24,11 @@ from .multilinear import (
     BasisSpace,
     BilinearForm,
     LinearOperator,
-    Matrix,
+    Record,
     ShapeError,
     Table,
     Tensor,
     TwoTensor,
-    ZERO,
     determinant,
 )
 from .scalars import Assumption, ONE, Scalar, covered_by_assumptions
@@ -67,64 +65,64 @@ class CheckReport:
 
 
 # -- structure records ------------------------------------------------------
+# Each stores its data once as a zero-free Tensor, ``tensor``; the named
+# attribute (``c``, ``d``, ``action``, ``coaction``) is its dense view (see
+# multilinear.Record).
 
-@dataclass
-class LieAlgebra:
+@dataclass(frozen=True)
+class LieAlgebra(Record):
     """Bracket structure constants: [e_i, e_j] = sum_k c[i][j][k] e_k."""
 
     space: BasisSpace
-    c: list[list[list[Scalar]]]
+    tensor: Tensor
+
+    c = Record._dense
 
     def __post_init__(self):
-        n = self.space.dim
-        if len(self.c) != n or any(len(p) != n or any(len(r) != n for r in p) for p in self.c):
-            raise ShapeError("bracket constants do not match the space")
+        self._store((self.space.dim,) * 3, "bracket constants do not match the space")
 
 
-@dataclass
-class LieCoalgebra:
+@dataclass(frozen=True)
+class LieCoalgebra(Record):
     """Cobracket structure constants: delta(e_i) = sum d[i][j][k] e_j (x) e_k."""
 
     space: BasisSpace
-    d: list[list[list[Scalar]]]
+    tensor: Tensor
+
+    d = Record._dense
 
     def __post_init__(self):
-        n = self.space.dim
-        if len(self.d) != n or any(len(p) != n or any(len(r) != n for r in p) for p in self.d):
-            raise ShapeError("cobracket constants do not match the space")
+        self._store((self.space.dim,) * 3, "cobracket constants do not match the space")
 
 
-@dataclass
-class Representation:
+@dataclass(frozen=True)
+class Representation(Record):
     """Action matrices: action[i] is the matrix of rho(e_i) on the module."""
 
     algebra: LieAlgebra
     space: BasisSpace
-    action: list[Matrix]
+    tensor: Tensor
+
+    action = Record._dense
 
     def __post_init__(self):
-        n, m = self.algebra.space.dim, self.space.dim
-        if len(self.action) != n or any(
-            len(mat) != m or any(len(row) != m for row in mat) for mat in self.action
-        ):
-            raise ShapeError("action matrices do not match the spaces")
+        m = self.space.dim
+        self._store((self.algebra.space.dim, m, m), "action matrices do not match the spaces")
 
 
-@dataclass
-class Corepresentation:
+@dataclass(frozen=True)
+class Corepresentation(Record):
     """Coaction tensor: gamma(v_i) = sum g[i][j][k] e_j (x) v_k."""
 
     coalgebra: LieCoalgebra
     space: BasisSpace
-    coaction: list[list[list[Scalar]]]
+    tensor: Tensor
+
+    coaction = Record._dense
 
     def __post_init__(self):
-        n, m = self.coalgebra.space.dim, self.space.dim
-        if len(self.coaction) != m or any(
-            len(p) != n or any(len(row) != m for row in p) for p in self.coaction
-        ):
-            raise ShapeError("coaction tensor does not match the spaces")
-
+        m = self.space.dim
+        self._store((m, self.coalgebra.space.dim, m), "coaction tensor does not match the spaces")
 
 
 # -- report assembly --------------------------------------------------------
@@ -169,58 +167,29 @@ def denominator_assumptions(inputs: Iterable, assumptions: Sequence[Assumption])
 
 
 def _all_scalars(objs: Iterable) -> list[Scalar]:
-    """Every scalar of the given structures (or scalars, or nested lists of
-    them), in order; a (co)representation lists its (co)algebra's first."""
+    """Every stored scalar of the given records, Tensors or scalars, in
+    order: a record's fields are walked in order, so a (co)representation
+    lists its (co)algebra's first."""
     out: list[Scalar] = []
     for obj in objs:
-        if isinstance(obj, LieAlgebra):
-            values = obj.c
-        elif isinstance(obj, LieCoalgebra):
-            values = obj.d
-        elif isinstance(obj, Representation):
-            out += _all_scalars([obj.algebra])
-            values = obj.action
-        elif isinstance(obj, Corepresentation):
-            out += _all_scalars([obj.coalgebra])
-            values = obj.coaction
-        elif isinstance(obj, (LinearOperator, BilinearForm, TwoTensor)):
-            values = obj.matrix
-        elif isinstance(obj, Scalar):
-            values = [obj]
-        elif isinstance(obj, (list, tuple)):
-            values = obj
-        else:
-            continue
-        while values and isinstance(values[0], (list, tuple)):
-            values = [v for row in values for v in row]
-        out += values
+        if isinstance(obj, Scalar):
+            out.append(obj)
+        elif isinstance(obj, Tensor):
+            out += obj.entries.values()
+        elif isinstance(obj, Record):
+            out += _all_scalars(obj.parts())
     return out
 
 
 def map_scalars(obj, fn):
-    """Rebuild a structure (or nested container) with fn applied to every Scalar."""
+    """A record, Tensor or scalar rebuilt with fn applied to every stored
+    scalar; a record's constructor drops an entry mapped to zero."""
     if isinstance(obj, Scalar):
         return fn(obj)
-    if isinstance(obj, list):
-        return [map_scalars(item, fn) for item in obj]
-    if isinstance(obj, tuple):
-        return tuple(map_scalars(item, fn) for item in obj)
-    if isinstance(obj, LieAlgebra):
-        return LieAlgebra(obj.space, map_scalars(obj.c, fn))
-    if isinstance(obj, LieCoalgebra):
-        return LieCoalgebra(obj.space, map_scalars(obj.d, fn))
-    if isinstance(obj, Representation):
-        return Representation(map_scalars(obj.algebra, fn), obj.space,
-                              map_scalars(obj.action, fn))
-    if isinstance(obj, Corepresentation):
-        return Corepresentation(map_scalars(obj.coalgebra, fn), obj.space,
-                                map_scalars(obj.coaction, fn))
-    if isinstance(obj, LinearOperator):
-        return LinearOperator(obj.domain, obj.codomain, map_scalars(obj.matrix, fn))
-    if isinstance(obj, BilinearForm):
-        return BilinearForm(obj.space, map_scalars(obj.matrix, fn))
-    if isinstance(obj, TwoTensor):
-        return TwoTensor(obj.space, map_scalars(obj.matrix, fn))
+    if isinstance(obj, Tensor):
+        return Tensor(obj.shape, {idx: fn(v) for idx, v in obj.entries.items()})
+    if isinstance(obj, Record):
+        return type(obj)(*[map_scalars(part, fn) for part in obj.parts()])
     return obj
 
 
@@ -230,14 +199,6 @@ def structure_parameters(*objs) -> frozenset[str]:
     for scalar in _all_scalars(objs):
         names |= scalar.parameters()
     return frozenset(names)
-
-
-def _pairs(n: int):
-    return itertools.product(range(n), repeat=2)
-
-
-def _triples(n: int):
-    return itertools.product(range(n), repeat=3)
 
 
 def _items(name: str, values: Tensor) -> list[tuple[str, tuple, Scalar]]:
@@ -257,6 +218,12 @@ def _interleaved(*named: tuple[str, Tensor]) -> list[tuple[str, tuple, Scalar]]:
 # tensors, P, N, al, be operators and T: V -> L (a tensor in IMAGE).  A name
 # ending in 2 is the operator squared (SQUARE); the others are intermediates.
 
+# c[ijk] + c[jik], d[iab] + d[iba]: a bracket's antisymmetry, a cobracket's
+# co-antisymmetry; t[ij] + t[ji], t[ij] - t[ji]: a skew and a symmetric matrix
+ANTISYMMETRY = Table("ijk", "c[ijk] + c[jik]")
+CO_ANTISYMMETRY = Table("iab", "d[iab] + d[iba]")
+SKEW = Table("ij", "t[ij] + t[ji]")
+SYMMETRY = Table("ij", "t[ij] - t[ji]")
 JACOBI = Table("ijkm", "l: c[ijl] c[lkm] + c[jkl] c[lim] + c[kil] c[ljm]")
 # (id (x) e) d: e applied to the second factor of d; with the cyclic sum of
 # its last three indices, the co-Jacobi sum of d and e = d
@@ -348,20 +315,16 @@ INTERTWINING = Table("ia", "p: N[ap] T[pi]", "-(b: T[ab] al[bi])")
 
 def check_lie_algebra(L: LieAlgebra, assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """Antisymmetry of the bracket and the Jacobi identity."""
-    n = L.space.dim
-    c = L.c
-    items = [("antisymmetry", (i, j, k), c[i][j][k] + c[j][i][k]) for i, j, k in _triples(n)]
-    items += _items("jacobi", JACOBI.evaluate(c=c))
+    c = L.tensor
+    items = _items("antisymmetry", ANTISYMMETRY.evaluate(c=c)) + _items("jacobi", JACOBI.evaluate(c=c))
     return _build_report(items, [L], assumptions)
 
 
 def check_lie_coalgebra(C: LieCoalgebra, assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """Co-antisymmetry and the co-Jacobi identity of the cobracket."""
-    n = C.space.dim
-    d = C.d
-    items = [("co-antisymmetry", (i, a, b), d[i][a][b] + d[i][b][a]) for i, a, b in _triples(n)]
-    sparse = Tensor.of(d)
-    items += _items("co-jacobi", CYCLIC.evaluate(t=COMPOSITE.evaluate(d=sparse, e=sparse)))
+    d = C.tensor
+    items = _items("co-antisymmetry", CO_ANTISYMMETRY.evaluate(d=d))
+    items += _items("co-jacobi", CYCLIC.evaluate(t=COMPOSITE.evaluate(d=d, e=d)))
     return _build_report(items, [C], assumptions)
 
 
@@ -370,7 +333,8 @@ def check_cocycle(L: LieAlgebra, C: LieCoalgebra,
     """The bialgebra compatibility of the cobracket with the bracket."""
     if L.space.dim != C.space.dim:
         raise ShapeError("algebra and coalgebra live on different spaces")
-    return _build_report(_items("cocycle", COCYCLE.evaluate(c=L.c, d=C.d)), [L, C], assumptions)
+    values = COCYCLE.evaluate(c=L.tensor, d=C.tensor)
+    return _build_report(_items("cocycle", values), [L, C], assumptions)
 
 
 # -- Nijenhuis conditions ----------------------------------------------------
@@ -380,7 +344,7 @@ def check_nijenhuis(L: LieAlgebra, N: LinearOperator,
     """The torsion identity [Nx,Ny] + N^2[x,y] = N[Nx,y] + N[x,Ny]."""
     if N.domain.dim != L.space.dim or N.codomain.dim != L.space.dim:
         raise ShapeError("operator does not act on the algebra")
-    c, nm = Tensor.of(L.c), Tensor.of(N.matrix)
+    c, nm = L.tensor, N.tensor
     values = TORSION.evaluate(N=nm, N2=SQUARE.evaluate(M=nm), c=c,
                               left=IMAGE.evaluate(M=nm, T=c), right=RIGHT_IMAGE.evaluate(M=nm, c=c))
     return _build_report(_items("nijenhuis", values), [L, N], assumptions)
@@ -392,7 +356,7 @@ def check_nijenhuis_coalgebra(C: LieCoalgebra, P: LinearOperator,
     n = C.space.dim
     if P.domain.dim != n or P.codomain.dim != n:
         raise ShapeError("operator does not act on the coalgebra")
-    p, d = P.matrix, Tensor.of(C.d)
+    p, d = P.tensor, C.tensor
     values = NIJENHUIS_COBRACKET.evaluate(d=d, P=p, P2=SQUARE.evaluate(M=p),
                                           dP=IMAGE.evaluate(M=p, T=d))
     return _build_report(_items("nijenhuis-cobracket", values), [C, P], assumptions)
@@ -405,33 +369,29 @@ def check_cybe(L: LieAlgebra, r: TwoTensor,
     """The classical Yang-Baxter equation plus antisymmetry of r."""
     if r.space.dim != L.space.dim:
         raise ShapeError("tensor does not live on the algebra's space")
-    n = L.space.dim
-    items = [("antisymmetry", (i, j), r.matrix[i][j] + r.matrix[j][i]) for i, j in _pairs(n)]
-    items += _items("cybe", CYBE.evaluate(c=L.c, r=r.matrix))
+    items = _items("antisymmetry", SKEW.evaluate(t=r.tensor))
+    items += _items("cybe", CYBE.evaluate(c=L.tensor, r=r.tensor))
     return _build_report(items, [L, r], assumptions)
 
 
 def check_co_cybe(C: LieCoalgebra, omega: BilinearForm,
                   assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """The classical co-Yang-Baxter equation for a skew form on a coalgebra."""
-    n = C.space.dim
-    if omega.space.dim != n:
+    if omega.space.dim != C.space.dim:
         raise ShapeError("form does not live on the coalgebra's space")
-    om = omega.matrix
-    items = [("skew", (i, j), om[i][j] + om[j][i]) for i, j in _pairs(n)]
-    items += _items("co-cybe", CO_CYBE.evaluate(d=C.d, om=om))
+    om = omega.tensor
+    items = _items("skew", SKEW.evaluate(t=om)) + _items("co-cybe", CO_CYBE.evaluate(d=C.tensor, om=om))
     return _build_report(items, [C, omega], assumptions)
 
 
 def check_dual_qt(C: LieCoalgebra, omega: BilinearForm,
                   assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """Both dual-quasitriangular compatibility conditions, reported separately."""
-    n = C.space.dim
-    if omega.space.dim != n:
+    if omega.space.dim != C.space.dim:
         raise ShapeError("form does not live on the coalgebra's space")
-    om, d = omega.matrix, Tensor.of(C.d)
+    om, d = omega.tensor, C.tensor
     w = INDUCED_BRACKET.evaluate(d=d, om=om)
-    items = [("skew", (i, j), om[i][j] + om[j][i]) for i, j in _pairs(n)]
+    items = _items("skew", SKEW.evaluate(t=om))
     items += _interleaved(("dual-qt-1", DUAL_QT_1.evaluate(w=w, om=om, d=d)),
                           ("dual-qt-2", DUAL_QT_2.evaluate(w=w, om=om, d=d)))
     return _build_report(items, [C, omega], assumptions)
@@ -440,24 +400,22 @@ def check_dual_qt(C: LieCoalgebra, omega: BilinearForm,
 def check_weak_symplectic(L: LieAlgebra, omega: BilinearForm,
                           assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """Skew-symmetry plus the cyclic identity om([x,y],z)+om([y,z],x)+om([z,x],y)=0."""
-    n = L.space.dim
-    if omega.space.dim != n:
+    if omega.space.dim != L.space.dim:
         raise ShapeError("form does not live on the algebra's space")
-    om = omega.matrix
-    items = [("skew", (i, j), om[i][j] + om[j][i]) for i, j in _pairs(n)]
-    items += _items("weak-symplectic", WEAK_SYMPLECTIC.evaluate(c=L.c, om=om))
+    om = omega.tensor
+    items = _items("skew", SKEW.evaluate(t=om))
+    items += _items("weak-symplectic", WEAK_SYMPLECTIC.evaluate(c=L.tensor, om=om))
     return _build_report(items, [L, omega], assumptions)
 
 
 def check_weak_cosymplectic(C: LieCoalgebra, r: TwoTensor,
                             assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """Antisymmetry of r plus the cyclic sum of (delta (x) id)(r)."""
-    n = C.space.dim
-    if r.space.dim != n:
+    if r.space.dim != C.space.dim:
         raise ShapeError("tensor does not live on the coalgebra's space")
-    rm = r.matrix
-    items = [("antisymmetry", (i, j), rm[i][j] + rm[j][i]) for i, j in _pairs(n)]
-    items += _items("weak-cosymplectic", WEAK_COSYMPLECTIC.evaluate(t=DELTA_R.evaluate(d=C.d, r=rm)))
+    rm = r.tensor
+    items = _items("antisymmetry", SKEW.evaluate(t=rm))
+    items += _items("weak-cosymplectic", WEAK_COSYMPLECTIC.evaluate(t=DELTA_R.evaluate(d=C.tensor, r=rm)))
     return _build_report(items, [C, r], assumptions)
 
 
@@ -466,7 +424,7 @@ def check_weak_cosymplectic(C: LieCoalgebra, r: TwoTensor,
 def check_representation(R: Representation,
                          assumptions: Sequence[Assumption] = ()) -> CheckReport:
     """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis pairs."""
-    values = REPRESENTATION.evaluate(c=R.algebra.c, A=R.action)
+    values = REPRESENTATION.evaluate(c=R.algebra.tensor, A=R.tensor)
     return _build_report(_items("representation", values), [R], assumptions)
 
 
@@ -475,8 +433,8 @@ def check_nij_representation(R: Representation, N: LinearOperator, alpha: Linear
     """rho(Nx)alpha + alpha^2 rho(x) = alpha rho(Nx) + alpha rho(x) alpha."""
     if alpha.domain.dim != R.space.dim or N.domain.dim != R.algebra.space.dim:
         raise ShapeError("operator shapes do not match the representation")
-    a, al = Tensor.of(R.action), alpha.matrix
-    values = NIJ_REPRESENTATION.evaluate(rN=IMAGE.evaluate(M=N.matrix, T=a), al=al,
+    a, al = R.tensor, alpha.tensor
+    values = NIJ_REPRESENTATION.evaluate(rN=IMAGE.evaluate(M=N.tensor, T=a), al=al,
                                          al2=SQUARE.evaluate(M=al), A=a,
                                          rA=RIGHT_PRODUCT.evaluate(T=a, M=al))
     return _build_report(_items("nijenhuis-representation", values), [R, N, alpha], assumptions)
@@ -487,8 +445,8 @@ def check_admissible(R: Representation, N: LinearOperator, beta: LinearOperator,
     """beta rho(Nx) + rho(x) beta^2 = rho(Nx) beta + beta rho(x) beta."""
     if beta.domain.dim != R.space.dim or N.domain.dim != R.algebra.space.dim:
         raise ShapeError("operator shapes do not match the representation")
-    a, be = Tensor.of(R.action), beta.matrix
-    values = ADMISSIBLE.evaluate(rN=IMAGE.evaluate(M=N.matrix, T=a), be=be,
+    a, be = R.tensor, beta.tensor
+    values = ADMISSIBLE.evaluate(rN=IMAGE.evaluate(M=N.tensor, T=a), be=be,
                                  be2=SQUARE.evaluate(M=be), A=a,
                                  rB=RIGHT_PRODUCT.evaluate(T=a, M=be))
     return _build_report(_items("admissible", values), [R, N, beta], assumptions)
@@ -501,12 +459,12 @@ def check_corepresentation(K: Corepresentation,
     """Coaction axiom; with (P, beta), also the Nijenhuis corepresentation identity."""
     if (P is None) != (beta is None):
         raise ShapeError("P and beta must be supplied together")
-    g = Tensor.of(K.coaction)
-    items = _items("corepresentation", COREPRESENTATION.evaluate(g=g, d=K.coalgebra.d))
+    g = K.tensor
+    items = _items("corepresentation", COREPRESENTATION.evaluate(g=g, d=K.coalgebra.tensor))
     if P is not None and beta is not None:
-        be = beta.matrix
+        be = beta.tensor
         items += _items("nijenhuis-corepresentation", NIJ_COREPRESENTATION.evaluate(
-            g=g, P=P.matrix, be=be, be2=SQUARE.evaluate(M=be)))
+            g=g, P=P.tensor, be=be, be2=SQUARE.evaluate(M=be)))
     inputs = [K, P, beta] if P is not None else [K]
     return _build_report(items, inputs, assumptions)
 
@@ -524,12 +482,12 @@ def check_compatible_pair(C1: LieCoalgebra, C2: LieCoalgebra,
     corepresentation identity, i.e. everything needed for s*delta + t*Delta and
     s*gamma + t*Gamma to work for independent deformation weights.
     """
-    n = C1.space.dim
-    if C2.space.dim != n:
+    if C2.space.dim != C1.space.dim:
         raise ShapeError("cobrackets live on different spaces")
+    d, e = C1.tensor, C2.tensor
     items = _tagged("first", check_lie_coalgebra(C1)) + _tagged("second", check_lie_coalgebra(C2))
     items += _items("mixed-co-jacobi", MIXED_CYCLIC.evaluate(
-        t=COMPOSITE.evaluate(d=C1.d, e=C2.d), u=COMPOSITE.evaluate(d=C2.d, e=C1.d)))
+        t=COMPOSITE.evaluate(d=d, e=e), u=COMPOSITE.evaluate(d=e, e=d)))
     inputs = [C1, C2, s, t]
     if (corep1 is None) != (corep2 is None):
         raise ShapeError("coreps must be supplied together")
@@ -539,7 +497,7 @@ def check_compatible_pair(C1: LieCoalgebra, C2: LieCoalgebra,
         items += _tagged("first", check_corepresentation(corep1))
         items += _tagged("second", check_corepresentation(corep2))
         items += _items("mixed-corepresentation", MIXED_COREPRESENTATION.evaluate(
-            g=corep1.coaction, h=corep2.coaction, d=C1.d, e=C2.d))
+            g=corep1.tensor, h=corep2.tensor, d=d, e=e))
         inputs += [corep1, corep2]
     return _build_report(items, inputs, assumptions)
 
@@ -557,10 +515,10 @@ def check_deformed_homomorphism(C: LieCoalgebra, C_st: LieCoalgebra,
     if t.is_zero():
         raise ShapeError("deformation weight t must be invertible to recover the second cobracket")
     inv_t = ONE / t
-    d, g = Tensor.of(C.d), Tensor.of(K.coaction)
-    dd = SECOND_SUMMAND.evaluate(u=inv_t, st=C_st.d, s=s, x=d)
-    gg = SECOND_SUMMAND.evaluate(u=inv_t, st=K_st.coaction, s=s, x=g)
-    p, bt = P.matrix, beta.matrix
+    d, g = C.tensor, K.tensor
+    dd = SECOND_SUMMAND.evaluate(u=inv_t, st=C_st.tensor, s=s, x=d)
+    gg = SECOND_SUMMAND.evaluate(u=inv_t, st=K_st.tensor, s=s, x=g)
+    p, bt = P.tensor, beta.tensor
     items = _interleaved(
         ("deformation-1", DEFORMATION_1.evaluate(DP=IMAGE.evaluate(M=p, T=dd), d=d, P=p)),
         ("deformation-2", DEFORMATION_2.evaluate(dP=IMAGE.evaluate(M=p, T=d), D=dd, d=d, P=p)))
@@ -588,8 +546,8 @@ def check_matched_pair(L: LieAlgebra, H: LieAlgebra,
     items += _tagged("second-action", check_representation(rho_H))
     items += _tagged("first-action", check_nij_representation(rho_L, N_L, N_H))
     items += _tagged("second-action", check_nij_representation(rho_H, N_H, N_L))
-    for name, c, act, back in (("matched-pair-1", L.c, rho_H.action, rho_L.action),
-                               ("matched-pair-2", H.c, rho_L.action, rho_H.action)):
+    for name, c, act, back in (("matched-pair-1", L.tensor, rho_H.tensor, rho_L.tensor),
+                               ("matched-pair-2", H.tensor, rho_L.tensor, rho_H.tensor)):
         items += _items(name, MATCHED_PAIR.evaluate(A=act, c=c, B=back))
     return _build_report(items, [L, H, rho_L, rho_H, N_L, N_H], assumptions)
 
@@ -602,13 +560,12 @@ def check_frobenius(L: LieAlgebra, B: BilinearForm,
     A nonzero parametric determinant is a side condition, certified like an
     input's denominator; with N the torsion identity for N is included.
     """
-    n = L.space.dim
-    if B.space.dim != n:
+    if B.space.dim != L.space.dim:
         raise ShapeError("form does not live on the algebra's space")
-    bm, c = B.matrix, L.c
-    items = [("symmetry", (i, j), bm[i][j] - bm[j][i]) for i, j in _pairs(n)]
-    items += _items("invariance", INVARIANCE.evaluate(c=c, B=bm))
-    det = determinant(bm)
+    bm = B.tensor
+    items = _items("symmetry", SYMMETRY.evaluate(t=bm))
+    items += _items("invariance", INVARIANCE.evaluate(c=L.tensor, B=bm))
+    det = determinant(B.matrix)
     inputs = [L, B] + ([N] if N is not None else [])
     if det.is_zero():
         items.append(("nondegeneracy", (), ONE))
@@ -622,20 +579,19 @@ def check_frobenius(L: LieAlgebra, B: BilinearForm,
 
 def nijenhuis_bialgebra_residuals(L: LieAlgebra, C: LieCoalgebra,
                                   N: LinearOperator, P: LinearOperator):
-    """The two extra compatibility identities of a Nijenhuis Lie bialgebra."""
-    c, nm, p = Tensor.of(L.c), Tensor.of(N.matrix), Tensor.of(P.matrix)
+    """The nonvanishing components of the two extra compatibility identities
+    of a Nijenhuis Lie bialgebra."""
+    c, nm, p = L.tensor, N.tensor, P.tensor
     operator = OPERATOR_COMPATIBILITY.evaluate(P=p, P2=SQUARE.evaluate(M=p), c=c, N=nm,
                                                left=IMAGE.evaluate(M=nm, T=c),
                                                right=RIGHT_IMAGE.evaluate(M=p, c=c))
-    return [(name, idx, values.entries.get(idx, ZERO))
-            for name, values in (("operator-compatibility", operator),
-                                 ("cobracket-compatibility", _cobracket_compatibility(C, N, P)))
-            for idx in _triples(L.space.dim)]
+    return (_items("operator-compatibility", operator)
+            + _items("cobracket-compatibility", _cobracket_compatibility(C, N, P)))
 
 
 def _cobracket_compatibility(C: LieCoalgebra, N: LinearOperator, P: LinearOperator) -> Tensor:
-    nm, d = N.matrix, Tensor.of(C.d)
-    return COBRACKET_COMPATIBILITY.evaluate(d=d, P=P.matrix, N=nm, N2=SQUARE.evaluate(M=nm),
+    nm, d = N.tensor, C.tensor
+    return COBRACKET_COMPATIBILITY.evaluate(d=d, P=P.tensor, N=nm, N2=SQUARE.evaluate(M=nm),
                                             dN=IMAGE.evaluate(M=nm, T=d))
 
 
@@ -666,10 +622,10 @@ def check_cpnybe(L: LieAlgebra, r: TwoTensor, N: LinearOperator, P: LinearOperat
     """The Yang-Baxter equation enriched with the operator-pairing constraint."""
     if r.space.dim != L.space.dim:
         raise ShapeError("tensor does not live on the algebra's space")
-    n = L.space.dim
-    items = [("antisymmetry", (i, j), r.matrix[i][j] + r.matrix[j][i]) for i, j in _pairs(n)]
-    items += _items("cybe", CYBE.evaluate(c=L.c, r=r.matrix))
-    items += _items("operator-pairing", PAIRING.evaluate(P=P.matrix, r=r.matrix, N=N.matrix))
+    rm = r.tensor
+    items = _items("antisymmetry", SKEW.evaluate(t=rm))
+    items += _items("cybe", CYBE.evaluate(c=L.tensor, r=rm))
+    items += _items("operator-pairing", PAIRING.evaluate(P=P.tensor, r=rm, N=N.tensor))
     return _build_report(items, [L, r, N, P], assumptions)
 
 
@@ -690,7 +646,7 @@ def check_pq_equivalents(L: LieAlgebra, r: TwoTensor,
     nlb2_direct = _build_report(
         _items("cobracket-compatibility", _cobracket_compatibility(C, N, P)), [L, C, N, P], ())
 
-    c, rm, nm, p = Tensor.of(L.c), Tensor.of(r.matrix), Tensor.of(N.matrix), Tensor.of(P.matrix)
+    c, rm, nm, p = L.tensor, r.tensor, N.tensor, P.tensor
     rho = PAIRING.evaluate(P=p, r=rm, N=nm)
     form_1 = PAIRING_FORM_1.evaluate(rho=rho, sig=PAIRING.evaluate(P=nm, r=rm, N=p), P=p, c=c)
     form_2 = PAIRING_FORM_2.evaluate(rho=rho, N=nm, P=p, c=c, r=rm, P2=SQUARE.evaluate(M=p),
@@ -726,8 +682,8 @@ def check_rrbo(L: LieAlgebra, R: Representation, alpha: LinearOperator,
         raise ShapeError("N must act on the algebra")
     if R.algebra.space.dim != n:
         raise ShapeError("R must represent the algebra")
-    t = Tensor.of(T.matrix)
-    inner = ROTA_BAXTER_INNER.evaluate(T=t, A=R.action)
-    items = _items("rota-baxter", ROTA_BAXTER.evaluate(T=t, c=L.c, inner=inner))
-    items += _items("operator-intertwining", INTERTWINING.evaluate(N=N.matrix, T=t, al=alpha.matrix))
+    t = T.tensor
+    inner = ROTA_BAXTER_INNER.evaluate(T=t, A=R.tensor)
+    items = _items("rota-baxter", ROTA_BAXTER.evaluate(T=t, c=L.tensor, inner=inner))
+    items += _items("operator-intertwining", INTERTWINING.evaluate(N=N.tensor, T=t, al=alpha.tensor))
     return _build_report(items, [L, R, alpha, N, T], assumptions)

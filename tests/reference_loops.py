@@ -1,6 +1,6 @@
 """Dense reference loops for the tests: matrix arithmetic, dense
-elimination, operator arithmetic and the vector-level bracket, ad, cobracket
-and coaction.
+elimination and coefficient rows, operator arithmetic and the vector-level
+bracket, ad, cobracket and coaction.
 
 The package evaluates every identity with identity tables, squares an
 operator with ``structures.SQUARE`` and eliminates on sparse rows; these
@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from lieb import solver
 from lieb.multilinear import (
+    BilinearForm,
     LinearOperator,
     Matrix,
     ShapeError,
@@ -20,7 +22,6 @@ from lieb.multilinear import (
     Vector,
     ZERO,
     _certify_pivot,
-    identity,
     zeros,
 )
 from lieb.scalars import ONE, Assumption, Scalar
@@ -28,6 +29,14 @@ from lieb.structures import Corepresentation, LieAlgebra, LieCoalgebra
 
 
 # -- matrices ---------------------------------------------------------------
+
+def identity(n: int) -> Matrix:
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def transpose_matrix(a: Matrix) -> Matrix:
+    return [list(col) for col in zip(*a)] if a else []
+
 
 def _dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
     total = ZERO
@@ -99,7 +108,27 @@ def row_reduce(matrix: Sequence[Sequence[Scalar]],
     return m, pivots, used
 
 
+def coefficient_rows(problem: solver.LinearProblem) -> Matrix:
+    """A linear problem's sparse rows as a dense matrix over the unknown's
+    free entries, empty rows included."""
+    system = solver._system(problem)
+    cols = range(len(system[3]))
+    return [[row.get(col, ZERO) for col in cols] for row in solver._rows(*system)]
+
+
 # -- operators and tensors ----------------------------------------------------
+
+def identity_operator(space) -> LinearOperator:
+    return LinearOperator(space, space, identity(space.dim))
+
+
+def zero_form(space) -> BilinearForm:
+    return BilinearForm(space, zeros(space.dim, space.dim))
+
+
+def zero_tensor(space) -> TwoTensor:
+    return TwoTensor(space, zeros(space.dim, space.dim))
+
 
 def apply(op: LinearOperator, vec: Vector) -> Vector:
     return mat_vec(op.matrix, vec)

@@ -61,7 +61,7 @@ from lieb.multilinear import BasisSpace, zeros, zeros3
 from lieb.structures import LieAlgebra, LieCoalgebra
 
 from conftest import bialgebra_pair, make_operator, record_acceptance, sc
-from reference_loops import is_antisymmetric, scale, shift as shift_by
+from reference_loops import identity_operator, is_antisymmetric, scale, shift as shift_by
 
 
 @contextmanager
@@ -294,14 +294,14 @@ def _random_admissible_instances(rng, sl2, count):
         elif mode == 2:
             binding = {name: q() for name in ("k1", "k2", "k3", "k5", "k6")}
             n_op = map_to_rational(fam4.structures["N"], binding)
-            p_op = scale(LinearOperator.identity(sl2.space),
+            p_op = scale(identity_operator(sl2.space),
                          Scalar.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 3))))
         else:
             binding = {name: q() for name in ("k1", "k2")}
             binding["k3"] = Scalar.from_int(0)
             n_op, _ = bialgebra_pair("a", sl2.space)
             n_op = map_to_rational(n_op, binding)
-            p_op = scale(LinearOperator.identity(sl2.space),
+            p_op = scale(identity_operator(sl2.space),
                          Scalar.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 3))))
         r = TwoTensor(sl2.space, [[Scalar.from_fraction(
             Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(3)]

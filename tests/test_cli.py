@@ -361,6 +361,37 @@ def test_parametric_check_matches_golden(capsys, monkeypatch):
     assert out == (GOLDEN / "check" / "parametric.json").read_text(encoding="utf-8")
 
 
+# each construction of tests/golden/construct/parametric.lieb: its result's name
+_CONSTRUCTED = {
+    "delta_r": "delta-from-r",
+    "bracket_omega": "bracket-from-omega",
+    "n_omega_r": "nijenhuis-from-omega-r",
+    "p_r_omega": "p-from-r-omega",
+    "dual_g": "dualize",
+    "dual_n": "dualize",
+    "phi": "phi-r",
+}
+
+
+@pytest.mark.parametrize("result", sorted(_CONSTRUCTED), ids=lambda r: f"{_CONSTRUCTED[r]}-{r}")
+def test_parametric_construct_matches_golden(result, tmp_path, capsys, monkeypatch):
+    # The golden files were written by `lieb construct parametric.lieb --op
+    # <result> --out <result>.lieb`, run in tests/golden/construct.
+    monkeypatch.chdir(GOLDEN / "construct")
+    out = tmp_path / f"{result}.lieb"
+    code, _, _ = _run(capsys, "construct", "parametric.lieb", "--op", result, "--out", str(out))
+    assert code == EXIT_OK
+    assert out.read_text(encoding="utf-8") == \
+        (GOLDEN / "construct" / f"{result}.lieb").read_text(encoding="utf-8")
+
+
+def test_construct_goldens_cover_every_construction():
+    from lieb.document import CONSTRUCT_OPS
+
+    assert set(_CONSTRUCTED.values()) == set(CONSTRUCT_OPS)
+    assert {p.stem for p in (GOLDEN / "construct").glob("*.lieb")} == {*_CONSTRUCTED, "parametric"}
+
+
 def test_golden_reports_cover_every_shipped_file():
     shipped = {p.name for p in resources.files("lieb.data").iterdir() if p.name.endswith(".lieb")}
     assert {p.stem + ".lieb" for p in GOLDEN.glob("*.json")} == shipped
@@ -487,11 +518,38 @@ def test_solve_pivot_without_assumption_names_the_polynomial(tmp_path, capsys):
     code, out, err = _run(capsys, "solve", str(bad), "--problem", "weak-symplectic")
     assert code == EXIT_PARSE_ERROR
     assert out == ""
-    assert "divides by -k - 1" in err
-    assert "assume -k - 1" in err
+    assert "divides by a pivot with the factor k + 1," in err
+    assert "assume k + 1" in err
     # following the advice makes the solve go through
     good = tmp_path / "pivot-assumed.lieb"
-    good.write_text(doc + "assume -k - 1\n", encoding="utf-8")
+    good.write_text(doc + "assume k + 1\n", encoding="utf-8")
     code, out, _ = _run(capsys, "solve", str(good), "--problem", "weak-symplectic")
     assert code == EXIT_OK
     assert "solution dimension 2 (rank 1 of 3 unknowns)" in out
+
+
+# Bianchi VI_k, with every assumption its cocycle-in-delta pivots need but 5*k^2 - 13
+_VI_K_WITHOUT_ONE = (
+    "params k\n"
+    "space L : e1 e2 e3\n"
+    "algebra vi on L {\n"
+    "  [e1, e2] = k*e2 - e3\n"
+    "  [e1, e3] = -e2 + k*e3\n"
+    "}\n"
+    "assume k, k - 1, k + 1, k - 3, k + 3, 2*k^2 - 1\n"
+)
+
+
+def test_solve_pivot_names_only_the_factor_the_assumptions_leave(tmp_path, capsys):
+    # the pivot is -5*k^3 + 13*k; k is declared, so only 5*k^2 - 13 is named
+    path = tmp_path / "vi-k.lieb"
+    path.write_text(_VI_K_WITHOUT_ONE, encoding="utf-8")
+    code, out, err = _run(capsys, "solve", str(path), "--problem", "cocycle-in-delta")
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err == ("error: elimination divides by a pivot with the factor 5*k^2 - 13, which the "
+                   "assumptions do not certify nonzero; if it is nonzero, declare "
+                   "'assume 5*k^2 - 13'\n")
+    path.write_text(_VI_K_WITHOUT_ONE + "assume 5*k^2 - 13\n", encoding="utf-8")
+    code, out, _ = _run(capsys, "solve", str(path), "--problem", "cocycle-in-delta")
+    assert code == EXIT_OK
+    assert "solution dimension 10 (rank 17 of 27 unknowns)" in out

@@ -43,13 +43,14 @@ from lieb import (
     semidirect_coproduct,
     semidirect_product,
 )
-from lieb.multilinear import (
-    PivotAmbiguous, determinant, identity, transpose_matrix, zeros, zeros3,
-)
+from lieb.multilinear import PivotAmbiguous, determinant, zeros, zeros3
 from lieb.scalars import Assumption, ZERO, ONE
 
 from conftest import abelian, bialgebra_pair, make_operator, sc
-from reference_loops import apply, is_antisymmetric, mat_mul, scale
+from reference_loops import (
+    apply, identity, identity_operator, is_antisymmetric, mat_mul, scale, transpose_matrix,
+    zero_form, zero_tensor,
+)
 
 
 # -- induced cobracket -----------------------------------------------------------
@@ -64,7 +65,7 @@ def test_delta_from_r_reproduces_the_table(sl2, r_qt, dr):
 
 
 def test_delta_from_zero_tensor_is_zero(sl2):
-    assert delta_from_r(sl2, TwoTensor.zero(sl2.space)).d == zeros3(3, 3, 3)
+    assert delta_from_r(sl2, zero_tensor(sl2.space)).d == zeros3(3, 3, 3)
 
 
 def test_delta_from_symmetric_tensor(sl2):
@@ -80,8 +81,8 @@ def test_delta_from_symmetric_tensor(sl2):
 # -- bracket from a form -----------------------------------------------------------
 
 def test_bracket_from_zero_data_is_abelian(sl2, dr, omega_symp):
-    zero_form = BilinearForm.zero(sl2.space)
-    assert bracket_from_omega(dr, zero_form).c == zeros3(3, 3, 3)
+    zero = zero_form(sl2.space)
+    assert bracket_from_omega(dr, zero).c == zeros3(3, 3, 3)
     zero_cobracket = LieCoalgebra(sl2.space, zeros3(3, 3, 3))
     assert bracket_from_omega(zero_cobracket, omega_symp).c == zeros3(3, 3, 3)
 
@@ -97,14 +98,14 @@ def test_induced_bracket_is_weak_symplectic(dr, omega_symp):
 def test_operator_from_form_and_tensor(sl2, omega_symp, r_qt, n_example):
     built = nijenhuis_from_omega_r(sl2, omega_symp, r_qt)
     assert built.matrix == n_example.matrix
-    assert nijenhuis_from_omega_r(sl2, omega_symp, TwoTensor.zero(sl2.space)).matrix == zeros(3, 3)
-    assert nijenhuis_from_omega_r(sl2, BilinearForm.zero(sl2.space), r_qt).matrix == zeros(3, 3)
+    assert nijenhuis_from_omega_r(sl2, omega_symp, zero_tensor(sl2.space)).matrix == zeros(3, 3)
+    assert nijenhuis_from_omega_r(sl2, zero_form(sl2.space), r_qt).matrix == zeros(3, 3)
 
 
 def test_cobracket_operator_from_tensor_and_form(sl2, dr, omega_symp, r_qt):
     built = p_from_r_omega(dr, r_qt, omega_symp)
-    assert p_from_r_omega(dr, TwoTensor.zero(sl2.space), omega_symp).matrix == zeros(3, 3)
-    assert p_from_r_omega(dr, r_qt, BilinearForm.zero(sl2.space)).matrix == zeros(3, 3)
+    assert p_from_r_omega(dr, zero_tensor(sl2.space), omega_symp).matrix == zeros(3, 3)
+    assert p_from_r_omega(dr, r_qt, zero_form(sl2.space)).matrix == zeros(3, 3)
     assert check_nijenhuis_coalgebra(dr, built).verdict is Verdict.PASS
 
 
@@ -143,7 +144,7 @@ def test_corep_and_rep_duals(sl2, n_example):
 
 
 def test_dualized_cobracket_operator_pair_is_torsion_free(dr):
-    p = scale(LinearOperator.identity(dr.space), sc("k1"))
+    p = scale(identity_operator(dr.space), sc("k1"))
     dual_n = check_nijenhuis(dual_algebra(dr), p.transpose())
     assert dual_n.verdict is Verdict.PASS
 
@@ -253,7 +254,7 @@ def test_adjoint_of_form_multiplication_operator(sl2):
 
 def test_adjoint_operator_needs_nondegeneracy(sl2, n_example):
     with pytest.raises(DegenerateForm):
-        adjoint_operator(BilinearForm.zero(sl2.space), n_example)
+        adjoint_operator(zero_form(sl2.space), n_example)
 
 
 def test_adjoint_operator_on_a_parametric_form_needs_its_pivot_assumed():
@@ -280,7 +281,7 @@ def test_phi_r_images(sl2, r_qt):
     assert apply(op, [ZERO, ONE, ZERO]) == [ZERO, ZERO, sc("lambda")]
     assert apply(op, [ZERO, ZERO, ONE]) == [ZERO, sc("-lambda"), ZERO]
     assert determinant(op.matrix).is_zero()
-    assert phi_r(TwoTensor.zero(sl2.space)).matrix == zeros(3, 3)
+    assert phi_r(zero_tensor(sl2.space)).matrix == zeros(3, 3)
 
 
 def test_r_from_t_zero_map(sl2):

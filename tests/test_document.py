@@ -234,8 +234,9 @@ def test_render_parse_round_trip(sl2, dr, r_qt, omega_symp, n_example):
 
 
 def test_render_preserves_antisymmetry_violations(sl2):
-    broken = LieAlgebra(sl2.space, [[list(col) for col in plane] for plane in sl2.c])
-    broken.c[0][1][2] = sc("-1")
+    c = [[list(col) for col in plane] for plane in sl2.c]
+    c[0][1][2] = sc("-1")
+    broken = LieAlgebra(sl2.space, c)
     rendered = render_document({"broken": broken})
     doc = parse_document(rendered)
     assert doc.structures["broken"].c == broken.c

@@ -20,7 +20,6 @@ from lieb.multilinear import (
     Table,
     Tensor,
     determinant,
-    identity,
     nullspace,
     rank,
     solve_right,
@@ -31,7 +30,7 @@ from lieb.structures import CO_CYBE, CYBE, IMAGE, JACOBI, RIGHT_IMAGE, SQUARE, T
 
 from conftest import rational_matrix, sc
 import reference_loops
-from reference_loops import mat_mul, mat_vec
+from reference_loops import identity, identity_operator, mat_mul, mat_vec
 
 
 def _rand_matrix(rng, rows, cols):
@@ -346,7 +345,7 @@ def test_operator_application_examples(sl2, n_example):
     # N applied to the first basis vector lands on -lambda*kappa times the second
     e = [sc("1"), sc("0"), sc("0")]
     assert mat_vec(n_example.matrix, e) == [sc("0"), sc("-lambda*kappa"), sc("0")]
-    ident = LinearOperator.identity(sl2.space)
+    ident = identity_operator(sl2.space)
     vec = [sc("2"), sc("-1/3"), sc("k1")]
     assert mat_vec(ident.matrix, vec) == vec
 

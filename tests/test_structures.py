@@ -8,6 +8,10 @@ with the check under test.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+import pytest
 
 from lieb import (
     BasisSpace,
@@ -50,13 +54,95 @@ from lieb import (
     dual_coalgebra,
     dual_pair_actions,
     manin_double,
+    parse_document,
     phi_r,
+    render_document,
+    semidirect_product,
 )
-from lieb.multilinear import zeros, zeros3
+from lieb.multilinear import ShapeError, Tensor, zeros, zeros3
 from lieb.scalars import ONE, ZERO, Assumption, Polynomial
 
 from conftest import abelian, bialgebra_pair, make_operator, sc
-from reference_loops import ad, bracket, scale
+from reference_loops import ad, bracket, identity_operator, scale, zero_form, zero_tensor
+
+
+# -- structure records ------------------------------------------------------------
+
+_PARAMETRIC = Path(__file__).parent / "golden" / "check" / "parametric.lieb"
+
+# a check of each record of the parametric document, by its name there
+_RECORD_CHECKS = {
+    "g": lambda s, g: check_lie_algebra(g),
+    "d": lambda s, d: check_lie_coalgebra(d),
+    "r": lambda s, r: check_cybe(s["g"], r),
+    "N": lambda s, N: check_nijenhuis(s["g"], N),
+    "P": lambda s, P: check_nij_lie_bialgebra(s["g"], s["d"], s["N"], P),
+    "R": lambda s, R: check_representation(R),
+    "al": lambda s, al: check_nij_representation(s["R"], s["N"], al),
+    "T": lambda s, T: check_rrbo(s["g"], s["R"], s["al"], s["N"], T),
+}
+_VIEWS = {LieAlgebra: "c", LieCoalgebra: "d", Representation: "action",
+          LinearOperator: "matrix", TwoTensor: "matrix"}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_CHECKS))
+def test_a_record_is_the_same_from_a_nested_list_and_from_a_tensor(name):
+    structures = parse_document(_PARAMETRIC.read_text(encoding="utf-8")).structures
+    obj = structures[name]
+    *fields, tensor = obj.parts()
+    from_list = type(obj)(*fields, tensor.dense())
+    # the same entries inserted in reverse order, with a stored zero if one fits
+    entries = dict(reversed(tensor.entries.items()))
+    free = [idx for idx in product(*map(range, tensor.shape)) if idx not in entries]
+    entries.update({idx: ZERO for idx in free[:1]})
+    from_tensor = type(obj)(*fields, Tensor(tensor.shape, entries))
+    assert from_tensor == from_list
+    assert list(from_tensor.tensor.entries) == sorted(tensor.entries)
+    view = _VIEWS[type(obj)]
+    assert getattr(from_tensor, view) == getattr(from_list, view) == tensor.dense()
+    check = _RECORD_CHECKS[name]
+    report = check(structures, from_list)
+    assert check(structures, from_tensor) == report
+    # the entries with denominator k + 1 are not all after those with k
+    assert [str(a) for a in report.assumptions_used] == ["k != 0", "k + 1 != 0"]
+    if not isinstance(obj, Representation):
+        assert render_document({name: from_tensor}) == render_document({name: from_list})
+
+
+@pytest.mark.parametrize("build", [
+    lambda sp: LieAlgebra(sp, [[[ONE] * 3] * 3, [[ONE] * 3] * 3, [[ONE] * 3, [ONE] * 2, [ONE] * 3]]),
+    lambda sp: LieCoalgebra(sp, [[[ONE] * 3] * 3] * 2),
+    lambda sp: LinearOperator(sp, sp, [[ONE] * 3, [ONE] * 3, [ONE] * 4]),
+    lambda sp: TwoTensor(sp, [[ONE] * 3, [ONE] * 3, ONE]),
+    lambda sp: BilinearForm(sp, [[[ONE]] * 3] * 3),
+    lambda sp: BilinearForm(sp, Tensor((3, 2), {})),
+], ids=["ragged-bracket", "short-cobracket", "ragged-operator", "flat-tensor", "deep-form",
+        "tensor-of-another-shape"])
+def test_data_of_another_shape_raises_shape_error(sl2, build):
+    with pytest.raises(ShapeError):
+        build(sl2.space)
+
+
+def test_bind_parameters_drops_an_entry_that_binds_to_zero(sl2):
+    op = make_operator(sl2.space, [["k - 1", "0", "0"], ["0", "k", "0"], ["0", "0", "1"]])
+    bound = bind_parameters(op, {"k": Fraction(1)})
+    assert bound.tensor.entries == {(1, 1): ONE, (2, 2): ONE}
+    assert bound.matrix == [[ZERO, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+
+
+def test_a_semidirect_product_keeps_the_row_major_assumption_order():
+    # its blocks give the entries over 1/(k + 1), at [b, c], before those over
+    # 1/k, at [a, u]; in row-major order [a, u] comes first
+    space, module = BasisSpace(("a", "b", "c")), BasisSpace(("u",))
+    c = zeros3(3, 3, 3)
+    c[1][2][2], c[2][1][2] = sc("1/(k + 1)"), sc("-1/(k + 1)")
+    algebra = LieAlgebra(space, c)
+    rep = Representation(algebra, module, [[[sc("1/k")]], [[ZERO]], [[ZERO]]])
+    product_algebra, _ = semidirect_product(algebra, rep, LinearOperator.zero(space),
+                                            LinearOperator.zero(module))
+    report = check_lie_algebra(product_algebra)
+    assert report.verdict is Verdict.CONDITIONAL_PASS
+    assert [str(a) for a in report.assumptions_used] == ["k != 0", "k + 1 != 0"]
 
 
 # -- Lie algebra axioms --------------------------------------------------------
@@ -72,8 +158,9 @@ def test_abelian_is_a_lie_algebra():
 
 
 def test_one_sided_sign_flip_fails_antisymmetry(sl2):
-    broken = LieAlgebra(sl2.space, [[list(col) for col in plane] for plane in sl2.c])
-    broken.c[0][1][2] = sc("-1")  # [e,f] flipped, [f,e] untouched
+    c = [[list(col) for col in plane] for plane in sl2.c]
+    c[0][1][2] = sc("-1")  # [e,f] flipped, [f,e] untouched
+    broken = LieAlgebra(sl2.space, c)
     report = check_lie_algebra(broken)
     assert report.verdict is Verdict.FAIL
     anti = [r for r in report.residuals if r.identity == "antisymmetry"]
@@ -191,7 +278,7 @@ def test_example_operator_is_torsion_free(sl2, n_example):
 
 
 def test_identity_and_zero_operators_are_torsion_free(sl2):
-    assert check_nijenhuis(sl2, LinearOperator.identity(sl2.space)).verdict is Verdict.PASS
+    assert check_nijenhuis(sl2, identity_operator(sl2.space)).verdict is Verdict.PASS
     assert check_nijenhuis(sl2, LinearOperator.zero(sl2.space)).verdict is Verdict.PASS
 
 
@@ -203,7 +290,7 @@ def test_family_six_fails_with_recorded_residual(sl2):
 
 
 def test_scalar_operator_satisfies_cobracket_torsion(dr):
-    p = scale(LinearOperator.identity(dr.space), sc("k1"))
+    p = scale(identity_operator(dr.space), sc("k1"))
     assert check_nijenhuis_coalgebra(dr, p).verdict is Verdict.PASS
     assert check_nijenhuis_coalgebra(dr, LinearOperator.zero(dr.space)).verdict is Verdict.PASS
 
@@ -217,7 +304,7 @@ def test_pair_c_operator_satisfies_cobracket_torsion(sl2, dr):
 
 def test_catalog_tensor_solves_cybe(sl2, r_qt):
     assert check_cybe(sl2, r_qt).verdict is Verdict.PASS
-    assert check_cybe(sl2, TwoTensor.zero(sl2.space)).verdict is Verdict.PASS
+    assert check_cybe(sl2, zero_tensor(sl2.space)).verdict is Verdict.PASS
 
 
 def test_ef_tensor_fails_cybe(sl2):
@@ -237,21 +324,21 @@ def test_generic_skew_form_solves_co_cybe(dr, omega_generic):
 
 
 def test_co_cybe_trivial_cases(sl2, dr, omega_generic):
-    assert check_co_cybe(dr, BilinearForm.zero(sl2.space)).verdict is Verdict.PASS
+    assert check_co_cybe(dr, zero_form(sl2.space)).verdict is Verdict.PASS
     zero_cobracket = LieCoalgebra(sl2.space, zeros3(3, 3, 3))
     assert check_co_cybe(zero_cobracket, omega_generic).verdict is Verdict.PASS
 
 
 def test_dual_qt_conditions(dr, omega_symp, omega_generic, sl2):
     assert check_dual_qt(dr, omega_symp).verdict is Verdict.PASS
-    assert check_dual_qt(dr, BilinearForm.zero(sl2.space)).verdict is Verdict.PASS
+    assert check_dual_qt(dr, zero_form(sl2.space)).verdict is Verdict.PASS
     # computed verdict: the generic skew form also satisfies both conditions
     assert check_dual_qt(dr, omega_generic).verdict is Verdict.PASS
 
 
 def test_weak_symplectic(sl2, omega_symp, omega_generic):
     assert check_weak_symplectic(sl2, omega_symp).verdict is Verdict.PASS
-    assert check_weak_symplectic(sl2, BilinearForm.zero(sl2.space)).verdict is Verdict.PASS
+    assert check_weak_symplectic(sl2, zero_form(sl2.space)).verdict is Verdict.PASS
     # the cyclic identity vanishes identically for every skew form on this algebra
     assert check_weak_symplectic(sl2, omega_generic).verdict is Verdict.PASS
 
@@ -266,7 +353,7 @@ def test_weak_symplectic_rejects_non_skew(sl2):
 
 def test_weak_cosymplectic(dr, r_qt, sl2):
     assert check_weak_cosymplectic(dr, r_qt).verdict is Verdict.PASS
-    assert check_weak_cosymplectic(dr, TwoTensor.zero(sl2.space)).verdict is Verdict.PASS
+    assert check_weak_cosymplectic(dr, zero_tensor(sl2.space)).verdict is Verdict.PASS
     zero_cobracket = LieCoalgebra(sl2.space, zeros3(3, 3, 3))
     assert check_weak_cosymplectic(zero_cobracket, r_qt).verdict is Verdict.PASS
 
@@ -317,7 +404,7 @@ def test_representation_reports_its_algebra_denominators():
 def test_adjoint_with_matching_alpha_is_nijenhuis_rep(sl2, n_example):
     rep = adjoint_representation(sl2)
     assert check_nij_representation(rep, n_example, n_example).verdict is Verdict.PASS
-    ident = LinearOperator.identity(sl2.space)
+    ident = identity_operator(sl2.space)
     assert check_nij_representation(rep, ident, ident).verdict is Verdict.PASS
 
 
@@ -332,7 +419,7 @@ def test_admissibility(sl2, n_example):
     rep = adjoint_representation(sl2)
     coad = coadjoint_representation(sl2)
     # beta = ell * id is admissible for any operator
-    ell = scale(LinearOperator.identity(sl2.space), sc("ell"))
+    ell = scale(identity_operator(sl2.space), sc("ell"))
     assert check_admissible(rep, n_example, ell).verdict is Verdict.PASS
     # the transpose of a torsion-free operator is admissible on the dual module
     n_bound = bind_parameters(n_example, {"lambda": Fraction(1), "kappa": Fraction(1)})
@@ -443,8 +530,8 @@ def test_incompatible_pair_fails_only_the_mixed_identity(sl2, dr):
 def test_deformed_homomorphism_trivial_cases(dr, sl2):
     corep = corep_from_rep(adjoint_representation(sl2))
     base = Corepresentation(dr, corep.space, corep.coaction)
-    ident_l = LinearOperator.identity(sl2.space)
-    ident_v = LinearOperator.identity(base.space)
+    ident_l = identity_operator(sl2.space)
+    ident_v = identity_operator(base.space)
     s, t = sc("1/3"), sc("2/3")
     # Delta = delta, Gamma = gamma, P = beta = id, s + t = 1
     report = check_deformed_homomorphism(dr, dr, base, base, ident_l, ident_v, s, t)
@@ -455,7 +542,7 @@ def test_deformed_homomorphism_trivial_cases(dr, sl2):
     from lieb import map_scalars
     scaled_c = map_scalars(dr, lambda x: x * s)
     scaled_k = Corepresentation(scaled_c, base.space,
-                                map_scalars(base.coaction, lambda x: x * s))
+                                map_scalars(base.tensor, lambda x: x * s))
     report = check_deformed_homomorphism(dr, scaled_c, base, scaled_k, zero_l, zero_v, s, t)
     assert report.verdict is Verdict.PASS
 
@@ -558,7 +645,7 @@ def test_killing_type_form_is_frobenius(sl2):
 
 
 def test_zero_form_is_degenerate(sl2):
-    report = check_frobenius(sl2, BilinearForm.zero(sl2.space))
+    report = check_frobenius(sl2, zero_form(sl2.space))
     assert report.verdict is Verdict.FAIL
     assert any(r.identity == "nondegeneracy" for r in report.residuals)
 
@@ -613,13 +700,13 @@ def test_zero_operators_form_a_bialgebra_pair(sl2, dr):
 def test_cpnybe_on_catalog_pair(sl2, r_qt):
     n_op, p_op = bialgebra_pair("a", sl2.space)
     assert check_cpnybe(sl2, r_qt, n_op, p_op).verdict is Verdict.PASS
-    zero = TwoTensor.zero(sl2.space)
+    zero = zero_tensor(sl2.space)
     assert check_cpnybe(sl2, zero, n_op, p_op).verdict is Verdict.PASS
 
 
 def test_cpnybe_pairing_failure(sl2, r_qt):
     report = check_cpnybe(sl2, r_qt, LinearOperator.zero(sl2.space),
-                          LinearOperator.identity(sl2.space))
+                          identity_operator(sl2.space))
     assert report.verdict is Verdict.FAIL
     pairing = {r.index: r.value for r in report.residuals if r.identity == "operator-pairing"}
     # (P (x) id - id (x) N)(r) = r when P = id, N = 0
@@ -632,7 +719,7 @@ def test_pq_equivalents_on_catalog_data(sl2, r_qt):
     report = check_pq_equivalents(sl2, r_qt, n_op, p_op)
     assert report.verdict is Verdict.PASS
     assert report.details["cobracket-identity"] is Verdict.PASS
-    zero = TwoTensor.zero(sl2.space)
+    zero = zero_tensor(sl2.space)
     report = check_pq_equivalents(sl2, zero, n_op, p_op)
     assert report.verdict is Verdict.PASS
 
@@ -655,7 +742,7 @@ def test_tensor_bridge_is_a_weak_rota_baxter_operator(sl2, r_qt):
 
 def test_identity_is_not_a_rota_baxter_operator(sl2):
     rep = adjoint_representation(sl2)
-    ident = LinearOperator.identity(sl2.space)
+    ident = identity_operator(sl2.space)
     report = check_rrbo(sl2, rep, ident, ident, ident)
     assert report.verdict is Verdict.FAIL
     # the bracket-compatibility side doubles the bracket: residual -[e_i, e_j]

@@ -15,7 +15,7 @@ from lieb import (
     delta_from_r,
     parse_scalar,
 )
-from lieb.multilinear import zeros
+from lieb.multilinear import Tensor
 
 
 def main():
@@ -23,10 +23,7 @@ def main():
     print("bracket axioms:", check_lie_algebra(sl2).verdict)
 
     lam = parse_scalar("lambda")
-    mat = zeros(3, 3)
-    mat[1][2] = lam
-    mat[2][1] = -lam
-    r = TwoTensor(sl2.space, mat)
+    r = TwoTensor(sl2.space, Tensor((3, 3), {(1, 2): lam, (2, 1): -lam}))
     print("Yang-Baxter equation for lambda*(f@g - g@f):", check_cybe(sl2, r).verdict)
 
     dr = delta_from_r(sl2, r)

@@ -20,7 +20,7 @@ from lieb import (
     phi_r,
     solve_linear,
 )
-from lieb.multilinear import zeros
+from lieb.multilinear import Tensor
 
 
 def main():
@@ -42,13 +42,13 @@ def main():
     coad = coadjoint_representation(sl2)
     agreements = 0
     for _ in range(10):
-        mat = zeros(3, 3)
+        entries = {}
         for i in range(3):
             for j in range(i + 1, 3):
                 value = Scalar.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-                mat[i][j] = value
-                mat[j][i] = -value
-        r = TwoTensor(sl2.space, mat)
+                entries[i, j] = value
+                entries[j, i] = -value
+        r = TwoTensor(sl2.space, Tensor((3, 3), entries))
         enriched = check_cpnybe(sl2, r, n_op, p_op).passed
         rota = check_rrbo(sl2, coad, p_op.transpose(), n_op, phi_r(r)).passed
         agreements += enriched == rota

@@ -12,20 +12,24 @@ the header of every exported file:
 * operator blocks list ``a -> <vector expr>`` (unlisted labels map to 0);
 * form blocks list ``(a, b) = <scalar expr>``; inside ``form ... skew`` the
   mirror of a listed pair defaults to its negation;
-* rep blocks list ``x : v -> <vector expr>`` for the action of x on v.
+* rep blocks list ``x : v -> <vector expr>`` for the action of x on v;
+* wherever a vector or 2-tensor is expected, a zero scalar stands for zero.
+
+An expression's value is a Scalar or, for a vector or a 2-tensor, a sparse
+Tensor of its nonzero entries; arithmetic touches only those, and each block
+builds its record's Tensor from them directly.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from operator import add, sub
-from typing import Iterable, get_args, get_type_hints
+from typing import Iterable, NamedTuple, get_args, get_type_hints
 
 from .multilinear import (
-    TRANSPOSE, BasisSpace, BilinearForm, LinearOperator, ShapeError, Tensor, TwoTensor, ZERO,
-    zeros, zeros3,
+    TRANSPOSE, BasisSpace, BilinearForm, LinearOperator, ShapeError, Tensor, TwoTensor,
 )
-from .scalars import Assumption, DivisionByZero, Scalar
+from .scalars import ONE, Assumption, DivisionByZero, Scalar
 from .structures import (
     Corepresentation,
     LieAlgebra,
@@ -150,8 +154,7 @@ _CONSTRUCT_ARGUMENTS = _argument_types(CONSTRUCT_OPS)
 
 # -- tokenizer ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str          # "name" | "int" | punctuation | "nl" | "end"
     text: str
     line: int
@@ -161,93 +164,84 @@ class _Token:
         return {"nl": "end of line", "end": "end of input"}.get(self.kind, repr(self.text))
 
 
+# punctuation, an int (only what int() reads), a word, or any other character
+_TOKEN = re.compile(r"(->|[][(){},:=@+*/^-])|(\d+)|(\w+)|(\S)")
+_KIND = (None, None, "int", "name", None)  # by match group; None: the text is the kind
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        i, n = 0, len(line)
-        while i < n:
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if line.startswith("->", i):
-                tokens.append(_Token("->", "->", lineno, i + 1))
-                i += 2
-                continue
-            if ch in "[](){},:=@+-*/^":
-                tokens.append(_Token(ch, ch, lineno, i + 1))
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and line[j].isdigit():
-                    j += 1
-                tokens.append(_Token("int", line[i:j], lineno, i + 1))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (line[j].isalnum() or line[j] == "_"):
-                    j += 1
-                tokens.append(_Token("name", line[i:j], lineno, i + 1))
-                i = j
-                continue
-            raise ParseError(f"unexpected character {ch!r}", lineno, i + 1)
+        for m in _TOKEN.finditer(line):
+            word, group = m.group(), m.lastindex
+            if group == 4 or group == 3 and not (word[0].isalpha() or word[0] == "_"):
+                raise ParseError(f"unexpected character {word[0]!r}", lineno, m.start() + 1)
+            tokens.append(_Token(_KIND[group] or word, word, lineno, m.start() + 1))
         if tokens and tokens[-1].line == lineno:
-            tokens.append(_Token("nl", "", lineno, n + 1))
+            tokens.append(_Token("nl", "", lineno, len(line) + 1))
     tokens.append(_Token("end", "", lineno + 1, 1))
     return tokens
 
 
-# -- typed expression values ---------------------------------------------------
+# -- expression values ---------------------------------------------------------
 
-@dataclass
-class _Value:
-    rank: int
-    data: object
+def _rank(value) -> int:
+    return len(value.shape) if isinstance(value, Tensor) else 0
 
 
-def _entrywise(fn, rank: int, *data):
-    """fn applied entry by entry to equally shaped data of the given rank."""
-    if rank == 0:
-        return fn(*data)
-    return [_entrywise(fn, rank - 1, *rows) for rows in zip(*data)]
-
-
-def _combine(op: str, a: _Value, b: _Value, tok: _Token) -> _Value:
+def _combine(op: str, a, b, tok: _Token):
     if op in ("+", "-"):
-        if a.rank != b.rank:
-            raise ParseError(f"cannot {'add' if op == '+' else 'subtract'} rank {a.rank} "
-                             f"and rank {b.rank} expressions", tok.line, tok.col)
-        if a.rank and len(a.data) != len(b.data):
-            raise ParseError(f"{('vectors', 'tensors')[a.rank - 1]} from different spaces",
+        if _rank(a) != _rank(b):
+            raise ParseError(f"cannot {'add' if op == '+' else 'subtract'} rank {_rank(a)} "
+                             f"and rank {_rank(b)} expressions", tok.line, tok.col)
+        if not _rank(a):
+            return a + b if op == "+" else a - b
+        if a.shape != b.shape:
+            raise ParseError(f"{('vectors', 'tensors')[_rank(a) - 1]} from different spaces",
                              tok.line, tok.col)
-        return _Value(a.rank, _entrywise(add if op == "+" else sub, a.rank, a.data, b.data))
+        entries = dict(a.entries)
+        for idx, v in (b if op == "+" else _negate(b)).entries.items():
+            prev = entries.get(idx)
+            if prev is None:
+                entries[idx] = v
+            elif (total := prev + v).is_zero():
+                del entries[idx]
+            else:
+                entries[idx] = total
+        return Tensor(a.shape, entries)
     if op == "*":
-        if a.rank == 0 and b.rank == 0:
-            return _Value(0, a.data * b.data)
-        if a.rank == 0:
-            return _scale(a.data, b)
-        if b.rank == 0:
-            return _scale(b.data, a)
-        raise ParseError("use @ for tensor products, * only scales", tok.line, tok.col)
+        if _rank(a) and _rank(b):
+            raise ParseError("use @ for tensor products, * only scales", tok.line, tok.col)
+        return _scale(a, b) if not _rank(a) else _scale(b, a)
     if op == "/":
-        if b.rank != 0:
+        if _rank(b):
             raise ParseError("can only divide by a scalar", tok.line, tok.col)
-        if b.data.is_zero():
+        if b.is_zero():
             raise ParseError("division by zero", tok.line, tok.col)
-        return _scale(Scalar.from_int(1) / b.data, a)
+        return _scale(ONE / b, a)
     if op == "@":
-        if a.rank == 1 and b.rank == 1:
-            return _Value(2, [[x * y for y in b.data] for x in a.data])
+        if _rank(a) == 1 and _rank(b) == 1:
+            return Tensor(a.shape + b.shape, {i + j: x * y for i, x in a.entries.items()
+                                              for j, y in b.entries.items()})
         raise ParseError("@ takes two vectors", tok.line, tok.col)
     raise AssertionError(op)
 
 
-def _scale(s: Scalar, v: _Value) -> _Value:
-    return _Value(v.rank, _entrywise(lambda x: s * x, v.rank, v.data))
+def _negate(value):
+    if not _rank(value):
+        return -value
+    return Tensor(value.shape, {idx: -v for idx, v in value.entries.items()})
+
+
+def _scale(s: Scalar, value):
+    """value times the scalar s."""
+    if not _rank(value):
+        return s * value
+    if s.is_zero():
+        return Tensor(value.shape, {})
+    return Tensor(value.shape, {idx: s * v for idx, v in value.entries.items()})
 
 
 # -- parser --------------------------------------------------------------------
@@ -352,7 +346,7 @@ class _Parser:
         name_tok = self.expect("name")
         self.expect_name("on")
         sp = self._space_ref()
-        listed: dict[tuple[int, int], list[Scalar]] = {}  # [e_i, e_j] by (i, j)
+        listed: dict[tuple[int, int], Tensor] = {}  # [e_i, e_j] by (i, j)
 
         def entry():
             self.expect("[")
@@ -364,15 +358,17 @@ class _Parser:
             listed[i, j] = self._rank_expr(sp, 1)
         self._block(entry)
         for (i, j), vector in list(listed.items()):
-            listed.setdefault((j, i), [-v for v in vector])
-        c = {(i, j, k): v for (i, j), vector in listed.items() for k, v in enumerate(vector)}
+            if (j, i) not in listed:
+                listed[j, i] = _negate(vector)
+        c = {(i, j, k): v for (i, j), vector in listed.items()
+             for (k,), v in vector.entries.items()}
         self.doc.structures[self._fresh(name_tok)] = LieAlgebra(sp, Tensor((sp.dim,) * 3, c))
 
     def _stmt_coalgebra(self):
         name_tok = self.expect("name")
         self.expect_name("on")
         sp = self._space_ref()
-        d = zeros3(sp.dim, sp.dim, sp.dim)
+        rows: dict[int, Tensor] = {}  # delta(e_i) by i
 
         def entry():
             self.expect_name("delta")
@@ -380,9 +376,10 @@ class _Parser:
             i = self._label_index(sp)
             self.expect(")")
             self.expect("=")
-            d[i] = self._rank_expr(sp, 2)
+            rows[i] = self._rank_expr(sp, 2)
         self._block(entry)
-        self.doc.structures[self._fresh(name_tok)] = LieCoalgebra(sp, d)
+        d = {(i, j, k): v for i, row in rows.items() for (j, k), v in row.entries.items()}
+        self.doc.structures[self._fresh(name_tok)] = LieCoalgebra(sp, Tensor((sp.dim,) * 3, d))
 
     def _stmt_operator(self):
         name_tok = self.expect("name")
@@ -390,15 +387,16 @@ class _Parser:
         dom = self._space_ref()
         self.expect("->")
         cod = self._space_ref()
-        mat = zeros(cod.dim, dom.dim)
+        columns: dict[int, Tensor] = {}  # the image of e_j by j
 
         def entry():
             j = self._label_index(dom)
             self.expect("->")
-            for i, value in enumerate(self._rank_expr(cod, 1)):
-                mat[i][j] = value
+            columns[j] = self._rank_expr(cod, 1)
         self._block(entry)
-        self.doc.structures[self._fresh(name_tok)] = LinearOperator(dom, cod, mat)
+        m = {(i, j): v for j, column in columns.items() for (i,), v in column.entries.items()}
+        self.doc.structures[self._fresh(name_tok)] = LinearOperator(
+            dom, cod, Tensor((cod.dim, dom.dim), m))
 
     def _stmt_form(self):
         name_tok = self.expect("name")
@@ -429,14 +427,11 @@ class _Parser:
         self.expect_name("on")
         sp = self._space_ref()
         self._open_block()
-        value = self._expr(sp, skip=True)
-        if value.rank != 2:
-            tok = self.peek()
-            raise ParseError("a tensor block must contain one 2-tensor expression",
-                             tok.line, tok.col)
+        value = self._rank_expr(sp, 2, skip=True,
+                                wrong="a tensor block must contain one 2-tensor expression")
         self.skip_newlines()
         self._close_block()
-        self.doc.structures[self._fresh(name_tok)] = TwoTensor(sp, value.data)
+        self.doc.structures[self._fresh(name_tok)] = TwoTensor(sp, value)
 
     def _stmt_rep(self):
         name_tok = self.expect("name")
@@ -447,17 +442,19 @@ class _Parser:
             raise ParseError(f"{alg_tok.text!r} is not an algebra", alg_tok.line, alg_tok.col)
         self.expect_name("on")
         sp = self._space_ref()
-        action = [zeros(sp.dim, sp.dim) for _ in algebra.space.labels]
+        images: dict[tuple[int, int], Tensor] = {}  # x_i . v_j by (i, j)
 
         def entry():
             i = self._label_index(algebra.space)
             self.expect(":")
             j = self._label_index(sp)
             self.expect("->")
-            for k, value in enumerate(self._rank_expr(sp, 1)):
-                action[i][k][j] = value
+            images[i, j] = self._rank_expr(sp, 1)
         self._block(entry)
-        self.doc.structures[self._fresh(name_tok)] = Representation(algebra, sp, action)
+        action = {(i, k, j): v for (i, j), image in images.items()
+                  for (k,), v in image.entries.items()}
+        self.doc.structures[self._fresh(name_tok)] = Representation(
+            algebra, sp, Tensor((algebra.space.dim, sp.dim, sp.dim), action))
 
     def _stmt_assume(self):
         self.doc.assumptions.extend(self._assumption_list())
@@ -540,24 +537,26 @@ class _Parser:
                 return out
             self.advance()
 
-    def _rank_expr(self, sp: BasisSpace | None, rank: int):
+    def _rank_expr(self, sp: BasisSpace | None, rank: int, skip: bool = False,
+                   wrong: str | None = None):
         """An expression of the given rank (0 scalar, 1 vector, 2 2-tensor); a
-        zero scalar stands for the zero vector or 2-tensor on sp."""
-        value = self._expr(sp)
-        if rank and value.rank == 0 and value.data.is_zero():
-            return [ZERO] * sp.dim if rank == 1 else zeros(sp.dim, sp.dim)
-        if value.rank != rank:
+        zero scalar stands for the zero vector or 2-tensor on sp.  ``wrong``
+        is the message for an expression of another rank."""
+        value = self._expr(sp, skip)
+        if rank and not _rank(value) and value.is_zero():
+            return Tensor((sp.dim,) * rank, {})
+        if _rank(value) != rank:
             tok = self.peek()
-            raise ParseError(f"expected a {('scalar', 'vector', '2-tensor')[rank]} expression",
-                             tok.line, tok.col)
-        return value.data
+            raise ParseError(wrong or f"expected a {('scalar', 'vector', '2-tensor')[rank]} "
+                             "expression", tok.line, tok.col)
+        return value
 
     def _maybe_skip(self, skip: bool):
         if skip:
             while self.peek().kind == "nl" and self.tokens[self.pos + 1].kind != "}":
                 self.advance()
 
-    def _expr(self, sp: BasisSpace | None, skip: bool = False) -> _Value:
+    def _expr(self, sp: BasisSpace | None, skip: bool = False):
         """A sum; with ``skip``, line breaks inside it are whitespace."""
         value = self._expr_product(sp, skip)
         while True:
@@ -571,7 +570,7 @@ class _Parser:
             else:
                 return value
 
-    def _expr_product(self, sp, skip) -> _Value:
+    def _expr_product(self, sp, skip):
         value = self._expr_unary(sp, skip)
         while True:
             tok = self.peek()
@@ -583,17 +582,17 @@ class _Parser:
             else:
                 return value
 
-    def _expr_unary(self, sp, skip) -> _Value:
+    def _expr_unary(self, sp, skip):
         tok = self.peek()
         if tok.kind == "-":
             self.advance()
-            return _scale(Scalar.from_int(-1), self._expr_unary(sp, skip))
+            return _negate(self._expr_unary(sp, skip))
         if tok.kind == "+":
             self.advance()
             return self._expr_unary(sp, skip)
         return self._expr_power(sp, skip)
 
-    def _expr_power(self, sp, skip) -> _Value:
+    def _expr_power(self, sp, skip):
         base = self._expr_atom(sp, skip)
         while self.peek().kind == "^":
             tok = self.advance()
@@ -602,17 +601,17 @@ class _Parser:
                 self.advance()
                 sign = -1
             exp = sign * int(self.expect("int").text)
-            if base.rank != 0:
+            if _rank(base):
                 raise ParseError("only scalars can be raised to powers", tok.line, tok.col)
-            if exp < 0 and base.data.is_zero():
+            if exp < 0 and base.is_zero():
                 raise ParseError("division by zero", tok.line, tok.col)
-            base = _Value(0, base.data ** exp)
+            base = base ** exp
         return base
 
-    def _expr_atom(self, sp, skip) -> _Value:
+    def _expr_atom(self, sp, skip):
         tok = self.advance()
         if tok.kind == "int":
-            return _Value(0, Scalar.from_int(int(tok.text)))
+            return Scalar.from_int(int(tok.text))
         if tok.kind == "(":
             self._maybe_skip(skip)
             value = self._expr(sp, skip)
@@ -621,11 +620,9 @@ class _Parser:
             return value
         if tok.kind == "name":
             if sp is not None and tok.text in sp.labels:
-                i = sp.index(tok.text)
-                return _Value(1, [Scalar.from_int(1) if k == i else ZERO
-                                  for k in range(sp.dim)])
+                return Tensor((sp.dim,), {(sp.index(tok.text),): ONE})
             if tok.text in self.doc.params:
-                return _Value(0, Scalar.parameter(tok.text))
+                return Scalar.parameter(tok.text)
             raise UnknownNameError(
                 f"{tok.text!r} is neither a basis label here nor a declared parameter",
                 tok.line, tok.col)

@@ -4,9 +4,9 @@ that evaluates identity tables over sparse tensors.
 A structure's data is a sparse ``Tensor``: its shape and its nonzero
 Scalar entries by index tuple.  Each record stores one, zero-free and keyed
 in row-major order, and shows it as nested lists of Scalar only through a
-read-only dense view (see Record); the dense helpers (``zeros``,
-``determinant``, ``solve_right``) take such lists.  Index conventions used
-throughout the package (and in the file format):
+read-only dense view (see Record); the dense helpers (``determinant``,
+``solve_right``) take such lists.  Index conventions used throughout the
+package (and in the file format):
 
 * operator matrix: column j holds the image of basis vector j, so
   ``N(e_j) = sum_i M[i][j] e_i``;
@@ -77,14 +77,6 @@ class BasisSpace:
 
 
 # -- dense helpers ----------------------------------------------------------
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO for _ in range(cols)] for _ in range(rows)]
-
-
-def zeros3(a: int, b: int, c: int) -> list[list[list[Scalar]]]:
-    return [[[ZERO for _ in range(c)] for _ in range(b)] for _ in range(a)]
-
 
 def determinant(a: Matrix) -> Scalar:
     """Exact determinant by Laplace expansion with column-subset memoisation."""
@@ -185,6 +177,7 @@ class Table:
     def __init__(self, out: str, *subsums: str):
         self.out = out
         self.subsums = tuple(_parse_subsum(text) for text in subsums)
+        self._coefficient_plans: dict[tuple[str, int], list] = {}
         self._factors = []
         for segments in self.subsums:
             for letters, terms in segments:
@@ -224,7 +217,10 @@ class Table:
         unknown_shape = tensors[unknown].shape
         # the unknown's factor: every index, each with no value
         tensors[_UNKNOWN] = Tensor(unknown_shape, dict.fromkeys(product(*map(range, unknown_shape))))
-        return shape, _sum(self._compile(unknown, occurrence), tensors, strides)
+        key = (unknown, occurrence)
+        if key not in self._coefficient_plans:
+            self._coefficient_plans[key] = self._compile(unknown, occurrence)
+        return shape, _sum(self._coefficient_plans[key], tensors, strides)
 
     def _operands(self, operands, unknown=None):
         """The operands as Tensors, the result's shape and its row-major strides."""

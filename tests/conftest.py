@@ -35,7 +35,8 @@ from lieb import (
     delta_from_r,
     parse_scalar,
 )
-from lieb.multilinear import zeros, zeros3
+
+from reference_loops import zeros, zeros3
 
 
 def sc(text: str) -> Scalar:

@@ -22,13 +22,20 @@ from lieb.multilinear import (
     Vector,
     ZERO,
     _certify_pivot,
-    zeros,
 )
 from lieb.scalars import ONE, Assumption, Scalar
 from lieb.structures import Corepresentation, LieAlgebra, LieCoalgebra
 
 
 # -- matrices ---------------------------------------------------------------
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return [[ZERO for _ in range(cols)] for _ in range(rows)]
+
+
+def zeros3(a: int, b: int, c: int) -> list[list[list[Scalar]]]:
+    return [[[ZERO for _ in range(c)] for _ in range(b)] for _ in range(a)]
+
 
 def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]

@@ -57,11 +57,13 @@ from lieb import (
 )
 from lieb.cli import EXIT_OK, EXIT_PARSE_ERROR, canonical_json, main
 from lieb.document import run_check_statement
-from lieb.multilinear import BasisSpace, zeros, zeros3
+from lieb.multilinear import BasisSpace
 from lieb.structures import LieAlgebra, LieCoalgebra
 
 from conftest import bialgebra_pair, make_operator, record_acceptance, sc
-from reference_loops import identity_operator, is_antisymmetric, scale, shift as shift_by
+from reference_loops import (
+    identity_operator, is_antisymmetric, scale, shift as shift_by, zeros, zeros3,
+)
 
 
 @contextmanager

@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from lieb import cli
 from lieb.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE_ERROR, canonical_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -553,3 +555,59 @@ def test_solve_pivot_names_only_the_factor_the_assumptions_leave(tmp_path, capsy
     code, out, _ = _run(capsys, "solve", str(path), "--problem", "cocycle-in-delta")
     assert code == EXIT_OK
     assert "solution dimension 10 (rank 17 of 27 unknowns)" in out
+
+
+def test_superscript_digit_exits_two_with_its_position(tmp_path, capsys):
+    path = tmp_path / "superscript.lieb"
+    path.write_text("params k\n" + _SL2.replace("[e, g] = -2*e", "[e, g] = k^²*e"),
+                    encoding="utf-8")
+    code, out, err = _run(capsys, "check", str(path))
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err == "error: line 5, column 14: unexpected character '²'\n"
+    code, out, err = _run(capsys, "check", str(_data_path(tmp_path, "sl2.lieb")), "--assume", "k^²")
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err == "error: --assume 'k^²': line 1, column 3: unexpected character '²'\n"
+
+
+# consecutive calls, each printing something other than the call before it
+_CALLS = [
+    ("check", "{qt}", "--identity", "cybe", "--identity", "cocycle"),
+    ("check", "{qt}"),
+    ("--format", "json", "check", "{qt}", "--identity", "cybe"),
+    ("check", "{qt}", "--identity", "cybe"),
+    ("check", "{qt}", "--format", "json"),
+    ("check", "{sl2}", "--assume", "k1 +"),
+    ("check", "{sl2}"),
+    ("check", "{sl2}", "--assume", "k1", "--format", "json"),
+    ("check", "{sl2}", "--assume", "k1"),
+]
+
+
+def test_consecutive_mains_print_what_a_fresh_import_prints(tmp_path, capsys, monkeypatch):
+    paths = {"qt": _data_path(tmp_path, "qt-sl2.lieb"), "sl2": _data_path(tmp_path, "sl2.lieb")}
+    calls = [[arg.format(**paths) for arg in call] for call in _CALLS]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)  # as after a fresh import
+        fresh.append(_run(capsys, *argv))
+    assert all(a != b for a, b in zip(fresh, fresh[1:]))
+    assert [_run(capsys, *argv) for argv in calls] == fresh
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_parser", None)
+    build = mock.Mock(wraps=cli.build_parser)
+    monkeypatch.setattr(cli, "build_parser", build)
+    path = str(_data_path(tmp_path, "sl2.lieb"))
+    for argv in (["check", path], ["--format", "json", "check", path], ["catalog", "list"]):
+        assert _run(capsys, *argv)[0] == EXIT_OK
+    assert build.call_count == 1
+
+
+def test_a_name_patched_after_the_first_main_is_reached(tmp_path, capsys, monkeypatch):
+    argv = ("solve", str(_data_path(tmp_path, "sl2.lieb")), "--problem", "weak-symplectic")
+    first = _run(capsys, *argv)
+    solve = mock.Mock(wraps=cli.solve_linear)
+    monkeypatch.setattr(cli, "solve_linear", solve)
+    assert _run(capsys, *argv) == first
+    assert solve.call_count == 1

@@ -43,13 +43,13 @@ from lieb import (
     semidirect_coproduct,
     semidirect_product,
 )
-from lieb.multilinear import PivotAmbiguous, determinant, zeros, zeros3
+from lieb.multilinear import PivotAmbiguous, determinant
 from lieb.scalars import Assumption, ZERO, ONE
 
 from conftest import abelian, bialgebra_pair, make_operator, sc
 from reference_loops import (
     apply, identity, identity_operator, is_antisymmetric, mat_mul, scale, transpose_matrix,
-    zero_form, zero_tensor,
+    zero_form, zero_tensor, zeros, zeros3,
 )
 
 

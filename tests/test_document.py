@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
 from lieb import LieAlgebra, LieCoalgebra, Verdict
@@ -16,9 +19,10 @@ from lieb.document import (
     run_check_statement,
     run_constructs,
 )
-from lieb.multilinear import TwoTensor
+from lieb.multilinear import Tensor, TwoTensor
 
 from conftest import make_sl2, sc
+from reference_loops import zeros
 
 
 SL2_TEXT = """
@@ -243,11 +247,39 @@ def test_render_preserves_antisymmetry_violations(sl2):
 
 
 def test_render_multiline_tensor_and_fractions(sl2):
-    from lieb.multilinear import zeros
-
     mat = zeros(3, 3)
     mat[0][1] = sc("(k9-k1)*(k5-k9)/(4*k3)")
     mat[1][0] = sc("-1/2")
     tensor = TwoTensor(sl2.space, mat)
     doc = parse_document(render_document({"t": tensor}))
     assert doc.structures["t"].matrix == mat
+
+
+def test_zero_tensor_round_trips(sl2):
+    zero = TwoTensor(sl2.space, Tensor((3, 3), {}))
+    rendered = render_document({"r": zero})
+    assert "tensor r on V1 {\n  0\n}" in rendered
+    assert parse_document(rendered).structures["r"] == zero
+
+
+@pytest.mark.parametrize("entry, col", [("²*e", 12), ("k^²*e", 14), ("2²*e", 13)])
+def test_superscript_digits_are_a_parse_error(entry, col):
+    # str.isdigit accepts them but int() does not, so an int token holds none
+    text = f"params k\nspace L : e f g\nalgebra a on L {{\n  [e, f] = {entry}\n}}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert str(exc.value) == f"line 4, column {col}: unexpected character '²'"
+
+
+RENDERED = Path(__file__).parent / "golden" / "render"
+
+
+def test_every_shipped_file_parses_to_its_golden_rendering():
+    # Each golden is render_document of a shipped file's parsed structures,
+    # written by the parser that filled dense nested lists.
+    shipped = {p.name: p for p in resources.files("lieb.data").iterdir() if p.name.endswith(".lieb")}
+    assert {p.name for p in RENDERED.glob("*.lieb")} == set(shipped)
+    for name, path in sorted(shipped.items()):
+        doc = parse_document(path.read_text(encoding="utf-8"))
+        assert render_document(doc.structures, params=doc.params) == \
+            (RENDERED / name).read_text(encoding="utf-8"), name

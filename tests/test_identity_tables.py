@@ -77,8 +77,6 @@ from lieb.multilinear import (
     ZERO,
     Table,
     solve_right,
-    zeros,
-    zeros3,
 )
 from lieb.scalars import Scalar
 from lieb.structures import (
@@ -95,6 +93,7 @@ from lieb.structures import (
 
 from reference_loops import (
     ad, apply, bracket, coefficient_rows, mat_add, mat_mul, mat_sub, mat_vec, transpose_matrix,
+    zeros, zeros3,
 )
 
 from test_sparse_kernels import (

@@ -23,14 +23,13 @@ from lieb.multilinear import (
     nullspace,
     rank,
     solve_right,
-    zeros,
 )
 from lieb.scalars import ONE, Assumption, Polynomial, Scalar
 from lieb.structures import CO_CYBE, CYBE, IMAGE, JACOBI, RIGHT_IMAGE, SQUARE, TORSION
 
 from conftest import rational_matrix, sc
 import reference_loops
-from reference_loops import identity, identity_operator, mat_mul, mat_vec
+from reference_loops import identity, identity_operator, mat_mul, mat_vec, zeros
 
 
 def _rand_matrix(rng, rows, cols):

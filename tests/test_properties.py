@@ -40,12 +40,11 @@ from lieb import (
     phi_r,
     r_from_T,
 )
-from lieb.multilinear import zeros, zeros3
 from lieb.scalars import ZERO, ONE
 from lieb.structures import Corepresentation
 
 from conftest import bialgebra_pair, sc
-from reference_loops import cobracket, gamma, identity, scale, shift as shift_by
+from reference_loops import cobracket, gamma, identity, scale, shift as shift_by, zeros, zeros3
 
 
 def _rng(seed: int) -> random.Random:

@@ -26,14 +26,14 @@ from lieb import (
     refute_by_sampling,
     solve_linear,
 )
-from lieb.multilinear import BasisSpace, _sparse, row_reduce, zeros, zeros3
+from lieb.multilinear import BasisSpace, _sparse, row_reduce
 from lieb import solver
 from lieb.scalars import Assumption, ONE, Polynomial, Scalar, ZERO
 from lieb.solver import ExhaustedSamples, bind_parameters
 
 from conftest import abelian, make_operator, sc
 import reference_loops
-from reference_loops import ad
+from reference_loops import ad, zeros, zeros3
 
 
 # -- weak symplectic classification ----------------------------------------------

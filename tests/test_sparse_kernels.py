@@ -30,10 +30,10 @@ from lieb import (
     delta_from_r,
     parse_scalar,
 )
-from lieb.multilinear import ONE, ZERO, zeros, zeros3
+from lieb.multilinear import ONE, ZERO
 from lieb.structures import CYBE, nijenhuis_bialgebra_residuals
 
-from reference_loops import mat_mul
+from reference_loops import mat_mul, zeros, zeros3
 
 # A third zeros; the nonzero entries come in opposite pairs with symbolic
 # denominators, so that products coincide and partial sums often cancel.

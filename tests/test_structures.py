@@ -59,11 +59,13 @@ from lieb import (
     render_document,
     semidirect_product,
 )
-from lieb.multilinear import ShapeError, Tensor, zeros, zeros3
+from lieb.multilinear import ShapeError, Tensor
 from lieb.scalars import ONE, ZERO, Assumption, Polynomial
 
 from conftest import abelian, bialgebra_pair, make_operator, sc
-from reference_loops import ad, bracket, identity_operator, scale, zero_form, zero_tensor
+from reference_loops import (
+    ad, bracket, identity_operator, scale, zero_form, zero_tensor, zeros, zeros3,
+)
 
 
 # -- structure records ------------------------------------------------------------

@@ -75,11 +75,11 @@ class UsageError(ValueError):
     """A command-line argument the command cannot use (exit 2)."""
 
 
-def _parse_assume_flags(values) -> list[Assumption]:
+def _parse_assume_flags(values, params) -> list[Assumption]:
     assumptions = []
     for text in values or []:
         try:
-            assumptions += parse_assumptions(text)
+            assumptions += parse_assumptions(text, params)
         except ParseError as exc:
             raise UsageError(f"--assume {text!r}: {exc}") from None
     return assumptions
@@ -117,7 +117,7 @@ def _run_document_checks(doc, identities, extra_assumptions):
 
 def _cmd_check(args) -> int:
     doc = _load(args.file)
-    extra = _parse_assume_flags(args.assume)
+    extra = _parse_assume_flags(args.assume, doc.params)
     results = _run_document_checks(doc, args.identity, extra)
     failed = any(not report.passed for _, report in results)
     payload = {

@@ -41,7 +41,7 @@ class DegenerateForm(ValueError):
 # -- induced structures -------------------------------------------------------
 
 # x -> r^1 (x) [x, r^2] + [x, r^1] (x) r^2
-DELTA_FROM_R = Table("iab", "q: c[iqb] r[aq]; p: c[ipa] r[pb]")
+DELTA_FROM_R = Table("iab", "c[iqb] r[aq] + c[ipa] r[pb]")
 
 
 def delta_from_r(L: LieAlgebra, r: TwoTensor) -> LieCoalgebra:
@@ -64,8 +64,8 @@ def bracket_from_omega(C: LieCoalgebra, omega: BilinearForm) -> LieAlgebra:
 
 
 # the operators x -> omega(x, r^1) r^2 and x -> r^1 omega(r^2, x), as matrices
-NIJENHUIS_FROM_OMEGA_R = Table("ai", "p: om[ip] r[pa]")
-P_FROM_R_OMEGA = Table("ai", "q: r[aq] om[qi]")
+NIJENHUIS_FROM_OMEGA_R = Table("ai", "om[ip] r[pa]")
+P_FROM_R_OMEGA = Table("ai", "r[aq] om[qi]")
 
 
 def nijenhuis_from_omega_r(L: LieAlgebra, omega: BilinearForm, r: TwoTensor) -> LinearOperator:
@@ -89,13 +89,13 @@ def p_from_r_omega(C: LieCoalgebra, r: TwoTensor, omega: BilinearForm) -> Linear
 DUAL_COBRACKET = Table("kij", "c[ijk]")
 DUAL_BRACKET = Table("ijk", "d[kij]")
 # rho*(e_i) = -rho(e_i)^T; on a coaction g[i][a][k], the flipped -g[i][k][a]
-DUAL_ACTION = Table("ipq", "-(A[iqp])")
+DUAL_ACTION = Table("ipq", "-A[iqp]")
 # coaction g[i][j][k] <-> action[j][i][k], either way round; no sign
 SWAP_ACTION = Table("jik", "t[ijk]")
 # ad(e_i) has columns [e_i, e_q]
 ADJOINT = Table("ipq", "c[iqp]")
 # rho_H(e^a) e_j = -sum_b d[j][a][b] e_b
-COADJOINT_COACTION = Table("abj", "-(d[jab])")
+COADJOINT_COACTION = Table("abj", "-d[jab]")
 
 
 def dual_coalgebra(L: LieAlgebra) -> LieCoalgebra:
@@ -193,7 +193,7 @@ def _block_operator(first: LinearOperator, second: LinearOperator) -> LinearOper
 # c[i][n+b][n+k] = A[i][k][b] and its mirror c[n+b][i][n+k]; with the roles
 # swapped they place -rho_H(h_b) e_i too
 ACTION_BRACKET = Table("ibk", "A[ikb]")
-ACTION_MIRROR = Table("bik", "-(A[ikb])")
+ACTION_MIRROR = Table("bik", "-A[ikb]")
 
 
 def semidirect_product(L: LieAlgebra, R: Representation,
@@ -262,9 +262,9 @@ def manin_double(L: LieAlgebra, C: LieCoalgebra,
 # -- operator bridges ----------------------------------------------------------
 
 # N^T B, the form (x, y) -> B(Nx, y)
-FORM_PULLBACK = Table("ij", "k: N[ki] B[kj]")
+FORM_PULLBACK = Table("ij", "N[ki] B[kj]")
 # the block of r_from_T on V* (x) L: -e^i (x) T(e_i)
-R_FROM_T_MIRROR = Table("ia", "-(T[ai])")
+R_FROM_T_MIRROR = Table("ia", "-T[ai]")
 
 
 def adjoint_operator(B: BilinearForm, N: LinearOperator,

@@ -651,9 +651,9 @@ def parse_scalar(text: str, allowed: Iterable[str] | None = None) -> Scalar:
     return value
 
 
-def parse_assumptions(text: str) -> list[Assumption]:
-    """Parse an ``assume`` list (``k3, k1 - k2``) given outside a document."""
-    parser = _expression_parser(text, None)
+def parse_assumptions(text: str, params: Iterable[str]) -> list[Assumption]:
+    """Parse an ``assume`` list (``k3, k1 - k2``) over a document's ``params``."""
+    parser = _expression_parser(text, params)
     out = parser._assumption_list()
     parser.end_statement()
     return out

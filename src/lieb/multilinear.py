@@ -15,10 +15,10 @@ package (and in the file format):
 * bracket constants: ``[e_i, e_j] = sum_k c[i][j][k] e_k``;
 * cobracket constants: ``delta(e_i) = sum_{j,k} d[i][j][k] e_j (x) e_k``.
 
-Identity tables run one sparse fold that normalises late: each operand is
-scaled by the lcm of its denominators, the numerators are added on ints when
-every operand entry is constant and in Z[parameters] otherwise, and each
-component is reduced once over the common denominator (see Table).  Exact
+An identity table is one signed einsum sum, run by a sparse fold that
+normalises late: each operand is scaled by the lcm of its denominators, the
+numerators are added on ints when every operand entry is constant and in
+Z[parameters] otherwise, and each component is reduced once (see Table).  Exact
 elimination works on sparse rows ``{column: entry}``, fraction-free: on ints
 when every entry is constant and in Z[parameters] otherwise, with one
 division per pivot row at the end (see row_reduce).
@@ -147,47 +147,39 @@ class Tensor:
 
 
 _FACTOR = re.compile(r"(\w+)\[(\w*)\]")
-_TERM = re.compile(r"([+-]?)\s*([^+-]+)")
+_TERM = re.compile(r"\s*([+-]?)\s*((?:\w+\[\w*\]\s*)+)")  # a signed product of factors
 
 
 class Table:
-    """An identity written as data: signed einsum terms over named operands.
+    """An identity written as data: one signed einsum sum over named operands.
 
-    ``Table("ijkm", "l: c[ijl] c[lkm] + c[jkl] c[lim] + c[kil] c[ljm]")`` is
-    the Jacobi sum.  Each argument after the output letters is a sub-sum, and
-    ``-(...)`` negates one.  A sub-sum adds its segments, separated by
-    ``;``.  A segment ``letters: terms`` sums its signed terms over its
-    summation letters; a segment with no summation letters has no colon.  A
-    term is a product of factors ``name[letters]``, and no factor repeats a
-    letter (a diagonal such as ``a[ii]`` is not a table).  A component's value
-    is the sum of every signed product that reaches it; ``Scalar`` keeps
-    num/den in lowest terms, so that sum renders the same in any order.  Only
-    nonzero entries are visited, and a component that no nonzero term reaches
-    is absent.
+    ``Table("ijkm", "c[ijl] c[lkm] + c[jkl] c[lim] + c[kil] c[ljm]")`` is the
+    Jacobi sum.  A term is a product of factors ``name[letters]`` after a
+    ``+`` or ``-`` (optional on the first), summed, as in einsum's explicit
+    mode, over each of its letters that is not an output letter.  Every term
+    covers every output letter, and no factor repeats a letter (a diagonal
+    such as ``a[ii]`` is not a table).  A component's value is the sum of
+    every signed product that reaches it; ``Scalar`` keeps num/den in lowest
+    terms, so that sum renders the same in any order.  Only nonzero entries
+    are visited, and a component that no nonzero term reaches is absent.
 
-    No component is normalised until its sum is complete.  Each operand is
-    scaled by the lcm of its denominators, so a component is one exact sum of
-    numerators over one common denominator, reduced once into a ``Scalar``:
-    on the integer lane, when every operand entry is constant, the sum is of
-    ints; on the polynomial lane, when any entry is parametric, it is of
-    integer polynomials, added with no gcd.  In lowest terms either is the
-    value a ``Scalar`` fold reaches, and renders the same.
+    No component is normalised until its sum is complete: it is one exact sum
+    of numerators over one common denominator (see _sum), on ints when every
+    operand entry is constant and of integer polynomials, added with no gcd,
+    otherwise, reduced once into the ``Scalar`` a fold of Scalars reaches.
     """
 
-    def __init__(self, out: str, *subsums: str):
+    def __init__(self, out: str, terms: str):
         self.out = out
-        self.subsums = tuple(_parse_subsum(text) for text in subsums)
+        self.terms = _parse_terms(terms)
         self._coefficient_plans: dict[tuple[str, int], list] = {}
-        self._factors = []
-        for segments in self.subsums:
-            for letters, terms in segments:
-                for _, factors in terms:
-                    if set("".join(spec for _, spec in factors)) != set(out + letters):
-                        raise ValueError(f"a term of {letters!r} does not cover {out + letters!r}")
-                    for name, spec in factors:
-                        if len(set(spec)) != len(spec):
-                            raise ValueError(f"{name}[{spec}] repeats a letter")
-                    self._factors += factors
+        for _, factors in self.terms:
+            for name, spec in factors:
+                if len(set(spec)) != len(spec):
+                    raise ValueError(f"{name}[{spec}] repeats a letter")
+            if not set(out) <= set("".join(spec for _, spec in factors)):
+                raise ValueError(f"a term of {terms!r} does not cover {out!r}")
+        self._factors = list(dict.fromkeys(f for _, factors in self.terms for f in factors))
 
     @cached_property
     def _plans(self):
@@ -242,34 +234,23 @@ class Table:
     def _compile(self, unknown, occurrence):
         """For each term: its sign and join steps."""
         return [(positive, _plan(self.out, factors, unknown, occurrence))
-                for segments in self.subsums for _, terms in segments
-                for positive, factors in terms]
+                for positive, factors in self.terms]
 
 
 _UNKNOWN = "*"  # the operand name of the unknown's factor in a coefficient plan
 
 
-def _parse_subsum(text: str):
-    """((summation letters, ((positive, ((name, letters), ...)), ...)), ...)"""
-    text = text.strip()
-    negate = text.startswith("-(")
-    if negate:
-        if not text.endswith(")"):
-            raise ValueError(f"unbalanced sub-sum {text!r}")
-        text = text[2:-1]
-    segments = []
-    for segment in text.split(";"):
-        letters, colon, body = segment.partition(":")
-        if not colon:
-            letters, body = "", segment
-        terms = []
-        for sign, term in _TERM.findall(body.strip()):
-            factors = tuple(_FACTOR.findall(term))
-            if not factors or _FACTOR.sub("", term).strip():
-                raise ValueError(f"malformed term {term!r}")
-            terms.append(((sign == "-") == negate, factors))
-        segments.append((letters.strip(), tuple(terms)))
-    return tuple(segments)
+def _parse_terms(text: str):
+    """((positive, ((name, letters), ...)), ...); ValueError unless the terms
+    cover the whole text."""
+    terms, pos = [], 0
+    while pos < len(text) or not terms:
+        match = _TERM.match(text, pos)
+        if not match:
+            raise ValueError(f"malformed terms at {text[pos:]!r} in {text!r}")
+        terms.append((match[1] != "-", tuple(_FACTOR.findall(match[2]))))
+        pos = match.end()
+    return tuple(terms)
 
 
 def _plan(out, factors, unknown, occurrence):
@@ -312,21 +293,13 @@ def _sum(plans, tensors, strides, zeros: bool = True) -> dict:
     on ints; otherwise the numerators are folded in Z[parameters] with no gcd,
     L being an int for an operand whose denominators are all constant.
     """
-    qs = {name: [v.q for v in t.entries.values() if v is not None] for name, t in tensors.items()}
-    ints = not any(None in q for q in qs.values())
-    if ints:
-        lcms = {name: lcm(*q) for name, q in qs.items()}
-        scaled = {name: Tensor(t.shape, {idx: v if v is None else v.p * (lcms[name] // v.q)
-                                         for idx, v in t.entries.items()})
-                  for name, t in tensors.items()}
-    else:
-        lcms, scaled = {}, {}
-        for name, t in tensors.items():
-            lcms[name], entries = _numerators(t.entries)
-            scaled[name] = Tensor(t.shape, entries)
-        if any(type(L) is Polynomial for L in lcms.values()):
-            lcms = {name: Polynomial.integer(L) if type(L) is int else L
-                    for name, L in lcms.items()}
+    ints = all(v is None or v.q is not None for t in tensors.values() for v in t.entries.values())
+    lcms, scaled = {}, {}
+    for name, t in tensors.items():
+        lcms[name], entries = _numerators(t.entries, ints)
+        scaled[name] = Tensor(t.shape, entries)
+    if any(type(L) is Polynomial for L in lcms.values()):
+        lcms = {name: Polynomial.integer(L) if type(L) is int else L for name, L in lcms.items()}
     factors = [[lcms[step[0]] for step in steps] for _, steps in plans]
     products = [prod(ls[1:], start=ls[0]) for ls in factors]
     common = lcm(*products) if type(products[0]) is int else _polynomial_lcm(products)
@@ -349,10 +322,14 @@ def _polynomial_lcm(polys) -> Polynomial:
     return out
 
 
-def _numerators(entries: dict):
+def _numerators(entries: dict, ints: bool):
     """(L, the entries times L): L the lcm of the entries' denominators, an
-    int when every one is constant, and each entry's numerator times L / its
-    denominator, a Polynomial; the unknown's None stays None."""
+    int when every one is constant; each entry times L is an int with
+    ``ints`` (every entry constant) and a Polynomial otherwise, and the
+    unknown's None stays None."""
+    if ints:
+        L = lcm(*[v.q for v in entries.values() if v is not None])
+        return L, {idx: v if v is None else v.p * (L // v.q) for idx, v in entries.items()}
     consts, polys = set(), set()
     for v in entries.values():
         if v is not None:
@@ -593,11 +570,7 @@ def row_reduce(rows: Sequence[Mapping[int, Scalar]],
     for k, row in enumerate(m):
         if not row:
             continue
-        if ints:
-            L = lcm(*[v.q for v in row.values()])
-            row = {c: v.p * (L // v.q) for c, v in row.items()}
-        else:
-            L, row = _numerators(row)
+        L, row = _numerators(row, ints)
         g = gcd_of(*row.values())
         m[k] = row if g == one else {c: x // g for c, x in row.items()}
         if multipliers is not None:

@@ -6,7 +6,7 @@ residual components.  A check passes when every residual is the zero scalar;
 it passes conditionally when the input data carries parametric denominators
 whose nonvanishing had to be assumed.
 
-Every identity is written once, as a table of signed einsum terms
+Every identity is written once, as one signed einsum sum
 (``multilinear.Table``), and one sparse engine evaluates them on the records'
 stored tensors: it multiplies only nonzero entries and reports the
 components in index order.  A component is one sum of its signed products;
@@ -213,10 +213,12 @@ def _interleaved(*named: tuple[str, Tensor]) -> list[tuple[str, tuple, Scalar]]:
 
 
 # -- identity tables ----------------------------------------------------------
-# Operands: c bracket and d, e cobracket constants, r a 2-tensor, om and B
-# forms, A action matrices (B too, in the matched pair), g, h coaction
-# tensors, P, N, al, be operators and T: V -> L (a tensor in IMAGE).  A name
-# ending in 2 is the operator squared (SQUARE); the others are intermediates.
+# Each table is one signed einsum sum over every letter of a term that is not
+# an output letter.  Operands: c bracket and d, e cobracket constants, r a
+# 2-tensor, om and B forms, A action matrices (B too, in the matched pair), g, h
+# coaction tensors, P, N, al, be operators and T: V -> L (a tensor in IMAGE).
+# A name ending in 2 is the operator squared (SQUARE); the others are
+# intermediates, evaluated once rather than in every term that reads them.
 
 # c[ijk] + c[jik], d[iab] + d[iba]: a bracket's antisymmetry, a cobracket's
 # co-antisymmetry; t[ij] + t[ji], t[ij] - t[ji]: a skew and a symmetric matrix
@@ -224,91 +226,88 @@ ANTISYMMETRY = Table("ijk", "c[ijk] + c[jik]")
 CO_ANTISYMMETRY = Table("iab", "d[iab] + d[iba]")
 SKEW = Table("ij", "t[ij] + t[ji]")
 SYMMETRY = Table("ij", "t[ij] - t[ji]")
-JACOBI = Table("ijkm", "l: c[ijl] c[lkm] + c[jkl] c[lim] + c[kil] c[ljm]")
+JACOBI = Table("ijkm", "c[ijl] c[lkm] + c[jkl] c[lim] + c[kil] c[ljm]")
 # (id (x) e) d: e applied to the second factor of d; with the cyclic sum of
 # its last three indices, the co-Jacobi sum of d and e = d
-COMPOSITE = Table("ijab", "k: d[ijk] e[kab]")
-CYCLIC = Table("ipqs", "t[ipqs]", "t[iqsp]", "t[ispq]")
+COMPOSITE = Table("ijab", "d[ijk] e[kab]")
+CYCLIC = Table("ipqs", "t[ipqs] + t[iqsp] + t[ispq]")
 # the cyclic sums of (id (x) e) d and (id (x) d) e
-MIXED_CYCLIC = Table("ipqs", "t[ipqs]", "t[iqsp]", "t[ispq]", "u[ipqs]", "u[iqsp]", "u[ispq]")
-COCYCLE = Table("ijpq", "k: c[ijk] d[kpq]",
-                "-(a: c[iap] d[jaq] + d[jpa] c[iaq] - c[jap] d[iaq] - d[ipa] c[jaq])")
+MIXED_CYCLIC = Table("ipqs", "t[ipqs] + t[iqsp] + t[ispq] + u[ipqs] + u[iqsp] + u[ispq]")
+COCYCLE = Table("ijpq", "c[ijk] d[kpq] - c[iap] d[jaq] - d[jpa] c[iaq] + c[jap] d[iaq]"
+                        " + d[ipa] c[jaq]")
 # M^2: the operator squared
-SQUARE = Table("ik", "j: M[ij] M[jk]")
+SQUARE = Table("ik", "M[ij] M[jk]")
 # the image T(M e_i) of a basis vector: [N e_i, -], delta(P e_i), rho(N e_i), gamma(beta v_i)
-IMAGE = Table("iab", "m: M[mi] T[mab]")
+IMAGE = Table("iab", "M[mi] T[mab]")
 # [e_i, M e_j]
-RIGHT_IMAGE = Table("ijk", "b: M[bj] c[ibk]")
+RIGHT_IMAGE = Table("ijk", "M[bj] c[ibk]")
 # [Nx, Ny] + N^2[x, y] - (N[Nx, y] + N[x, Ny]), with left = [Nx, y], right = [x, Ny]
-TORSION = Table("ijk", "ab: N[ai] N[bj] c[abk]", "m: N2[km] c[ijm]",
-                "-(m: N[km] left[ijm] + N[km] right[ijm])")
+TORSION = Table("ijk", "N[ai] N[bj] c[abk] + N2[km] c[ijm] - N[km] left[ijm] - N[km] right[ijm]")
 # P[Nx, y] + [x, P^2 y] - ([Nx, Py] + P[x, Py]), with left = [Nx, y], right = [x, Py]
-OPERATOR_COMPATIBILITY = Table("ijk", "m: P[km] left[ijm]", "b: P2[bj] c[ibk]",
-                               "-(ab: N[ai] P[bj] c[abk]; m: P[km] right[ijm])")
+OPERATOR_COMPATIBILITY = Table("ijk", "P[km] left[ijm] + P2[bj] c[ibk] - N[ai] P[bj] c[abk]"
+                                      " - P[km] right[ijm]")
 # (P(x)P) delta + delta P^2 - (P(x)id)(delta P) - (id(x)P)(delta P), with dP = delta(P e_i)
-NIJENHUIS_COBRACKET = Table("iab", "xy: d[ixy] P[ax] P[by]", "m: P2[mi] d[mab]",
-                            "-(x: P[ax] dP[ixb])", "-(y: dP[iay] P[by])")
+NIJENHUIS_COBRACKET = Table("iab", "d[ixy] P[ax] P[by] + P2[mi] d[mab] - P[ax] dP[ixb]"
+                                   " - dP[iay] P[by]")
 # (P(x)id) delta N + (id(x)N^2) delta - (P(x)N) delta - (id(x)N) delta N, with dN = delta(N e_i)
-COBRACKET_COMPATIBILITY = Table("iab", "x: P[ax] dN[ixb]", "q: d[iaq] N2[bq]",
-                                "-(xq: d[ixq] P[ax] N[bq])", "-(q: dN[iaq] N[bq])")
+COBRACKET_COMPATIBILITY = Table("iab", "P[ax] dN[ixb] + d[iaq] N2[bq] - d[ixq] P[ax] N[bq]"
+                                       " - dN[iaq] N[bq]")
 # [r12, r13] + [r12, r23] + [r13, r23]
-CYBE = Table("xyz", "ik: c[ikx] r[iy] r[kz]; jl: c[jlz] r[xj] r[yl]; jk: c[jky] r[xj] r[kz]")
+CYBE = Table("xyz", "c[ikx] r[iy] r[kz] + c[jlz] r[xj] r[yl] + c[jky] r[xj] r[kz]")
 # (P (x) id - id (x) N)(r)
-PAIRING = Table("ab", "x: P[ax] r[xb]", "-(y: r[ay] N[by])")
+PAIRING = Table("ab", "P[ax] r[xb] - r[ay] N[by]")
 # the r-forms of the Nijenhuis cobracket identity and of the cobracket
 # compatibility for delta_r, with rho = (P (x) id - id (x) N)(r) and
 # sig = (N (x) id - id (x) P)(r); only whether they vanish is read
-PAIRING_FORM_1 = Table("iab", "xy: rho[ay] P[bx] c[iyx] - rho[ay] P[xi] c[xyb]"
-                              " + P[xi] c[xya] sig[yb] - P[ax] c[iyx] sig[yb]")
-PAIRING_FORM_2 = Table("iab", "xy: rho[ay] N[xi] c[xyb] - rho[ay] N[bx] c[iyx]"
-                              " + N[xi] c[xya] rho[yb] + P[ax] c[iyx] rho[yb]"
-                              " - c[iya] P2[yx] r[xb] + c[iya] r[yx] N2[bx]")
-CO_CYBE = Table("ijk", "ab: d[iab] om[aj] om[bk] + d[kab] om[ia] om[jb] + d[jab] om[ia] om[bk]")
+PAIRING_FORM_1 = Table("iab", "rho[ay] P[bx] c[iyx] - rho[ay] P[xi] c[xyb] + P[xi] c[xya] sig[yb]"
+                              " - P[ax] c[iyx] sig[yb]")
+PAIRING_FORM_2 = Table("iab", "rho[ay] N[xi] c[xyb] - rho[ay] N[bx] c[iyx] + N[xi] c[xya] rho[yb]"
+                              " + P[ax] c[iyx] rho[yb] - c[iya] P2[yx] r[xb]"
+                              " + c[iya] r[yx] N2[bx]")
+CO_CYBE = Table("ijk", "d[iab] om[aj] om[bk] + d[kab] om[ia] om[jb] + d[jab] om[ia] om[bk]")
 # [x, y] = x_(1) omega(x_(2), y) - y_(2) omega(x, y_(1))
-INDUCED_BRACKET = Table("ijk", "b: d[ikb] om[bj] + d[jkb] om[ib]")
+INDUCED_BRACKET = Table("ijk", "d[ikb] om[bj] + d[jkb] om[ib]")
 # with w the induced bracket
-DUAL_QT_1 = Table("ijk", "m: w[ijm] om[mk]; ab: -d[kab] om[ia] om[jb]")
-DUAL_QT_2 = Table("ijk", "m: w[jkm] om[im]; ab: d[iab] om[aj] om[bk]")
-WEAK_SYMPLECTIC = Table("ijk", "m: c[ijm] om[mk] + c[jkm] om[mi] + c[kim] om[mj]")
+DUAL_QT_1 = Table("ijk", "w[ijm] om[mk] - d[kab] om[ia] om[jb]")
+DUAL_QT_2 = Table("ijk", "w[jkm] om[im] + d[iab] om[aj] om[bk]")
+WEAK_SYMPLECTIC = Table("ijk", "c[ijm] om[mk] + c[jkm] om[mi] + c[kim] om[mj]")
 # the cyclic sum of t = (delta (x) id)(r)
-DELTA_R = Table("abc", "x: d[xab] r[xc]")
-WEAK_COSYMPLECTIC = Table("ijk", "t[ijk]", "t[jki]", "t[kij]")
+DELTA_R = Table("abc", "d[xab] r[xc]")
+WEAK_COSYMPLECTIC = Table("ijk", "t[ijk] + t[jki] + t[kij]")
 # rho([x, y]) - (rho(x) rho(y) - rho(y) rho(x))
-REPRESENTATION = Table("ijab", "k: c[ijk] A[kab]", "-(x: A[iax] A[jxb] - A[jax] A[ixb])")
+REPRESENTATION = Table("ijab", "c[ijk] A[kab] - A[iax] A[jxb] + A[jax] A[ixb]")
 # the product T_i M of each matrix T_i with one matrix M: rho(e_i) alpha
-RIGHT_PRODUCT = Table("ipq", "x: T[ipx] M[xq]")
+RIGHT_PRODUCT = Table("ipq", "T[ipx] M[xq]")
 # rho(Nx) al + al^2 rho(x) - (al rho(Nx) + al rho(x) al), with rN = rho(N e_i), rA = rho(e_i) al
-NIJ_REPRESENTATION = Table("ipq", "x: rN[ipx] al[xq]", "x: al2[px] A[ixq]",
-                           "-(x: al[px] rN[ixq] + al[px] rA[ixq])")
+NIJ_REPRESENTATION = Table("ipq", "rN[ipx] al[xq] + al2[px] A[ixq] - al[px] rN[ixq]"
+                                  " - al[px] rA[ixq]")
 # be rho(Nx) + rho(x) be^2 - (rho(Nx) be + be rho(x) be), with rB = rho(e_i) be
-ADMISSIBLE = Table("ipq", "x: be[px] rN[ixq]", "x: A[ipx] be2[xq]",
-                   "-(x: rN[ipx] be[xq] + be[px] rB[ixq])")
-COREPRESENTATION = Table("iabk", "j: g[ijk] d[jab]", "-(x: g[iax] g[xbk] - g[ibx] g[xak])")
-NIJ_COREPRESENTATION = Table("iak", "jx: g[ijx] P[aj] be[kx]", "x: be2[xi] g[xak]",
-                             "-(xj: g[xjk] be[xi] P[aj])", "-(xq: g[xaq] be[xi] be[kq])")
+ADMISSIBLE = Table("ipq", "be[px] rN[ixq] + A[ipx] be2[xq] - rN[ipx] be[xq] - be[px] rB[ixq]")
+COREPRESENTATION = Table("iabk", "g[ijk] d[jab] - g[iax] g[xbk] + g[ibx] g[xak]")
+NIJ_COREPRESENTATION = Table("iak", "g[ijx] P[aj] be[kx] + be2[xi] g[xak] - g[xjk] be[xi] P[aj]"
+                                    " - g[xaq] be[xi] be[kq]")
 # coactions g of d and h of e
-MIXED_COREPRESENTATION = Table(
-    "iabk", "j: g[ijk] e[jab] + h[ijk] d[jab]",
-    "-(x: g[iax] h[xbk] + h[iax] g[xbk] - g[ibx] h[xak] - h[ibx] g[xak])")
+MIXED_COREPRESENTATION = Table("iabk", "g[ijk] e[jab] + h[ijk] d[jab] - g[iax] h[xbk]"
+                                       " - h[iax] g[xbk] + g[ibx] h[xak] + h[ibx] g[xak]")
 # D and G are the second cobracket and coaction; dP, DP, gb, Gb their images
-DEFORMATION_1 = Table("iab", "DP[iab]; xy: -d[ixy] P[ax] P[by]")
-DEFORMATION_2 = Table("iab", "dP[iab] + D[iab]; y: -d[iay] P[by]; x: -d[ixb] P[ax]")
-DEFORMATION_3 = Table("iak", "Gb[iak]; xq: -g[ixq] P[ax] be[kq]")
-DEFORMATION_4 = Table("iak", "gb[iak] + G[iak]; q: -g[iaq] be[kq]; x: -g[ixk] P[ax]")
+DEFORMATION_1 = Table("iab", "DP[iab] - d[ixy] P[ax] P[by]")
+DEFORMATION_2 = Table("iab", "dP[iab] + D[iab] - d[iay] P[by] - d[ixb] P[ax]")
+DEFORMATION_3 = Table("iak", "Gb[iak] - g[ixq] P[ax] be[kq]")
+DEFORMATION_4 = Table("iak", "gb[iak] + G[iak] - g[iaq] be[kq] - g[ixk] P[ax]")
 # the second summand (st - s x) / t of a deformed tensor st = s x + t y, with u = 1/t
-SECOND_SUMMAND = Table("ijk", "u[] st[ijk]", "-(u[] s[] x[ijk])")
-INVARIANCE = Table("ijk", "m: c[ijm] B[mk]", "-(m: c[jkm] B[im])")
+SECOND_SUMMAND = Table("ijk", "u[] st[ijk] - u[] s[] x[ijk]")
+INVARIANCE = Table("ijk", "c[ijm] B[mk] - c[jkm] B[im]")
 # (ad_x (x) id + id (x) ad_x)(r + r^sigma)
-AD_INVARIANCE = Table("xpq", "y: c[xyp] r[yq] + c[xyp] r[qy] + c[xyq] r[py] + c[xyq] r[yp]")
+AD_INVARIANCE = Table("xpq", "c[xyp] r[yq] + c[xyp] r[qy] + c[xyq] r[py] + c[xyq] r[yp]")
 # x.[u, v] - [x.u, v] - [u, x.v] - ((v.x).u - (u.x).v), where x acts by A on the
 # algebra of c and u, v act back on x's by B
-MATCHED_PAIR = Table("xuvk", "p: A[xkp] c[uvp]", "-(p: A[xpu] c[pvk])", "-(q: A[xqv] c[uqk])",
-                     "-(t: B[vtx] A[tku] - B[utx] A[tkv])")
+MATCHED_PAIR = Table("xuvk", "A[xkp] c[uvp] - A[xpu] c[pvk] - A[xqv] c[uqk] - B[vtx] A[tku]"
+                             " + B[utx] A[tkv]")
 # [Tu, Tv] - T(rho(Tu) v - rho(Tv) u), with inner = rho(Tu) v - rho(Tv) u
-ROTA_BAXTER_INNER = Table("ijs", "p: T[pi] A[psj]", "-(p: T[pj] A[psi])")
-ROTA_BAXTER = Table("ija", "pq: T[pi] T[qj] c[pqa]", "-(s: T[as] inner[ijs])")
+ROTA_BAXTER_INNER = Table("ijs", "T[pi] A[psj] - T[pj] A[psi]")
+ROTA_BAXTER = Table("ija", "T[pi] T[qj] c[pqa] - T[as] inner[ijs]")
 # N T - T alpha
-INTERTWINING = Table("ia", "p: N[ap] T[pi]", "-(b: T[ab] al[bi])")
+INTERTWINING = Table("ia", "N[ap] T[pi] - T[ab] al[bi]")
 
 
 # -- Lie algebra / coalgebra axioms ----------------------------------------

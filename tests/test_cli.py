@@ -31,6 +31,13 @@ def _data_path(tmp_path: Path, filename: str) -> Path:
     return target
 
 
+def _sl2_with_params(tmp_path: Path) -> Path:
+    """sl2 in a file that declares the parameters k, k1 and k2 (none used)."""
+    target = tmp_path / "sl2-params.lieb"
+    target.write_text("params k k1 k2\n" + _SL2, encoding="utf-8")
+    return target
+
+
 def _run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -156,7 +163,7 @@ def test_undecodable_file_names_the_file_and_the_first_bad_byte(data, line, col,
 
 
 def test_assume_flag_parses(tmp_path, capsys):
-    path = _data_path(tmp_path, "sl2.lieb")
+    path = _sl2_with_params(tmp_path)
     code, out, _ = _run(capsys, "check", str(path), "--assume", "k1")
     assert code == EXIT_OK
     code, _, err = _run(capsys, "check", str(path), "--assume", "k1 +")
@@ -168,9 +175,11 @@ def test_assume_flag_parses(tmp_path, capsys):
     ("0^-1", "line 1, column 2: division by zero"),
     ("0", "line 1, column 2: assumption must be nonzero"),
     ("k1 +", "line 1, column 5: unexpected end of line in expression"),
+    # a name the file does not declare, as in an assume statement inside it
+    ("k99", "line 1, column 1: 'k99' is neither a basis label here nor a declared parameter"),
 ])
 def test_assume_flag_errors_exit_two(text, message, tmp_path, capsys):
-    path = _data_path(tmp_path, "sl2.lieb")
+    path = _sl2_with_params(tmp_path)
     code, out, err = _run(capsys, "check", str(path), "--assume", text)
     assert code == EXIT_PARSE_ERROR
     assert err == f"error: --assume {text!r}: {message}\n"
@@ -179,7 +188,7 @@ def test_assume_flag_errors_exit_two(text, message, tmp_path, capsys):
 
 def test_assume_flag_error_names_the_failing_flag(tmp_path, capsys):
     # the position is within the flag's own text, not the file's
-    path = _data_path(tmp_path, "sl2.lieb")
+    path = _sl2_with_params(tmp_path)
     code, out, err = _run(capsys, "check", str(path), "--assume", "k1", "--assume", "k1 k2")
     assert code == EXIT_PARSE_ERROR
     assert err == "error: --assume 'k1 k2': line 1, column 4: unexpected 'k2' at end of statement\n"
@@ -576,15 +585,16 @@ _CALLS = [
     ("--format", "json", "check", "{qt}", "--identity", "cybe"),
     ("check", "{qt}", "--identity", "cybe"),
     ("check", "{qt}", "--format", "json"),
-    ("check", "{sl2}", "--assume", "k1 +"),
+    ("check", "{sl2k}", "--assume", "k1 +"),
     ("check", "{sl2}"),
-    ("check", "{sl2}", "--assume", "k1", "--format", "json"),
-    ("check", "{sl2}", "--assume", "k1"),
+    ("check", "{sl2k}", "--assume", "k1", "--format", "json"),
+    ("check", "{sl2k}", "--assume", "k1"),
 ]
 
 
 def test_consecutive_mains_print_what_a_fresh_import_prints(tmp_path, capsys, monkeypatch):
-    paths = {"qt": _data_path(tmp_path, "qt-sl2.lieb"), "sl2": _data_path(tmp_path, "sl2.lieb")}
+    paths = {"qt": _data_path(tmp_path, "qt-sl2.lieb"), "sl2": _data_path(tmp_path, "sl2.lieb"),
+             "sl2k": _sl2_with_params(tmp_path)}
     calls = [[arg.format(**paths) for arg in call] for call in _CALLS]
     fresh = []
     for argv in calls:

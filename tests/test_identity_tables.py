@@ -22,8 +22,10 @@ algebra and a module of different dimensions, where a swapped index shows.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +73,7 @@ from lieb import (
     semidirect_coproduct,
     semidirect_product,
 )
+from lieb import construct, multilinear, structures
 from lieb.construct import _sum_space
 from lieb.multilinear import (
     ONE,
@@ -838,15 +841,12 @@ def test_square_matches_the_matrix_product(data):
 
 # -- a table's components do not depend on the order it is written in -----------------
 
-# COCYCLE, CYBE and MATCHED_PAIR with their sub-sums, segments and terms reversed
-_REVERSED_COCYCLE = Table(
-    "ijpq", "-(a: -d[ipa] c[jaq] - c[jap] d[iaq] + d[jpa] c[iaq] + c[iap] d[jaq])",
-    "k: c[ijk] d[kpq]")
-_REVERSED_CYBE = Table(
-    "xyz", "jk: c[jky] r[xj] r[kz]; jl: c[jlz] r[xj] r[yl]; ik: c[ikx] r[iy] r[kz]")
-_REVERSED_MATCHED_PAIR = Table(
-    "xuvk", "-(t: -B[utx] A[tkv] + B[vtx] A[tku])", "-(q: A[xqv] c[uqk])",
-    "-(p: A[xpu] c[pvk])", "p: A[xkp] c[uvp]")
+# COCYCLE, CYBE and MATCHED_PAIR with their terms reversed
+_REVERSED_COCYCLE = Table("ijpq", "d[ipa] c[jaq] + c[jap] d[iaq] - d[jpa] c[iaq] - c[iap] d[jaq]"
+                                  " + c[ijk] d[kpq]")
+_REVERSED_CYBE = Table("xyz", "c[jky] r[xj] r[kz] + c[jlz] r[xj] r[yl] + c[ikx] r[iy] r[kz]")
+_REVERSED_MATCHED_PAIR = Table("xuvk", "B[utx] A[tkv] - B[vtx] A[tku] - A[xqv] c[uqk]"
+                                       " - A[xpu] c[pvk] + A[xkp] c[uvp]")
 
 
 def _components(tensor):
@@ -865,6 +865,25 @@ def test_reversed_tables_give_the_same_components(data):
     h, act, back = data.draw(tensors(n, n, n)), data.draw(tensors(m, n, n)), data.draw(tensors(n, m, m))
     assert _components(_REVERSED_MATCHED_PAIR.evaluate(A=act, c=h, B=back)) == \
         _components(MATCHED_PAIR.evaluate(A=act, c=h, B=back))
+
+
+# -- every table has the terms recorded for it ------------------------------------------
+
+def test_tables_have_their_recorded_terms():
+    # tests/golden/tables/tables.json holds each module-level table's output
+    # letters and its signed terms in order, recorded before the tables were
+    # rewritten as one einsum sum each; a table imported elsewhere counts once
+    golden = json.loads((Path(__file__).parent / "golden" / "tables" / "tables.json").read_text())
+    found = {}
+    for module in (multilinear, structures, construct):
+        for name, table in vars(module).items():
+            if isinstance(table, Table) and all(table is not t for t in found.values()):
+                found[f"{module.__name__.removeprefix('lieb.')}.{name}"] = table
+    assert sorted(found) == sorted(golden)
+    for key, table in found.items():
+        terms = [["+" if positive else "-", *(f"{name}[{spec}]" for name, spec in factors)]
+                 for positive, factors in table.terms]
+        assert {"out": table.out, "terms": terms} == golden[key], key
 
 
 # -- solver rows == hand-derived rows --------------------------------------------------

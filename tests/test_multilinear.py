@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -47,7 +48,7 @@ def test_basis_space_invariants():
 
 
 # the matrix product as a table
-PRODUCT = Table("ik", "j: a[ij] b[jk]")
+PRODUCT = Table("ik", "a[ij] b[jk]")
 
 
 def test_contract_matches_matrix_product():
@@ -65,7 +66,7 @@ def test_contract_order_independent():
     left = PRODUCT.evaluate(a=PRODUCT.evaluate(a=a, b=b), b=c)
     right = PRODUCT.evaluate(a=a, b=PRODUCT.evaluate(a=b, b=c))
     assert left.dense() == right.dense()
-    full = Table("ad", "bc: x[ab] y[bc] z[cd]").evaluate(x=a, y=b, z=c)
+    full = Table("ad", "x[ab] y[bc] z[cd]").evaluate(x=a, y=b, z=c)
     assert full.dense() == left.dense()
 
 
@@ -90,19 +91,28 @@ def test_contract_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         PRODUCT.evaluate(a=a, b=[a])
     with pytest.raises(ValueError):
-        Table("ikm", "j: a[ij] b[jk]")  # m is in no factor
+        Table("ikm", "a[ij] b[jk]")  # m is in no factor
 
 
 def test_table_rejects_a_repeated_letter():
     with pytest.raises(ValueError, match=r"a\[ii\] repeats a letter"):
-        Table("", "i: a[ii]")
+        Table("", "a[ii]")
+
+
+@pytest.mark.parametrize("out, terms, rest", [
+    ("ik", "a[ij] b[jk] +", "+"),  # a dangling sign
+    ("ij", "a[ij] ++ b[ij]", "++ b[ij]"),  # a doubled sign
+])
+def test_table_rejects_a_stray_sign(out, terms, rest):
+    with pytest.raises(ValueError, match=re.escape(f"malformed terms at {rest!r} in {terms!r}")):
+        Table(out, terms)
 
 
 def test_table_coefficients_are_summed_per_flattened_key():
     # the coefficient of x[j] at component i is a[i][j] + b[i][j], under the
     # flattened key 2 i + j; where they cancel, at (1, 1), the key keeps a
     # zero, and no nonzero term reaches (1, 0)
-    table = Table("i", "j: a[ij] x[j] + b[ij] x[j]")
+    table = Table("i", "a[ij] x[j] + b[ij] x[j]")
     a = rational_matrix(BasisSpace(("e", "f")), [[1, 2], [0, 3]])
     b = rational_matrix(BasisSpace(("e", "f")), [[1, 0], [0, -3]])
     shape, sums = table.coefficients("x", a=a, b=b, x=[sc("0"), sc("0")])
@@ -114,7 +124,7 @@ def test_table_coefficients_take_one_occurrence_of_the_unknown():
     # om[ia] om[aj] as in the co-CYBE slice: the coefficient of the first
     # factor's entry (i, a) at component (i, j) is m[a][j], of the second's
     # (a, j) is m[i][a]; keys are (i, j, then the unknown's two letters)
-    table = Table("ij", "a: om[ia] om[aj]")
+    table = Table("ij", "om[ia] om[aj]")
     m = rational_matrix(BasisSpace(("e", "f")), [[1, 2], [3, 4]])
     pairs = list(itertools.product(range(2), repeat=3))
     shape, first = table.coefficients("om", 0, om=m)
@@ -223,7 +233,7 @@ def test_polynomial_lane_matches_the_scalar_fold(ops, data):
 def test_integer_lane_keeps_zero_sums_in_coefficients():
     # the same cancellation as above on denominators 3 and 7: the lane divides
     # once per key, and a key whose terms cancel keeps its zero
-    table = Table("i", "j: a[ij] x[j] + b[ij] x[j]")
+    table = Table("i", "a[ij] x[j] + b[ij] x[j]")
     a = [[sc("1/3"), sc("2/7")], [sc("0"), sc("3/7")]]
     b = [[sc("1/7"), sc("0")], [sc("0"), sc("-3/7")]]
     _, sums = table.coefficients("x", a=a, b=b, x=[sc("0"), sc("0")])

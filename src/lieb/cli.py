@@ -28,17 +28,14 @@ from .document import (
     run_check_statement,
     run_constructs,
 )
-from .multilinear import BilinearForm, PivotAmbiguous
+from .multilinear import PivotAmbiguous
 from .scalars import Assumption
-from .solver import LinearProblem, solve_linear
-from .structures import LieAlgebra, LieCoalgebra
+from .solver import KINDS, LinearProblem, solve_linear
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INTERNAL = 3
-
-_PROBLEM_KINDS = ("weak-symplectic", "ad-invariance", "cocycle-in-delta", "co-cybe-slice")
 
 
 def canonical_json(payload) -> str:
@@ -157,24 +154,17 @@ def _cmd_construct(args) -> int:
     return _emit(payload, args.format)
 
 
-def _first_of(doc, kind, problem: str):
+def _first_of(doc, record, problem: str):
     for obj in doc.structures.values():
-        if isinstance(obj, kind):
+        if isinstance(obj, record):
             return obj
-    raise UsageError(f"--problem {problem}: the document declares no {kind.__name__}")
+    raise UsageError(f"--problem {problem}: the document declares no {record.__name__}")
 
 
 def _cmd_solve(args) -> int:
     doc = _load(args.file)
-    if args.problem == "weak-symplectic":
-        problem = LinearProblem.weak_symplectic(_first_of(doc, LieAlgebra, args.problem))
-    elif args.problem == "ad-invariance":
-        problem = LinearProblem.ad_invariance(_first_of(doc, LieAlgebra, args.problem))
-    elif args.problem == "cocycle-in-delta":
-        problem = LinearProblem.cocycle_in_delta(_first_of(doc, LieAlgebra, args.problem))
-    else:
-        problem = LinearProblem.co_cybe_slice(_first_of(doc, LieCoalgebra, args.problem),
-                                              _first_of(doc, BilinearForm, args.problem))
+    problem = LinearProblem(args.problem, {key: _first_of(doc, record, args.problem)
+                                           for key, record in KINDS[args.problem].context})
     solution = solve_linear(problem, tuple(doc.assumptions))
     basis_payload = []
     for idx, element in enumerate(solution.basis):
@@ -275,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a linear classification problem")
     p_solve.add_argument("file")
-    p_solve.add_argument("--problem", required=True, choices=_PROBLEM_KINDS)
+    p_solve.add_argument("--problem", required=True, choices=tuple(KINDS))
     add_format(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 

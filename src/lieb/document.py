@@ -13,6 +13,8 @@ the header of every exported file:
 * form blocks list ``(a, b) = <scalar expr>``; inside ``form ... skew`` the
   mirror of a listed pair defaults to its negation;
 * rep blocks list ``x : v -> <vector expr>`` for the action of x on v;
+* a tensor block holds one 2-tensor expression, in which a line break is
+  whitespace;
 * wherever a vector or 2-tensor is expected, a zero scalar stands for zero.
 
 An expression's value is a Scalar or, for a vector or a 2-tensor, a sparse
@@ -427,8 +429,13 @@ class _Parser:
         self.expect_name("on")
         sp = self._space_ref()
         self._open_block()
-        value = self._rank_expr(sp, 2, skip=True,
-                                wrong="a tensor block must contain one 2-tensor expression")
+        # a line break in the block is whitespace, as in one expression; the
+        # one before the closing brace ends it
+        end = self.pos
+        while self.tokens[end].kind not in ("}", "end"):
+            end += 1
+        self.tokens[self.pos:end - 1] = [t for t in self.tokens[self.pos:end - 1] if t.kind != "nl"]
+        value = self._rank_expr(sp, 2, wrong="a tensor block must contain one 2-tensor expression")
         self.skip_newlines()
         self._close_block()
         self.doc.structures[self._fresh(name_tok)] = TwoTensor(sp, value)
@@ -537,12 +544,11 @@ class _Parser:
                 return out
             self.advance()
 
-    def _rank_expr(self, sp: BasisSpace | None, rank: int, skip: bool = False,
-                   wrong: str | None = None):
+    def _rank_expr(self, sp: BasisSpace | None, rank: int, wrong: str | None = None):
         """An expression of the given rank (0 scalar, 1 vector, 2 2-tensor); a
         zero scalar stands for the zero vector or 2-tensor on sp.  ``wrong``
         is the message for an expression of another rank."""
-        value = self._expr(sp, skip)
+        value = self._expr(sp)
         if rank and not _rank(value) and value.is_zero():
             return Tensor((sp.dim,) * rank, {})
         if _rank(value) != rank:
@@ -551,49 +557,41 @@ class _Parser:
                              "expression", tok.line, tok.col)
         return value
 
-    def _maybe_skip(self, skip: bool):
-        if skip:
-            while self.peek().kind == "nl" and self.tokens[self.pos + 1].kind != "}":
-                self.advance()
-
-    def _expr(self, sp: BasisSpace | None, skip: bool = False):
-        """A sum; with ``skip``, line breaks inside it are whitespace."""
-        value = self._expr_product(sp, skip)
+    def _expr(self, sp: BasisSpace | None):
+        """A sum."""
+        value = self._expr_product(sp)
         while True:
-            self._maybe_skip(skip)
             tok = self.peek()
             if tok.kind in ("+", "-"):
                 self.advance()
-                self._maybe_skip(skip)
-                rhs = self._expr_product(sp, skip)
+                rhs = self._expr_product(sp)
                 value = _combine(tok.kind, value, rhs, tok)
             else:
                 return value
 
-    def _expr_product(self, sp, skip):
-        value = self._expr_unary(sp, skip)
+    def _expr_product(self, sp):
+        value = self._expr_unary(sp)
         while True:
             tok = self.peek()
             if tok.kind in ("*", "/", "@"):
                 self.advance()
-                self._maybe_skip(skip)
-                rhs = self._expr_unary(sp, skip)
+                rhs = self._expr_unary(sp)
                 value = _combine(tok.kind, value, rhs, tok)
             else:
                 return value
 
-    def _expr_unary(self, sp, skip):
+    def _expr_unary(self, sp):
         tok = self.peek()
         if tok.kind == "-":
             self.advance()
-            return _negate(self._expr_unary(sp, skip))
+            return _negate(self._expr_unary(sp))
         if tok.kind == "+":
             self.advance()
-            return self._expr_unary(sp, skip)
-        return self._expr_power(sp, skip)
+            return self._expr_unary(sp)
+        return self._expr_power(sp)
 
-    def _expr_power(self, sp, skip):
-        base = self._expr_atom(sp, skip)
+    def _expr_power(self, sp):
+        base = self._expr_atom(sp)
         while self.peek().kind == "^":
             tok = self.advance()
             sign = 1
@@ -608,14 +606,12 @@ class _Parser:
             base = base ** exp
         return base
 
-    def _expr_atom(self, sp, skip):
+    def _expr_atom(self, sp):
         tok = self.advance()
         if tok.kind == "int":
             return Scalar.from_int(int(tok.text))
         if tok.kind == "(":
-            self._maybe_skip(skip)
-            value = self._expr(sp, skip)
-            self._maybe_skip(skip)
+            value = self._expr(sp)
             self.expect(")")
             return value
         if tok.kind == "name":

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 from operator import itemgetter
@@ -120,17 +119,16 @@ class Tensor:
 
     @classmethod
     def of(cls, tensor) -> Tensor:
-        """A nested-list tensor (or a Scalar) as a Tensor; a Tensor as itself."""
+        """A nested-list tensor (or a Scalar) as a Tensor; a Tensor as itself.
+        ShapeError for a ragged or too-deep list, as for a record's list."""
         if isinstance(tensor, Tensor):
             return tensor
         shape, sub = (), tensor
-        while isinstance(sub, list):
-            shape, sub = shape + (len(sub),), sub[0]
-        items = [((), tensor)]
-        for _ in shape[:-1]:
-            items = [(idx + (k,), sub) for idx, t in items for k, sub in enumerate(t)]
-        return cls(shape, {idx + (k,): v for idx, row in items for k, v in enumerate(row)
-                           if not v.is_zero()} if shape else {(): tensor} if tensor else {})
+        while isinstance(sub, (list, tuple)):
+            shape, sub = shape + (len(sub),), sub[0] if sub else None
+        if not shape:
+            return cls((), {(): tensor} if tensor else {})
+        return cls(shape, _entries(tensor, shape, "a ragged or too deep nested list"))
 
     def dense(self):
         """Nested lists with ZERO where no entry is stored; a Scalar at rank 0."""
@@ -144,6 +142,23 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor({self.shape}, {self.entries})"
+
+
+def _entries(data, shape: tuple[int, ...], mismatch: str) -> dict:
+    """The nonzero entries of a nested list of Scalars by index, in row-major
+    order; ShapeError(mismatch) unless the list has the given shape (a ragged
+    or too deep one has none)."""
+    rows = [((), data)]  # the lists at one depth, by the index that reaches them
+    for depth, size in enumerate(shape):
+        if any(not isinstance(row, (list, tuple)) or len(row) != size for _, row in rows):
+            raise ShapeError(mismatch)
+        if depth + 1 < len(shape):
+            rows = [(idx + (k,), t) for idx, row in rows for k, t in enumerate(row)]
+    try:
+        return {idx + (k,): v for idx, row in rows for k, v in enumerate(row)
+                if not v.is_zero()}
+    except AttributeError:  # a leaf that is no Scalar: the list is too deep
+        raise ShapeError(mismatch) from None
 
 
 _FACTOR = re.compile(r"(\w+)\[(\w*)\]")
@@ -172,7 +187,7 @@ class Table:
     def __init__(self, out: str, terms: str):
         self.out = out
         self.terms = _parse_terms(terms)
-        self._coefficient_plans: dict[tuple[str, int], list] = {}
+        self._plans: dict[str | None, list] = {}  # by unknown, None for evaluate
         for _, factors in self.terms:
             for name, spec in factors:
                 if len(set(spec)) != len(spec):
@@ -181,38 +196,28 @@ class Table:
                 raise ValueError(f"a term of {terms!r} does not cover {out!r}")
         self._factors = list(dict.fromkeys(f for _, factors in self.terms for f in factors))
 
-    @cached_property
-    def _plans(self):
-        """The join plans, compiled on first use so that importing the tables
-        stays cheap."""
-        return self._compile(None, 0)
-
     def evaluate(self, **operands) -> Tensor:
         """The nonvanishing components, in index order."""
         tensors, shape, strides = self._operands(operands)
-        total = _sum(self._plans, tensors, strides, zeros=False)
+        total = _sum(self._compile(None), tensors, strides)
         radix = list(zip(strides, shape))
         return Tensor(shape, {tuple([k // stride % size for stride, size in radix]): total[k]
                               for k in sorted(total)})
 
-    def coefficients(self, unknown: str, occurrence: int = 0, **operands):
-        """The coefficients of a table that is linear in one factor of each
-        term.
+    def coefficients(self, unknown: str, **operands):
+        """The coefficients of a table that is linear in ``unknown``: each
+        term holds exactly one factor of that name, else ValueError.
 
-        That factor is the ``occurrence``-th one named ``unknown``; any other
-        factor of that name takes the operand's value.  Returns the shape of
-        the coefficients, indexed by the output letters and then the
-        unknown's, and a dict from each index that a nonzero term reaches,
-        flattened in row-major order, to its coefficient.
+        Returns the shape of the coefficients, indexed by the output letters
+        and then the unknown's, and a dict from each index, flattened in
+        row-major order, to its coefficient where that is nonzero.  The
+        unknown's operand gives only its shape.
         """
         tensors, shape, strides = self._operands(operands, unknown)
         unknown_shape = tensors[unknown].shape
         # the unknown's factor: every index, each with no value
         tensors[_UNKNOWN] = Tensor(unknown_shape, dict.fromkeys(product(*map(range, unknown_shape))))
-        key = (unknown, occurrence)
-        if key not in self._coefficient_plans:
-            self._coefficient_plans[key] = self._compile(unknown, occurrence)
-        return shape, _sum(self._coefficient_plans[key], tensors, strides)
+        return shape, _sum(self._compile(unknown), tensors, strides)
 
     def _operands(self, operands, unknown=None):
         """The operands as Tensors, the result's shape and its row-major strides."""
@@ -231,10 +236,14 @@ class Table:
             strides[q] = strides[q + 1] * shape[q + 1]
         return tensors, shape, strides
 
-    def _compile(self, unknown, occurrence):
-        """For each term: its sign and join steps."""
-        return [(positive, _plan(self.out, factors, unknown, occurrence))
-                for positive, factors in self.terms]
+    def _compile(self, unknown):
+        """For each term: its sign and join steps, compiled on first use (so
+        that importing the tables stays cheap) and then kept."""
+        plans = self._plans.get(unknown)
+        if plans is None:
+            plans = self._plans[unknown] = [(positive, _plan(self.out, factors, unknown))
+                                            for positive, factors in self.terms]
+        return plans
 
 
 _UNKNOWN = "*"  # the operand name of the unknown's factor in a coefficient plan
@@ -253,7 +262,7 @@ def _parse_terms(text: str):
     return tuple(terms)
 
 
-def _plan(out, factors, unknown, occurrence):
+def _plan(out, factors, unknown):
     """The join steps of one term.
 
     A step binds the new letters of one factor, looking its entries up by the
@@ -261,15 +270,19 @@ def _plan(out, factors, unknown, occurrence):
     from an entry's index, getter of its new letters' values, getter of the
     lookup key from a binding, (place among the new letters, place in the key)
     of each key letter it binds).  The key letters are the output letters,
-    then with an unknown the unknown's, whose factor reads the operand
+    then with an unknown the unknown's, whose one factor reads the operand
     ``_UNKNOWN``.
     """
     if unknown is not None:
-        skip = [k for k, (name, _) in enumerate(factors) if name == unknown][occurrence]
+        at = [k for k, (name, _) in enumerate(factors) if name == unknown]
+        if len(at) != 1:
+            raise ValueError(f"a term holds the unknown {len(at)} times, not once: "
+                             + " ".join(f"{name}[{spec}]" for name, spec in factors))
         if len(factors) == 1:
             raise ValueError("a term needs a factor besides the unknown")
-        out += factors[skip][1]
-        factors = factors[:skip] + ((_UNKNOWN, factors[skip][1]),) + factors[skip + 1:]
+        k = at[0]
+        out += factors[k][1]
+        factors = factors[:k] + ((_UNKNOWN, factors[k][1]),) + factors[k + 1:]
     bound: list[str] = []
     steps = []
     for name, spec in factors:
@@ -282,9 +295,9 @@ def _plan(out, factors, unknown, occurrence):
     return steps
 
 
-def _sum(plans, tensors, strides, zeros: bool = True) -> dict:
+def _sum(plans, tensors, strides) -> dict:
     """Flattened key -> the Scalar sum of the signed products of every term
-    that reaches it, keys whose sum is zero included only with ``zeros``.
+    that reaches it, where that sum is nonzero.
 
     Each operand is scaled by the lcm L of its denominators (the unknown's
     None counting as 1), each term starts from +-common / (the product of its
@@ -307,11 +320,11 @@ def _sum(plans, tensors, strides, zeros: bool = True) -> dict:
               for d, (positive, _) in zip(products, plans)]
     if ints:
         total = _fold(list(zip(starts, [steps for _, steps in plans])), scaled, strides)
-        return {k: Scalar.ratio(v, common) for k, v in total.items() if zeros or v}
+        return {k: Scalar.ratio(v, common) for k, v in total.items() if v}
     total = _fold([(None if start == 1 else start, steps)
                    for start, (_, steps) in zip(starts, plans)], scaled, strides)
     den = Polynomial.integer(common) if type(common) is int else common
-    return {k: Scalar(v, den) for k, v in total.items() if zeros or v}
+    return {k: Scalar(v, den) for k, v in total.items() if v}
 
 
 def _polynomial_lcm(polys) -> Polynomial:
@@ -412,8 +425,8 @@ class Record:
     ``tensor``, a zero-free Tensor keyed in row-major order.  Records are
     frozen and equal when their fields are.
 
-    The constructor is the one place that takes a nested list of Scalars: it
-    takes that or a Tensor, raises ShapeError unless the data has the
+    The constructor takes a nested list of Scalars, read as ``Tensor.of``
+    reads one, or a Tensor; it raises ShapeError unless the data has the
     record's shape (a ragged list has none), and drops every zero entry.
     """
 
@@ -425,17 +438,7 @@ class Record:
             entries = {idx: v for idx, v in sorted(data.entries.items(), key=itemgetter(0))
                        if not v.is_zero()}
         else:
-            rows = [((), data)]  # the lists at one depth, by the index that reaches them
-            for depth, size in enumerate(shape):
-                if any(not isinstance(row, (list, tuple)) or len(row) != size for _, row in rows):
-                    raise ShapeError(mismatch)
-                if depth + 1 < len(shape):
-                    rows = [(idx + (k,), t) for idx, row in rows for k, t in enumerate(row)]
-            try:
-                entries = {idx + (k,): v for idx, row in rows for k, v in enumerate(row)
-                           if not v.is_zero()}
-            except AttributeError:  # a leaf that is no Scalar: the list is too deep
-                raise ShapeError(mismatch) from None
+            entries = _entries(data, shape, mismatch)
         object.__setattr__(self, "tensor", Tensor(shape, entries))
 
     @property

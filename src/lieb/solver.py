@@ -1,12 +1,13 @@
 """Exact linear classification and randomized refutation.
 
-Linear problems pose one of the identity tables of ``structures`` in a
-declared unknown: the rows are the unknown's coefficients in the table, and
-an exact nullspace solves them, reporting the side conditions of the inputs'
+Each kind of linear problem is one entry of ``KINDS``: the context
+structures it reads and an identity table of ``structures`` that is linear in
+its unknown.  The rows are the unknown's coefficients in the table, and an
+exact nullspace solves them, reporting the side conditions of the inputs'
 denominators and the assumptions its pivots used.  Every basis element is
 verified exactly: weak-symplectic and cocycle-in-delta ones by re-running
-their check, co-CYBE-slice and ad-invariance ones by M v = 0 over the rows'
-nonzeros.
+their check, ad-invariance and co-CYBE-slice ones by evaluating the table at
+the element.
 Nonlinear claims are attacked by sampling: draw exact rational parameter
 values, re-check, and return either a re-verified nonzero witness or sampling
 evidence of vanishing (which is labelled as evidence, never proof).
@@ -24,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 # nullspace and rank are not called here; they stay in this namespace for code
 # that looks up lieb.solver.nullspace and lieb.solver.rank.
 from .multilinear import (  # noqa: F401
-    BilinearForm, Row, Table, Tensor, TwoTensor, ZERO, kernel, nullspace, rank,
+    BilinearForm, Row, Table, Tensor, TwoTensor, kernel, nullspace, rank,
 )
 from .scalars import Assumption, EvalSingular, Scalar
 from . import structures
@@ -45,33 +46,34 @@ class ExhaustedSamples(RuntimeError):
 
 
 WEAK_SYMPLECTIC = "weak-symplectic"
-CO_CYBE_SLICE = "co-cybe-slice"
-COCYCLE_IN_DELTA = "cocycle-in-delta"
 AD_INVARIANCE = "ad-invariance"
+COCYCLE_IN_DELTA = "cocycle-in-delta"
+CO_CYBE_SLICE = "co-cybe-slice"
 
 
 @dataclass(frozen=True)
 class LinearProblem:
-    """An identity that is affine-linear in one declared unknown."""
+    """An identity that is linear in one declared unknown: its kind, and the
+    context structures that kind reads, by their keys in ``KINDS``."""
 
     kind: str
     context: dict
 
     @classmethod
     def weak_symplectic(cls, L: LieAlgebra) -> LinearProblem:
-        return cls(WEAK_SYMPLECTIC, {"algebra": L})
+        return cls(WEAK_SYMPLECTIC, {"c": L})
 
     @classmethod
     def co_cybe_slice(cls, C: LieCoalgebra, omega0: BilinearForm) -> LinearProblem:
-        return cls(CO_CYBE_SLICE, {"coalgebra": C, "omega0": omega0})
+        return cls(CO_CYBE_SLICE, {"d": C, "om": omega0})
 
     @classmethod
     def cocycle_in_delta(cls, L: LieAlgebra) -> LinearProblem:
-        return cls(COCYCLE_IN_DELTA, {"algebra": L})
+        return cls(COCYCLE_IN_DELTA, {"c": L})
 
     @classmethod
     def ad_invariance(cls, L: LieAlgebra) -> LinearProblem:
-        return cls(AD_INVARIANCE, {"algebra": L})
+        return cls(AD_INVARIANCE, {"c": L})
 
 
 @dataclass
@@ -88,50 +90,54 @@ class LinearSolution:
 
 
 @dataclass(frozen=True)
-class _Kind:
-    """How one kind of problem reads its rows off an identity table."""
+class Kind:
+    """One kind of linear problem.
 
+    ``context`` lists the structures it reads as (key, record type) pairs, in
+    order; each key is the table operand that the structure's tensor fills,
+    and the first structure's space is the problem's.  ``table`` is linear in
+    the operand ``unknown``, each of whose axes spans the space; a basis
+    element is the record ``element`` on the space.  It is verified by
+    ``check`` (context, element) -> CheckReport if given, and else by
+    evaluating the table at it.
+    """
+
+    context: tuple[tuple[str, type], ...]
     table: Table
-    known: Callable[[dict], dict]  # the operands besides the unknown, from the context
-    unknown: str  # its operand name; each of its axes spans the space
-    rank: int
-    element: Callable  # (space, Tensor) -> basis element
-    verify: Callable | None = None  # (context, element) -> CheckReport; else M v = 0
+    unknown: str
+    element: type
+    check: Callable | None = None
     skew: bool = False  # a skew form, whose free entries are the upper triangle
-    occurrences: tuple[int, ...] = (0,)  # the unknown's occurrences the rows take
 
 
-_KINDS = {
-    WEAK_SYMPLECTIC: _Kind(
-        structures.WEAK_SYMPLECTIC, lambda ctx: {"c": ctx["algebra"].tensor}, "om", 2, BilinearForm,
-        lambda ctx, x: check_weak_symplectic(ctx["algebra"], x), skew=True),
-    # the symmetrised linearisation B(omega0, omega) + B(omega, omega0) of the
-    # quadratic co-Yang-Baxter equation: omega0 in one slot of each term, the
-    # unknown in the other
-    CO_CYBE_SLICE: _Kind(
-        structures.CO_CYBE, lambda ctx: {"d": ctx["coalgebra"].tensor, "om": ctx["omega0"].tensor},
-        "om", 2, BilinearForm, skew=True, occurrences=(0, 1)),
-    COCYCLE_IN_DELTA: _Kind(
-        structures.COCYCLE, lambda ctx: {"c": ctx["algebra"].tensor}, "d", 3, LieCoalgebra,
-        lambda ctx, x: check_cocycle(ctx["algebra"], x)),
-    AD_INVARIANCE: _Kind(
-        structures.AD_INVARIANCE, lambda ctx: {"c": ctx["algebra"].tensor}, "r", 2, TwoTensor),
+# the checks are looked up in this module when they run, so that code that
+# wraps lieb.solver.check_cocycle or check_weak_symplectic sees them called
+KINDS = {
+    WEAK_SYMPLECTIC: Kind((("c", LieAlgebra),), structures.WEAK_SYMPLECTIC, "om", BilinearForm,
+                          lambda ctx, x: check_weak_symplectic(ctx["c"], x), skew=True),
+    AD_INVARIANCE: Kind((("c", LieAlgebra),), structures.AD_INVARIANCE, "r", TwoTensor),
+    COCYCLE_IN_DELTA: Kind((("c", LieAlgebra),), structures.COCYCLE, "d", LieCoalgebra,
+                           lambda ctx, x: check_cocycle(ctx["c"], x)),
+    CO_CYBE_SLICE: Kind((("d", LieCoalgebra), ("om", BilinearForm)), structures.CO_CYBE_SLICE,
+                        "x", BilinearForm, skew=True),
 }
 
 
 def _system(problem: LinearProblem):
     """The problem's kind, its space, the unknown's shape and free entries (all
     of them, or the upper triangle of a skew form), and the table's operands
-    with the unknown as a zero of its shape unless the context gives it."""
-    if problem.kind not in _KINDS:
+    with the unknown as a zero of its shape."""
+    if problem.kind not in KINDS:
         raise ValueError(f"unknown linear problem kind {problem.kind!r}")
-    kind, ctx = _KINDS[problem.kind], problem.context
-    space = (ctx.get("algebra") or ctx["coalgebra"]).space
-    shape = (space.dim,) * kind.rank
+    kind, ctx = KINDS[problem.kind], problem.context
+    space = ctx[kind.context[0][0]].space
+    rank = len(next(spec for name, spec in kind.table.terms[0][1] if name == kind.unknown))
+    shape = (space.dim,) * rank
     slots = list(itertools.product(*map(range, shape)))
     if kind.skew:
         slots = [(i, j) for i, j in slots if i < j]
-    return kind, space, shape, slots, {kind.unknown: Tensor(shape, {}), **kind.known(ctx)}
+    operands = {key: ctx[key].tensor for key, _ in kind.context}
+    return kind, space, shape, slots, {**operands, kind.unknown: Tensor(shape, {})}
 
 
 def _rows(kind, space, shape, slots, operands) -> list[Row]:
@@ -139,50 +145,27 @@ def _rows(kind, space, shape, slots, operands) -> list[Row]:
 
     Row by row, the components of the identity in index order, empty rows
     included; column by column, the coefficient of each free entry, which for
-    a skew form is that of (i, j) less that of (j, i).  With several
-    occurrences of the unknown, a cell is the sum of its coefficient in each.
-    A row holds the cells that a term reaches.
+    a skew form is that of (i, j) less that of (j, i).  A row holds the cells
+    that a term reaches with a nonzero coefficient.
     """
     # the unknown's entries by their row-major place in its shape
     flat = {idx: k for k, idx in enumerate(itertools.product(*map(range, shape)))}
     column = {flat[slot]: (col, True) for col, slot in enumerate(slots)}
     if kind.skew:
         column.update({flat[j, i]: (col, False) for col, (i, j) in enumerate(slots)})
-    rows: list[Row] = []
-    for occurrence in kind.occurrences:
-        full, sums = kind.table.coefficients(kind.unknown, occurrence, **operands)
-        rows = rows or [{} for _ in range(math.prod(full) // len(flat))]
-        for key, value in sums.items():
-            row, entry = divmod(key, len(flat))
-            if entry in column:
-                col, positive = column[entry]
-                cells = rows[row]
-                cell = cells.get(col)
-                if cell is None:
-                    cells[col] = value if positive else -value
-                else:
-                    cells[col] = cell + value if positive else cell - value
+    full, sums = kind.table.coefficients(kind.unknown, **operands)
+    rows: list[Row] = [{} for _ in range(math.prod(full) // len(flat))]
+    for key, value in sums.items():
+        row, entry = divmod(key, len(flat))
+        if entry in column:
+            col, positive = column[entry]
+            cells = rows[row]
+            cell = cells.get(col)
+            if cell is None:
+                cells[col] = value if positive else -value
+            else:
+                cells[col] = cell + value if positive else cell - value
     return rows
-
-
-def _by_column(rows: list[Row]) -> dict[int, list]:
-    """The rows' entries by column: col -> [(row, entry)]."""
-    columns: dict[int, list] = {}
-    for i, row in enumerate(rows):
-        for col, value in row.items():
-            columns.setdefault(col, []).append((i, value))
-    return columns
-
-
-def _annihilates(columns: dict[int, list], vec) -> bool:
-    """Whether M v = 0, adding only products of nonzeros of M and v; M is
-    given by column."""
-    totals: dict[int, Scalar] = {}
-    for col, x in enumerate(vec):
-        if x:
-            for i, value in columns.get(col, ()):
-                totals[i] = totals.get(i, ZERO) + value * x
-    return not any(totals.values())
 
 
 def solve_linear(problem: LinearProblem,
@@ -190,25 +173,23 @@ def solve_linear(problem: LinearProblem,
     """Exact basis of the solution space of a linear problem.
 
     Every basis element is verified exactly, by its kind's check or else by
-    M v = 0 on the rows; a violation raises.  The solution carries the side
-    conditions of the inputs' non-constant denominators (the declared
-    assumptions that certify them, or else the denominators themselves), then
-    the assumptions that certified its pivots.
+    its table, which must vanish at it; a violation raises.  The solution
+    carries the side conditions of the inputs' non-constant denominators (the
+    declared assumptions that certify them, or else the denominators
+    themselves), then the assumptions that certified its pivots.
     """
-    system = kind, space, shape, slots, _ = _system(problem)
-    rows = _rows(*system)
-    vectors, pivots = kernel(rows, len(slots), assumptions)
-    columns = _by_column(rows) if kind.verify is None else {}
+    system = kind, space, shape, slots, operands = _system(problem)
+    vectors, pivots = kernel(_rows(*system), len(slots), assumptions)
     basis = []
     for vec in vectors:
         entries = dict(zip(slots, vec))
         if kind.skew:
             entries.update({(j, i): -value for (i, j), value in zip(slots, vec)})
         element = kind.element(space, Tensor(shape, entries))
-        if kind.verify is not None:
-            solves = kind.verify(problem.context, element).passed
+        if kind.check is not None:
+            solves = kind.check(problem.context, element).passed
         else:
-            solves = _annihilates(columns, vec)
+            solves = not kind.table.evaluate(**{**operands, kind.unknown: element.tensor}).entries
         if not solves:
             raise AssertionError("solver produced a non-solution; this is a bug")
         basis.append(element)

@@ -265,6 +265,10 @@ PAIRING_FORM_2 = Table("iab", "rho[ay] N[xi] c[xyb] - rho[ay] N[bx] c[iyx] + N[x
                               " + P[ax] c[iyx] rho[yb] - c[iya] P2[yx] r[xb]"
                               " + c[iya] r[yx] N2[bx]")
 CO_CYBE = Table("ijk", "d[iab] om[aj] om[bk] + d[kab] om[ia] om[jb] + d[jab] om[ia] om[bk]")
+# the co-CYBE slice: the polarisation of CO_CYBE, with x in one om slot of
+# each term and om in the other, so that CO_CYBE(om + x) - CO_CYBE(om) - CO_CYBE(x)
+CO_CYBE_SLICE = Table("ijk", "d[iab] x[aj] om[bk] + d[iab] om[aj] x[bk] + d[kab] x[ia] om[jb]"
+                             " + d[kab] om[ia] x[jb] + d[jab] x[ia] om[bk] + d[jab] om[ia] x[bk]")
 # [x, y] = x_(1) omega(x_(2), y) - y_(2) omega(x, y_(1))
 INDUCED_BRACKET = Table("ijk", "d[ikb] om[bj] + d[jkb] om[ib]")
 # with w the induced bracket

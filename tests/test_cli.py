@@ -9,8 +9,9 @@ from unittest import mock
 
 import pytest
 
-from lieb import cli
+from lieb import BilinearForm, LieAlgebra, LieCoalgebra, cli
 from lieb.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE_ERROR, canonical_json, main
+from lieb.solver import KINDS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -267,6 +268,36 @@ def test_solve_names_the_problem_when_its_structure_is_missing(tmp_path, capsys)
     code, out, err = _run(capsys, "solve", str(path), "--problem", "co-cybe-slice")
     assert code == EXIT_PARSE_ERROR and out == ""
     assert err == "error: --problem co-cybe-slice: the document declares no LieCoalgebra\n"
+
+
+# a declaration of each record type a linear problem reads
+_DECLARATIONS = {
+    LieAlgebra: "algebra a on V {\n  [e, f] = f\n}\n",
+    LieCoalgebra: "coalgebra d on V {\n  delta(f) = e@f - f@e\n}\n",
+    BilinearForm: "form w on V skew {\n  (e, f) = 1\n}\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_solve_reads_its_problems_from_the_registry(kind, tmp_path, capsys):
+    path = _data_path(tmp_path, "sl2.lieb")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path), "--problem", f"{kind}s"])
+    assert exc.value.code == EXIT_PARSE_ERROR
+    assert (f"argument --problem: invalid choice: '{kind}s' (choose from 'weak-symplectic', "
+            "'ad-invariance', 'cocycle-in-delta', 'co-cybe-slice')") in capsys.readouterr().err
+    # a document that declares the structures the kind reads up to one: the
+    # error names the first it lacks
+    records = [record for _, record in KINDS[kind].context]
+    for p, missing in enumerate(records):
+        doc = tmp_path / f"{kind}-{p}.lieb"
+        doc.write_text("space V : e f\n" + "".join(_DECLARATIONS[r] for r in records[:p]),
+                       encoding="utf-8")
+        code, out, err = _run(capsys, "solve", str(doc), "--problem", kind)
+        assert code == EXIT_PARSE_ERROR and out == ""
+        assert err == f"error: --problem {kind}: the document declares no {missing.__name__}\n"
+    doc.write_text("space V : e f\n" + "".join(map(_DECLARATIONS.get, records)), encoding="utf-8")
+    assert _run(capsys, "solve", str(doc), "--problem", kind)[0] == EXIT_OK
 
 
 def test_solve_rejects_seed_flag(tmp_path, capsys):

@@ -108,6 +108,26 @@ def test_dangling_operator_names_the_end_of_line():
     assert "unexpected end of line in expression" in str(err.value)
 
 
+@pytest.mark.parametrize("body, entries", [
+    ("f@g -\n  g@f", {(1, 2): "1", (2, 1): "-1"}),
+    ("-\n  f@g", {(1, 2): "-1"}),
+    ("f@g\n  - g@f", {(1, 2): "1", (2, 1): "-1"}),
+    ("2 *\n  f@g", {(1, 2): "2"}),
+    ("(f@g\n  - g@f)", {(1, 2): "1", (2, 1): "-1"}),
+])
+def test_a_line_break_in_a_tensor_block_is_whitespace(body, entries):
+    doc = parse_document(f"space L : e f g\ntensor r on L {{\n  {body}\n}}\n")
+    assert doc.structures["r"].tensor.entries == {idx: sc(v) for idx, v in entries.items()}
+
+
+def test_a_dangling_operator_in_a_tensor_block_names_the_end_of_line():
+    # the line break before the closing brace still ends the expression
+    with pytest.raises(ParseError) as err:
+        parse_document("space L : e f g\ntensor r on L {\n  f@g -\n}\n")
+    assert (err.value.line, err.value.col) == (3, 8)
+    assert "unexpected end of line in expression" in str(err.value)
+
+
 @pytest.mark.parametrize("text", ["", "a", "a\n", "a\n\n# note\n", "a\r\nb", "a\n  "])
 def test_end_token_follows_the_last_line(text):
     end = _tokenize(text)[-1]

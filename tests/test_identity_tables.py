@@ -83,6 +83,8 @@ from lieb.multilinear import (
 )
 from lieb.scalars import Scalar
 from lieb.structures import (
+    CO_CYBE,
+    CO_CYBE_SLICE,
     COCYCLE,
     CYBE,
     MATCHED_PAIR,
@@ -598,6 +600,19 @@ def test_co_cybe_matches_dense(data):
     space = _space(N)
     report = check_co_cybe(LieCoalgebra(space, d), BilinearForm(space, om))
     assert _residual_forms(report) == _nonzero_forms(dense_co_cybe(d, om, N))
+
+
+@_SETTINGS
+@given(st.data())
+def test_co_cybe_slice_is_the_polarisation_of_co_cybe(data):
+    # CO_CYBE(m1 + m2) - CO_CYBE(m1) - CO_CYBE(m2) == CO_CYBE_SLICE(om=m1, x=m2),
+    # component by component
+    d, m1, m2 = data.draw(tensors3(N)), data.draw(matrices(N)), data.draw(matrices(N))
+    parts = [CO_CYBE.evaluate(d=d, om=om).entries for om in (mat_add(m1, m2), m1, m2)]
+    polarised = {idx: parts[0].get(idx, ZERO) - parts[1].get(idx, ZERO) - parts[2].get(idx, ZERO)
+                 for idx in sorted(set().union(*parts))}
+    assert {idx: v for idx, v in polarised.items() if v} == \
+        CO_CYBE_SLICE.evaluate(d=d, om=m1, x=m2).entries
 
 
 @_SETTINGS

@@ -10,7 +10,7 @@ from importlib import resources
 from typing import Mapping
 
 from .document import Document, parse_document, run_constructs
-from .scalars import Assumption, Scalar
+from .scalars import Assumption, DivisionByZero, Scalar
 from .structures import map_scalars
 
 
@@ -122,7 +122,9 @@ def list_entries() -> list[tuple[str, str]]:
 
 
 def get(entry_id: str, bindings: Mapping[str, Scalar] | None = None) -> CatalogEntry:
-    """Load an entry; with bindings, substitute scalars for declared parameters."""
+    """Load an entry; with bindings, substitute scalars for declared parameters.
+    BindingError if a binding names an undeclared parameter, voids one of the
+    entry's assumptions or makes a denominator vanish."""
     if entry_id not in _REGISTRY:
         raise UnknownId(entry_id)
     filename, description, source, metadata = _REGISTRY[entry_id]
@@ -136,10 +138,6 @@ def get(entry_id: str, bindings: Mapping[str, Scalar] | None = None) -> CatalogE
         undeclared = set(bindings) - set(doc.params)
         if undeclared:
             raise BindingError(f"bindings for undeclared parameters: {sorted(undeclared)}")
-        doc.structures.update({
-            name: map_scalars(obj, lambda s: s.substitute(bindings))
-            for name, obj in doc.structures.items()
-        })
         rebound = []
         for a in assumptions:
             value = Scalar(a.nonzero).substitute(bindings)
@@ -148,4 +146,11 @@ def get(entry_id: str, bindings: Mapping[str, Scalar] | None = None) -> CatalogE
             if not value.num.is_constant():
                 rebound.append(Assumption(value.num))
         assumptions = rebound
+        try:
+            doc.structures.update({
+                name: map_scalars(obj, lambda s: s.substitute(bindings))
+                for name, obj in doc.structures.items()
+            })
+        except DivisionByZero as exc:  # a denominator that no assumption covers
+            raise BindingError(f"binding: {exc}") from exc
     return CatalogEntry(entry_id, description, source, doc, assumptions, dict(metadata))

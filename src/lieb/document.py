@@ -2,36 +2,39 @@
 
 A document declares parameters, basis spaces, structures (algebra, coalgebra,
 operator, form, tensor, rep blocks of coefficient expressions), and named
-checks / constructions to run.  Conventions are fixed once here and printed in
-the header of every exported file:
+checks / constructions to run.  Each block's entry syntax is declared once, in
+``_BLOCKS``, and both the parser and the renderer read it:
 
-* bracket blocks list ``[a, b] = <vector expr>``; an unlisted mirror pair
-  defaults to the negation of its listed partner (explicit entries always win,
-  so deliberate antisymmetry violations are expressible);
-* coalgebra blocks list ``delta(a) = <2-tensor expr>`` built with ``@``;
-* operator blocks list ``a -> <vector expr>`` (unlisted labels map to 0);
-* form blocks list ``(a, b) = <scalar expr>``; inside ``form ... skew`` the
-  mirror of a listed pair defaults to its negation;
-* rep blocks list ``x : v -> <vector expr>`` for the action of x on v;
-* a tensor block holds one 2-tensor expression, in which a line break is
-  whitespace;
-* wherever a vector or 2-tensor is expected, a zero scalar stands for zero.
+* algebra: ``[a, b] = <vector>``; an unlisted mirror pair defaults to the
+  negation of its listed partner (explicit entries always win, so deliberate
+  antisymmetry violations are expressible);
+* coalgebra: ``delta(a) = <2-tensor>``, built with ``@``;
+* operator (``: D -> C``): ``a -> <vector>``, the image of a; unlisted labels map to 0;
+* form: ``(a, b) = <scalar>``; inside ``form ... skew`` the mirror of a
+  listed pair defaults to its negation;
+* tensor: one 2-tensor expression, in which a line break is whitespace;
+* rep (``of A on S``): ``x : v -> <vector>``, the action of x on v.
 
-An expression's value is a Scalar or, for a vector or a 2-tensor, a sparse
-Tensor of its nonzero entries; arithmetic touches only those, and each block
-builds its record's Tensor from them directly.
+A label is a name with any ``*`` directly after it, so the dual labels that
+``dualize`` writes (``a*``) read back.  Wherever a vector or 2-tensor is
+expected, a zero scalar stands for zero.
+
+An expression's value is a sparse Tensor of its nonzero entries, a scalar
+being one of rank 0; arithmetic touches only those entries.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from typing import Iterable, NamedTuple, get_args, get_type_hints
 
 from .multilinear import (
-    TRANSPOSE, BasisSpace, BilinearForm, LinearOperator, ShapeError, Tensor, TwoTensor,
+    BasisSpace, BilinearForm, LinearOperator, ShapeError, Tensor, TwoTensor,
 )
-from .scalars import ONE, Assumption, DivisionByZero, Scalar
+from .scalars import ONE, ZERO, Assumption, DivisionByZero, Scalar
 from .structures import (
     Corepresentation,
     LieAlgebra,
@@ -189,19 +192,19 @@ def _tokenize(text: str) -> list[_Token]:
 
 # -- expression values ---------------------------------------------------------
 
-def _rank(value) -> int:
-    return len(value.shape) if isinstance(value, Tensor) else 0
+def _constant(s: Scalar) -> Tensor:
+    """A scalar as a rank-0 Tensor, with no entry when it is zero."""
+    return Tensor((), {(): s} if not s.is_zero() else {})
 
 
-def _combine(op: str, a, b, tok: _Token):
+def _combine(op: str, a: Tensor, b: Tensor, tok: _Token) -> Tensor:
+    ra, rb = len(a.shape), len(b.shape)
     if op in ("+", "-"):
-        if _rank(a) != _rank(b):
-            raise ParseError(f"cannot {'add' if op == '+' else 'subtract'} rank {_rank(a)} "
-                             f"and rank {_rank(b)} expressions", tok.line, tok.col)
-        if not _rank(a):
-            return a + b if op == "+" else a - b
+        if ra != rb:
+            raise ParseError(f"cannot {'add' if op == '+' else 'subtract'} rank {ra} "
+                             f"and rank {rb} expressions", tok.line, tok.col)
         if a.shape != b.shape:
-            raise ParseError(f"{('vectors', 'tensors')[_rank(a) - 1]} from different spaces",
+            raise ParseError(f"{('vectors', 'tensors')[ra - 1]} from different spaces",
                              tok.line, tok.col)
         entries = dict(a.entries)
         for idx, v in (b if op == "+" else _negate(b)).entries.items():
@@ -213,37 +216,65 @@ def _combine(op: str, a, b, tok: _Token):
             else:
                 entries[idx] = total
         return Tensor(a.shape, entries)
-    if op == "*":
-        if _rank(a) and _rank(b):
-            raise ParseError("use @ for tensor products, * only scales", tok.line, tok.col)
-        return _scale(a, b) if not _rank(a) else _scale(b, a)
+    if op == "*" and ra and rb:
+        raise ParseError("use @ for tensor products, * only scales", tok.line, tok.col)
     if op == "/":
-        if _rank(b):
+        if rb:
             raise ParseError("can only divide by a scalar", tok.line, tok.col)
-        if b.is_zero():
+        if not b.entries:
             raise ParseError("division by zero", tok.line, tok.col)
-        return _scale(ONE / b, a)
-    if op == "@":
-        if _rank(a) == 1 and _rank(b) == 1:
-            return Tensor(a.shape + b.shape, {i + j: x * y for i, x in a.entries.items()
-                                              for j, y in b.entries.items()})
+        b = Tensor((), {(): ONE / b.entries[()]})
+    elif op == "@" and not ra == rb == 1:
         raise ParseError("@ takes two vectors", tok.line, tok.col)
-    raise AssertionError(op)
+    # a product scales, divides or takes the tensor product: the outer product
+    return Tensor(a.shape + b.shape, {i + j: x * y for i, x in a.entries.items()
+                                      for j, y in b.entries.items()})
 
 
-def _negate(value):
-    if not _rank(value):
-        return -value
+def _negate(value: Tensor) -> Tensor:
     return Tensor(value.shape, {idx: -v for idx, v in value.entries.items()})
 
 
-def _scale(s: Scalar, value):
-    """value times the scalar s."""
-    if not _rank(value):
-        return s * value
-    if s.is_zero():
-        return Tensor(value.shape, {})
-    return Tensor(value.shape, {idx: s * v for idx, v in value.entries.items()})
+# -- structure blocks ----------------------------------------------------------
+
+class _Block:
+    """A structure block's entry syntax, read by the parser and the renderer.
+
+    ``head`` is the text before an entry's value, with label slots ``{a}``
+    and ``{b}``; ``layout`` spells the record tensor's axes with the head's
+    slot letters and ``x``, ``y``, the axes of the value.  Slot ``a`` ranges
+    over the block's first space, every other letter over its last.
+    """
+
+    def __init__(self, head: str, layout: str, record: type):
+        self.head, self.layout, self.record = head, layout, record
+        # the head's tokens: (None, letter) for a slot, else (token kind, text)
+        self.plan = [(None, slot) if slot else ("name" if word.isalpha() else word, word)
+                     for slot, word in re.findall(r"\{(\w)\}|(->|\w+|\S)", head)]
+        self.slots = "".join(letter for kind, letter in self.plan if kind is None)
+        value = "".join(sorted(set(layout) - set(self.slots)))
+        self.rank = len(value)
+        order = self.slots + value  # an entry's head key, then an index of its value
+        self.place = itemgetter(*map(order.index, layout))  # key + index -> record index
+        self.split = itemgetter(*map(layout.index, order))  # record index -> key + index
+
+
+# keyword -> entry head, record tensor axes, record
+_BLOCKS = {
+    "algebra": _Block("[{a}, {b}] = ", "abx", LieAlgebra),      # [a, b] = sum c[a][b][x] x
+    "coalgebra": _Block("delta({a}) = ", "axy", LieCoalgebra),  # delta(a) = sum d[a][x][y] x@y
+    "operator": _Block("{a} -> ", "xa", LinearOperator),        # a -> sum M[x][a] x
+    "form": _Block("({a}, {b}) = ", "ab", BilinearForm),        # (a, b) = B[a][b]
+    "tensor": _Block("", "xy", TwoTensor),                      # sum r[x][y] x@y
+    "rep": _Block("{a} : {b} -> ", "axb", Representation),      # a : b -> sum action[a][x][b] x
+}
+
+
+def _letter_spaces(fields: list) -> dict[str, BasisSpace]:
+    """The space of each index letter of a block whose record has these fields
+    before its tensor (a rep's first field is its algebra)."""
+    first, last = getattr(fields[0], "space", fields[0]), fields[-1]
+    return {"a": first, "b": last, "x": last, "y": last}
 
 
 # -- parser --------------------------------------------------------------------
@@ -286,6 +317,28 @@ class _Parser:
             parts.append(self.advance().text)
         return _Token("name", "-".join(parts), first.line, first.col)
 
+    def accept(self, word: str) -> bool:
+        """Whether the next token is the name ``word``, read if so."""
+        found = self.peek().kind == "name" and self.peek().text == word
+        self.pos += found
+        return found
+
+    def _stars(self, tok: _Token) -> str:
+        """The ``*`` tokens directly after the name token just read, as text."""
+        n, end = self.pos, tok.col + len(tok.text) - self.pos
+        while (t := self.tokens[n]).kind == "*" and t.col == end + n and t.line == tok.line:
+            n += 1
+        return "*" * (n - self.pos)
+
+    def label(self) -> _Token:
+        """A name and the ``*`` tokens directly after it, read as one label."""
+        tok = self.expect("name")
+        if self.tokens[self.pos].kind != "*":  # the common case, kept cheap
+            return tok
+        stars = self._stars(tok)
+        self.pos += len(stars)
+        return tok._replace(text=tok.text + stars)
+
     def skip_newlines(self):
         while self.peek().kind == "nl":
             self.advance()
@@ -305,7 +358,8 @@ class _Parser:
                 return self.doc
             if tok.kind != "name":
                 raise ParseError(f"expected a statement, found {tok.text!r}", tok.line, tok.col)
-            handler = getattr(self, f"_stmt_{tok.text.replace('-', '_')}", None)
+            handler = (partial(self._structure, tok.text) if tok.text in _BLOCKS
+                       else getattr(self, f"_stmt_{tok.text.replace('-', '_')}", None))
             if handler is None:
                 raise ParseError(f"unknown statement {tok.text!r}", tok.line, tok.col)
             self.advance()
@@ -331,7 +385,7 @@ class _Parser:
         self.expect(":")
         labels = []
         while self.peek().kind == "name":
-            labels.append(self.advance().text)
+            labels.append(self.label().text)
         if not labels:
             tok = self.peek()
             raise ParseError("a space needs at least one basis label", tok.line, tok.col)
@@ -344,124 +398,74 @@ class _Parser:
             raise UnknownNameError(f"undefined space {tok.text!r}", tok.line, tok.col)
         return self.doc.spaces[tok.text]
 
-    def _stmt_algebra(self):
+    def _structure(self, keyword: str):
+        """A structure block: its name, header, and entries in braces."""
+        block = _BLOCKS[keyword]
         name_tok = self.expect("name")
-        self.expect_name("on")
-        sp = self._space_ref()
-        listed: dict[tuple[int, int], Tensor] = {}  # [e_i, e_j] by (i, j)
-
-        def entry():
-            self.expect("[")
-            i = self._label_index(sp)
-            self.expect(",")
-            j = self._label_index(sp)
-            self.expect("]")
-            self.expect("=")
-            listed[i, j] = self._rank_expr(sp, 1)
-        self._block(entry)
-        for (i, j), vector in list(listed.items()):
-            if (j, i) not in listed:
-                listed[j, i] = _negate(vector)
-        c = {(i, j, k): v for (i, j), vector in listed.items()
-             for (k,), v in vector.entries.items()}
-        self.doc.structures[self._fresh(name_tok)] = LieAlgebra(sp, Tensor((sp.dim,) * 3, c))
-
-    def _stmt_coalgebra(self):
-        name_tok = self.expect("name")
-        self.expect_name("on")
-        sp = self._space_ref()
-        rows: dict[int, Tensor] = {}  # delta(e_i) by i
-
-        def entry():
-            self.expect_name("delta")
-            self.expect("(")
-            i = self._label_index(sp)
-            self.expect(")")
-            self.expect("=")
-            rows[i] = self._rank_expr(sp, 2)
-        self._block(entry)
-        d = {(i, j, k): v for i, row in rows.items() for (j, k), v in row.entries.items()}
-        self.doc.structures[self._fresh(name_tok)] = LieCoalgebra(sp, Tensor((sp.dim,) * 3, d))
-
-    def _stmt_operator(self):
-        name_tok = self.expect("name")
-        self.expect(":")
-        dom = self._space_ref()
-        self.expect("->")
-        cod = self._space_ref()
-        columns: dict[int, Tensor] = {}  # the image of e_j by j
-
-        def entry():
-            j = self._label_index(dom)
-            self.expect("->")
-            columns[j] = self._rank_expr(cod, 1)
-        self._block(entry)
-        m = {(i, j): v for j, column in columns.items() for (i,), v in column.entries.items()}
-        self.doc.structures[self._fresh(name_tok)] = LinearOperator(
-            dom, cod, Tensor((cod.dim, dom.dim), m))
-
-    def _stmt_form(self):
-        name_tok = self.expect("name")
-        self.expect_name("on")
-        sp = self._space_ref()
-        skew = False
-        if self.peek().kind == "name" and self.peek().text == "skew":
-            self.advance()
-            skew = True
-        listed: dict[tuple[int, int], Scalar] = {}
-
-        def entry():
-            self.expect("(")
-            i = self._label_index(sp)
-            self.expect(",")
-            j = self._label_index(sp)
-            self.expect(")")
-            self.expect("=")
-            listed[i, j] = self._rank_expr(sp, 0)
-        self._block(entry)
-        if skew:
-            for (i, j), v in list(listed.items()):
-                listed.setdefault((j, i), -v)
-        self.doc.structures[self._fresh(name_tok)] = BilinearForm(sp, Tensor((sp.dim,) * 2, listed))
-
-    def _stmt_tensor(self):
-        name_tok = self.expect("name")
-        self.expect_name("on")
-        sp = self._space_ref()
-        self._open_block()
-        # a line break in the block is whitespace, as in one expression; the
-        # one before the closing brace ends it
-        end = self.pos
-        while self.tokens[end].kind not in ("}", "end"):
-            end += 1
-        self.tokens[self.pos:end - 1] = [t for t in self.tokens[self.pos:end - 1] if t.kind != "nl"]
-        value = self._rank_expr(sp, 2, wrong="a tensor block must contain one 2-tensor expression")
+        fields = self._header(keyword)
+        mirror = keyword == "algebra" or keyword == "form" and self.accept("skew")
+        space = _letter_spaces(fields)
+        listed: dict[tuple, Tensor] = {}  # each entry's value by its head key
+        self.expect("{")
         self.skip_newlines()
-        self._close_block()
-        self.doc.structures[self._fresh(name_tok)] = TwoTensor(sp, value)
+        if block.plan:
+            while self.peek().kind != "}":
+                key = self._head(block.plan, space)
+                listed[key] = self._rank_expr(space["x"], block.rank)
+                self.end_statement()
+                self.skip_newlines()
+        else:
+            # a tensor block holds one expression, in which a line break is
+            # whitespace; the one before the closing brace ends it
+            end = self.pos
+            while self.tokens[end].kind not in ("}", "end"):
+                end += 1
+            self.tokens[self.pos:end - 1] = [t for t in self.tokens[self.pos:end - 1]
+                                             if t.kind != "nl"]
+            listed[()] = self._rank_expr(space["x"], 2,
+                                         "a tensor block must contain one 2-tensor expression")
+            self.skip_newlines()
+        self.expect("}")
+        self.end_statement()
+        if mirror:  # an unlisted mirror (b, a) is the negation of (a, b)
+            for (i, j), value in list(listed.items()):
+                listed.setdefault((j, i), _negate(value))
+        entries = {block.place(key + idx): v for key, value in listed.items()
+                   for idx, v in value.entries.items()}
+        shape = tuple(space[letter].dim for letter in block.layout)
+        self.doc.structures[self._fresh(name_tok)] = block.record(*fields, Tensor(shape, entries))
 
-    def _stmt_rep(self):
-        name_tok = self.expect("name")
-        self.expect_name("of")
-        alg_tok = self.expect("name")
-        algebra = self.doc.structure(alg_tok.text, alg_tok.line, alg_tok.col)
-        if not isinstance(algebra, LieAlgebra):
-            raise ParseError(f"{alg_tok.text!r} is not an algebra", alg_tok.line, alg_tok.col)
-        self.expect_name("on")
-        sp = self._space_ref()
-        images: dict[tuple[int, int], Tensor] = {}  # x_i . v_j by (i, j)
-
-        def entry():
-            i = self._label_index(algebra.space)
+    def _header(self, keyword: str) -> list:
+        """The fields of the block's record before its tensor, read from its
+        header: ``: D -> C`` for an operator, ``of A on S`` for a rep and
+        ``on S`` for the others."""
+        if keyword == "operator":
             self.expect(":")
-            j = self._label_index(sp)
+            domain = self._space_ref()
             self.expect("->")
-            images[i, j] = self._rank_expr(sp, 1)
-        self._block(entry)
-        action = {(i, k, j): v for (i, j), image in images.items()
-                  for (k,), v in image.entries.items()}
-        self.doc.structures[self._fresh(name_tok)] = Representation(
-            algebra, sp, Tensor((algebra.space.dim, sp.dim, sp.dim), action))
+            return [domain, self._space_ref()]
+        fields = []
+        if keyword == "rep":
+            self.expect_name("of")
+            tok = self.expect("name")
+            algebra = self.doc.structure(tok.text, tok.line, tok.col)
+            if not isinstance(algebra, LieAlgebra):
+                raise ParseError(f"{tok.text!r} is not an algebra", tok.line, tok.col)
+            fields.append(algebra)
+        self.expect_name("on")
+        return fields + [self._space_ref()]
+
+    def _head(self, plan: list, space: dict[str, BasisSpace]) -> tuple[int, ...]:
+        """An entry's head, read by its block's plan: the indices of its labels."""
+        key = []
+        for kind, text in plan:
+            if kind is None:
+                key.append(self._label_index(space[text]))
+            elif kind == "name":
+                self.expect_name(text)
+            else:
+                self.expect(kind)
+        return tuple(key)
 
     def _stmt_assume(self):
         self.doc.assumptions.extend(self._assumption_list())
@@ -481,8 +485,7 @@ class _Parser:
                 self.doc.structure(tok.text, tok.line, tok.col)
             args.append(tok.text)
         assumptions: list[Assumption] = []
-        if self.peek().kind == "name" and self.peek().text == "assume":
-            self.advance()
+        if self.accept("assume"):
             assumptions = self._assumption_list()
         self.end_statement()
         self.doc.checks.append(CheckStatement(kind, args, assumptions, kind_tok.line))
@@ -502,28 +505,10 @@ class _Parser:
         self.end_statement()
         self.doc.constructs.append(ConstructStatement(op_tok.text, args, result, op_tok.line))
 
-    # block and expression helpers
-
-    def _open_block(self):
-        self.expect("{")
-        self.skip_newlines()
-
-    def _close_block(self):
-        self.expect("}")
-        self.end_statement()
-
-    def _block(self, entry):
-        """``{``, then entries read by ``entry`` up to ``}``, each ended by a
-        line break and followed by any further ones."""
-        self._open_block()
-        while self.peek().kind != "}":
-            entry()
-            self.end_statement()
-            self.skip_newlines()
-        self._close_block()
+    # expression helpers
 
     def _label_index(self, sp: BasisSpace) -> int:
-        tok = self.expect("name")
+        tok = self.label()
         if tok.text not in sp.labels:
             raise UnknownNameError(f"{tok.text!r} is not a basis label of this space",
                                    tok.line, tok.col)
@@ -532,7 +517,7 @@ class _Parser:
     def _assumption_list(self) -> list[Assumption]:
         out = []
         while True:
-            value = self._rank_expr(None, 0)
+            value = self._scalar()
             tok = self.peek()
             if value.is_zero():
                 raise ParseError("assumption must be nonzero", tok.line, tok.col)
@@ -544,14 +529,17 @@ class _Parser:
                 return out
             self.advance()
 
-    def _rank_expr(self, sp: BasisSpace | None, rank: int, wrong: str | None = None):
+    def _scalar(self) -> Scalar:
+        return self._rank_expr(None, 0).entries.get((), ZERO)
+
+    def _rank_expr(self, sp: BasisSpace | None, rank: int, wrong: str | None = None) -> Tensor:
         """An expression of the given rank (0 scalar, 1 vector, 2 2-tensor); a
         zero scalar stands for the zero vector or 2-tensor on sp.  ``wrong``
         is the message for an expression of another rank."""
         value = self._expr(sp)
-        if rank and not _rank(value) and value.is_zero():
+        if rank and not value.shape and not value.entries:
             return Tensor((sp.dim,) * rank, {})
-        if _rank(value) != rank:
+        if len(value.shape) != rank:
             tok = self.peek()
             raise ParseError(wrong or f"expected a {('scalar', 'vector', '2-tensor')[rank]} "
                              "expression", tok.line, tok.col)
@@ -599,26 +587,35 @@ class _Parser:
                 self.advance()
                 sign = -1
             exp = sign * int(self.expect("int").text)
-            if _rank(base):
+            if base.shape:
                 raise ParseError("only scalars can be raised to powers", tok.line, tok.col)
-            if exp < 0 and base.is_zero():
+            if exp < 0 and not base.entries:
                 raise ParseError("division by zero", tok.line, tok.col)
-            base = base ** exp
+            base = _constant(base.entries.get((), ZERO) ** exp)
         return base
 
     def _expr_atom(self, sp):
         tok = self.advance()
         if tok.kind == "int":
-            return Scalar.from_int(int(tok.text))
+            return _constant(Scalar.from_int(int(tok.text)))
         if tok.kind == "(":
             value = self._expr(sp)
             self.expect(")")
             return value
         if tok.kind == "name":
-            if sp is not None and tok.text in sp.labels:
-                return Tensor((sp.dim,), {(sp.index(tok.text),): ONE})
+            label = tok.text
+            if sp is not None and self.tokens[self.pos].kind == "*":
+                # a starred label, unless an operand (name, int or bracket)
+                # follows: k*a scales a
+                stars = self._stars(tok)
+                if (label + stars in sp.labels
+                        and self.tokens[self.pos + len(stars)].kind not in ("name", "int", "(")):
+                    label += stars
+                    self.pos += len(stars)
+            if sp is not None and label in sp.labels:
+                return Tensor((sp.dim,), {(sp.index(label),): ONE})
             if tok.text in self.doc.params:
-                return Scalar.parameter(tok.text)
+                return Tensor((), {(): Scalar.parameter(tok.text)})
             raise UnknownNameError(
                 f"{tok.text!r} is neither a basis label here nor a declared parameter",
                 tok.line, tok.col)
@@ -642,7 +639,7 @@ def _expression_parser(text: str, params: Iterable[str] | None) -> _Parser:
 def parse_scalar(text: str, allowed: Iterable[str] | None = None) -> Scalar:
     """Parse a coefficient expression; every name is a parameter unless ``allowed`` lists them."""
     parser = _expression_parser(text, allowed)
-    value = parser._rank_expr(None, 0)
+    value = parser._scalar()
     parser.end_statement()
     return value
 
@@ -717,13 +714,12 @@ _HEADER = """\
 """
 
 
-def _space_name(doc_spaces: dict[str, BasisSpace], sp: BasisSpace,
-                counter: list[int]) -> str:
+def _space_name(doc_spaces: dict[str, BasisSpace], sp: BasisSpace) -> str:
+    """The name of the space with sp's labels, V1, V2, ... in order of first use."""
     for name, known in doc_spaces.items():
         if known.labels == sp.labels:
             return name
-    counter[0] += 1
-    name = f"V{counter[0]}"
+    name = f"V{len(doc_spaces) + 1}"
     doc_spaces[name] = sp
     return name
 
@@ -731,6 +727,8 @@ def _space_name(doc_spaces: dict[str, BasisSpace], sp: BasisSpace,
 def _term(coeff: Scalar, *labels: str) -> str:
     body = "@".join(labels)
     text = str(coeff)
+    if not body:
+        return text
     if text == "1":
         return body
     if text == "-1":
@@ -749,13 +747,33 @@ def _sum_terms(terms: list[str]) -> str:
     return out
 
 
-def _grouped(tensor, lead: int) -> dict[tuple, list]:
-    """A tensor's entries in order, grouped by the first ``lead`` places of
-    their index: those places -> [(the rest of the index, value)]."""
-    groups: dict[tuple, list] = {}
-    for idx, v in tensor.entries.items():
-        groups.setdefault(idx[:lead], []).append((idx[lead:], v))
-    return groups
+def _render_block(keyword: str, name: str, obj, spaces: dict[str, BasisSpace]) -> str:
+    block = _BLOCKS[keyword]
+    *fields, tensor = obj.parts()
+    names = [_space_name(spaces, sp) for sp in fields]
+    header = f": {names[0]} -> {names[1]}" if keyword == "operator" else f"on {names[0]}"
+    space = _letter_spaces(fields)
+    # each head key's value entries, in order; a tensor block has one entry, zero included
+    groups: dict[tuple, list] = {} if block.plan else {(): []}
+    for full, v in sorted(((block.split(idx), v) for idx, v in tensor.entries.items()),
+                          key=itemgetter(0)):
+        groups.setdefault(full[:len(block.slots)], []).append((full[len(block.slots):], v))
+    keys = list(groups)
+    if keyword == "algebra":
+        keys = []
+        for i, j in sorted({(min(pair), max(pair)) for pair in groups}):
+            # a pair is listed both ways, zero included, unless its mirror is its negation
+            mirrored = groups.get((j, i), []) == [(k, -v) for k, v in groups.get((i, j), [])]
+            keys += [(i, j)] if i == j or mirrored else [(i, j), (j, i)]
+    entries = []
+    for key in keys:
+        slots = {letter: space[letter].labels[k] for letter, k in zip(block.slots, key)}
+        terms = [_term(v, *(space["x"].labels[k] for k in idx)) for idx, v in groups.get(key, [])]
+        entries.append("  " + block.head.format(**slots) + _sum_terms(terms))
+    return f"{keyword} {name} {header} {{\n" + "\n".join(entries) + "\n}"
+
+
+_KEYWORDS = {block.record: keyword for keyword, block in _BLOCKS.items()}
 
 
 def render_document(structures: dict[str, object],
@@ -764,56 +782,18 @@ def render_document(structures: dict[str, object],
     from .structures import structure_parameters
 
     lines = [_HEADER]
-    names: set[str] = set(structure_parameters(*structures.values()))
-    for p in params or []:
-        names.add(p)
+    names = set(structure_parameters(*structures.values())) | set(params or [])
     if names:
         lines.append("params " + " ".join(sorted(names)))
     spaces: dict[str, BasisSpace] = {}
-    counter = [0]
     body: list[str] = []
     for name, obj in structures.items():
-        if isinstance(obj, LieAlgebra):
-            sp = _space_name(spaces, obj.space, counter)
-            labels = obj.space.labels
-            pairs = _grouped(obj.tensor, 2)
-            entries = []
-            for i, j in sorted({(min(pair), max(pair)) for pair in pairs}):
-                # a pair is listed both ways, zero included, unless its mirror is its negation
-                mirrored = pairs.get((j, i), []) == [(k, -v) for k, v in pairs.get((i, j), [])]
-                for a, b in [(i, j)] if i == j or mirrored else [(i, j), (j, i)]:
-                    terms = [_term(v, labels[k]) for (k,), v in pairs.get((a, b), [])]
-                    entries.append(f"  [{labels[a]}, {labels[b]}] = " + _sum_terms(terms))
-            body.append(f"algebra {name} on {sp} {{\n" + "\n".join(entries) + "\n}")
-        elif isinstance(obj, LieCoalgebra):
-            sp = _space_name(spaces, obj.space, counter)
-            labels = obj.space.labels
-            entries = [f"  delta({labels[i]}) = " + _sum_terms([_term(v, labels[a], labels[b])
-                                                                for (a, b), v in row])
-                       for (i,), row in _grouped(obj.tensor, 1).items()]
-            body.append(f"coalgebra {name} on {sp} {{\n" + "\n".join(entries) + "\n}")
-        elif isinstance(obj, LinearOperator):
-            dom = _space_name(spaces, obj.domain, counter)
-            cod = _space_name(spaces, obj.codomain, counter)
-            entries = [f"  {obj.domain.labels[j]} -> "
-                       + _sum_terms([_term(v, obj.codomain.labels[i]) for (i,), v in column])
-                       for (j,), column in _grouped(TRANSPOSE.evaluate(M=obj.tensor), 1).items()]
-            body.append(f"operator {name} : {dom} -> {cod} {{\n" + "\n".join(entries) + "\n}")
-        elif isinstance(obj, BilinearForm):
-            sp = _space_name(spaces, obj.space, counter)
-            labels = obj.space.labels
-            entries = [f"  ({labels[i]}, {labels[j]}) = {v}" for (i, j), v in obj.tensor.entries.items()]
-            body.append(f"form {name} on {sp} {{\n" + "\n".join(entries) + "\n}")
-        elif isinstance(obj, TwoTensor):
-            sp = _space_name(spaces, obj.space, counter)
-            labels = obj.space.labels
-            terms = [_term(v, labels[i], labels[j]) for (i, j), v in obj.tensor.entries.items()]
-            body.append(f"tensor {name} on {sp} {{\n  " + _sum_terms(terms) + "\n}")
-        elif isinstance(obj, (Representation, Corepresentation)):
+        if isinstance(obj, (Representation, Corepresentation)):
             raise TypeError("rendering a (co)representation requires naming its (co)algebra; "
                             "export the (co)algebra alongside and write the block by hand")
-        else:
+        if type(obj) not in _KEYWORDS:
             raise TypeError(f"cannot render {type(obj).__name__}")
+        body.append(_render_block(_KEYWORDS[type(obj)], name, obj, spaces))
     for name, sp in spaces.items():
         lines.append(f"space {name} : " + " ".join(sp.labels))
     lines.extend(body)

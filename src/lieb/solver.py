@@ -179,7 +179,7 @@ def solve_linear(problem: LinearProblem,
     themselves), then the assumptions that certified its pivots.
     """
     system = kind, space, shape, slots, operands = _system(problem)
-    vectors, pivots = kernel(_rows(*system), len(slots), assumptions)
+    vectors, certifying = kernel(_rows(*system), len(slots), assumptions)
     basis = []
     for vec in vectors:
         entries = dict(zip(slots, vec))
@@ -194,7 +194,7 @@ def solve_linear(problem: LinearProblem,
             raise AssertionError("solver produced a non-solution; this is a bug")
         basis.append(element)
     used = denominator_assumptions(problem.context.values(), assumptions)
-    used += [a for a in pivots if a not in used]
+    used += [a for a in certifying if a not in used]
     return LinearSolution(problem.kind, basis, len(slots) - len(vectors), len(slots), used)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from lieb import Verdict, catalog
 from lieb.catalog import BindingError, UnknownId
-from lieb.document import run_check_statement
+from lieb.document import parse_document, run_check_statement
 from lieb.scalars import Scalar
 
 from conftest import sc
@@ -75,8 +75,19 @@ def test_binding_undeclared_parameter_rejected():
 
 
 def test_binding_that_voids_an_assumption_rejected():
-    with pytest.raises(BindingError):
-        catalog.get("nij-family-6", {"k5": sc("k1")})
+    # family 2 divides by 4*k3: its assumption must be checked before the substitution
+    for entry_id, bindings, voided in [("nij-family-6", {"k5": sc("k1")}, "k1 - k5"),
+                                       ("nij-family-2", {"k3": Scalar.from_int(0)}, "k3")]:
+        with pytest.raises(BindingError, match=f"binding voids the assumption {voided} != 0"):
+            catalog.get(entry_id, bindings)
+
+
+def test_binding_that_zeroes_an_uncovered_denominator_rejected(monkeypatch):
+    # every shipped denominator is covered by an assumption, so load a file whose is not
+    text = "params k\nspace L : e\noperator N : L -> L {\n  e -> e/k\n}\n"
+    monkeypatch.setattr(catalog, "_load_document", lambda filename: parse_document(text))
+    with pytest.raises(BindingError, match="denominator k vanish"):
+        catalog.get("sl2", {"k": Scalar.from_int(0)})
 
 
 def test_known_issue_metadata():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lieb import LieAlgebra, LieCoalgebra, Verdict
+from lieb import BasisSpace, BilinearForm, LieAlgebra, LieCoalgebra, LinearOperator, Verdict
 from lieb.document import (
     DuplicateNameError,
     ParseError,
@@ -303,3 +306,88 @@ def test_every_shipped_file_parses_to_its_golden_rendering():
         doc = parse_document(path.read_text(encoding="utf-8"))
         assert render_document(doc.structures, params=doc.params) == \
             (RENDERED / name).read_text(encoding="utf-8"), name
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_malformed_blocks_fail_as_the_golden_records():
+    # Recorded from the per-block readers that preceded the block table: each
+    # block's header and entry head with every token missing or replaced,
+    # unknown labels, rank mismatches, a rep of a non-algebra and the tensor
+    # block's line breaks, each with its exact error.
+    cases = json.loads((GOLDEN / "parse_errors" / "parse_errors.json").read_text(encoding="utf-8"))
+    got = []
+    for case in cases:
+        with pytest.raises(ParseError) as err:
+            parse_document(case["document"])
+        got.append(f"{type(err.value).__name__}: {err.value}")
+    assert got == [case["error"] for case in cases]
+
+
+def test_every_construct_result_reads_back_as_written():
+    # dualize and phi-r write dual labels such as a*, which read as one label
+    results = [p for p in sorted((GOLDEN / "construct").glob("*.lieb")) if p.stem != "parametric"]
+    assert {p.stem for p in results} >= {"dual_g", "dual_n", "phi"}
+    for path in results:
+        text = path.read_text(encoding="utf-8")
+        doc = parse_document(text)
+        assert render_document(doc.structures, params=doc.params) == text, path.stem
+
+
+_STARRED = "params k\nspace V : a b a* b*\noperator N : V -> V {\n  %s -> %s\n}\n"
+
+
+@pytest.mark.parametrize("head, expr, column", [
+    ("a", "a*", {2: "1"}),
+    ("a*", "2*b*", {3: "2"}),
+    ("b", "k*a* - b*", {2: "k", 3: "-1"}),
+    ("a", "k*a", {0: "k"}),
+    ("a", "a*k", {0: "k"}),  # an operand follows a*: the product of a and k
+    ("a", "k * a", {0: "k"}),
+    ("a", "k*(a + b)", {0: "k", 1: "k"}),
+    ("a", "k*-a", {0: "-k"}),
+    ("a", "a*2", {0: "2"}),
+    ("a", "(a*)", {2: "1"}),
+])
+def test_a_starred_name_is_one_label_unless_an_operand_follows(head, expr, column):
+    op = parse_document(_STARRED % (head, expr)).structures["N"]
+    j = ("a", "b", "a*", "b*").index(head)
+    assert op.tensor.entries == {(i, j): sc(v) for i, v in column.items()}
+
+
+def test_a_starred_label_is_one_token_only_when_its_stars_touch_it():
+    with pytest.raises(ParseError, match="unexpected '\\*' at end of statement"):
+        parse_document("space V : a *\n")
+    doc = parse_document("space V : a** b\ntensor r on V {\n  a**@b - b@a**\n}\n")
+    assert doc.spaces["V"].labels == ("a**", "b")
+    assert doc.structures["r"].tensor.entries == {(0, 1): sc("1"), (1, 0): sc("-1")}
+
+
+# spaces with dual labels, and the direct sum of a space and its dual
+_SPACES = [("e", "f", "g"), ("a*", "b*"), ("a", "b", "a*", "b*"), ("x",)]
+_COEFFICIENTS = ["1", "-1", "2", "-1/2", "k", "-k", "1/k", "k + 1", "(k - 1)/(k + 2)", "k*k1"]
+
+
+@st.composite
+def _records(draw):
+    """A record of a renderable type with sparse random entries."""
+    kind = draw(st.sampled_from([LieAlgebra, LieCoalgebra, LinearOperator, BilinearForm,
+                                 TwoTensor]))
+    spaces = [BasisSpace(draw(st.sampled_from(_SPACES)))
+              for _ in range(2 if kind is LinearOperator else 1)]
+    rank = {LieAlgebra: 3, LieCoalgebra: 3}.get(kind, 2)
+    shape = (spaces[-1].dim, spaces[0].dim) if kind is LinearOperator else (spaces[0].dim,) * rank
+    entries = draw(st.dictionaries(st.tuples(*(st.integers(0, n - 1) for n in shape)),
+                                   st.sampled_from(_COEFFICIENTS), max_size=6))
+    return kind(*spaces, Tensor(shape, {idx: sc(v) for idx, v in entries.items()}))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_records(), min_size=1, max_size=3))
+def test_render_parse_render_is_a_fixed_point(records):
+    structures = {f"s{k}": record for k, record in enumerate(records)}
+    text = render_document(structures)
+    doc = parse_document(text)
+    assert doc.structures == structures
+    assert render_document(doc.structures, params=doc.params) == text

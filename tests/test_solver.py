@@ -142,12 +142,28 @@ def _skew_slice_problem() -> LinearProblem:
     return LinearProblem.co_cybe_slice(LieCoalgebra(sp, d), BilinearForm(sp, om))
 
 
-@pytest.mark.parametrize("kind", ["ad-invariance", "co-cybe-slice"])
+def _bianchi_v() -> LieAlgebra:
+    """[e1, e2] = e2 and [e1, e3] = e3, on which a weak symplectic form has om(e2, e3) = 0."""
+    c = zeros3(3, 3, 3)
+    for j in (1, 2):
+        c[0][j][j], c[j][0][j] = sc("1"), sc("-1")
+    return LieAlgebra(BasisSpace(("e1", "e2", "e3")), c)
+
+
+_RESUBSTITUTED = {
+    "ad-invariance": lambda sl2: LinearProblem.ad_invariance(sl2),
+    "co-cybe-slice": lambda sl2: _skew_slice_problem(),
+    # every skew form on sl2 is weak symplectic, so this kind is posed on Bianchi V
+    "weak-symplectic": lambda sl2: LinearProblem.weak_symplectic(_bianchi_v()),
+    "cocycle-in-delta": lambda sl2: LinearProblem.cocycle_in_delta(sl2),
+}
+
+
+@pytest.mark.parametrize("kind", list(_RESUBSTITUTED))
 def test_basis_is_resubstituted_into_the_rows(kind, sl2, monkeypatch):
-    problem = (LinearProblem.ad_invariance(sl2) if kind == "ad-invariance"
-               else _skew_slice_problem())
+    problem = _RESUBSTITUTED[kind](sl2)
     assert solve_linear(problem).rank > 0
-    # a kernel that returns the all-ones vector, which solves neither system
+    # a kernel that returns the all-ones vector, which solves none of the systems
     monkeypatch.setattr(solver, "kernel", lambda rows, cols, assumptions: ([[ONE] * cols], []))
     with pytest.raises(AssertionError, match="non-solution"):
         solve_linear(problem)

@@ -112,10 +112,6 @@ def _load_document(filename: str) -> Document:
     return doc
 
 
-def entry_ids() -> list[str]:
-    return list(_REGISTRY)
-
-
 def list_entries() -> list[tuple[str, str]]:
     """Deterministic (id, description) pairs for every entry."""
     return [(entry_id, info[1]) for entry_id, info in _REGISTRY.items()]

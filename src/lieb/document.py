@@ -36,29 +36,14 @@ from .multilinear import (
 )
 from .scalars import ONE, ZERO, Assumption, DivisionByZero, Scalar
 from .structures import (
+    CHECKS,
     Corepresentation,
     LieAlgebra,
     LieCoalgebra,
     Representation,
-    check_admissible,
-    check_cocycle,
-    check_co_cybe,
-    check_corepresentation,
-    check_cybe,
-    check_cpnybe,
-    check_dual_qt,
     check_frobenius,
-    check_lie_algebra,
-    check_lie_coalgebra,
     check_nij_lie_bialgebra,
-    check_nij_representation,
-    check_nijenhuis,
-    check_nijenhuis_coalgebra,
     check_pq_equivalents,
-    check_representation,
-    check_rrbo,
-    check_weak_cosymplectic,
-    check_weak_symplectic,
 )
 from . import construct as _construct
 
@@ -111,30 +96,19 @@ class Document:
         return self.structures[name]
 
 
-# Check kinds available in documents: kind -> (argument count, check), called
-# as check(*structures, assumptions=...).
-CHECK_KINDS = {
-    "lie-algebra": (1, check_lie_algebra),
-    "lie-coalgebra": (1, check_lie_coalgebra),
-    "cocycle": (2, check_cocycle),
-    "nijenhuis": (2, check_nijenhuis),
-    "nij-coalgebra": (2, check_nijenhuis_coalgebra),
-    "cybe": (2, check_cybe),
-    "co-cybe": (2, check_co_cybe),
-    "dual-qt": (2, check_dual_qt),
-    "weak-symplectic": (2, check_weak_symplectic),
-    "weak-cosymplectic": (2, check_weak_cosymplectic),
-    "representation": (1, check_representation),
-    "nij-representation": (3, check_nij_representation),
-    "admissible": (3, check_admissible),
-    "corepresentation": (1, check_corepresentation),
-    "frobenius": (2, check_frobenius),
-    "frobenius-nij": (3, check_frobenius),
-    "nij-lie-bialgebra": (4, check_nij_lie_bialgebra),
-    "cpnybe": (4, check_cpnybe),
-    "pq-equivalents": (4, check_pq_equivalents),
-    "rrbo": (5, check_rrbo),
-}
+# Check kinds available in documents.  _CHECK_ARGUMENTS: kind -> the types of
+# the structures a statement names, for a CHECKS entry its required ones.
+# CHECK_KINDS: kind -> (argument count, check), called as
+# check(*structures, assumptions=...).
+_CHECK_ARGUMENTS = {
+    **{kind: check.types for kind, check in CHECKS.items()},
+    "frobenius": (LieAlgebra, BilinearForm),
+    "frobenius-nij": (LieAlgebra, BilinearForm, LinearOperator),
+    "nij-lie-bialgebra": (LieAlgebra, LieCoalgebra, LinearOperator, LinearOperator),
+    "pq-equivalents": (LieAlgebra, TwoTensor, LinearOperator, LinearOperator)}
+_CHECKS = {**CHECKS, "frobenius": check_frobenius, "frobenius-nij": check_frobenius,
+           "nij-lie-bialgebra": check_nij_lie_bialgebra, "pq-equivalents": check_pq_equivalents}
+CHECK_KINDS = {kind: (len(types), _CHECKS[kind]) for kind, types in _CHECK_ARGUMENTS.items()}
 
 # Construction ops usable in documents (single-result builders only).
 CONSTRUCT_OPS = {
@@ -145,16 +119,9 @@ CONSTRUCT_OPS = {
     "dualize": (1, _construct.dualize),
     "phi-r": (1, _construct.phi_r),
 }
-
-
-def _argument_types(table: dict) -> dict[str, tuple[tuple[type, ...], ...]]:
-    """kind -> for each structure argument, the types its callee annotates."""
-    return {kind: tuple(get_args(t) or (t,) for t in list(get_type_hints(fn).values())[:argc])
-            for kind, (argc, fn) in table.items()}
-
-
-_CHECK_ARGUMENTS = _argument_types(CHECK_KINDS)
-_CONSTRUCT_ARGUMENTS = _argument_types(CONSTRUCT_OPS)
+# op -> for each structure argument, the type its builder annotates
+_CONSTRUCT_ARGUMENTS = {op: tuple(get_type_hints(fn).values())[:argc]
+                        for op, (argc, fn) in CONSTRUCT_OPS.items()}
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -657,13 +624,15 @@ def parse_assumptions(text: str, params: Iterable[str]) -> list[Assumption]:
 _ILL_FORMED = (ShapeError, DivisionByZero, _construct.DegenerateForm)
 
 
-def _arguments(doc: Document, stmt, what: str, types: tuple[tuple[type, ...], ...]) -> list:
-    """The statement's structures, each of a type its callee accepts."""
+def _arguments(doc: Document, stmt, what: str, types: tuple) -> list:
+    """The statement's structures, each of the type (or a type of the union)
+    its callee takes."""
     args = []
     for name, accepted in zip(stmt.args, types):
         obj = doc.structure(name, stmt.line, 1)
         if not isinstance(obj, accepted):
-            wanted = " or ".join(t.__name__ for t in accepted if t is not type(None))
+            wanted = " or ".join(t.__name__ for t in get_args(accepted) or (accepted,)
+                                 if t is not type(None))
             raise ParseError(f"{what}: {name!r} is a {type(obj).__name__}, not a {wanted}",
                              stmt.line, 1)
         args.append(obj)

@@ -1,10 +1,12 @@
 """Algebraic structure records and the identity checks.
 
-Every ``check_*`` function evaluates its identity over all basis
-multi-indices and returns a CheckReport listing the exactly-nonvanishing
-residual components.  A check passes when every residual is the zero scalar;
-it passes conditionally when the input data carries parametric denominators
-whose nonvanishing had to be assumed.
+Every ``check_*`` evaluates its identities over all basis multi-indices and
+returns a CheckReport listing the exactly-nonvanishing residual components.
+A check passes when every residual is the zero scalar; it passes
+conditionally when the input data carries parametric denominators whose
+nonvanishing had to be assumed.  The regular checks are the entries of
+``CHECKS``, data that one runner evaluates; the others, each with a step that
+is not a table, are functions that call those entries.
 
 Every identity is written once, as one signed einsum sum
 (``multilinear.Table``), and one sparse engine evaluates them on the records'
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from inspect import Parameter, Signature
 from typing import Iterable, Sequence
 
 from .multilinear import (
@@ -314,165 +317,212 @@ ROTA_BAXTER = Table("ija", "T[pi] T[qj] c[pqa] - T[as] inner[ijs]")
 INTERTWINING = Table("ia", "N[ap] T[pi] - T[ab] al[bi]")
 
 
-# -- Lie algebra / coalgebra axioms ----------------------------------------
+# -- the regular checks ---------------------------------------------------------
+# Each regular check is one CHECKS entry, a Check: data that one runner,
+# Check.__call__, evaluates.  Its fields:
+# * args: (parameter, operand, record type) for each structure, in call order.
+#   The structure's tensor fills the operand; a (co)representation's also
+#   fills c (d) with its (co)algebra's, unless an argument fills it.  The
+#   arguments after ``required`` are optional, given together or not at all,
+#   and the steps and identities that read them run only when they are given.
+# * steps: the intermediates as (name, table, renames), each evaluated once, in
+#   order.  The renames "M=N T=c" fill the table's operand M with N and T with
+#   c; an operand not renamed is filled by the one of its own name.  Every
+#   table's operands are bound so once, when CHECKS is built.
+# * identities: (tag, table, renames) triples in report order; a tuple of such
+#   triples is reported interleaved, component by component.
+# * the fit, tested before any table runs.  By default every axis of every
+#   argument lies on the first argument's space, and a misfit is named by its
+#   record type ("operator does not act on the algebra").  A check with a
+#   module declares ``axes``, a word of space letters for each argument, each
+#   letter sized by the first argument that has it, and ``misfit``: one text
+#   for every later argument, or a text for each argument tested, in order.
 
-def check_lie_algebra(L: LieAlgebra, assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """Antisymmetry of the bracket and the Jacobi identity."""
-    c = L.tensor
-    items = _items("antisymmetry", ANTISYMMETRY.evaluate(c=c)) + _items("jacobi", JACOBI.evaluate(c=c))
-    return _build_report(items, [L], assumptions)
-
-
-def check_lie_coalgebra(C: LieCoalgebra, assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """Co-antisymmetry and the co-Jacobi identity of the cobracket."""
-    d = C.tensor
-    items = _items("co-antisymmetry", CO_ANTISYMMETRY.evaluate(d=d))
-    items += _items("co-jacobi", CYCLIC.evaluate(t=COMPOSITE.evaluate(d=d, e=d)))
-    return _build_report(items, [C], assumptions)
-
-
-def check_cocycle(L: LieAlgebra, C: LieCoalgebra,
-                  assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """The bialgebra compatibility of the cobracket with the bracket."""
-    if L.space.dim != C.space.dim:
-        raise ShapeError("algebra and coalgebra live on different spaces")
-    values = COCYCLE.evaluate(c=L.tensor, d=C.tensor)
-    return _build_report(_items("cocycle", values), [L, C], assumptions)
-
-
-# -- Nijenhuis conditions ----------------------------------------------------
-
-def check_nijenhuis(L: LieAlgebra, N: LinearOperator,
-                    assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """The torsion identity [Nx,Ny] + N^2[x,y] = N[Nx,y] + N[x,Ny]."""
-    if N.domain.dim != L.space.dim or N.codomain.dim != L.space.dim:
-        raise ShapeError("operator does not act on the algebra")
-    c, nm = L.tensor, N.tensor
-    values = TORSION.evaluate(N=nm, N2=SQUARE.evaluate(M=nm), c=c,
-                              left=IMAGE.evaluate(M=nm, T=c), right=RIGHT_IMAGE.evaluate(M=nm, c=c))
-    return _build_report(_items("nijenhuis", values), [L, N], assumptions)
+# a single-space check's text for an argument off its first argument's space
+_MISFIT = {LieCoalgebra: "algebra and coalgebra live on different spaces",
+           LinearOperator: "operator does not act on the {}",
+           BilinearForm: "form does not live on the {}'s space",
+           TwoTensor: "tensor does not live on the {}'s space"}
+# a (co)representation's (co)algebra, and the operand its tensor fills
+_OWNER = {Representation: ("algebra", "c"), Corepresentation: ("coalgebra", "d")}
 
 
-def check_nijenhuis_coalgebra(C: LieCoalgebra, P: LinearOperator,
-                              assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """(P(x)P)delta + delta P^2 = (P(x)id)(delta P) + (id(x)P)(delta P)."""
-    n = C.space.dim
-    if P.domain.dim != n or P.codomain.dim != n:
-        raise ShapeError("operator does not act on the coalgebra")
-    p, d = P.tensor, C.tensor
-    values = NIJENHUIS_COBRACKET.evaluate(d=d, P=p, P2=SQUARE.evaluate(M=p),
-                                          dP=IMAGE.evaluate(M=p, T=d))
-    return _build_report(_items("nijenhuis-cobracket", values), [C, P], assumptions)
+def _reads(table: Table, renames: str) -> tuple[tuple[str, str], ...]:
+    """(table operand, check operand) for each operand the table reads."""
+    given = dict(pair.split("=") for pair in renames.split())
+    return tuple((name, given.get(name, name))
+                 for name in dict.fromkeys(name for _, factors in table.terms for name, _ in factors))
 
 
-# -- Yang-Baxter checks -----------------------------------------------------
+class Check:
+    """A regular check declared as data, run by calling it: with its
+    structures by position or by parameter name, then its assumptions by
+    position or as ``assumptions``."""
 
-def check_cybe(L: LieAlgebra, r: TwoTensor,
-               assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """The classical Yang-Baxter equation plus antisymmetry of r."""
-    if r.space.dim != L.space.dim:
-        raise ShapeError("tensor does not live on the algebra's space")
-    items = _items("antisymmetry", SKEW.evaluate(t=r.tensor))
-    items += _items("cybe", CYBE.evaluate(c=L.tensor, r=r.tensor))
-    return _build_report(items, [L, r], assumptions)
+    def __init__(self, doc, args, steps=(), identities=(), required=None, axes=None, misfit=None):
+        self.__doc__ = doc
+        self.args = args
+        self.required = len(args) if required is None else required
+        self.types = tuple(rtype for _, _, rtype in args[:self.required])
+        self.__signature__ = Signature(
+            [Parameter(name, Parameter.POSITIONAL_OR_KEYWORD, annotation=rtype,
+                       default=Parameter.empty if i < self.required else None)
+             for i, (name, _, rtype) in enumerate(args)]
+            + [Parameter("assumptions", Parameter.POSITIONAL_OR_KEYWORD, default=())])
+        self._operands = [operand for _, operand, _ in args]
+        self._owners = [(i, *_OWNER[rtype]) for i, (_, _, rtype) in enumerate(args) if rtype in _OWNER]
+        self._steps = [(name, table, _reads(table, renames)) for name, table, renames in steps]
+        self._groups = [tuple((tag, table, _reads(table, renames)) for tag, table, renames in group)
+                        for group in (g if isinstance(g[0], tuple) else (g,) for g in identities)]
+        words = (axes or "sss " * len(args)).split()
+        self._sizes = {}  # space letter -> (argument, axis) that sizes it
+        for i, word in enumerate(words):
+            for axis, letter in enumerate(word):
+                self._sizes.setdefault(letter, (i, axis))
+        names = [name for name, _, _ in args]
+        if misfit is None:
+            where = "algebra" if args[0][2] is LieAlgebra else "coalgebra"
+            misfit = {name: _MISFIT[rtype].format(where) for name, _, rtype in args[1:]}
+        elif isinstance(misfit, str):
+            misfit = dict.fromkeys(names[1:], misfit)
+        self._tests = [(names.index(name), words[names.index(name)], text)  # in misfit's order
+                       for name, text in misfit.items()]
 
+    def __call__(self, *objs, **named):
+        if named.keys() - {"assumptions"} or len(objs) != len(self.args):
+            call = self.__signature__.bind(*objs, **named)
+            call.apply_defaults()
+            *objs, named["assumptions"] = call.arguments.values()
+        given = None not in objs[self.required:]
+        if not given and any(obj is not None for obj in objs[self.required:]):
+            raise ShapeError(" and ".join(name for name, _, _ in self.args[self.required:])
+                             + " must be supplied together")
+        if self._tests:
+            self._fit(objs)
+        env = {operand: obj.tensor for operand, obj in zip(self._operands, objs) if obj is not None}
+        for i, attr, operand in self._owners:
+            env.setdefault(operand, getattr(objs[i], attr).tensor)
+        for name, table, operands in self._steps:
+            if given or all(source in env for _, source in operands):
+                env[name] = table.evaluate(**{key: env[source] for key, source in operands})
+        items = []
+        for group in self._groups:
+            if given or all(source in env for _, _, operands in group for _, source in operands):
+                values = [(tag, table.evaluate(**{key: env[source] for key, source in operands}))
+                          for tag, table, operands in group]
+                items += _items(*values[0]) if len(values) == 1 else _interleaved(*values)
+        # an optional argument not given is None, which holds no scalar
+        return _build_report(items, objs, named.get("assumptions", ()))
 
-def check_co_cybe(C: LieCoalgebra, omega: BilinearForm,
-                  assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """The classical co-Yang-Baxter equation for a skew form on a coalgebra."""
-    if omega.space.dim != C.space.dim:
-        raise ShapeError("form does not live on the coalgebra's space")
-    om = omega.tensor
-    items = _items("skew", SKEW.evaluate(t=om)) + _items("co-cybe", CO_CYBE.evaluate(d=C.tensor, om=om))
-    return _build_report(items, [C, omega], assumptions)
-
-
-def check_dual_qt(C: LieCoalgebra, omega: BilinearForm,
-                  assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """Both dual-quasitriangular compatibility conditions, reported separately."""
-    if omega.space.dim != C.space.dim:
-        raise ShapeError("form does not live on the coalgebra's space")
-    om, d = omega.tensor, C.tensor
-    w = INDUCED_BRACKET.evaluate(d=d, om=om)
-    items = _items("skew", SKEW.evaluate(t=om))
-    items += _interleaved(("dual-qt-1", DUAL_QT_1.evaluate(w=w, om=om, d=d)),
-                          ("dual-qt-2", DUAL_QT_2.evaluate(w=w, om=om, d=d)))
-    return _build_report(items, [C, omega], assumptions)
-
-
-def check_weak_symplectic(L: LieAlgebra, omega: BilinearForm,
-                          assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """Skew-symmetry plus the cyclic identity om([x,y],z)+om([y,z],x)+om([z,x],y)=0."""
-    if omega.space.dim != L.space.dim:
-        raise ShapeError("form does not live on the algebra's space")
-    om = omega.tensor
-    items = _items("skew", SKEW.evaluate(t=om))
-    items += _items("weak-symplectic", WEAK_SYMPLECTIC.evaluate(c=L.tensor, om=om))
-    return _build_report(items, [L, omega], assumptions)
-
-
-def check_weak_cosymplectic(C: LieCoalgebra, r: TwoTensor,
-                            assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """Antisymmetry of r plus the cyclic sum of (delta (x) id)(r)."""
-    if r.space.dim != C.space.dim:
-        raise ShapeError("tensor does not live on the coalgebra's space")
-    rm = r.tensor
-    items = _items("antisymmetry", SKEW.evaluate(t=rm))
-    items += _items("weak-cosymplectic", WEAK_COSYMPLECTIC.evaluate(t=DELTA_R.evaluate(d=C.tensor, r=rm)))
-    return _build_report(items, [C, r], assumptions)
-
-
-# -- (co)representations ----------------------------------------------------
-
-def check_representation(R: Representation,
-                         assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis pairs."""
-    values = REPRESENTATION.evaluate(c=R.algebra.tensor, A=R.tensor)
-    return _build_report(_items("representation", values), [R], assumptions)
-
-
-def check_nij_representation(R: Representation, N: LinearOperator, alpha: LinearOperator,
-                             assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """rho(Nx)alpha + alpha^2 rho(x) = alpha rho(Nx) + alpha rho(x) alpha."""
-    if alpha.domain.dim != R.space.dim or N.domain.dim != R.algebra.space.dim:
-        raise ShapeError("operator shapes do not match the representation")
-    a, al = R.tensor, alpha.tensor
-    values = NIJ_REPRESENTATION.evaluate(rN=IMAGE.evaluate(M=N.tensor, T=a), al=al,
-                                         al2=SQUARE.evaluate(M=al), A=a,
-                                         rA=RIGHT_PRODUCT.evaluate(T=a, M=al))
-    return _build_report(_items("nijenhuis-representation", values), [R, N, alpha], assumptions)
+    def _fit(self, objs):
+        """ShapeError unless every tested argument's axes lie on its spaces."""
+        shapes = [() if obj is None else obj.tensor.shape for obj in objs]
+        size = {letter: shapes[i][axis] for letter, (i, axis) in self._sizes.items()}
+        for i, word, text in self._tests:
+            for n, letter in zip(shapes[i], word):  # "sss" fits a matrix too
+                if n != size[letter]:
+                    raise ShapeError(text)
 
 
-def check_admissible(R: Representation, N: LinearOperator, beta: LinearOperator,
-                     assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """beta rho(Nx) + rho(x) beta^2 = rho(Nx) beta + beta rho(x) beta."""
-    if beta.domain.dim != R.space.dim or N.domain.dim != R.algebra.space.dim:
-        raise ShapeError("operator shapes do not match the representation")
-    a, be = R.tensor, beta.tensor
-    values = ADMISSIBLE.evaluate(rN=IMAGE.evaluate(M=N.tensor, T=a), be=be,
-                                 be2=SQUARE.evaluate(M=be), A=a,
-                                 rB=RIGHT_PRODUCT.evaluate(T=a, M=be))
-    return _build_report(_items("admissible", values), [R, N, beta], assumptions)
+CHECKS = {
+    "lie-algebra": Check(
+        "Antisymmetry of the bracket and the Jacobi identity.", (("L", "c", LieAlgebra),),
+        identities=(("antisymmetry", ANTISYMMETRY, ""), ("jacobi", JACOBI, ""))),
+    "lie-coalgebra": Check(
+        "Co-antisymmetry and the co-Jacobi identity of the cobracket.", (("C", "d", LieCoalgebra),),
+        steps=(("t", COMPOSITE, "e=d"),),
+        identities=(("co-antisymmetry", CO_ANTISYMMETRY, ""), ("co-jacobi", CYCLIC, ""))),
+    "cocycle": Check(
+        "The bialgebra compatibility of the cobracket with the bracket.",
+        (("L", "c", LieAlgebra), ("C", "d", LieCoalgebra)), identities=(("cocycle", COCYCLE, ""),)),
+    "nijenhuis": Check(
+        "The torsion identity [Nx,Ny] + N^2[x,y] = N[Nx,y] + N[x,Ny].",
+        (("L", "c", LieAlgebra), ("N", "N", LinearOperator)),
+        steps=(("N2", SQUARE, "M=N"), ("left", IMAGE, "M=N T=c"), ("right", RIGHT_IMAGE, "M=N")),
+        identities=(("nijenhuis", TORSION, ""),)),
+    "nij-coalgebra": Check(
+        "(P(x)P)delta + delta P^2 = (P(x)id)(delta P) + (id(x)P)(delta P).",
+        (("C", "d", LieCoalgebra), ("P", "P", LinearOperator)),
+        steps=(("P2", SQUARE, "M=P"), ("dP", IMAGE, "M=P T=d")),
+        identities=(("nijenhuis-cobracket", NIJENHUIS_COBRACKET, ""),)),
+    "cybe": Check(
+        "The classical Yang-Baxter equation plus antisymmetry of r.",
+        (("L", "c", LieAlgebra), ("r", "r", TwoTensor)),
+        identities=(("antisymmetry", SKEW, "t=r"), ("cybe", CYBE, ""))),
+    "co-cybe": Check(
+        "The classical co-Yang-Baxter equation for a skew form on a coalgebra.",
+        (("C", "d", LieCoalgebra), ("omega", "om", BilinearForm)),
+        identities=(("skew", SKEW, "t=om"), ("co-cybe", CO_CYBE, ""))),
+    "dual-qt": Check(
+        "Both dual-quasitriangular compatibility conditions, reported separately.",
+        (("C", "d", LieCoalgebra), ("omega", "om", BilinearForm)), steps=(("w", INDUCED_BRACKET, ""),),
+        identities=(("skew", SKEW, "t=om"),
+                    (("dual-qt-1", DUAL_QT_1, ""), ("dual-qt-2", DUAL_QT_2, "")))),
+    "weak-symplectic": Check(
+        "Skew-symmetry plus the cyclic identity om([x,y],z)+om([y,z],x)+om([z,x],y)=0.",
+        (("L", "c", LieAlgebra), ("omega", "om", BilinearForm)),
+        identities=(("skew", SKEW, "t=om"), ("weak-symplectic", WEAK_SYMPLECTIC, ""))),
+    "weak-cosymplectic": Check(
+        "Antisymmetry of r plus the cyclic sum of (delta (x) id)(r).",
+        (("C", "d", LieCoalgebra), ("r", "r", TwoTensor)), steps=(("dr", DELTA_R, ""),),
+        identities=(("antisymmetry", SKEW, "t=r"), ("weak-cosymplectic", WEAK_COSYMPLECTIC, "t=dr"))),
+    "representation": Check(
+        "rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis pairs.", (("R", "A", Representation),),
+        identities=(("representation", REPRESENTATION, ""),)),
+    "nij-representation": Check(
+        "rho(Nx)alpha + alpha^2 rho(x) = alpha rho(Nx) + alpha rho(x) alpha.",
+        (("R", "A", Representation), ("N", "N", LinearOperator), ("alpha", "al", LinearOperator)),
+        steps=(("rN", IMAGE, "M=N T=A"), ("al2", SQUARE, "M=al"), ("rA", RIGHT_PRODUCT, "T=A M=al")),
+        identities=(("nijenhuis-representation", NIJ_REPRESENTATION, ""),),
+        axes="LVV LL VV", misfit="operator shapes do not match the representation"),
+    "admissible": Check(
+        "beta rho(Nx) + rho(x) beta^2 = rho(Nx) beta + beta rho(x) beta.",
+        (("R", "A", Representation), ("N", "N", LinearOperator), ("beta", "be", LinearOperator)),
+        steps=(("rN", IMAGE, "M=N T=A"), ("be2", SQUARE, "M=be"), ("rB", RIGHT_PRODUCT, "T=A M=be")),
+        identities=(("admissible", ADMISSIBLE, ""),),
+        axes="LVV LL VV", misfit="operator shapes do not match the representation"),
+    "corepresentation": Check(
+        "Coaction axiom; with (P, beta), also the Nijenhuis corepresentation identity.",
+        (("K", "g", Corepresentation), ("P", "P", LinearOperator), ("beta", "be", LinearOperator)),
+        steps=(("be2", SQUARE, "M=be"),),
+        identities=(("corepresentation", COREPRESENTATION, ""),
+                    ("nijenhuis-corepresentation", NIJ_COREPRESENTATION, "")),
+        required=1, axes="VCV CC VV", misfit="operator shapes do not match the corepresentation"),
+    "cpnybe": Check(
+        "The Yang-Baxter equation enriched with the operator-pairing constraint.",
+        (("L", "c", LieAlgebra), ("r", "r", TwoTensor), ("N", "N", LinearOperator),
+         ("P", "P", LinearOperator)),
+        identities=(("antisymmetry", SKEW, "t=r"), ("cybe", CYBE, ""),
+                    ("operator-pairing", PAIRING, ""))),
+    "rrbo": Check(
+        "The weak relative Rota-Baxter conditions for T: V -> L.",
+        (("L", "c", LieAlgebra), ("R", "A", Representation), ("alpha", "al", LinearOperator),
+         ("N", "N", LinearOperator), ("T", "T", LinearOperator)),
+        steps=(("inner", ROTA_BAXTER_INNER, ""),),
+        identities=(("rota-baxter", ROTA_BAXTER, ""), ("operator-intertwining", INTERTWINING, "")),
+        axes="LLL LVV VV LL LV",
+        misfit={"T": "T must map the module into the algebra", "alpha": "alpha must act on the module",
+                "N": "N must act on the algebra", "R": "R must represent the algebra"}),
+}
+check_lie_algebra = CHECKS["lie-algebra"]
+check_lie_coalgebra = CHECKS["lie-coalgebra"]
+check_cocycle = CHECKS["cocycle"]
+check_nijenhuis = CHECKS["nijenhuis"]
+check_nijenhuis_coalgebra = CHECKS["nij-coalgebra"]
+check_cybe = CHECKS["cybe"]
+check_co_cybe = CHECKS["co-cybe"]
+check_dual_qt = CHECKS["dual-qt"]
+check_weak_symplectic = CHECKS["weak-symplectic"]
+check_weak_cosymplectic = CHECKS["weak-cosymplectic"]
+check_representation = CHECKS["representation"]
+check_nij_representation = CHECKS["nij-representation"]
+check_admissible = CHECKS["admissible"]
+check_corepresentation = CHECKS["corepresentation"]
+check_cpnybe = CHECKS["cpnybe"]
+check_rrbo = CHECKS["rrbo"]
 
 
-def check_corepresentation(K: Corepresentation,
-                           P: LinearOperator | None = None,
-                           beta: LinearOperator | None = None,
-                           assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """Coaction axiom; with (P, beta), also the Nijenhuis corepresentation identity."""
-    if (P is None) != (beta is None):
-        raise ShapeError("P and beta must be supplied together")
-    g = K.tensor
-    items = _items("corepresentation", COREPRESENTATION.evaluate(g=g, d=K.coalgebra.tensor))
-    if P is not None and beta is not None:
-        be = beta.tensor
-        items += _items("nijenhuis-corepresentation", NIJ_COREPRESENTATION.evaluate(
-            g=g, P=P.tensor, be=be, be2=SQUARE.evaluate(M=be)))
-    inputs = [K, P, beta] if P is not None else [K]
-    return _build_report(items, inputs, assumptions)
-
-
-# -- compatible pairs and deformation homomorphisms --------------------------
+# -- checks with a step that is not a table ----------------------------------------
 
 def check_compatible_pair(C1: LieCoalgebra, C2: LieCoalgebra,
                           s: Scalar, t: Scalar,
@@ -531,8 +581,6 @@ def check_deformed_homomorphism(C: LieCoalgebra, C_st: LieCoalgebra,
                                                  P=p, be=bt)))
     return _build_report(items, [C, C_st, K, K_st, P, beta, s, t, inv_t], assumptions)
 
-
-# -- matched pairs, Frobenius, bialgebras -------------------------------------
 
 def check_matched_pair(L: LieAlgebra, H: LieAlgebra,
                        rho_L: Representation, rho_H: Representation,
@@ -618,20 +666,6 @@ def check_nij_lie_bialgebra(L: LieAlgebra, C: LieCoalgebra,
                          details={tag: sub.verdict for tag, sub in subreports.items()})
 
 
-# -- enriched Yang-Baxter checks ---------------------------------------------
-
-def check_cpnybe(L: LieAlgebra, r: TwoTensor, N: LinearOperator, P: LinearOperator,
-                 assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """The Yang-Baxter equation enriched with the operator-pairing constraint."""
-    if r.space.dim != L.space.dim:
-        raise ShapeError("tensor does not live on the algebra's space")
-    rm = r.tensor
-    items = _items("antisymmetry", SKEW.evaluate(t=rm))
-    items += _items("cybe", CYBE.evaluate(c=L.tensor, r=rm))
-    items += _items("operator-pairing", PAIRING.evaluate(P=P.tensor, r=rm, N=N.tensor))
-    return _build_report(items, [L, r, N, P], assumptions)
-
-
 def check_pq_equivalents(L: LieAlgebra, r: TwoTensor,
                          N: LinearOperator, P: LinearOperator,
                          assumptions: Sequence[Assumption] = ()) -> CheckReport:
@@ -646,6 +680,7 @@ def check_pq_equivalents(L: LieAlgebra, r: TwoTensor,
 
     C = delta_from_r(L, r)
     nc_direct = check_nijenhuis_coalgebra(C, P)
+    check_nijenhuis._fit((L, N))  # before the compatibility reads N
     nlb2_direct = _build_report(
         _items("cobracket-compatibility", _cobracket_compatibility(C, N, P)), [L, C, N, P], ())
 
@@ -669,24 +704,3 @@ def check_pq_equivalents(L: LieAlgebra, r: TwoTensor,
         "compatibility-identity-r-form": nlb2_r.verdict,
     }
     return _build_report(items, [L, r, N, P], assumptions, details=details)
-
-
-def check_rrbo(L: LieAlgebra, R: Representation, alpha: LinearOperator,
-               N: LinearOperator, T: LinearOperator,
-               assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """The weak relative Rota-Baxter conditions for T: V -> L."""
-    n = L.space.dim
-    m = R.space.dim
-    if T.domain.dim != m or T.codomain.dim != n:
-        raise ShapeError("T must map the module into the algebra")
-    if alpha.domain.dim != m or alpha.codomain.dim != m:
-        raise ShapeError("alpha must act on the module")
-    if N.domain.dim != n or N.codomain.dim != n:
-        raise ShapeError("N must act on the algebra")
-    if R.algebra.space.dim != n:
-        raise ShapeError("R must represent the algebra")
-    t = T.tensor
-    inner = ROTA_BAXTER_INNER.evaluate(T=t, A=R.tensor)
-    items = _items("rota-baxter", ROTA_BAXTER.evaluate(T=t, c=L.tensor, inner=inner))
-    items += _items("operator-intertwining", INTERTWINING.evaluate(N=N.tensor, T=t, al=alpha.tensor))
-    return _build_report(items, [L, R, alpha, N, T], assumptions)

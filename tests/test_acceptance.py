@@ -358,7 +358,7 @@ def test_criterion_10_dual_qt_implies_weak_symplectic(dr, sl2, omega_symp, omega
 def test_criterion_11_duality_suite(sl2, dr):
     with criterion("11", "double duals are label-isomorphic and both dual directions "
                          "preserve the torsion checks"):
-        for entry_id in catalog.entry_ids():
+        for entry_id, _ in catalog.list_entries():
             entry = catalog.get(entry_id)
             for obj in entry.structures.values():
                 if isinstance(obj, LieAlgebra):

@@ -14,7 +14,6 @@ from conftest import sc
 
 def test_listing_is_deterministic_and_complete():
     ids = [entry_id for entry_id, _ in catalog.list_entries()]
-    assert ids == catalog.entry_ids()
     assert "sl2" in ids
     assert sum(1 for i in ids if i.startswith("nij-family-")) == 7
     assert sum(1 for i in ids if i.startswith("nliebialg-")) == 4
@@ -32,7 +31,7 @@ def test_sl2_payload(sl2):
 
 
 def test_every_entry_passes_its_declared_checks():
-    for entry_id in catalog.entry_ids():
+    for entry_id, _ in catalog.list_entries():
         entry = catalog.get(entry_id)
         for stmt in entry.document.checks:
             report = run_check_statement(entry.document, stmt)

@@ -7,12 +7,14 @@ with the check under test.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+import lieb
 from lieb import (
     BasisSpace,
     BilinearForm,
@@ -750,3 +752,87 @@ def test_identity_is_not_a_rota_baxter_operator(sl2):
     # the bracket-compatibility side doubles the bracket: residual -[e_i, e_j]
     failing = {r.index: r.value for r in report.residuals if r.identity == "rota-baxter"}
     assert failing[(0, 1, 2)] == sc("-1")
+
+
+# -- calling conventions ------------------------------------------------------------
+
+_CONVENTIONS_DOCUMENT = """params k
+space L : e f h
+space V : u v
+algebra g on L {
+  [e, f] = h/(k^2 + k)
+  [h, e] = 2*e
+  [h, f] = -2*f
+}
+algebra a on V {
+  [u, v] = u/(k^2 + k)
+}
+coalgebra C on L {
+  delta(h) = (e@f - f@e)/(k^2 + k)
+}
+rep R of g on V {
+  e : v -> u/(k^2 + k)
+  f : u -> v
+}
+rep Ra of a on L {
+  u : e -> e/(k^2 + k)
+}
+operator N : L -> L {
+  e -> e/(k^2 + k)
+  h -> f
+}
+operator al : V -> V {
+  u -> v/(k^2 + k)
+}
+operator T : V -> L {
+  u -> e/(k^2 + k)
+}
+tensor r on L {
+  (e@f - f@e)/(k^2 + k)
+}
+form om on L skew {
+  (e, f) = 1/(k^2 + k)
+}
+form B on L {
+  (e, f) = 1/(k^2 + k)
+  (f, e) = 1/(k^2 + k)
+  (h, h) = 2
+}
+"""
+
+
+def _conventions_structures() -> dict:
+    """A structure for each parameter name of the exported checks, each one
+    with the denominator k^2 + k."""
+    s = parse_document(_CONVENTIONS_DOCUMENT).structures
+    K = Corepresentation(s["C"], s["R"].space, Tensor((2, 3, 2), {(0, 2, 1): sc("1/(k^2 + k)")}))
+    return {"L": s["g"], "H": s["a"], "R": s["R"], "rho_L": s["R"], "rho_H": s["Ra"],
+            **dict.fromkeys(("C", "C1", "C2", "C_st"), s["C"]),
+            **dict.fromkeys(("K", "K_st", "corep1", "corep2"), K),
+            **dict.fromkeys(("N", "N_L", "P"), s["N"]),
+            **dict.fromkeys(("N_H", "alpha", "beta"), s["al"]),
+            "T": s["T"], "r": s["r"], "omega": s["om"], "B": s["B"], "s": ONE, "t": sc("k")}
+
+
+_EXPORTED_CHECKS = sorted(name for name in dir(lieb) if name.startswith("check_"))
+
+
+def test_there_are_22_exported_checks():
+    assert len(_EXPORTED_CHECKS) == 22
+
+
+@pytest.mark.parametrize("name", _EXPORTED_CHECKS)
+def test_every_check_takes_structures_and_assumptions_by_position_or_by_name(name):
+    check = getattr(lieb, name)
+    params = [p for p in inspect.signature(check).parameters if p != "assumptions"]
+    structures = _conventions_structures()
+    named = {p: structures[p] for p in params}
+    objs = list(named.values())
+    declared = [Assumption(sc("k").num), Assumption(sc("k + 1").num)]
+    reports = [check(*objs, declared), check(*objs, assumptions=declared),
+               check(**named, assumptions=declared),
+               check(objs[0], **dict(list(named.items())[1:]), assumptions=declared)]
+    got = [(r.verdict, r.residuals, r.assumptions_used) for r in reports]
+    assert got == [got[0]] * 4
+    # the assumptions reached the check: without them the denominator is implicit
+    assert check(*objs).assumptions_used != reports[0].assumptions_used

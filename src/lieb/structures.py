@@ -375,24 +375,25 @@ class Check:
         self._groups = [tuple((tag, table, _reads(table, renames)) for tag, table, renames in group)
                         for group in (g if isinstance(g[0], tuple) else (g,) for g in identities)]
         words = (axes or "sss " * len(args)).split()
-        self._sizes = {}  # space letter -> (argument, axis) that sizes it
+        first = {}  # space letter -> (argument, axis) that sizes it
         for i, word in enumerate(words):
             for axis, letter in enumerate(word):
-                self._sizes.setdefault(letter, (i, axis))
+                first.setdefault(letter, (i, axis))
         names = [name for name, _, _ in args]
         if misfit is None:
             where = "algebra" if args[0][2] is LieAlgebra else "coalgebra"
             misfit = {name: _MISFIT[rtype].format(where) for name, _, rtype in args[1:]}
         elif isinstance(misfit, str):
             misfit = dict.fromkeys(names[1:], misfit)
-        self._tests = [(names.index(name), words[names.index(name)], text)  # in misfit's order
+        # (argument, the (argument, axis) sizing each of its axes, text), in misfit's order
+        self._tests = [(names.index(name), [first[x] for x in words[names.index(name)]], text)
                        for name, text in misfit.items()]
 
     def __call__(self, *objs, **named):
         if named.keys() - {"assumptions"} or len(objs) != len(self.args):
-            call = self.__signature__.bind(*objs, **named)
-            call.apply_defaults()
-            *objs, named["assumptions"] = call.arguments.values()
+            call = self.__signature__.bind(*objs, **named).arguments
+            objs = [call.get(name) for name, _, _ in self.args]
+            named = {"assumptions": call.get("assumptions", ())}
         given = None not in objs[self.required:]
         if not given and any(obj is not None for obj in objs[self.required:]):
             raise ShapeError(" and ".join(name for name, _, _ in self.args[self.required:])
@@ -417,10 +418,9 @@ class Check:
     def _fit(self, objs):
         """ShapeError unless every tested argument's axes lie on its spaces."""
         shapes = [() if obj is None else obj.tensor.shape for obj in objs]
-        size = {letter: shapes[i][axis] for letter, (i, axis) in self._sizes.items()}
-        for i, word, text in self._tests:
-            for n, letter in zip(shapes[i], word):  # "sss" fits a matrix too
-                if n != size[letter]:
+        for i, sizes, text in self._tests:
+            for n, (j, axis) in zip(shapes[i], sizes):  # "sss" fits a matrix too
+                if n != shapes[j][axis]:
                     raise ShapeError(text)
 
 

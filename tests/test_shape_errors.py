@@ -19,7 +19,6 @@ import pytest
 
 from lieb import (
     Corepresentation,
-    Scalar,
     ShapeError,
     check_compatible_pair,
     check_corepresentation,
@@ -30,6 +29,7 @@ from lieb import (
 from lieb.cli import EXIT_PARSE_ERROR, main
 from lieb.document import CHECK_KINDS
 from lieb.multilinear import Tensor
+from lieb.scalars import ONE, ZERO
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "shape_errors" / "shape_errors.json")
                     .read_text(encoding="utf-8"))
@@ -62,34 +62,32 @@ def _structures():
     return s
 
 
-_ONE, _ZERO = Scalar.from_int(1), Scalar.from_int(0)
-
 # each direct call, given the structures of the golden's document and those
 # that _structures adds; a call fits but for what its name gives
 _CALLS = {
     "compatible-pair/second-cobracket":
-        lambda s: check_compatible_pair(s["C"], s["CV"], _ONE, _ONE),
+        lambda s: check_compatible_pair(s["C"], s["CV"], ONE, ONE),
     "compatible-pair/one-corep":
-        lambda s: check_compatible_pair(s["C"], s["C"], _ONE, _ONE, s["K"]),
+        lambda s: check_compatible_pair(s["C"], s["C"], ONE, ONE, s["K"]),
     "compatible-pair/second-corep-module":
-        lambda s: check_compatible_pair(s["C"], s["C"], _ONE, _ONE, s["K"], s["KL"]),
+        lambda s: check_compatible_pair(s["C"], s["C"], ONE, ONE, s["K"], s["KL"]),
     "compatible-pair/coreps-coalgebra":
-        lambda s: check_compatible_pair(s["C"], s["C"], _ONE, _ONE, s["KCV"], s["KCV"]),
+        lambda s: check_compatible_pair(s["C"], s["C"], ONE, ONE, s["KCV"], s["KCV"]),
     "deformed-homomorphism/zero-t":
         lambda s: check_deformed_homomorphism(s["C"], s["C"], s["K"], s["K"], s["LL"], s["VV"],
-                                              _ONE, _ZERO),
+                                              ONE, ZERO),
     "deformed-homomorphism/deformed-cobracket":
         lambda s: check_deformed_homomorphism(s["C"], s["CV"], s["K"], s["K"], s["LL"], s["VV"],
-                                              _ONE, _ONE),
+                                              ONE, ONE),
     "deformed-homomorphism/deformed-corep":
         lambda s: check_deformed_homomorphism(s["C"], s["C"], s["K"], s["KL"], s["LL"], s["VV"],
-                                              _ONE, _ONE),
+                                              ONE, ONE),
     "deformed-homomorphism/P":
         lambda s: check_deformed_homomorphism(s["C"], s["C"], s["K"], s["K"], s["VV"], s["VV"],
-                                              _ONE, _ONE),
+                                              ONE, ONE),
     "deformed-homomorphism/beta":
         lambda s: check_deformed_homomorphism(s["C"], s["C"], s["K"], s["K"], s["LL"], s["LL"],
-                                              _ONE, _ONE),
+                                              ONE, ONE),
     "matched-pair/rho_L-algebra":
         lambda s: check_matched_pair(s["g"], s["a"], s["Ra"], s["RaL"], s["LL"], s["VV"]),
     "matched-pair/rho_L-module":

@@ -327,8 +327,8 @@ INTERTWINING = Table("ia", "N[ap] T[pi] - T[ab] al[bi]")
 #   and the steps and identities that read them run only when they are given.
 # * steps: the intermediates as (name, table, renames), each evaluated once, in
 #   order.  The renames "M=N T=c" fill the table's operand M with N and T with
-#   c; an operand not renamed is filled by the one of its own name.  Every
-#   table's operands are bound so once, when CHECKS is built.
+#   c; an operand not renamed is filled by the one of its own name.  The
+#   renames are resolved once, when CHECKS is built, not on every call.
 # * identities: (tag, table, renames) triples in report order; a tuple of such
 #   triples is reported interleaved, component by component.
 # * the fit, tested before any table runs.  By default every axis of every

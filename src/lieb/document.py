@@ -42,7 +42,6 @@ from .structures import (
     LieCoalgebra,
     Representation,
     check_frobenius,
-    check_nij_lie_bialgebra,
     check_pq_equivalents,
 )
 from . import construct as _construct
@@ -104,10 +103,9 @@ _CHECK_ARGUMENTS = {
     **{kind: check.types for kind, check in CHECKS.items()},
     "frobenius": (LieAlgebra, BilinearForm),
     "frobenius-nij": (LieAlgebra, BilinearForm, LinearOperator),
-    "nij-lie-bialgebra": (LieAlgebra, LieCoalgebra, LinearOperator, LinearOperator),
     "pq-equivalents": (LieAlgebra, TwoTensor, LinearOperator, LinearOperator)}
 _CHECKS = {**CHECKS, "frobenius": check_frobenius, "frobenius-nij": check_frobenius,
-           "nij-lie-bialgebra": check_nij_lie_bialgebra, "pq-equivalents": check_pq_equivalents}
+           "pq-equivalents": check_pq_equivalents}
 CHECK_KINDS = {kind: (len(types), _CHECKS[kind]) for kind, types in _CHECK_ARGUMENTS.items()}
 
 # Construction ops usable in documents (single-result builders only).

@@ -4,9 +4,10 @@ Every ``check_*`` evaluates its identities over all basis multi-indices and
 returns a CheckReport listing the exactly-nonvanishing residual components.
 A check passes when every residual is the zero scalar; it passes
 conditionally when the input data carries parametric denominators whose
-nonvanishing had to be assumed.  The regular checks are the entries of
-``CHECKS``, data that one runner evaluates; the others, each with a step that
-is not a table, are functions that call those entries.
+nonvanishing had to be assumed.  Each check whose every step is a table is a
+``Check``, data that one runner evaluates: the entries of ``CHECKS``, which
+documents name, and the matched-pair and compatible-pair checks.  The other
+three, each with a step that is not a table, are functions.
 
 Every identity is written once, as one signed einsum sum
 (``multilinear.Table``), and one sparse engine evaluates them on the records'
@@ -129,11 +130,6 @@ class Corepresentation(Record):
 
 
 # -- report assembly --------------------------------------------------------
-
-def _tagged(tag: str, report: CheckReport) -> list[tuple[str, tuple, Scalar]]:
-    """A sub-check's residuals as items, each identity prefixed by the tag."""
-    return [(f"{tag}.{r.identity}", r.index, r.value) for r in report.residuals]
-
 
 def _build_report(items: Iterable[tuple[str, tuple, Scalar]],
                   inputs: Iterable,
@@ -317,26 +313,33 @@ ROTA_BAXTER = Table("ija", "T[pi] T[qj] c[pqa] - T[as] inner[ijs]")
 INTERTWINING = Table("ia", "N[ap] T[pi] - T[ab] al[bi]")
 
 
-# -- the regular checks ---------------------------------------------------------
-# Each regular check is one CHECKS entry, a Check: data that one runner,
+# -- the checks declared as data -------------------------------------------------
+# Each check whose every step is a table is a Check: data that one runner,
 # Check.__call__, evaluates.  Its fields:
-# * args: (parameter, operand, record type) for each structure, in call order.
+# * args: (parameter, operand, record type) for each argument, in call order.
 #   The structure's tensor fills the operand; a (co)representation's also
-#   fills c (d) with its (co)algebra's, unless an argument fills it.  The
+#   fills c (d) with its (co)algebra's, unless an argument fills it.  An
+#   argument that no table reads, such as a scalar, has operand None.  The
 #   arguments after ``required`` are optional, given together or not at all,
 #   and the steps and identities that read them run only when they are given.
 # * steps: the intermediates as (name, table, renames), each evaluated once, in
 #   order.  The renames "M=N T=c" fill the table's operand M with N and T with
 #   c; an operand not renamed is filled by the one of its own name.  The
-#   renames are resolved once, when CHECKS is built, not on every call.
+#   renames are resolved once, when the Check is built, not on every call.
 # * identities: (tag, table, renames) triples in report order; a tuple of such
-#   triples is reported interleaved, component by component.
+#   triples is reported interleaved, component by component.  A triple may
+#   name a Check, a part, in place of the table: its renames map the part's
+#   parameters to this check's, it receives its required arguments only, and
+#   it runs when they are given.  Each of its residuals is named
+#   "tag.identity", unless the identity starts with the tag, and its verdict
+#   goes into details[tag], the worse one where two parts share a tag.
 # * the fit, tested before any table runs.  By default every axis of every
 #   argument lies on the first argument's space, and a misfit is named by its
 #   record type ("operator does not act on the algebra").  A check with a
-#   module declares ``axes``, a word of space letters for each argument, each
-#   letter sized by the first argument that has it, and ``misfit``: one text
-#   for every later argument, or a text for each argument tested, in order.
+#   module declares ``axes``, a word of space letters for each argument ("-"
+#   for a scalar), each letter sized by the first argument that has it, and
+#   ``misfit``: one text for every later argument, or a text for each argument
+#   tested, in order.
 
 # a single-space check's text for an argument off its first argument's space
 _MISFIT = {LieCoalgebra: "algebra and coalgebra live on different spaces",
@@ -345,23 +348,27 @@ _MISFIT = {LieCoalgebra: "algebra and coalgebra live on different spaces",
            TwoTensor: "tensor does not live on the {}'s space"}
 # a (co)representation's (co)algebra, and the operand its tensor fills
 _OWNER = {Representation: ("algebra", "c"), Corepresentation: ("coalgebra", "d")}
+_SEVERITY = list(Verdict)  # from the best verdict to the worst
 
 
-def _reads(table: Table, renames: str) -> tuple[tuple[str, str], ...]:
-    """(table operand, check operand) for each operand the table reads."""
+def _reads(part, renames: str) -> tuple[tuple[str, str], ...]:
+    """(the part's name, this check's name) for each operand a table reads, or
+    for each parameter a check requires."""
     given = dict(pair.split("=") for pair in renames.split())
-    return tuple((name, given.get(name, name))
-                 for name in dict.fromkeys(name for _, factors in table.terms for name, _ in factors))
+    names = (part.names[:part.required] if isinstance(part, Check)
+             else dict.fromkeys(name for _, factors in part.terms for name, _ in factors))
+    return tuple((name, given.get(name, name)) for name in names)
 
 
 class Check:
-    """A regular check declared as data, run by calling it: with its
-    structures by position or by parameter name, then its assumptions by
-    position or as ``assumptions``."""
+    """A check declared as data, run by calling it: with its structures by
+    position or by parameter name, then its assumptions by position or as
+    ``assumptions``."""
 
     def __init__(self, doc, args, steps=(), identities=(), required=None, axes=None, misfit=None):
         self.__doc__ = doc
         self.args = args
+        self.names = names = [name for name, _, _ in args]
         self.required = len(args) if required is None else required
         self.types = tuple(rtype for _, _, rtype in args[:self.required])
         self.__signature__ = Signature(
@@ -372,14 +379,13 @@ class Check:
         self._operands = [operand for _, operand, _ in args]
         self._owners = [(i, *_OWNER[rtype]) for i, (_, _, rtype) in enumerate(args) if rtype in _OWNER]
         self._steps = [(name, table, _reads(table, renames)) for name, table, renames in steps]
-        self._groups = [tuple((tag, table, _reads(table, renames)) for tag, table, renames in group)
+        self._groups = [tuple((tag, part, _reads(part, renames)) for tag, part, renames in group)
                         for group in (g if isinstance(g[0], tuple) else (g,) for g in identities)]
         words = (axes or "sss " * len(args)).split()
         first = {}  # space letter -> (argument, axis) that sizes it
         for i, word in enumerate(words):
             for axis, letter in enumerate(word):
                 first.setdefault(letter, (i, axis))
-        names = [name for name, _, _ in args]
         if misfit is None:
             where = "algebra" if args[0][2] is LieAlgebra else "coalgebra"
             misfit = {name: _MISFIT[rtype].format(where) for name, _, rtype in args[1:]}
@@ -392,32 +398,43 @@ class Check:
     def __call__(self, *objs, **named):
         if named.keys() - {"assumptions"} or len(objs) != len(self.args):
             call = self.__signature__.bind(*objs, **named).arguments
-            objs = [call.get(name) for name, _, _ in self.args]
+            objs = [call.get(name) for name in self.names]
             named = {"assumptions": call.get("assumptions", ())}
         given = None not in objs[self.required:]
         if not given and any(obj is not None for obj in objs[self.required:]):
-            raise ShapeError(" and ".join(name for name, _, _ in self.args[self.required:])
-                             + " must be supplied together")
+            raise ShapeError(" and ".join(self.names[self.required:]) + " must be supplied together")
         if self._tests:
             self._fit(objs)
-        env = {operand: obj.tensor for operand, obj in zip(self._operands, objs) if obj is not None}
+        env = {operand: obj.tensor for operand, obj in zip(self._operands, objs)
+               if operand is not None and obj is not None}
         for i, attr, operand in self._owners:
-            env.setdefault(operand, getattr(objs[i], attr).tensor)
+            if objs[i] is not None:
+                env.setdefault(operand, getattr(objs[i], attr).tensor)
         for name, table, operands in self._steps:
             if given or all(source in env for _, source in operands):
                 env[name] = table.evaluate(**{key: env[source] for key, source in operands})
-        items = []
+        items, details, by_name = [], {}, dict(zip(self.names, objs))
         for group in self._groups:
-            if given or all(source in env for _, _, operands in group for _, source in operands):
+            tag, part, operands = group[0]
+            if isinstance(part, Check):
+                arguments = [by_name[source] for _, source in operands]
+                if None in arguments:
+                    continue
+                report = part(*arguments)
+                items += [(r.identity if r.identity.startswith(tag) else f"{tag}.{r.identity}",
+                           r.index, r.value) for r in report.residuals]
+                details[tag] = max(details.get(tag, report.verdict), report.verdict,
+                                   key=_SEVERITY.index)
+            elif given or all(source in env for _, _, operands in group for _, source in operands):
                 values = [(tag, table.evaluate(**{key: env[source] for key, source in operands}))
                           for tag, table, operands in group]
                 items += _items(*values[0]) if len(values) == 1 else _interleaved(*values)
         # an optional argument not given is None, which holds no scalar
-        return _build_report(items, objs, named.get("assumptions", ()))
+        return _build_report(items, objs, named.get("assumptions", ()), details)
 
     def _fit(self, objs):
         """ShapeError unless every tested argument's axes lie on its spaces."""
-        shapes = [() if obj is None else obj.tensor.shape for obj in objs]
+        shapes = [obj.tensor.shape if isinstance(obj, Record) else () for obj in objs]
         for i, sizes, text in self._tests:
             for n, (j, axis) in zip(shapes[i], sizes):  # "sss" fits a matrix too
                 if n != shapes[j][axis]:
@@ -522,37 +539,66 @@ check_cpnybe = CHECKS["cpnybe"]
 check_rrbo = CHECKS["rrbo"]
 
 
-# -- checks with a step that is not a table ----------------------------------------
+CHECKS["nij-lie-bialgebra"] = check_nij_lie_bialgebra = Check(
+    "Everything a Nijenhuis Lie bialgebra must satisfy, in one report.",
+    (("L", "c", LieAlgebra), ("C", "d", LieCoalgebra), ("N", "N", LinearOperator),
+     ("P", "P", LinearOperator)),
+    steps=(("P2", SQUARE, "M=P"), ("left", IMAGE, "M=N T=c"), ("right", RIGHT_IMAGE, "M=P"),
+           ("N2", SQUARE, "M=N"), ("dN", IMAGE, "M=N T=d")),
+    identities=(("lie-algebra", check_lie_algebra, ""), ("lie-coalgebra", check_lie_coalgebra, ""),
+                ("cocycle", check_cocycle, ""), ("nijenhuis", check_nijenhuis, ""),
+                ("nijenhuis-cobracket", check_nijenhuis_coalgebra, ""),
+                ("operator-compatibility", OPERATOR_COMPATIBILITY, ""),
+                ("cobracket-compatibility", COBRACKET_COMPATIBILITY, "")),
+    misfit={"C": _MISFIT[LieCoalgebra], "N": "operator does not act on the algebra",
+            "P": "operator does not act on the coalgebra"})
 
-def check_compatible_pair(C1: LieCoalgebra, C2: LieCoalgebra,
-                          s: Scalar, t: Scalar,
-                          corep1: Corepresentation | None = None,
-                          corep2: Corepresentation | None = None,
-                          assumptions: Sequence[Assumption] = ()) -> CheckReport:
+# checks on scalar arguments, which documents cannot name
+check_matched_pair = Check(
+    "Mutual representations, their Nijenhuis compatibilities, and both matched-pair mixing"
+    " identities.",
+    (("L", "c", LieAlgebra), ("H", "h", LieAlgebra), ("rho_L", "A", Representation),
+     ("rho_H", "B", Representation), ("N_L", None, LinearOperator), ("N_H", None, LinearOperator)),
+    identities=(("first-action", check_representation, "R=rho_L"),
+                ("second-action", check_representation, "R=rho_H"),
+                ("first-action", check_nij_representation, "R=rho_L N=N_L alpha=N_H"),
+                ("second-action", check_nij_representation, "R=rho_H N=N_H alpha=N_L"),
+                ("matched-pair-1", MATCHED_PAIR, "A=B B=A"), ("matched-pair-2", MATCHED_PAIR, "c=h")),
+    axes="LLL HHH LHH HLL LL HH",
+    misfit={"rho_L": "rho_L must represent the first algebra on the second's space",
+            "rho_H": "rho_H must represent the second algebra on the first's space",
+            "N_L": "N_L must act on the first algebra", "N_H": "N_H must act on the second algebra"})
+check_compatible_pair = Check(
     """Both cobrackets are Lie coalgebras and their mixed co-Jacobi sum vanishes.
 
     When coreps are given, also checks each coaction axiom and the mixed
     corepresentation identity, i.e. everything needed for s*delta + t*Delta and
-    s*gamma + t*Gamma to work for independent deformation weights.
-    """
-    if C2.space.dim != C1.space.dim:
-        raise ShapeError("cobrackets live on different spaces")
-    d, e = C1.tensor, C2.tensor
-    items = _tagged("first", check_lie_coalgebra(C1)) + _tagged("second", check_lie_coalgebra(C2))
-    items += _items("mixed-co-jacobi", MIXED_CYCLIC.evaluate(
-        t=COMPOSITE.evaluate(d=d, e=e), u=COMPOSITE.evaluate(d=e, e=d)))
-    inputs = [C1, C2, s, t]
-    if (corep1 is None) != (corep2 is None):
-        raise ShapeError("coreps must be supplied together")
-    if corep1 is not None and corep2 is not None:
-        if corep2.space.dim != corep1.space.dim:
-            raise ShapeError("coreps live on different module spaces")
-        items += _tagged("first", check_corepresentation(corep1))
-        items += _tagged("second", check_corepresentation(corep2))
-        items += _items("mixed-corepresentation", MIXED_COREPRESENTATION.evaluate(
-            g=corep1.tensor, h=corep2.tensor, d=d, e=e))
-        inputs += [corep1, corep2]
-    return _build_report(items, inputs, assumptions)
+    s*gamma + t*Gamma to work for independent deformation weights.""",
+    (("C1", "d", LieCoalgebra), ("C2", "e", LieCoalgebra), ("s", None, Scalar), ("t", None, Scalar),
+     ("corep1", "g", Corepresentation), ("corep2", "h", Corepresentation)),
+    steps=(("de", COMPOSITE, ""), ("ed", COMPOSITE, "d=e e=d")),
+    identities=(("first", check_lie_coalgebra, "C=C1"), ("second", check_lie_coalgebra, "C=C2"),
+                ("mixed-co-jacobi", MIXED_CYCLIC, "t=de u=ed"),
+                ("first", check_corepresentation, "K=corep1"),
+                ("second", check_corepresentation, "K=corep2"),
+                ("mixed-corepresentation", MIXED_COREPRESENTATION, "")),
+    required=4, axes="CCC CCC - - VCV VCV",
+    misfit={"C2": "cobrackets live on different spaces",
+            "corep1": "corep1 must corepresent the first cobracket",
+            "corep2": "corep2 must corepresent the second cobracket on corep1's module"})
+
+
+# -- checks with a step that is not a table ----------------------------------------
+
+# the fit of check_deformed_homomorphism's arguments
+_DEFORMATION_FIT = Check(
+    "", (("C", None, LieCoalgebra), ("C_st", None, LieCoalgebra), ("K", None, Corepresentation),
+         ("K_st", None, Corepresentation), ("P", None, LinearOperator),
+         ("beta", None, LinearOperator)),
+    axes="CCC CCC VCV VCV CC VV",
+    misfit={"C_st": "C_st must live on C's space", "K": "K must corepresent C",
+            "K_st": "K_st must corepresent C_st on K's module", "P": "P must act on C's space",
+            "beta": "beta must act on K's module"})
 
 
 def check_deformed_homomorphism(C: LieCoalgebra, C_st: LieCoalgebra,
@@ -567,6 +613,7 @@ def check_deformed_homomorphism(C: LieCoalgebra, C_st: LieCoalgebra,
     """
     if t.is_zero():
         raise ShapeError("deformation weight t must be invertible to recover the second cobracket")
+    _DEFORMATION_FIT._fit((C, C_st, K, K_st, P, beta))
     inv_t = ONE / t
     d, g = C.tensor, K.tensor
     dd = SECOND_SUMMAND.evaluate(u=inv_t, st=C_st.tensor, s=s, x=d)
@@ -580,27 +627,6 @@ def check_deformed_homomorphism(C: LieCoalgebra, C_st: LieCoalgebra,
         ("deformation-4", DEFORMATION_4.evaluate(gb=IMAGE.evaluate(M=bt, T=g), G=gg, g=g,
                                                  P=p, be=bt)))
     return _build_report(items, [C, C_st, K, K_st, P, beta, s, t, inv_t], assumptions)
-
-
-def check_matched_pair(L: LieAlgebra, H: LieAlgebra,
-                       rho_L: Representation, rho_H: Representation,
-                       N_L: LinearOperator, N_H: LinearOperator,
-                       assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """Mutual representations, their Nijenhuis compatibilities, and both
-    matched-pair mixing identities."""
-    n, m = L.space.dim, H.space.dim
-    if rho_L.algebra is not L and rho_L.algebra.space.dim != n:
-        raise ShapeError("rho_L must represent the first algebra")
-    if rho_L.space.dim != m or rho_H.space.dim != n:
-        raise ShapeError("matched-pair actions have wrong module dimensions")
-    items = _tagged("first-action", check_representation(rho_L))
-    items += _tagged("second-action", check_representation(rho_H))
-    items += _tagged("first-action", check_nij_representation(rho_L, N_L, N_H))
-    items += _tagged("second-action", check_nij_representation(rho_H, N_H, N_L))
-    for name, c, act, back in (("matched-pair-1", L.tensor, rho_H.tensor, rho_L.tensor),
-                               ("matched-pair-2", H.tensor, rho_L.tensor, rho_H.tensor)):
-        items += _items(name, MATCHED_PAIR.evaluate(A=act, c=c, B=back))
-    return _build_report(items, [L, H, rho_L, rho_H, N_L, N_H], assumptions)
 
 
 def check_frobenius(L: LieAlgebra, B: BilinearForm,
@@ -628,44 +654,6 @@ def check_frobenius(L: LieAlgebra, B: BilinearForm,
     return _build_report(items, inputs, assumptions, details={"determinant": det})
 
 
-def nijenhuis_bialgebra_residuals(L: LieAlgebra, C: LieCoalgebra,
-                                  N: LinearOperator, P: LinearOperator):
-    """The nonvanishing components of the two extra compatibility identities
-    of a Nijenhuis Lie bialgebra."""
-    c, nm, p = L.tensor, N.tensor, P.tensor
-    operator = OPERATOR_COMPATIBILITY.evaluate(P=p, P2=SQUARE.evaluate(M=p), c=c, N=nm,
-                                               left=IMAGE.evaluate(M=nm, T=c),
-                                               right=RIGHT_IMAGE.evaluate(M=p, c=c))
-    return (_items("operator-compatibility", operator)
-            + _items("cobracket-compatibility", _cobracket_compatibility(C, N, P)))
-
-
-def _cobracket_compatibility(C: LieCoalgebra, N: LinearOperator, P: LinearOperator) -> Tensor:
-    nm, d = N.tensor, C.tensor
-    return COBRACKET_COMPATIBILITY.evaluate(d=d, P=P.tensor, N=nm, N2=SQUARE.evaluate(M=nm),
-                                            dN=IMAGE.evaluate(M=nm, T=d))
-
-
-def check_nij_lie_bialgebra(L: LieAlgebra, C: LieCoalgebra,
-                            N: LinearOperator, P: LinearOperator,
-                            assumptions: Sequence[Assumption] = ()) -> CheckReport:
-    """Everything a Nijenhuis Lie bialgebra must satisfy, in one report."""
-    subreports = {
-        "lie-algebra": check_lie_algebra(L),
-        "lie-coalgebra": check_lie_coalgebra(C),
-        "cocycle": check_cocycle(L, C),
-        "nijenhuis": check_nijenhuis(L, N),
-        "nijenhuis-cobracket": check_nijenhuis_coalgebra(C, P),
-    }
-    items = []
-    for tag, sub in subreports.items():
-        items += [(f"{tag}.{r.identity}" if not r.identity.startswith(tag) else r.identity,
-                   r.index, r.value) for r in sub.residuals]
-    items += nijenhuis_bialgebra_residuals(L, C, N, P)
-    return _build_report(items, [L, C, N, P], assumptions,
-                         details={tag: sub.verdict for tag, sub in subreports.items()})
-
-
 def check_pq_equivalents(L: LieAlgebra, r: TwoTensor,
                          N: LinearOperator, P: LinearOperator,
                          assumptions: Sequence[Assumption] = ()) -> CheckReport:
@@ -678,13 +666,14 @@ def check_pq_equivalents(L: LieAlgebra, r: TwoTensor,
     """
     from .construct import delta_from_r  # local import to avoid a cycle
 
+    check_cpnybe._fit((L, r, N, P))  # the same arguments, before any table runs
     C = delta_from_r(L, r)
     nc_direct = check_nijenhuis_coalgebra(C, P)
-    check_nijenhuis._fit((L, N))  # before the compatibility reads N
-    nlb2_direct = _build_report(
-        _items("cobracket-compatibility", _cobracket_compatibility(C, N, P)), [L, C, N, P], ())
+    c, d, rm, nm, p = L.tensor, C.tensor, r.tensor, N.tensor, P.tensor
+    compatibility = COBRACKET_COMPATIBILITY.evaluate(d=d, P=p, N=nm, N2=SQUARE.evaluate(M=nm),
+                                                     dN=IMAGE.evaluate(M=nm, T=d))
+    nlb2_direct = _build_report(_items("cobracket-compatibility", compatibility), [L, C, N, P], ())
 
-    c, rm, nm, p = L.tensor, r.tensor, N.tensor, P.tensor
     rho = PAIRING.evaluate(P=p, r=rm, N=nm)
     form_1 = PAIRING_FORM_1.evaluate(rho=rho, sig=PAIRING.evaluate(P=nm, r=rm, N=p), P=p, c=c)
     form_2 = PAIRING_FORM_2.evaluate(rho=rho, N=nm, P=p, c=c, r=rm, P2=SQUARE.evaluate(M=p),

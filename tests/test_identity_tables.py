@@ -51,6 +51,7 @@ from lieb import (
     check_cpnybe,
     check_frobenius,
     check_matched_pair,
+    check_nij_lie_bialgebra,
     check_nij_representation,
     check_nijenhuis,
     check_pq_equivalents,
@@ -93,7 +94,6 @@ from lieb.structures import (
     PAIRING_FORM_2,
     SQUARE,
     Verdict,
-    nijenhuis_bialgebra_residuals,
 )
 
 from reference_loops import (
@@ -745,8 +745,8 @@ def test_torsion_and_operator_compatibility_match_loops(data):
     algebra = LieAlgebra(space, c)
     assert _residual_forms(check_nijenhuis(algebra, _op(nm))) == \
         _nonzero_forms(loop_torsion(algebra, nm))
-    items = nijenhuis_bialgebra_residuals(algebra, LieCoalgebra(space, d), _op(nm), _op(p))
-    assert _forms(_named(items, "operator-compatibility")) == \
+    report = check_nij_lie_bialgebra(algebra, LieCoalgebra(space, d), _op(nm), _op(p))
+    assert _named(_residual_forms(report), "operator-compatibility") == \
         _nonzero_forms(loop_operator_compatibility(algebra, nm, p))
 
 

@@ -61,8 +61,10 @@ from lieb import (
     render_document,
     semidirect_product,
 )
+from lieb.document import CHECK_KINDS
 from lieb.multilinear import ShapeError, Tensor
 from lieb.scalars import ONE, ZERO, Assumption, Polynomial
+from lieb.structures import Check
 
 from conftest import abelian, bialgebra_pair, make_operator, sc
 from reference_loops import (
@@ -819,6 +821,17 @@ _EXPORTED_CHECKS = sorted(name for name in dir(lieb) if name.startswith("check_"
 
 def test_there_are_22_exported_checks():
     assert len(_EXPORTED_CHECKS) == 22
+
+
+def test_only_the_checks_with_a_step_that_is_not_a_table_are_functions():
+    # a determinant, a division by t, a comparison of verdicts
+    assert [name for name in _EXPORTED_CHECKS if not isinstance(getattr(lieb, name), Check)] == \
+        ["check_deformed_homomorphism", "check_frobenius", "check_pq_equivalents"]
+    assert set(CHECK_KINDS) == {
+        "lie-algebra", "lie-coalgebra", "cocycle", "nijenhuis", "nij-coalgebra", "cybe", "co-cybe",
+        "dual-qt", "weak-symplectic", "weak-cosymplectic", "representation", "nij-representation",
+        "admissible", "corepresentation", "cpnybe", "rrbo", "frobenius", "frobenius-nij",
+        "nij-lie-bialgebra", "pq-equivalents"}
 
 
 @pytest.mark.parametrize("name", _EXPORTED_CHECKS)

@@ -553,7 +553,7 @@ CHECKS["nij-lie-bialgebra"] = check_nij_lie_bialgebra = Check(
     misfit={"C": _MISFIT[LieCoalgebra], "N": "operator does not act on the algebra",
             "P": "operator does not act on the coalgebra"})
 
-# checks on scalar arguments, which documents cannot name
+# checks that no document kind names; documents cannot name compatible-pair's scalars
 check_matched_pair = Check(
     "Mutual representations, their Nijenhuis compatibilities, and both matched-pair mixing"
     " identities.",
@@ -670,14 +670,14 @@ def check_pq_equivalents(L: LieAlgebra, r: TwoTensor,
     C = delta_from_r(L, r)
     nc_direct = check_nijenhuis_coalgebra(C, P)
     c, d, rm, nm, p = L.tensor, C.tensor, r.tensor, N.tensor, P.tensor
-    compatibility = COBRACKET_COMPATIBILITY.evaluate(d=d, P=p, N=nm, N2=SQUARE.evaluate(M=nm),
+    n2 = SQUARE.evaluate(M=nm)
+    compatibility = COBRACKET_COMPATIBILITY.evaluate(d=d, P=p, N=nm, N2=n2,
                                                      dN=IMAGE.evaluate(M=nm, T=d))
     nlb2_direct = _build_report(_items("cobracket-compatibility", compatibility), [L, C, N, P], ())
 
     rho = PAIRING.evaluate(P=p, r=rm, N=nm)
     form_1 = PAIRING_FORM_1.evaluate(rho=rho, sig=PAIRING.evaluate(P=nm, r=rm, N=p), P=p, c=c)
-    form_2 = PAIRING_FORM_2.evaluate(rho=rho, N=nm, P=p, c=c, r=rm, P2=SQUARE.evaluate(M=p),
-                                     N2=SQUARE.evaluate(M=nm))
+    form_2 = PAIRING_FORM_2.evaluate(rho=rho, N=nm, P=p, c=c, r=rm, P2=SQUARE.evaluate(M=p), N2=n2)
     nc_r = _build_report(_items("pairing-form-1", form_1), [L, r, N, P], ())
     nlb2_r = _build_report(_items("pairing-form-2", form_2), [L, r, N, P], ())
 

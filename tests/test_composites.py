@@ -1,13 +1,23 @@
-"""The full reports of the composite checks, against a recorded golden.
+"""The full reports of the composite and function checks, against recorded goldens.
 
-``golden/composites/composites.json`` holds, for each named call below, the
-report of ``check_nij_lie_bialgebra``, ``check_matched_pair`` or
+``golden/composites/composites.json`` holds, for each named call in ``CALLS``,
+the report of ``check_nij_lie_bialgebra``, ``check_matched_pair`` or
 ``check_compatible_pair``: its verdict, every residual (identity, index,
 value text) in order, the assumptions used and the details.  The inputs are
 the four operator pairs on the quasitriangular sl2, the coadjoint matched
 pairs of its double, seeded random rational data on dimensions 3 and 2, and
-data with the denominator ``k``.  After a deliberate change of the reports,
-rewrite the golden with ``PYTHONPATH=src:tests python tests/test_composites.py``.
+data with the denominator ``k``.
+
+``golden/function_checks/function_checks.json`` holds the same for each call in
+``FUNCTION_CALLS``, of ``check_pq_equivalents``, ``check_frobenius`` and
+``check_deformed_homomorphism``, or the text of the ``ShapeError`` it raises.
+The inputs are the four operator pairs on the quasitriangular sl2, each also
+swapped; the zero, Killing and k-times-Killing forms on sl2; and seeded random
+data on dimensions 2 and 3, a third of it with the denominators k, k + 1 and
+k - 1.
+
+After a deliberate change of the reports, rewrite both goldens with
+``PYTHONPATH=src:tests python tests/test_composites.py``.
 """
 
 from __future__ import annotations
@@ -27,21 +37,30 @@ from lieb import (
     LieCoalgebra,
     LinearOperator,
     Representation,
+    BilinearForm,
     Scalar,
+    ShapeError,
     TwoTensor,
     adjoint_representation,
     check_compatible_pair,
+    check_deformed_homomorphism,
+    check_frobenius,
     check_matched_pair,
     check_nij_lie_bialgebra,
+    check_pq_equivalents,
     corep_from_rep,
     delta_from_r,
     dual_algebra,
     dual_pair_actions,
+    map_scalars,
 )
+from lieb.multilinear import Table, Tensor
+from lieb.scalars import ZERO
 
 from conftest import bialgebra_pair, make_sl2, sc
 
 GOLDEN = Path(__file__).parent / "golden" / "composites" / "composites.json"
+FUNCTION_GOLDEN = Path(__file__).parent / "golden" / "function_checks" / "function_checks.json"
 
 # a half zeros, so that random structures leave some components zero
 _RATIONALS = [Fraction(v) for v in ("0", "0", "0", "0", "1", "-1", "2", "1/2", "-3/2")]
@@ -67,11 +86,15 @@ def _assume(*texts: str) -> list[Assumption]:
     return [Assumption(sc(text).num) for text in texts]
 
 
+def _qt_r(sl2) -> TwoTensor:
+    """The quasitriangular r on sl2."""
+    return TwoTensor(sl2.space, [[sc("0")] * 3, [sc("0"), sc("0"), sc("lambda")],
+                                 [sc("0"), sc("-lambda"), sc("0")]])
+
+
 def _bialgebra_calls(calls):
     sl2 = make_sl2()
-    r = TwoTensor(sl2.space, [[sc("0")] * 3, [sc("0"), sc("0"), sc("lambda")],
-                              [sc("0"), sc("-lambda"), sc("0")]])
-    dr = delta_from_r(sl2, r)
+    dr = delta_from_r(sl2, _qt_r(sl2))
     rho_l, rho_h = dual_pair_actions(sl2, dr)
     for which in "abcd":
         n_op, p_op = bialgebra_pair(which, sl2.space)
@@ -152,24 +175,122 @@ def _calls():
 CALLS = _calls()
 
 
-def _report(report) -> dict:
+def _pq_calls(calls):
+    sl2 = make_sl2()
+    r = _qt_r(sl2)
+    for which in "abcd":
+        n_op, p_op = bialgebra_pair(which, sl2.space)
+        for order, (first, second) in (("", (n_op, p_op)), ("swapped/", (p_op, n_op))):
+            for name, assumed in (("plain", ()), ("assume-k2", _assume("k2"))):
+                calls[f"pq-equivalents/pair-{which}/{order}{name}"] = \
+                    lambda f=first, s=second, a=assumed: check_pq_equivalents(sl2, r, f, s, a)
+
+
+# the Killing form tr(ad x ad y)
+_KILLING = Table("ij", "c[iab] c[jba]")
+
+
+def _frobenius_calls(calls):
+    sl2 = make_sl2()
+    killing = _KILLING.evaluate(c=sl2.tensor)
+    k = sc("k")
+    forms = {"zero": BilinearForm(sl2.space, Tensor((3, 3), {})),
+             "killing": BilinearForm(sl2.space, killing),
+             "k-killing": BilinearForm(sl2.space, Tensor((3, 3), {idx: k * v for idx, v
+                                                                   in killing.entries.items()}))}
+    n_op, _ = bialgebra_pair("a", sl2.space)
+    for form, B in forms.items():
+        for with_n, N in (("", None), ("with-N/", n_op)):
+            for name, assumed in (("plain", ()), ("assume-k", _assume("k"))):
+                calls[f"frobenius/{form}/{with_n}{name}"] = \
+                    lambda B=B, N=N, a=assumed: check_frobenius(sl2, B, N, a)
+
+
+# entries with the denominators k, k + 1 and k - 1, a third zeros
+_PARAMETRIC = [sc(text) for text in ("0", "0", "k", "1/k", "1/(k+1)", "k/(k-1)")]
+# the deformation weights; each t is taken with each s on some data
+_T_WEIGHTS = ("-2/3", "k", "1/(k+1)")
+_S_WEIGHTS = ("1", "k", "0")
+
+
+def _random_function_calls(calls):
+    for seed, n, m in ((0, 3, 2), (1, 2, 3), (2, 3, 3), (3, 2, 2), (4, 3, 2), (5, 2, 3)):
+        rng = random.Random(100 + seed)
+        entries = _PARAMETRIC if seed % 3 == 2 else None
+        L = LieAlgebra(_space(n), _random(rng, n, n, n, entries=entries))
+        C = LieCoalgebra(_space(n), _random(rng, n, n, n, entries=entries))
+        C_st = LieCoalgebra(_space(n), _random(rng, n, n, n, entries=entries))
+        K = Corepresentation(C, _space(m), _random(rng, m, n, m, entries=entries))
+        K_st = Corepresentation(C_st, _space(m), _random(rng, m, n, m, entries=entries))
+        N, P = _op(rng, L.space, entries), _op(rng, L.space, entries)
+        beta = _op(rng, K.space, entries)
+        r = TwoTensor(L.space, _random(rng, n, n, entries=entries))
+        B = BilinearForm(L.space, _random(rng, n, n, entries=entries))
+        assumed = [("plain", ())] + ([("assume-k", _assume("k"))] if entries else [])
+        prefix = f"random-{seed}-dims-{n}-{m}"
+        for name, a in assumed:
+            calls[f"pq-equivalents/{prefix}/{name}"] = \
+                lambda L=L, r=r, N=N, P=P, a=a: check_pq_equivalents(L, r, N, P, a)
+            calls[f"frobenius/{prefix}/{name}"] = lambda L=L, B=B, a=a: check_frobenius(L, B, None, a)
+            calls[f"frobenius/{prefix}/with-N/{name}"] = \
+                lambda L=L, B=B, N=N, a=a: check_frobenius(L, B, N, a)
+            for i, t in enumerate(_T_WEIGHTS):
+                s = _S_WEIGHTS[(seed + i) % 3]
+                calls[f"deformed-homomorphism/{prefix}/s={s}/t={t}/{name}"] = \
+                    lambda args=(C, C_st, K, K_st, P, beta, sc(s), sc(t)), a=a: \
+                    check_deformed_homomorphism(*args, a)
+
+
+def _deformation_calls(calls):
+    # with P and beta the identity, the four identities hold exactly when the
+    # second cobracket and coaction equal the first: C_st = (s + t) C
+    sl2 = make_sl2()
+    C = delta_from_r(sl2, _qt_r(sl2))
+    K = Corepresentation(C, C.space, C.tensor)
+    one = LinearOperator(C.space, C.space, Tensor((3, 3), {(i, i): sc("1") for i in range(3)}))
+    for s, t in zip(_S_WEIGHTS, _T_WEIGHTS):
+        C_st, K_st = (map_scalars(x, lambda v, w=sc(s) + sc(t): v * w) for x in (C, K))
+        calls[f"deformed-homomorphism/sl2-identity/s={s}/t={t}"] = \
+            lambda args=(C, C_st, K, K_st, one, one, sc(s), sc(t)): check_deformed_homomorphism(*args)
+    calls["deformed-homomorphism/sl2-identity/t=0"] = \
+        lambda: check_deformed_homomorphism(C, C, K, K, one, one, sc("1"), ZERO)
+
+
+def _function_calls():
+    calls = {}
+    for add in (_pq_calls, _frobenius_calls, _random_function_calls, _deformation_calls):
+        add(calls)
+    return calls
+
+
+FUNCTION_CALLS = _function_calls()
+
+
+def _outcome(call) -> dict:
+    """The call's report, or the text of the ShapeError it raises."""
+    try:
+        report = call()
+    except ShapeError as exc:
+        return {"error": str(exc)}
     return {"verdict": str(report.verdict),
             "residuals": [[r.identity, list(r.index), str(r.value)] for r in report.residuals],
             "assumptions_used": [str(a) for a in report.assumptions_used],
             "details": {key: str(value) for key, value in report.details.items()}}
 
 
-def _dump(reports: dict) -> str:
+def _dump(outcomes: dict) -> str:
     """Indented JSON with one residual a line."""
     lines = ["{"]
-    for i, (name, report) in enumerate(reports.items()):
+    for i, (name, outcome) in enumerate(outcomes.items()):
         lines.append(f"  {json.dumps(name)}: {{")
-        for key in ("verdict", "assumptions_used", "details"):
-            lines.append(f"    {json.dumps(key)}: {json.dumps(report[key])},")
-        residuals = [f"      {json.dumps(r)}" for r in report["residuals"]]
-        lines.append('    "residuals": [' + ("\n" + ",\n".join(residuals) + "\n    ]"
-                                            if residuals else "]"))
-        lines.append("  }" + ("," if i < len(reports) - 1 else ""))
+        fields = [f"    {json.dumps(key)}: {json.dumps(outcome[key])}"
+                  for key in ("verdict", "assumptions_used", "details", "error") if key in outcome]
+        if "residuals" in outcome:
+            residuals = [f"      {json.dumps(r)}" for r in outcome["residuals"]]
+            fields.append('    "residuals": [' + ("\n" + ",\n".join(residuals) + "\n    ]"
+                                                   if residuals else "]"))
+        lines.append(",\n".join(fields))
+        lines.append("  }" + ("," if i < len(outcomes) - 1 else ""))
     return "\n".join(lines + ["}", ""])
 
 
@@ -178,16 +299,28 @@ def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def test_the_golden_names_every_call(golden):
+@pytest.fixture(scope="module")
+def function_golden():
+    return json.loads(FUNCTION_GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_the_golden_names_every_call(golden, function_golden):
     assert list(golden) == list(CALLS)
+    assert list(function_golden) == list(FUNCTION_CALLS)
 
 
 @pytest.mark.parametrize("name", list(CALLS))
 def test_the_composite_report_matches_the_golden(name, golden):
-    assert _report(CALLS[name]()) == golden[name]
+    assert _outcome(CALLS[name]) == golden[name]
+
+
+@pytest.mark.parametrize("name", list(FUNCTION_CALLS))
+def test_the_function_check_report_matches_the_golden(name, function_golden):
+    assert _outcome(FUNCTION_CALLS[name]) == function_golden[name]
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(_dump({name: _report(call()) for name, call in CALLS.items()}),
-                      encoding="utf-8")
+    for path, calls in ((GOLDEN, CALLS), (FUNCTION_GOLDEN, FUNCTION_CALLS)):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(_dump({name: _outcome(call) for name, call in calls.items()}),
+                        encoding="utf-8")

@@ -1,10 +1,12 @@
 """Constructive maps between structures: induced (co)brackets, duals,
 semidirect products, bicrossed doubles, and the operator bridges.
 
-Builders are total: they never validate their hypotheses.  Run the checks in
-``structures`` to decide whether the output has the property a theorem
-promises; that split is what lets "if and only if" statements be tested in
-both directions.
+Builders never validate their hypotheses.  Run the checks in ``structures``
+to decide whether the output has the property a theorem promises; that split
+is what lets "if and only if" statements be tested in both directions.  A
+builder does test that its structures fit, with the fit of the check that
+decides its hypothesis (``Check.fit``), so a misfit raises ``ShapeError`` in
+that check's terms rather than building a wrong structure.
 
 Direct-sum bases concatenate the first factor's labels before the second's;
 dualised labels carry a ``*`` suffix.  The sign convention for the dual of a
@@ -30,7 +32,9 @@ from .multilinear import (
 )
 from .scalars import ONE, Assumption
 from .structures import (
-    INDUCED_BRACKET, Corepresentation, LieAlgebra, LieCoalgebra, Representation,
+    INDUCED_BRACKET, Corepresentation, LieAlgebra, LieCoalgebra, Representation, check_co_cybe,
+    check_cocycle, check_corepresentation, check_cybe, check_matched_pair, check_nij_lie_bialgebra,
+    check_rrbo, check_weak_cosymplectic, check_weak_symplectic,
 )
 
 
@@ -46,8 +50,7 @@ DELTA_FROM_R = Table("iab", "c[iqb] r[aq] + c[ipa] r[pb]")
 
 def delta_from_r(L: LieAlgebra, r: TwoTensor) -> LieCoalgebra:
     """Cobracket x -> r^1 (x) [x, r^2] + [x, r^1] (x) r^2."""
-    if r.space.dim != L.space.dim:
-        raise ShapeError("tensor does not live on the algebra's space")
+    check_cybe.fit((L, r))
     return LieCoalgebra(L.space, DELTA_FROM_R.evaluate(c=L.tensor, r=r.tensor))
 
 
@@ -58,8 +61,7 @@ def bracket_from_omega(C: LieCoalgebra, omega: BilinearForm) -> LieAlgebra:
     cobrackets this is the unique antisymmetrised reading of the pairing, and it
     reproduces the dual-quasitriangular compatibility conditions exactly.
     """
-    if omega.space.dim != C.space.dim:
-        raise ShapeError("form does not live on the coalgebra's space")
+    check_co_cybe.fit((C, omega))
     return LieAlgebra(C.space, INDUCED_BRACKET.evaluate(d=C.tensor, om=omega.tensor))
 
 
@@ -70,16 +72,16 @@ P_FROM_R_OMEGA = Table("ai", "r[aq] om[qi]")
 
 def nijenhuis_from_omega_r(L: LieAlgebra, omega: BilinearForm, r: TwoTensor) -> LinearOperator:
     """The operator x -> omega(x, r^1) r^2."""
-    if omega.space.dim != L.space.dim or r.space.dim != L.space.dim:
-        raise ShapeError("data does not live on the algebra's space")
+    check_weak_symplectic.fit((L, omega))
+    check_cybe.fit((L, r))
     return LinearOperator(L.space, L.space,
                           NIJENHUIS_FROM_OMEGA_R.evaluate(om=omega.tensor, r=r.tensor))
 
 
 def p_from_r_omega(C: LieCoalgebra, r: TwoTensor, omega: BilinearForm) -> LinearOperator:
     """The operator x -> r^1 omega(r^2, x)."""
-    if omega.space.dim != C.space.dim or r.space.dim != C.space.dim:
-        raise ShapeError("data does not live on the coalgebra's space")
+    check_weak_cosymplectic.fit((C, r))
+    check_co_cybe.fit((C, omega))
     return LinearOperator(C.space, C.space, P_FROM_R_OMEGA.evaluate(r=r.tensor, om=omega.tensor))
 
 
@@ -199,6 +201,7 @@ ACTION_MIRROR = Table("bik", "-A[ikb]")
 def semidirect_product(L: LieAlgebra, R: Representation,
                        N: LinearOperator, alpha: LinearOperator) -> tuple[LieAlgebra, LinearOperator]:
     """Half-direct bracket [x+u, y+v] = [x,y] + rho(x)v - rho(y)u with block operator."""
+    check_rrbo.fit((L, R, alpha, N, None))
     n, total = L.space.dim, L.space.dim + R.space.dim
     c = _blocks((total,) * 3, ((0, 0, 0), L.tensor),
                 ((0, n, n), ACTION_BRACKET.evaluate(A=R.tensor)),
@@ -209,6 +212,9 @@ def semidirect_product(L: LieAlgebra, R: Representation,
 def semidirect_coproduct(C: LieCoalgebra, K: Corepresentation,
                          P: LinearOperator, beta: LinearOperator) -> tuple[LieCoalgebra, LinearOperator]:
     """Coproduct (x+v) -> delta(x) + gamma(v) - flip(gamma(v)) with block operator."""
+    if K.coalgebra.space.dim != C.space.dim:
+        raise ShapeError("K must corepresent C")
+    check_corepresentation.fit((K, P, beta))
     n, total = C.space.dim, C.space.dim + K.space.dim
     d = _blocks((total,) * 3, ((0, 0, 0), C.tensor), ((n, 0, n), K.tensor),
                 ((n, n, 0), DUAL_ACTION.evaluate(A=K.tensor)))
@@ -219,9 +225,8 @@ def double_matched_pair(L: LieAlgebra, H: LieAlgebra,
                         rho_L: Representation, rho_H: Representation,
                         N_L: LinearOperator, N_H: LinearOperator) -> tuple[LieAlgebra, LinearOperator]:
     """Bicrossed bracket on the direct sum of a matched pair, with block operator."""
+    check_matched_pair.fit((L, H, rho_L, rho_H, N_L, N_H))
     n, m = L.space.dim, H.space.dim
-    if rho_L.space.dim != m or rho_H.space.dim != n:
-        raise ShapeError("matched-pair actions have wrong module dimensions")
     # [e_i, h_b] = rho_L(e_i) h_b - rho_H(h_b) e_i
     c = _blocks((n + m,) * 3, ((0, 0, 0), L.tensor), ((n, n, n), H.tensor),
                 ((0, n, n), ACTION_BRACKET.evaluate(A=rho_L.tensor)),
@@ -237,8 +242,7 @@ def dual_pair_actions(L: LieAlgebra, C: LieCoalgebra) -> tuple[Representation, R
     Returns (rho_L on the dual space, rho_H on the primal space) where
     rho_L(e_i) e^b = -sum_j c[i][j][b] e^j and rho_H(e^a) e_j = -sum_b d[j][a][b] e_b.
     """
-    if C.space.dim != L.space.dim:
-        raise ShapeError("algebra and coalgebra live on different spaces")
+    check_cocycle.fit((L, C))
     rho_h = Representation(dual_algebra(C), L.space, COADJOINT_COACTION.evaluate(d=C.tensor))
     return coadjoint_representation(L), rho_h
 
@@ -251,6 +255,7 @@ def manin_double(L: LieAlgebra, C: LieCoalgebra,
     L*; the mixed terms are the mutual coadjoint actions.  The operator is
     N + P^T and the form is B(x + a*, y + b*) = <a*, y> + <b*, x>.
     """
+    check_nij_lie_bialgebra.fit((L, C, N, P))
     rho_l, rho_h = dual_pair_actions(L, C)
     double, op = double_matched_pair(L, dual_algebra(C), rho_l, rho_h, N, P.transpose())
     n = L.space.dim
@@ -272,7 +277,7 @@ def adjoint_operator(B: BilinearForm, N: LinearOperator,
     """The operator adjoint to N for a nondegenerate form: B(Nx, y) = B(x, N^ y)."""
     from .multilinear import determinant
 
-    if B.space.dim != N.domain.dim:
+    if not B.space.dim == N.domain.dim == N.codomain.dim:
         raise ShapeError("form and operator live on different spaces")
     det = determinant(B.matrix)
     if det.is_zero():

@@ -29,7 +29,8 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
-from typing import Iterable, NamedTuple, get_args, get_type_hints
+from inspect import signature
+from typing import Iterable, NamedTuple, get_args
 
 from .multilinear import (
     BasisSpace, BilinearForm, LinearOperator, ShapeError, Tensor, TwoTensor,
@@ -95,18 +96,11 @@ class Document:
         return self.structures[name]
 
 
-# Check kinds available in documents.  _CHECK_ARGUMENTS: kind -> the types of
-# the structures a statement names, for a CHECKS entry its required ones.
-# CHECK_KINDS: kind -> (argument count, check), called as
-# check(*structures, assumptions=...).
-_CHECK_ARGUMENTS = {
-    **{kind: check.types for kind, check in CHECKS.items()},
-    "frobenius": (LieAlgebra, BilinearForm),
-    "frobenius-nij": (LieAlgebra, BilinearForm, LinearOperator),
-    "pq-equivalents": (LieAlgebra, TwoTensor, LinearOperator, LinearOperator)}
-_CHECKS = {**CHECKS, "frobenius": check_frobenius, "frobenius-nij": check_frobenius,
-           "pq-equivalents": check_pq_equivalents}
-CHECK_KINDS = {kind: (len(types), _CHECKS[kind]) for kind, types in _CHECK_ARGUMENTS.items()}
+# Check kinds available in documents: kind -> (argument count, check), called
+# as check(*structures, assumptions=...); a CHECKS entry takes its required ones.
+CHECK_KINDS = {**{kind: (check.required, check) for kind, check in CHECKS.items()},
+               "frobenius": (2, check_frobenius), "frobenius-nij": (3, check_frobenius),
+               "pq-equivalents": (4, check_pq_equivalents)}
 
 # Construction ops usable in documents (single-result builders only).
 CONSTRUCT_OPS = {
@@ -117,9 +111,11 @@ CONSTRUCT_OPS = {
     "dualize": (1, _construct.dualize),
     "phi-r": (1, _construct.phi_r),
 }
-# op -> for each structure argument, the type its builder annotates
-_CONSTRUCT_ARGUMENTS = {op: tuple(get_type_hints(fn).values())[:argc]
-                        for op, (argc, fn) in CONSTRUCT_OPS.items()}
+# check kind or construct op -> for each structure a statement names, the
+# type its callee annotates
+_ARGUMENT_TYPES = {name: tuple(param.annotation for param in
+                               list(signature(fn, eval_str=True).parameters.values())[:argc])
+                   for callees in (CHECK_KINDS, CONSTRUCT_OPS) for name, (argc, fn) in callees.items()}
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -642,7 +638,7 @@ def run_constructs(doc: Document) -> None:
     for stmt in doc.constructs:
         if stmt.result in doc.structures:
             continue
-        args = _arguments(doc, stmt, f"construct {stmt.op}", _CONSTRUCT_ARGUMENTS[stmt.op])
+        args = _arguments(doc, stmt, f"construct {stmt.op}", _ARGUMENT_TYPES[stmt.op])
         try:
             doc.structures[stmt.result] = CONSTRUCT_OPS[stmt.op][1](*args)
         except _ILL_FORMED as exc:
@@ -662,7 +658,7 @@ def default_checks(doc: Document) -> list[CheckStatement]:
 
 def run_check_statement(doc: Document, stmt: CheckStatement,
                         extra_assumptions: tuple[Assumption, ...] = ()):
-    args = _arguments(doc, stmt, f"check {stmt.kind}", _CHECK_ARGUMENTS[stmt.kind])
+    args = _arguments(doc, stmt, f"check {stmt.kind}", _ARGUMENT_TYPES[stmt.kind])
     assumptions = list(doc.assumptions) + list(stmt.assumptions) + list(extra_assumptions)
     try:
         return CHECK_KINDS[stmt.kind][1](*args, assumptions=assumptions)

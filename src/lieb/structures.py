@@ -6,8 +6,10 @@ A check passes when every residual is the zero scalar; it passes
 conditionally when the input data carries parametric denominators whose
 nonvanishing had to be assumed.  Each check whose every step is a table is a
 ``Check``, data that one runner evaluates: the entries of ``CHECKS``, which
-documents name, and the matched-pair and compatible-pair checks.  The other
-three, each with a step that is not a table, are functions.
+documents name, and the matched-pair, compatible-pair and deformation checks,
+the last behind a function that inverts its weight t.  The other two,
+frobenius and pq-equivalents, each with a step that is not a table, are
+functions.
 
 Every identity is written once, as one signed einsum sum
 (``multilinear.Table``), and one sparse engine evaluates them on the records'
@@ -317,9 +319,9 @@ INTERTWINING = Table("ia", "N[ap] T[pi] - T[ab] al[bi]")
 # Each check whose every step is a table is a Check: data that one runner,
 # Check.__call__, evaluates.  Its fields:
 # * args: (parameter, operand, record type) for each argument, in call order.
-#   The structure's tensor fills the operand; a (co)representation's also
-#   fills c (d) with its (co)algebra's, unless an argument fills it.  An
-#   argument that no table reads, such as a scalar, has operand None.  The
+#   The structure's tensor fills the operand, and a scalar a rank-0 operand;
+#   a (co)representation's also fills c (d) with its (co)algebra's, unless an
+#   argument fills it.  An argument that no table reads has operand None.  The
 #   arguments after ``required`` are optional, given together or not at all,
 #   and the steps and identities that read them run only when they are given.
 # * steps: the intermediates as (name, table, renames), each evaluated once, in
@@ -339,7 +341,8 @@ INTERTWINING = Table("ia", "N[ap] T[pi] - T[ab] al[bi]")
 #   module declares ``axes``, a word of space letters for each argument ("-"
 #   for a scalar), each letter sized by the first argument that has it, and
 #   ``misfit``: one text for every later argument, or a text for each argument
-#   tested, in order.
+#   tested, in order.  Builders test their arguments with the fit of the
+#   check that decides their hypothesis, Check.fit.
 
 # a single-space check's text for an argument off its first argument's space
 _MISFIT = {LieCoalgebra: "algebra and coalgebra live on different spaces",
@@ -370,7 +373,6 @@ class Check:
         self.args = args
         self.names = names = [name for name, _, _ in args]
         self.required = len(args) if required is None else required
-        self.types = tuple(rtype for _, _, rtype in args[:self.required])
         self.__signature__ = Signature(
             [Parameter(name, Parameter.POSITIONAL_OR_KEYWORD, annotation=rtype,
                        default=Parameter.empty if i < self.required else None)
@@ -404,9 +406,9 @@ class Check:
         if not given and any(obj is not None for obj in objs[self.required:]):
             raise ShapeError(" and ".join(self.names[self.required:]) + " must be supplied together")
         if self._tests:
-            self._fit(objs)
-        env = {operand: obj.tensor for operand, obj in zip(self._operands, objs)
-               if operand is not None and obj is not None}
+            self.fit(objs)
+        env = {operand: obj if isinstance(obj, Scalar) else obj.tensor
+               for operand, obj in zip(self._operands, objs) if operand is not None and obj is not None}
         for i, attr, operand in self._owners:
             if objs[i] is not None:
                 env.setdefault(operand, getattr(objs[i], attr).tensor)
@@ -432,8 +434,9 @@ class Check:
         # an optional argument not given is None, which holds no scalar
         return _build_report(items, objs, named.get("assumptions", ()), details)
 
-    def _fit(self, objs):
-        """ShapeError unless every tested argument's axes lie on its spaces."""
+    def fit(self, objs):
+        """ShapeError unless every tested argument's axes lie on its spaces:
+        objs are the check's arguments in order, None for one not given."""
         shapes = [obj.tensor.shape if isinstance(obj, Record) else () for obj in objs]
         for i, sizes, text in self._tests:
             for n, (j, axis) in zip(shapes[i], sizes):  # "sss" fits a matrix too
@@ -590,12 +593,19 @@ check_compatible_pair = Check(
 
 # -- checks with a step that is not a table ----------------------------------------
 
-# the fit of check_deformed_homomorphism's arguments
-_DEFORMATION_FIT = Check(
-    "", (("C", None, LieCoalgebra), ("C_st", None, LieCoalgebra), ("K", None, Corepresentation),
-         ("K_st", None, Corepresentation), ("P", None, LinearOperator),
-         ("beta", None, LinearOperator)),
-    axes="CCC CCC VCV VCV CC VV",
+# check_deformed_homomorphism, given u = 1/t; t is an argument that no table
+# reads, so that its denominators stay side conditions
+_DEFORMED_HOMOMORPHISM = Check(
+    "The four deformation-homomorphism identities, given u = 1/t.",
+    (("C", "d", LieCoalgebra), ("C_st", "dst", LieCoalgebra), ("K", "g", Corepresentation),
+     ("K_st", "gst", Corepresentation), ("P", "P", LinearOperator), ("beta", "be", LinearOperator),
+     ("s", "s", Scalar), ("t", None, Scalar), ("u", "u", Scalar)),
+    steps=(("D", SECOND_SUMMAND, "st=dst x=d"), ("G", SECOND_SUMMAND, "st=gst x=g"),
+           ("DP", IMAGE, "M=P T=D"), ("dP", IMAGE, "M=P T=d"), ("Gb", IMAGE, "M=be T=G"),
+           ("gb", IMAGE, "M=be T=g")),
+    identities=((("deformation-1", DEFORMATION_1, ""), ("deformation-2", DEFORMATION_2, "")),
+                (("deformation-3", DEFORMATION_3, ""), ("deformation-4", DEFORMATION_4, ""))),
+    axes="CCC CCC VCV VCV CC VV - - -",
     misfit={"C_st": "C_st must live on C's space", "K": "K must corepresent C",
             "K_st": "K_st must corepresent C_st on K's module", "P": "P must act on C's space",
             "beta": "beta must act on K's module"})
@@ -613,20 +623,7 @@ def check_deformed_homomorphism(C: LieCoalgebra, C_st: LieCoalgebra,
     """
     if t.is_zero():
         raise ShapeError("deformation weight t must be invertible to recover the second cobracket")
-    _DEFORMATION_FIT._fit((C, C_st, K, K_st, P, beta))
-    inv_t = ONE / t
-    d, g = C.tensor, K.tensor
-    dd = SECOND_SUMMAND.evaluate(u=inv_t, st=C_st.tensor, s=s, x=d)
-    gg = SECOND_SUMMAND.evaluate(u=inv_t, st=K_st.tensor, s=s, x=g)
-    p, bt = P.tensor, beta.tensor
-    items = _interleaved(
-        ("deformation-1", DEFORMATION_1.evaluate(DP=IMAGE.evaluate(M=p, T=dd), d=d, P=p)),
-        ("deformation-2", DEFORMATION_2.evaluate(dP=IMAGE.evaluate(M=p, T=d), D=dd, d=d, P=p)))
-    items += _interleaved(
-        ("deformation-3", DEFORMATION_3.evaluate(Gb=IMAGE.evaluate(M=bt, T=gg), g=g, P=p, be=bt)),
-        ("deformation-4", DEFORMATION_4.evaluate(gb=IMAGE.evaluate(M=bt, T=g), G=gg, g=g,
-                                                 P=p, be=bt)))
-    return _build_report(items, [C, C_st, K, K_st, P, beta, s, t, inv_t], assumptions)
+    return _DEFORMED_HOMOMORPHISM(C, C_st, K, K_st, P, beta, s, t, ONE / t, assumptions=assumptions)
 
 
 def check_frobenius(L: LieAlgebra, B: BilinearForm,
@@ -637,8 +634,7 @@ def check_frobenius(L: LieAlgebra, B: BilinearForm,
     A nonzero parametric determinant is a side condition, certified like an
     input's denominator; with N the torsion identity for N is included.
     """
-    if B.space.dim != L.space.dim:
-        raise ShapeError("form does not live on the algebra's space")
+    check_weak_symplectic.fit((L, B))
     bm = B.tensor
     items = _items("symmetry", SYMMETRY.evaluate(t=bm))
     items += _items("invariance", INVARIANCE.evaluate(c=L.tensor, B=bm))
@@ -666,7 +662,7 @@ def check_pq_equivalents(L: LieAlgebra, r: TwoTensor,
     """
     from .construct import delta_from_r  # local import to avoid a cycle
 
-    check_cpnybe._fit((L, r, N, P))  # the same arguments, before any table runs
+    check_cpnybe.fit((L, r, N, P))  # the same arguments, before any table runs
     C = delta_from_r(L, r)
     nc_direct = check_nijenhuis_coalgebra(C, P)
     c, d, rm, nm, p = L.tensor, C.tensor, r.tensor, N.tensor, P.tensor

@@ -7,7 +7,8 @@ representation's algebra and its module) with that space swapped for one of
 another size, each with the exact text ``lieb check`` exits 2 with.  A
 one-argument kind has nothing to misfit: its structure's constructor checks
 its shape.  The golden also holds the ``ShapeError`` of direct calls of the
-checks that documents cannot reach, named as in ``_CALLS``.
+checks that documents cannot reach and of the builders, one for each
+argument a builder can be given off its spaces, named as in ``_CALLS``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,22 @@ import pytest
 from lieb import (
     Corepresentation,
     ShapeError,
+    adjoint_operator,
+    bracket_from_omega,
     check_compatible_pair,
     check_corepresentation,
     check_deformed_homomorphism,
     check_matched_pair,
+    delta_from_r,
+    double_matched_pair,
+    dual_pair_actions,
+    manin_double,
+    nijenhuis_from_omega_r,
+    p_from_r_omega,
     parse_document,
+    r_from_T,
+    semidirect_coproduct,
+    semidirect_product,
 )
 from lieb.cli import EXIT_PARSE_ERROR, main
 from lieb.document import CHECK_KINDS
@@ -107,6 +119,41 @@ _CALLS = {
         lambda s: check_corepresentation(s["K"], s["VV"], s["VV"]),
     "corepresentation/beta":
         lambda s: check_corepresentation(s["K"], s["LL"], s["LL"]),
+    "deformed-homomorphism/K":
+        lambda s: check_deformed_homomorphism(s["C"], s["C"], s["KCV"], s["K"], s["LL"], s["VV"],
+                                              ONE, ONE),
+    "delta-from-r/r": lambda s: delta_from_r(s["g"], s["rV"]),
+    "bracket-from-omega/omega": lambda s: bracket_from_omega(s["C"], s["omV"]),
+    "nijenhuis-from-omega-r/omega": lambda s: nijenhuis_from_omega_r(s["g"], s["omV"], s["r"]),
+    "nijenhuis-from-omega-r/r": lambda s: nijenhuis_from_omega_r(s["g"], s["om"], s["rV"]),
+    "p-from-r-omega/r": lambda s: p_from_r_omega(s["C"], s["rV"], s["om"]),
+    "p-from-r-omega/omega": lambda s: p_from_r_omega(s["C"], s["r"], s["omV"]),
+    "dual-pair-actions/C": lambda s: dual_pair_actions(s["g"], s["CV"]),
+    "double-matched-pair/rho_L-algebra":
+        lambda s: double_matched_pair(s["g"], s["a"], s["Ra"], s["RaL"], s["LL"], s["VV"]),
+    "double-matched-pair/rho_L-module":
+        lambda s: double_matched_pair(s["g"], s["a"], s["RL"], s["RaL"], s["LL"], s["VV"]),
+    "double-matched-pair/rho_H-module":
+        lambda s: double_matched_pair(s["g"], s["a"], s["R"], s["Ra"], s["LL"], s["VV"]),
+    "double-matched-pair/rho_H-algebra":
+        lambda s: double_matched_pair(s["g"], s["a"], s["R"], s["RL"], s["LL"], s["VV"]),
+    "double-matched-pair/N_L":
+        lambda s: double_matched_pair(s["g"], s["a"], s["R"], s["RaL"], s["VV"], s["VV"]),
+    "double-matched-pair/N_H":
+        lambda s: double_matched_pair(s["g"], s["a"], s["R"], s["RaL"], s["LL"], s["LL"]),
+    "manin-double/C": lambda s: manin_double(s["g"], s["CV"], s["LL"], s["LL"]),
+    "manin-double/N": lambda s: manin_double(s["g"], s["C"], s["VV"], s["LL"]),
+    "manin-double/P": lambda s: manin_double(s["g"], s["C"], s["LL"], s["VV"]),
+    "semidirect-product/R": lambda s: semidirect_product(s["g"], s["Ra"], s["LL"], s["VV"]),
+    "semidirect-product/N": lambda s: semidirect_product(s["g"], s["R"], s["VV"], s["VV"]),
+    "semidirect-product/alpha": lambda s: semidirect_product(s["g"], s["R"], s["LL"], s["LL"]),
+    "semidirect-coproduct/K": lambda s: semidirect_coproduct(s["C"], s["KCV"], s["LL"], s["VV"]),
+    "semidirect-coproduct/P": lambda s: semidirect_coproduct(s["C"], s["K"], s["VV"], s["VV"]),
+    "semidirect-coproduct/beta": lambda s: semidirect_coproduct(s["C"], s["K"], s["LL"], s["LL"]),
+    "adjoint-operator/N-domain": lambda s: adjoint_operator(s["B"], s["VL"]),
+    "adjoint-operator/N-codomain": lambda s: adjoint_operator(s["B"], s["LV"]),
+    "r-from-T/T-domain": lambda s: r_from_T(s["LL"], s["R"]),
+    "r-from-T/T-codomain": lambda s: r_from_T(s["VV"], s["R"]),
 }
 
 

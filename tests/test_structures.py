@@ -62,9 +62,10 @@ from lieb import (
     semidirect_product,
 )
 from lieb.document import CHECK_KINDS
-from lieb.multilinear import ShapeError, Tensor
+from lieb import structures
+from lieb.multilinear import ShapeError, Table, Tensor
 from lieb.scalars import ONE, ZERO, Assumption, Polynomial
-from lieb.structures import Check
+from lieb.structures import Check, Residual
 
 from conftest import abelian, bialgebra_pair, make_operator, sc
 from reference_loops import (
@@ -728,6 +729,21 @@ def test_pq_equivalents_on_catalog_data(sl2, r_qt):
     zero = zero_tensor(sl2.space)
     report = check_pq_equivalents(sl2, zero, n_op, p_op)
     assert report.verdict is Verdict.PASS
+
+
+@pytest.mark.parametrize("form, item, detail", [
+    ("PAIRING_FORM_1", "pair-one-disagreement", "cobracket-identity-r-form"),
+    ("PAIRING_FORM_2", "pair-two-disagreement", "compatibility-identity-r-form")])
+def test_pq_equivalents_reports_an_r_form_that_disagrees(form, item, detail, sl2, r_qt, monkeypatch):
+    # an r-form that never vanishes on sl2, where pair (a) passes both identities
+    monkeypatch.setattr(structures, form, Table("iab", "c[iab]"))
+    n_op, p_op = bialgebra_pair("a", sl2.space)
+    report = check_pq_equivalents(sl2, r_qt, n_op, p_op)
+    assert (report.verdict, report.residuals) == (Verdict.FAIL, [Residual(item, (), ONE)])
+    assert report.details == {**dict.fromkeys(("cobracket-identity", "cobracket-identity-r-form",
+                                               "compatibility-identity",
+                                               "compatibility-identity-r-form"), Verdict.PASS),
+                              detail: Verdict.FAIL}
 
 
 # -- relative Rota-Baxter -------------------------------------------------------------

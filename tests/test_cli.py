@@ -372,6 +372,15 @@ def test_catalog_commands(tmp_path, capsys, monkeypatch):
     assert code == EXIT_PARSE_ERROR
 
 
+@pytest.mark.parametrize("action", ["show", "export"])
+def test_catalog_show_or_export_without_an_id_exits_two(action, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", action])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_PARSE_ERROR and captured.out == ""
+    assert captured.err.endswith("\nlieb: error: catalog show/export needs an entry id\n")
+
+
 def test_every_shipped_catalog_file_checks_clean(tmp_path, capsys):
     from lieb.catalog import _REGISTRY
 

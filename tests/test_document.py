@@ -90,6 +90,22 @@ def test_syntax_error_reports_line_and_column():
     assert err.value.line == 3
 
 
+_ALGEBRA = "space L : e f h\nalgebra g on L {\n  [e, f] = h\n}\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    (_ALGEBRA + "check foo g\n", "ParseError: line 5, column 7: unknown check kind 'foo'"),
+    (_ALGEBRA + "check lie-foo g\n", "ParseError: line 5, column 7: unknown check kind 'lie-foo'"),
+    (_ALGEBRA + "construct foo g as h\n",
+     "ParseError: line 5, column 11: unknown construction 'foo'"),
+    ("space V :", "ParseError: line 1, column 10: a space needs at least one basis label"),
+])
+def test_statement_errors_name_their_position(text, error):
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert f"{type(err.value).__name__}: {err.value}" == error
+
+
 def test_unknown_parameter_in_expression():
     text = "space L : e f\nalgebra a on L {\n  [e, f] = zeta*e\n}\n"
     with pytest.raises(UnknownNameError) as err:

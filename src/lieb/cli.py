@@ -28,7 +28,7 @@ from .document import (
     run_check_statement,
     run_constructs,
 )
-from .multilinear import PivotAmbiguous
+from .multilinear import PivotAmbiguous, ShapeError
 from .scalars import Assumption
 from .solver import KINDS, LinearProblem, solve_linear
 
@@ -165,7 +165,10 @@ def _cmd_solve(args) -> int:
     doc = _load(args.file)
     problem = LinearProblem(args.problem, {key: _first_of(doc, record, args.problem)
                                            for key, record in KINDS[args.problem].context})
-    solution = solve_linear(problem, tuple(doc.assumptions))
+    try:
+        solution = solve_linear(problem, tuple(doc.assumptions))
+    except ShapeError as exc:
+        raise UsageError(f"--problem {args.problem}: {exc}") from None
     basis_payload = []
     for idx, element in enumerate(solution.basis):
         rendered = render_document({f"solution_{idx}": element})
@@ -192,45 +195,25 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    payload = {"command": "catalog", "action": args.action, "exit_code": EXIT_OK}
     if args.action == "list":
         entries = _catalog.list_entries()
-        payload = {
-            "command": "catalog",
-            "action": "list",
-            "entries": [{"id": i, "description": d} for i, d in entries],
-            "exit_code": EXIT_OK,
-            "lines": [f"{i}: {d}" for i, d in entries],
-        }
-    elif args.action == "show":
-        entry = _catalog.get(args.id)
-        rendered = render_document(entry.structures, params=entry.document.params)
-        payload = {
-            "command": "catalog",
-            "action": "show",
-            "id": entry.id,
-            "description": entry.description,
-            "source": entry.source,
-            "assumptions": [str(a) for a in entry.assumptions],
-            "metadata": entry.metadata,
-            "document": rendered,
-            "exit_code": EXIT_OK,
-            "lines": [f"{entry.id}: {entry.description}",
-                      *(f"assuming {a}" for a in entry.assumptions),
-                      rendered],
-        }
+        payload.update(entries=[{"id": i, "description": d} for i, d in entries],
+                       lines=[f"{i}: {d}" for i, d in entries])
     else:
         entry = _catalog.get(args.id)
         rendered = render_document(entry.structures, params=entry.document.params)
-        out = args.out or f"{entry.id}.lieb"
-        Path(out).write_text(rendered, encoding="utf-8")
-        payload = {
-            "command": "catalog",
-            "action": "export",
-            "id": entry.id,
-            "out": out,
-            "exit_code": EXIT_OK,
-            "lines": [f"wrote {entry.id} to {out}"],
-        }
+        payload["id"] = entry.id
+        if args.action == "show":
+            assumptions = [str(a) for a in entry.assumptions]
+            payload.update(description=entry.description, source=entry.source,
+                           assumptions=assumptions, metadata=entry.metadata, document=rendered,
+                           lines=[f"{entry.id}: {entry.description}",
+                                  *(f"assuming {a}" for a in assumptions), rendered])
+        else:
+            out = args.out or f"{entry.id}.lieb"
+            Path(out).write_text(rendered, encoding="utf-8")
+            payload.update(out=out, lines=[f"wrote {entry.id} to {out}"])
     return _emit(payload, args.format)
 
 
@@ -291,10 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("catalog show/export needs an entry id")
     try:
         return args.func(args)
-    except (ParseError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except OSError as exc:
+    except (ParseError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except _catalog.UnknownId as exc:

@@ -130,24 +130,19 @@ def rep_from_corep(K: Corepresentation) -> Representation:
                           SWAP_ACTION.evaluate(t=K.tensor))
 
 
-def dualize(obj: LieAlgebra | LieCoalgebra | Representation | Corepresentation | LinearOperator,
-            *companions: LinearOperator):
-    """Dual of a structure (optionally with transposed companion operators)."""
+def dualize(obj: LieAlgebra | LieCoalgebra | Representation | Corepresentation | LinearOperator):
+    """Dual of a structure."""
     if isinstance(obj, LieAlgebra):
-        out = dual_coalgebra(obj)
-    elif isinstance(obj, LieCoalgebra):
-        out = dual_algebra(obj)
-    elif isinstance(obj, Representation):
-        out = dual_representation(obj)
-    elif isinstance(obj, Corepresentation):
-        out = rep_from_corep(obj)
-    elif isinstance(obj, LinearOperator):
-        out = obj.transpose()
-    else:
-        raise TypeError(f"cannot dualize {type(obj).__name__}")
-    if companions:
-        return (out, *[op.transpose() for op in companions])
-    return out
+        return dual_coalgebra(obj)
+    if isinstance(obj, LieCoalgebra):
+        return dual_algebra(obj)
+    if isinstance(obj, Representation):
+        return dual_representation(obj)
+    if isinstance(obj, Corepresentation):
+        return rep_from_corep(obj)
+    if isinstance(obj, LinearOperator):
+        return obj.transpose()
+    raise TypeError(f"cannot dualize {type(obj).__name__}")
 
 
 def adjoint_representation(L: LieAlgebra) -> Representation:

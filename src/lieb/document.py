@@ -44,6 +44,7 @@ from .structures import (
     Representation,
     check_frobenius,
     check_pq_equivalents,
+    structure_parameters,
 )
 from . import construct as _construct
 
@@ -156,6 +157,10 @@ def _tokenize(text: str) -> list[_Token]:
 def _constant(s: Scalar) -> Tensor:
     """A scalar as a rank-0 Tensor, with no entry when it is zero."""
     return Tensor((), {(): s} if not s.is_zero() else {})
+
+
+# the binary operators of a sum (level 0) and of a product (level 1)
+_OPERATORS = (("+", "-"), ("*", "/", "@"))
 
 
 def _combine(op: str, a: Tensor, b: Tensor, tok: _Token) -> Tensor:
@@ -346,7 +351,10 @@ class _Parser:
         self.expect(":")
         labels = []
         while self.peek().kind == "name":
-            labels.append(self.label().text)
+            tok = self.label()
+            if tok.text in labels:
+                raise ParseError(f"duplicate basis label {tok.text!r}", tok.line, tok.col)
+            labels.append(tok.text)
         if not labels:
             tok = self.peek()
             raise ParseError("a space needs at least one basis label", tok.line, tok.col)
@@ -433,38 +441,32 @@ class _Parser:
         self.end_statement()
 
     def _stmt_check(self):
-        kind_tok = self.dashed_name()
-        kind = kind_tok.text
-        if kind not in CHECK_KINDS:
-            raise ParseError(f"unknown check kind {kind!r}", kind_tok.line, kind_tok.col)
-        argc = CHECK_KINDS[kind][0]
-        pending = {c.result for c in self.doc.constructs}
-        args = []
-        for _ in range(argc):
-            tok = self.expect("name")
-            if tok.text not in pending:
-                self.doc.structure(tok.text, tok.line, tok.col)
-            args.append(tok.text)
-        assumptions: list[Assumption] = []
-        if self.accept("assume"):
-            assumptions = self._assumption_list()
+        tok, args = self._call(CHECK_KINDS, "check kind", {c.result for c in self.doc.constructs})
+        assumptions = self._assumption_list() if self.accept("assume") else []
         self.end_statement()
-        self.doc.checks.append(CheckStatement(kind, args, assumptions, kind_tok.line))
+        self.doc.checks.append(CheckStatement(tok.text, args, assumptions, tok.line))
 
     def _stmt_construct(self):
-        op_tok = self.dashed_name()
-        if op_tok.text not in CONSTRUCT_OPS:
-            raise ParseError(f"unknown construction {op_tok.text!r}", op_tok.line, op_tok.col)
-        argc = CONSTRUCT_OPS[op_tok.text][0]
-        args = []
-        for _ in range(argc):
-            tok = self.expect("name")
-            self.doc.structure(tok.text, tok.line, tok.col)
-            args.append(tok.text)
+        tok, args = self._call(CONSTRUCT_OPS, "construction")
         self.expect_name("as")
         result = self._fresh(self.expect("name"))
         self.end_statement()
-        self.doc.constructs.append(ConstructStatement(op_tok.text, args, result, op_tok.line))
+        self.doc.constructs.append(ConstructStatement(tok.text, args, result, tok.line))
+
+    def _call(self, callees: dict, what: str, pending: set = frozenset()) -> tuple[_Token, list]:
+        """A statement's dashed name, which callees must hold (``what`` names
+        its entries), and the names of as many structures as its callee takes,
+        each declared or a pending construct result."""
+        tok = self.dashed_name()
+        if tok.text not in callees:
+            raise ParseError(f"unknown {what} {tok.text!r}", tok.line, tok.col)
+        args = []
+        for _ in range(callees[tok.text][0]):
+            arg = self.expect("name")
+            if arg.text not in pending:
+                self.doc.structure(arg.text, arg.line, arg.col)
+            args.append(arg.text)
+        return tok, args
 
     # expression helpers
 
@@ -506,28 +508,15 @@ class _Parser:
                              "expression", tok.line, tok.col)
         return value
 
-    def _expr(self, sp: BasisSpace | None):
-        """A sum."""
-        value = self._expr_product(sp)
-        while True:
-            tok = self.peek()
-            if tok.kind in ("+", "-"):
-                self.advance()
-                rhs = self._expr_product(sp)
-                value = _combine(tok.kind, value, rhs, tok)
-            else:
-                return value
-
-    def _expr_product(self, sp):
-        value = self._expr_unary(sp)
-        while True:
-            tok = self.peek()
-            if tok.kind in ("*", "/", "@"):
-                self.advance()
-                rhs = self._expr_unary(sp)
-                value = _combine(tok.kind, value, rhs, tok)
-            else:
-                return value
+    def _expr(self, sp: BasisSpace | None, level: int = 0):
+        """A sum (level 0) of products (level 1) of unary expressions, each
+        combined left to right."""
+        value = self._expr(sp, 1) if level == 0 else self._expr_unary(sp)
+        while (tok := self.peek()).kind in _OPERATORS[level]:
+            self.advance()
+            rhs = self._expr(sp, 1) if level == 0 else self._expr_unary(sp)
+            value = _combine(tok.kind, value, rhs, tok)
+        return value
 
     def _expr_unary(self, sp):
         tok = self.peek()
@@ -618,36 +607,35 @@ def parse_assumptions(text: str, params: Iterable[str]) -> list[Assumption]:
 _ILL_FORMED = (ShapeError, DivisionByZero, _construct.DegenerateForm)
 
 
-def _arguments(doc: Document, stmt, what: str, types: tuple) -> list:
-    """The statement's structures, each of the type (or a type of the union)
-    its callee takes."""
+def _run(doc: Document, stmt, name: str, callees: dict, what: str, **keywords):
+    """Call the statement's callee, looked up in callees now, on its
+    structures, each of the type (or a type of the union) the callee takes;
+    ``what`` heads the ParseError of a wrong or ill-formed argument."""
     args = []
-    for name, accepted in zip(stmt.args, types):
-        obj = doc.structure(name, stmt.line, 1)
+    for arg, accepted in zip(stmt.args, _ARGUMENT_TYPES[name]):
+        obj = doc.structure(arg, stmt.line, 1)
         if not isinstance(obj, accepted):
             wanted = " or ".join(t.__name__ for t in get_args(accepted) or (accepted,)
                                  if t is not type(None))
-            raise ParseError(f"{what}: {name!r} is a {type(obj).__name__}, not a {wanted}",
+            raise ParseError(f"{what}: {arg!r} is a {type(obj).__name__}, not a {wanted}",
                              stmt.line, 1)
         args.append(obj)
-    return args
+    try:
+        return callees[name][1](*args, **keywords)
+    except _ILL_FORMED as exc:
+        raise ParseError(f"{what}: {exc}", stmt.line, 1) from exc
 
 
 def run_constructs(doc: Document) -> None:
     """Execute the document's construct statements, registering the results."""
     for stmt in doc.constructs:
-        if stmt.result in doc.structures:
-            continue
-        args = _arguments(doc, stmt, f"construct {stmt.op}", _ARGUMENT_TYPES[stmt.op])
-        try:
-            doc.structures[stmt.result] = CONSTRUCT_OPS[stmt.op][1](*args)
-        except _ILL_FORMED as exc:
-            raise ParseError(f"construct {stmt.op}: {exc}", stmt.line, 1) from exc
+        doc.structures[stmt.result] = _run(doc, stmt, stmt.op, CONSTRUCT_OPS,
+                                           f"construct {stmt.op}")
 
 
-# the check of each structure type's intrinsic axioms
-_DEFAULT_CHECKS = {LieAlgebra: "lie-algebra", LieCoalgebra: "lie-coalgebra",
-                   Representation: "representation", Corepresentation: "corepresentation"}
+# the check of each structure type's intrinsic axioms: the kind that takes it alone
+_DEFAULT_CHECKS = {_ARGUMENT_TYPES[kind][0]: kind
+                   for kind, (argc, _) in CHECK_KINDS.items() if argc == 1}
 
 
 def default_checks(doc: Document) -> list[CheckStatement]:
@@ -658,12 +646,8 @@ def default_checks(doc: Document) -> list[CheckStatement]:
 
 def run_check_statement(doc: Document, stmt: CheckStatement,
                         extra_assumptions: tuple[Assumption, ...] = ()):
-    args = _arguments(doc, stmt, f"check {stmt.kind}", _ARGUMENT_TYPES[stmt.kind])
-    assumptions = list(doc.assumptions) + list(stmt.assumptions) + list(extra_assumptions)
-    try:
-        return CHECK_KINDS[stmt.kind][1](*args, assumptions=assumptions)
-    except _ILL_FORMED as exc:
-        raise ParseError(f"check {stmt.kind}: {exc}", stmt.line, 1) from exc
+    return _run(doc, stmt, stmt.kind, CHECK_KINDS, f"check {stmt.kind}",
+                assumptions=[*doc.assumptions, *stmt.assumptions, *extra_assumptions])
 
 
 # -- rendering -----------------------------------------------------------------
@@ -742,8 +726,6 @@ _KEYWORDS = {block.record: keyword for keyword, block in _BLOCKS.items()}
 def render_document(structures: dict[str, object],
                     params: list[str] | None = None) -> str:
     """Canonical text for a set of named structures (with header conventions)."""
-    from .structures import structure_parameters
-
     lines = [_HEADER]
     names = set(structure_parameters(*structures.values())) | set(params or [])
     if names:

@@ -99,7 +99,9 @@ class Kind:
     the operand ``unknown``, each of whose axes spans the space; a basis
     element is the record ``element`` on the space.  It is verified by
     ``check`` (context, element) -> CheckReport if given, and else by
-    evaluating the table at it.
+    evaluating the table at it.  ``fit``, if given, is the fit of the check
+    that decides the problem: given the context structures, it raises
+    ShapeError unless they lie on one space.
     """
 
     context: tuple[tuple[str, type], ...]
@@ -108,6 +110,7 @@ class Kind:
     element: type
     check: Callable | None = None
     skew: bool = False  # a skew form, whose free entries are the upper triangle
+    fit: Callable | None = None
 
 
 # the checks are looked up in this module when they run, so that code that
@@ -119,7 +122,7 @@ KINDS = {
     COCYCLE_IN_DELTA: Kind((("c", LieAlgebra),), structures.COCYCLE, "d", LieCoalgebra,
                            lambda ctx, x: check_cocycle(ctx["c"], x)),
     CO_CYBE_SLICE: Kind((("d", LieCoalgebra), ("om", BilinearForm)), structures.CO_CYBE_SLICE,
-                        "x", BilinearForm, skew=True),
+                        "x", BilinearForm, skew=True, fit=structures.check_co_cybe.fit),
 }
 
 
@@ -130,6 +133,8 @@ def _system(problem: LinearProblem):
     if problem.kind not in KINDS:
         raise ValueError(f"unknown linear problem kind {problem.kind!r}")
     kind, ctx = KINDS[problem.kind], problem.context
+    if kind.fit is not None:
+        kind.fit([ctx[key] for key, _ in kind.context])
     space = ctx[kind.context[0][0]].space
     rank = len(next(spec for name, spec in kind.table.terms[0][1] if name == kind.unknown))
     shape = (space.dim,) * rank

@@ -463,9 +463,8 @@ def test_criterion_14_torsion_invariances():
 def test_criterion_15_cli_surface(tmp_path, capsys):
     with criterion("15", "CLI checks every shipped file clean, JSON round-trips "
                          "byte-identically, corrupt input exits 2 with location"):
-        from lieb.catalog import _REGISTRY
-
-        for entry_id, (filename, *_rest) in _REGISTRY.items():
+        for entry_id, _ in catalog.list_entries():
+            filename = f"{entry_id}.lieb"
             text = resources.files("lieb.data").joinpath(filename).read_text(encoding="utf-8")
             target = tmp_path / filename
             target.write_text(text, encoding="utf-8")

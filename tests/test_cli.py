@@ -270,6 +270,25 @@ def test_solve_names_the_problem_when_its_structure_is_missing(tmp_path, capsys)
     assert err == "error: --problem co-cybe-slice: the document declares no LieCoalgebra\n"
 
 
+def test_solve_co_cybe_slice_with_a_form_off_the_coalgebra_exits_two(tmp_path, capsys):
+    path = tmp_path / "misfit.lieb"
+    path.write_text("space A : p q\nspace B : s t u\ncoalgebra C on A {\n  delta(p) = p@q - q@p\n}\n"
+                    "form w on B skew {\n  (s, t) = 1\n}\n", encoding="utf-8")
+    code, out, err = _run(capsys, "solve", str(path), "--problem", "co-cybe-slice")
+    assert code == EXIT_PARSE_ERROR and out == ""
+    assert err == "error: --problem co-cybe-slice: form does not live on the coalgebra's space\n"
+
+
+@pytest.mark.parametrize("argv", [("check",), ("solve", "--problem", "ad-invariance"),
+                                  ("construct", "--op", "x", "--out", "x.lieb")])
+def test_a_repeated_basis_label_exits_two_with_its_position(argv, tmp_path, capsys):
+    path = tmp_path / "repeated.lieb"
+    path.write_text("space V : a a\n", encoding="utf-8")
+    code, out, err = _run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err == "error: line 1, column 13: duplicate basis label 'a'\n"
+
+
 # a declaration of each record type a linear problem reads
 _DECLARATIONS = {
     LieAlgebra: "algebra a on V {\n  [e, f] = f\n}\n",
@@ -382,10 +401,10 @@ def test_catalog_show_or_export_without_an_id_exits_two(action, capsys):
 
 
 def test_every_shipped_catalog_file_checks_clean(tmp_path, capsys):
-    from lieb.catalog import _REGISTRY
+    from lieb.catalog import list_entries
 
-    for entry_id, (filename, *_rest) in _REGISTRY.items():
-        path = _data_path(tmp_path, filename)
+    for entry_id, _ in list_entries():
+        path = _data_path(tmp_path, f"{entry_id}.lieb")
         code, out, _ = _run(capsys, "check", str(path))
         assert code == EXIT_OK, (entry_id, out)
 

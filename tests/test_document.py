@@ -99,6 +99,8 @@ _ALGEBRA = "space L : e f h\nalgebra g on L {\n  [e, f] = h\n}\n"
     (_ALGEBRA + "construct foo g as h\n",
      "ParseError: line 5, column 11: unknown construction 'foo'"),
     ("space V :", "ParseError: line 1, column 10: a space needs at least one basis label"),
+    ("space V : a a", "ParseError: line 1, column 13: duplicate basis label 'a'"),
+    ("space V : a b* b*", "ParseError: line 1, column 16: duplicate basis label 'b*'"),
 ])
 def test_statement_errors_name_their_position(text, error):
     with pytest.raises(ParseError) as err:

@@ -6,9 +6,10 @@ argument lives on (an operator's domain, its codomain and both; a
 representation's algebra and its module) with that space swapped for one of
 another size, each with the exact text ``lieb check`` exits 2 with.  A
 one-argument kind has nothing to misfit: its structure's constructor checks
-its shape.  The golden also holds the ``ShapeError`` of direct calls of the
-checks that documents cannot reach and of the builders, one for each
-argument a builder can be given off its spaces, named as in ``_CALLS``.
+its shape.  The golden also holds the ``ShapeError`` of direct calls, named
+as in ``_CALLS``: of the checks that documents cannot reach, of the builders
+(one for each argument a builder can be given off its spaces) and of the
+solver.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from lieb.cli import EXIT_PARSE_ERROR, main
 from lieb.document import CHECK_KINDS
 from lieb.multilinear import Tensor
 from lieb.scalars import ONE, ZERO
+from lieb.solver import LinearProblem, solve_linear
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "shape_errors" / "shape_errors.json")
                     .read_text(encoding="utf-8"))
@@ -154,6 +156,7 @@ _CALLS = {
     "adjoint-operator/N-codomain": lambda s: adjoint_operator(s["B"], s["LV"]),
     "r-from-T/T-domain": lambda s: r_from_T(s["LL"], s["R"]),
     "r-from-T/T-codomain": lambda s: r_from_T(s["VV"], s["R"]),
+    "co-cybe-slice/omega": lambda s: solve_linear(LinearProblem.co_cybe_slice(s["C"], s["omV"])),
 }
 
 

@@ -72,6 +72,7 @@ class CheckStatement:
     args: list[str]
     assumptions: list[Assumption]
     line: int
+    cols: list[int]  # each argument's
 
 
 @dataclass
@@ -80,6 +81,7 @@ class ConstructStatement:
     args: list[str]
     result: str
     line: int
+    cols: list[int]  # each argument's
 
 
 @dataclass
@@ -441,22 +443,22 @@ class _Parser:
         self.end_statement()
 
     def _stmt_check(self):
-        tok, args = self._call(CHECK_KINDS, "check kind", {c.result for c in self.doc.constructs})
+        tok, args, cols = self._call(CHECK_KINDS, "check kind", {c.result for c in self.doc.constructs})
         assumptions = self._assumption_list() if self.accept("assume") else []
         self.end_statement()
-        self.doc.checks.append(CheckStatement(tok.text, args, assumptions, tok.line))
+        self.doc.checks.append(CheckStatement(tok.text, args, assumptions, tok.line, cols))
 
     def _stmt_construct(self):
-        tok, args = self._call(CONSTRUCT_OPS, "construction")
+        tok, args, cols = self._call(CONSTRUCT_OPS, "construction")
         self.expect_name("as")
         result = self._fresh(self.expect("name"))
         self.end_statement()
-        self.doc.constructs.append(ConstructStatement(tok.text, args, result, tok.line))
+        self.doc.constructs.append(ConstructStatement(tok.text, args, result, tok.line, cols))
 
-    def _call(self, callees: dict, what: str, pending: set = frozenset()) -> tuple[_Token, list]:
+    def _call(self, callees: dict, what: str, pending: set = frozenset()) -> tuple[_Token, list, list]:
         """A statement's dashed name, which callees must hold (``what`` names
-        its entries), and the names of as many structures as its callee takes,
-        each declared or a pending construct result."""
+        its entries), and the names and columns of as many structures as its
+        callee takes, each declared or a pending construct result."""
         tok = self.dashed_name()
         if tok.text not in callees:
             raise ParseError(f"unknown {what} {tok.text!r}", tok.line, tok.col)
@@ -465,8 +467,8 @@ class _Parser:
             arg = self.expect("name")
             if arg.text not in pending:
                 self.doc.structure(arg.text, arg.line, arg.col)
-            args.append(arg.text)
-        return tok, args
+            args.append(arg)
+        return tok, [arg.text for arg in args], [arg.col for arg in args]
 
     # expression helpers
 
@@ -610,15 +612,15 @@ _ILL_FORMED = (ShapeError, DivisionByZero, _construct.DegenerateForm)
 def _run(doc: Document, stmt, name: str, callees: dict, what: str, **keywords):
     """Call the statement's callee, looked up in callees now, on its
     structures, each of the type (or a type of the union) the callee takes;
-    ``what`` heads the ParseError of a wrong or ill-formed argument."""
+    ``what`` heads the ParseError of a wrong (at its column) or ill-formed argument."""
     args = []
-    for arg, accepted in zip(stmt.args, _ARGUMENT_TYPES[name]):
-        obj = doc.structure(arg, stmt.line, 1)
+    for arg, col, accepted in zip(stmt.args, stmt.cols, _ARGUMENT_TYPES[name]):
+        obj = doc.structure(arg, stmt.line, col)
         if not isinstance(obj, accepted):
             wanted = " or ".join(t.__name__ for t in get_args(accepted) or (accepted,)
                                  if t is not type(None))
             raise ParseError(f"{what}: {arg!r} is a {type(obj).__name__}, not a {wanted}",
-                             stmt.line, 1)
+                             stmt.line, col)
         args.append(obj)
     try:
         return callees[name][1](*args, **keywords)
@@ -640,7 +642,7 @@ _DEFAULT_CHECKS = {_ARGUMENT_TYPES[kind][0]: kind
 
 def default_checks(doc: Document) -> list[CheckStatement]:
     """Validity checks for every declared structure with intrinsic axioms."""
-    return [CheckStatement(_DEFAULT_CHECKS[type(obj)], [name], [], 0)
+    return [CheckStatement(_DEFAULT_CHECKS[type(obj)], [name], [], 0, [0])
             for name, obj in doc.structures.items() if type(obj) in _DEFAULT_CHECKS]
 
 

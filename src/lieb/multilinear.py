@@ -109,9 +109,12 @@ def determinant(a: Matrix) -> Scalar:
 # -- identity tables ----------------------------------------------------------
 
 class Tensor:
-    """A sparse tensor: its shape and its nonzero entries by index tuple."""
+    """A sparse tensor: its shape and its nonzero entries by index tuple.
+    Entries never change once it is built, so Table memoizes on it whether
+    all are constant and, by lane, their lcm and scaled copy, whose memo holds
+    each join step's index by its bound and new positions and stride weights."""
 
-    __slots__ = ("shape", "entries")
+    __slots__ = ("shape", "entries", "_memo")
 
     def __init__(self, shape: tuple[int, ...], entries: dict[tuple, Scalar]):
         self.shape = shape
@@ -182,6 +185,7 @@ class Table:
     of numerators over one common denominator (see _sum), on ints when every
     operand entry is constant and of integer polynomials, added with no gcd,
     otherwise, reduced once into the ``Scalar`` a fold of Scalars reaches.
+    An operand is scaled once per lane and indexed once per step (see Tensor).
     """
 
     def __init__(self, out: str, terms: str):
@@ -269,9 +273,9 @@ def _plan(out, factors, unknown):
     letters already bound: (operand name, getter of the bound letters' values
     from an entry's index, getter of its new letters' values, getter of the
     lookup key from a binding, (place among the new letters, place in the key)
-    of each key letter it binds).  The key letters are the output letters,
-    then with an unknown the unknown's, whose one factor reads the operand
-    ``_UNKNOWN``.
+    of each key letter it binds, (bound positions, new positions)).  The key
+    letters are the output letters, then with an unknown the unknown's, whose
+    one factor reads the operand ``_UNKNOWN``.
     """
     if unknown is not None:
         at = [k for k, (name, _) in enumerate(factors) if name == unknown]
@@ -290,7 +294,7 @@ def _plan(out, factors, unknown):
         new = [p for p, letter in enumerate(spec) if letter not in bound]
         keyed = [(i, q) for i, p in enumerate(new) for q, x in enumerate(out) if x == spec[p]]
         steps.append((name, _picker(at), _picker(new),
-                      _picker([bound.index(spec[p]) for p in at]), keyed))
+                      _picker([bound.index(spec[p]) for p in at]), keyed, (tuple(at), tuple(new))))
         bound += [spec[p] for p in new]
     return steps
 
@@ -306,11 +310,16 @@ def _sum(plans, tensors, strides) -> dict:
     on ints; otherwise the numerators are folded in Z[parameters] with no gcd,
     L being an int for an operand whose denominators are all constant.
     """
-    ints = all(v is None or v.q is not None for t in tensors.values() for v in t.entries.values())
+    for t in tensors.values():
+        if "constant" not in _memo(t):
+            t._memo["constant"] = all(v is None or v.q is not None for v in t.entries.values())
+    ints = all(t._memo["constant"] for t in tensors.values())
     lcms, scaled = {}, {}
     for name, t in tensors.items():
-        lcms[name], entries = _numerators(t.entries, ints)
-        scaled[name] = Tensor(t.shape, entries)
+        if ints not in t._memo:
+            L, entries = _numerators(t.entries, ints)
+            t._memo[ints] = L, Tensor(t.shape, entries)
+        lcms[name], scaled[name] = t._memo[ints]
     if any(type(L) is Polynomial for L in lcms.values()):
         lcms = {name: Polynomial.integer(L) if type(L) is int else L for name, L in lcms.items()}
     factors = [[lcms[step[0]] for step in steps] for _, steps in plans]
@@ -333,6 +342,12 @@ def _polynomial_lcm(polys) -> Polynomial:
         if d != out:
             out = out * (d // out.gcd(d))
     return out
+
+
+def _memo(t: Tensor) -> dict:  # t's memo (see Tensor), made on its first use
+    if not hasattr(t, "_memo"):
+        t._memo = {}
+    return t._memo
 
 
 def _numerators(entries: dict, ints: bool):
@@ -398,14 +413,17 @@ def _join(steps, start, tensors, strides):
 def _index(step, tensors, strides):
     """The entries of one step's factor by the values of its letters already
     bound, key -> [(its new letters' values, entry, its part of the flattened
-    key)]; and the getter of the key from a binding."""
-    name, at, new, lookup, keyed = step
-    weights = [(i, strides[q]) for i, q in keyed]
-    index: dict = {}
-    for idx, v in tensors[name].entries.items():
-        r = new(idx)
-        index.setdefault(at(idx), []).append((r, v, sum([r[i] * w for i, w in weights])))
-    return index, lookup
+    key)], kept in the factor's memo under the step's positions and weights;
+    and the getter of the key from a binding."""
+    name, at, new, lookup, keyed, positions = step
+    weights = tuple([(i, strides[q]) for i, q in keyed])
+    memo = _memo(tensors[name])
+    if (positions, weights) not in memo:
+        index = memo[positions, weights] = {}
+        for idx, v in tensors[name].entries.items():
+            r = new(idx)
+            index.setdefault(at(idx), []).append((r, v, sum([r[i] * w for i, w in weights])))
+    return memo[positions, weights], lookup
 
 
 def _picker(positions):

@@ -548,17 +548,18 @@ def test_cpnybe_with_a_smaller_tensor_is_a_parse_error(tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("statement, message", [
-    ("check cybe sl2 N", "check cybe: 'N' is a LinearOperator, not a TwoTensor"),
-    ("check lie-algebra N", "check lie-algebra: 'N' is a LinearOperator, not a LieAlgebra"),
-    ("check nijenhuis sl2 r", "check nijenhuis: 'r' is a TwoTensor, not a LinearOperator"),
-    ("construct dualize r as rd", "construct dualize: 'r' is a TwoTensor, not a LieAlgebra or "
-     "LieCoalgebra or Representation or Corepresentation or LinearOperator"),
-    ("construct delta-from-r sl2 N as dd",
+@pytest.mark.parametrize("statement, col, message", [
+    ("check cybe sl2 N", 16, "check cybe: 'N' is a LinearOperator, not a TwoTensor"),
+    ("check lie-algebra N", 19, "check lie-algebra: 'N' is a LinearOperator, not a LieAlgebra"),
+    ("check nijenhuis sl2 r", 21, "check nijenhuis: 'r' is a TwoTensor, not a LinearOperator"),
+    ("construct dualize r as rd", 19, "construct dualize: 'r' is a TwoTensor, not a LieAlgebra "
+     "or LieCoalgebra or Representation or Corepresentation or LinearOperator"),
+    ("construct delta-from-r sl2 N as dd", 28,
      "construct delta-from-r: 'N' is a LinearOperator, not a TwoTensor"),
-    ("construct phi-r sl2 as pp", "construct phi-r: 'sl2' is a LieAlgebra, not a TwoTensor"),
+    ("construct phi-r sl2 as pp", 17, "construct phi-r: 'sl2' is a LieAlgebra, not a TwoTensor"),
 ])
-def test_argument_of_the_wrong_kind_is_a_parse_error(statement, message, tmp_path, capsys):
+def test_argument_of_the_wrong_kind_is_a_parse_error(statement, col, message, tmp_path, capsys):
+    # the error points at the argument of the wrong kind
     bad = tmp_path / "kinds.lieb"
     bad.write_text(
         _SL2
@@ -572,7 +573,7 @@ def test_argument_of_the_wrong_kind_is_a_parse_error(statement, message, tmp_pat
         encoding="utf-8")
     code, out, err = _run(capsys, "check", str(bad))
     assert code == EXIT_PARSE_ERROR
-    assert err == f"error: line 13, column 1: {message}\n"
+    assert err == f"error: line 13, column {col}: {message}\n"
     assert out == ""
 
 

@@ -230,9 +230,10 @@ construct delta-from-r sl2 r as dr
 check lie-coalgebra dr
 """
     doc = parse_document(text)
-    with pytest.raises(UnknownNameError):
+    with pytest.raises(UnknownNameError) as err:
         # checks referencing construct results resolve only after running them
         run_check_statement(doc, doc.checks[0])
+    assert str(err.value) == "line 13, column 21: undefined structure 'dr'"
     run_constructs(doc)
     assert isinstance(doc.structures["dr"], LieCoalgebra)
     assert run_check_statement(doc, doc.checks[0]).verdict is Verdict.PASS

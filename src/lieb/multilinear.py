@@ -18,7 +18,10 @@ package (and in the file format):
 An identity table is one signed einsum sum, run by a sparse fold that
 normalises late: each operand is scaled by the lcm of its denominators, the
 numerators are added on ints when every operand entry is constant and in
-Z[parameters] otherwise, and each component is reduced once (see Table).  Exact
+Z[parameters] otherwise, and each component is reduced once (see Table).  On
+ints the last join of a dense term is packed: each key's list of entries v is
+one int of B-bit slots, with max|x| * max|v| * (count of partial products x)
+< 2^(B - 2), so one multiply-add per x adds every product exactly.  Exact
 elimination works on sparse rows ``{column: entry}``, fraction-free: on ints
 when every entry is constant and in Z[parameters] otherwise, with one
 division per pivot row at the end (see row_reduce).
@@ -78,32 +81,21 @@ class BasisSpace:
 # -- dense helpers ----------------------------------------------------------
 
 def determinant(a: Matrix) -> Scalar:
-    """Exact determinant by Laplace expansion with column-subset memoisation."""
+    """Exact determinant by Bareiss's fraction-free elimination (Math. Comp.
+    22, 1968), swapping in a lower row on a zero pivot."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ShapeError("determinant of a non-square matrix")
-    if n == 0:
-        return ONE
-    cache: dict[tuple[int, ...], Scalar] = {}
-
-    def minor(cols: tuple[int, ...]) -> Scalar:
-        if len(cols) == 1:
-            return a[n - 1][cols[0]]
-        if cols in cache:
-            return cache[cols]
-        row = n - len(cols)
-        total = ZERO
-        for pos, col in enumerate(cols):
-            entry = a[row][col]
-            if entry.num.is_zero():
-                continue
-            rest = cols[:pos] + cols[pos + 1:]
-            term = entry * minor(rest)
-            total = total + term if pos % 2 == 0 else total - term
-        cache[cols] = total
-        return total
-
-    return minor(tuple(range(n)))
+    m, sign, prev = [list(row) for row in a], ONE, ONE
+    for k in range(n - 1):
+        i = next((i for i in range(k, n) if m[i][k]), None)  # the pivot's row
+        if i is None:
+            return ZERO
+        m[k], m[i], sign, p = m[i], m[k], sign if i == k else -sign, m[i][k]
+        for row in m[k + 1:]:
+            row[k + 1:] = [(x * p - row[k] * y) / prev for x, y in zip(row[k + 1:], m[k][k + 1:])]
+        prev = p
+    return sign * m[-1][-1] if n else ONE
 
 
 # -- identity tables ----------------------------------------------------------
@@ -112,7 +104,7 @@ class Tensor:
     """A sparse tensor: its shape and its nonzero entries by index tuple.
     Entries never change once it is built, so Table memoizes on it whether
     all are constant and, by lane, their lcm and scaled copy, whose memo holds
-    each join step's index by its bound and new positions and stride weights."""
+    each join step's index and packs by bound and new positions and weights."""
 
     __slots__ = ("shape", "entries", "_memo")
 
@@ -186,6 +178,9 @@ class Table:
     operand entry is constant and of integer polynomials, added with no gcd,
     otherwise, reduced once into the ``Scalar`` a fold of Scalars reaches.
     An operand is scaled once per lane and indexed once per step (see Tensor).
+    On ints, a term whose partial products outnumber its last factor's keys 8
+    times over, on lists 6 long on average, is joined packed, exactly (see
+    _packed), when that factor binds no new letter but output letters.
     """
 
     def __init__(self, out: str, terms: str):
@@ -381,12 +376,17 @@ def _numerators(entries: dict, ints: bool):
 
 def _fold(plans, tensors, strides) -> dict:
     """Flattened key -> the sum of the signed products of every term that
-    reaches it, added as they are joined; each plan is (its start, its
-    steps)."""
+    reaches it, added as they are joined, on ints packed by Table's rule;
+    each plan is (its start, its steps)."""
     total: dict = {}
     get = total.get
     for start, steps in plans:
-        partial, (index, lookup) = _join(steps, start, tensors, strides)
+        partial, ((index, packs), lookup) = _join(steps, start, tensors, strides)
+        if len(partial) >= 8 * len(index) > 0 and type(start) is int:
+            name, _, _, _, keyed, (_, new) = steps[-1]  # dict(keyed): its new output letters
+            if len(tensors[name].entries) >= 6 * len(index) and len(dict(keyed)) == len(new):
+                _packed(partial, index, packs, lookup, total)
+                continue
         for b, x, s in partial:
             for _, v, at in index.get(lookup(b), ()):
                 k, term = s + at, v if x is None else x if v is None else x * v  # v None: the unknown
@@ -395,15 +395,45 @@ def _fold(plans, tensors, strides) -> dict:
     return total
 
 
+def _packed(partial, index, packs, lookup, total) -> None:
+    """Add a term's int products to total with one multiply-add per partial
+    product x (Kronecker substitution): acc[s] += x * P, P packing the key's
+    list as the sum of v * 2^(B * slot), slot numbering the index's output-key
+    parts, one entry to a slot.  A slot of acc[s] is at most max|x| * max|v| *
+    len(partial) < 2^(B - 2) in size, so each unpacks exactly once 2^(B - 1)
+    is added to every slot.  The packs are kept with the index, by B."""
+    if None not in packs:  # the output-key parts by slot, and max|v| (None: 1, 0 counts as 1)
+        packs[None] = (sorted({at for entries in index.values() for _, _, at in entries}),
+                       max([abs(v or 1) for entries in index.values() for _, v, _ in entries]))
+    parts, top = packs[None]
+    B = (max([abs(x) for _, x, _ in partial]) * top * len(partial)).bit_length() + 2
+    if B not in packs:
+        shift = {at: B * j for j, at in enumerate(parts)}
+        packs[B] = ({key: sum([(1 if v is None else v) << shift[at] for _, v, at in entries])
+                     for key, entries in index.items()},
+                    sum([1 << (B * j + B - 1) for j in range(len(parts))]))
+    packed, half = packs[B]
+    acc: dict = {}
+    for b, x, s in partial:
+        acc[s] = acc.get(s, 0) + x * packed[lookup(b)]  # _join dropped any missing key
+    mask, off, get = (1 << B) - 1, 1 << (B - 1), total.get
+    for s, a in acc.items():
+        a += half
+        for at in parts:
+            if c := (a & mask) - off:
+                total[s + at] = get(s + at, 0) + c
+            a >>= B
+
+
 def _join(steps, start, tensors, strides):
     """The partial products of a term's factors but the last, each times the
     start (None: 1) and with its binding (the letters' values in the order
-    bound) and its part of the flattened key; and the last factor's index and
-    lookup.  A partial binding that the next factor cannot extend is dropped
-    before its product is formed."""
+    bound) and its part of the flattened key; and the last factor's index,
+    packs and lookup.  A partial binding that the next factor cannot extend
+    is dropped before its product is formed."""
     indexed = [_index(step, tensors, strides) for step in steps]
     partial = [((), start, 0)]
-    for (index, lookup), (after, key) in zip(indexed, indexed[1:]):
+    for ((index, _), lookup), ((after, _), key) in zip(indexed, indexed[1:]):
         partial = [(br, v if x is None else x if v is None else x * v, s + at)  # v None: no factor
                    for b, x, s in partial for r, v, at in index.get(lookup(b), ())
                    for br in (b + r,) if key(br) in after]
@@ -413,13 +443,13 @@ def _join(steps, start, tensors, strides):
 def _index(step, tensors, strides):
     """The entries of one step's factor by the values of its letters already
     bound, key -> [(its new letters' values, entry, its part of the flattened
-    key)], kept in the factor's memo under the step's positions and weights;
-    and the getter of the key from a binding."""
+    key)], and its packs (see _packed), kept in the factor's memo under the
+    step's positions and weights; and the getter of the key from a binding."""
     name, at, new, lookup, keyed, positions = step
     weights = tuple([(i, strides[q]) for i, q in keyed])
     memo = _memo(tensors[name])
     if (positions, weights) not in memo:
-        index = memo[positions, weights] = {}
+        index, _ = memo[positions, weights] = {}, {}
         for idx, v in tensors[name].entries.items():
             r = new(idx)
             index.setdefault(at(idx), []).append((r, v, sum([r[i] * w for i, w in weights])))

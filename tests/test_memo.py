@@ -9,12 +9,17 @@ write through ``.entries`` and any rebinding of it outside
 fresh copy of it does: every module-level table of ``structures`` and
 ``construct`` on catalog tensors that already carry memos from other tables,
 a solve repeated on one algebra, and throwaway tables that read one operand
-with different letters.
+with different letters.  The last ones check that the packs of the integer
+lane's packed join live on the operand, not in the module, and that the
+engine never imports numpy.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from itertools import zip_longest
 from pathlib import Path
@@ -22,7 +27,8 @@ from pathlib import Path
 import pytest
 
 import lieb
-from lieb import BilinearForm, LieAlgebra, LieCoalgebra, LinearProblem, catalog, construct, structures
+from lieb import (BilinearForm, LieAlgebra, LieCoalgebra, LinearProblem, catalog, construct,
+                  multilinear, structures)
 from lieb.catalog import BindingError
 from lieb.multilinear import Table, Tensor
 from lieb.solver import solve_linear
@@ -250,3 +256,52 @@ def test_throwaway_tables_with_other_letters_read_one_operand_correctly(parametr
             expected = {(i, k): v for i in range(3) for k in range(3)
                         if not (v := reference(dense_a, dense_b, i, k)).is_zero()}
             assert Table(out, terms).evaluate(a=a, b=b).entries == expected, (out, terms)
+
+
+# -- the packs of the packed join live on the operand ---------------------------------
+
+def test_multilinear_keeps_no_module_level_cache_and_its_packs_live_on_the_operand():
+    def module_state():
+        return {name: value for name, value in vars(multilinear).items()
+                if not name.startswith("__")
+                and (isinstance(value, (dict, list, set, bytearray)) or hasattr(value, "cache_info"))}
+
+    assert module_state() == {}
+    # a dense constant bracket of dimension 4: each Jacobi term reads c[lkm]
+    # by l for 64 partial products, so every term packs
+    c = Tensor.of([[[sc(str((i * 7 + j * 3 + k) % 5 - 2)) for k in range(4)] for j in range(4)]
+                   for i in range(4)])
+    before = structures.JACOBI.evaluate(c=c)
+    assert module_state() == {}
+    _, scaled = c._memo[True]
+    packs = [packs for _, packs in scaled._memo.values() if packs]  # the last factors' only
+    assert len(packs) == 3 and all(any(type(B) is int for B in p) for p in packs)
+    assert structures.JACOBI.evaluate(c=c) == before == structures.JACOBI.evaluate(c=_fresh(c))
+
+
+_NO_NUMPY = """
+import sys
+from itertools import product
+from lieb import construct, structures
+from lieb.multilinear import Table, Tensor
+from lieb.scalars import Scalar
+
+tables = [t for module in (structures, construct) for t in vars(module).values()
+          if isinstance(t, Table)]
+for dim in (2, 4):
+    for table in tables:
+        ranks = {name: len(spec) for name, spec in table._factors}
+        table.evaluate(**{name: Tensor((dim,) * rank, {
+            idx: Scalar.from_int(sum(idx) % 3 - 1 or 5) for idx in product(range(dim), repeat=rank)})
+            for name, rank in ranks.items()})
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+
+
+def test_evaluating_every_table_on_constants_does_not_import_numpy():
+    # numpy would add about 14 MB and 65 ms to a process; a fresh interpreter,
+    # since another test may have imported it into this one
+    env = {**os.environ, "PYTHONPATH": str(Path(lieb.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -233,6 +233,63 @@ def test_solution_dimension_is_basis_independent(sl2):
         assert original.rank == shuffled.rank
 
 
+def _gl2_in_a_dense_basis() -> tuple[LieAlgebra, LieAlgebra]:
+    """gl2 on E11, E12, E21, E22, and the same algebra in the basis f_a =
+    sum_i P[i][a] E_i for P unit lower times unit upper triangular, so that
+    P^-1 is integral too and every structure constant is dense."""
+    n = 4
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, m) in enumerate(pairs):
+            if j == k:
+                c[a][b][pairs.index((i, m))] += 1
+            if m == i:
+                c[a][b][pairs.index((k, j))] -= 1
+    lower = [[Fraction(int(i > j) * (i + 2 * j + 1) + int(i == j)) for j in range(n)] for i in range(n)]
+    upper = [[Fraction(int(i < j) * (j - 2 * i) + int(i == j)) for j in range(n)] for i in range(n)]
+    p = [[sum(lower[i][t] * upper[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    q = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]  # P^-1 = U^-1 L^-1
+    for col in range(n):  # solve L U x = e_col by substitution
+        y = [Fraction(int(i == col)) for i in range(n)]
+        for i in range(n):
+            y[i] -= sum(lower[i][t] * y[t] for t in range(i))
+        for i in reversed(range(n)):
+            y[i] -= sum(upper[i][t] * y[t] for t in range(i + 1, n))
+        for i in range(n):
+            q[i][col] = y[i]
+    dense = [[[Scalar.from_fraction(sum(p[i][a] * p[j][b] * c[i][j][k] * q[d][k]
+                                         for i in range(n) for j in range(n) for k in range(n)))
+               for d in range(n)] for b in range(n)] for a in range(n)]
+    labels = ("E11", "E12", "E21", "E22")
+    sparse = [[[Scalar.from_fraction(x) for x in row] for row in plane] for plane in c]
+    return (LieAlgebra(BasisSpace(labels), sparse),
+            LieAlgebra(BasisSpace(tuple(f"f{a}" for a in range(n))), dense))
+
+
+def test_solves_whose_terms_pack_match_those_in_a_sparse_basis():
+    # the dense basis makes coefficient terms take the integer lane's packed
+    # join, whose coefficients may come in another key order; every basis
+    # element is still verified by the solver, and the solution spaces agree
+    from unittest import mock
+
+    from lieb import check_lie_algebra, multilinear
+
+    sparse, dense = _gl2_in_a_dense_basis()
+    assert check_lie_algebra(dense).verdict is Verdict.PASS
+    assert len(dense.tensor.entries) >= 40
+    packed_terms = {}
+    for problem in (LinearProblem.weak_symplectic, LinearProblem.ad_invariance,
+                    LinearProblem.cocycle_in_delta):
+        with mock.patch.object(multilinear, "_packed", wraps=multilinear._packed) as packed:
+            rebased = solve_linear(problem(dense))
+        packed_terms[problem.__name__] = packed.call_count
+        original = solve_linear(problem(sparse))
+        assert (rebased.dimension, rebased.rank) == (original.dimension, original.rank)
+        assert rebased == solve_linear(problem(dense))
+    assert packed_terms["cocycle_in_delta"] > 0
+
+
 # -- randomized refutation -----------------------------------------------------------------
 
 def test_refute_finds_yang_baxter_violation(sl2):

@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, get_args
 from .multilinear import (
     BasisSpace, BilinearForm, LinearOperator, ShapeError, Tensor, TwoTensor,
 )
-from .scalars import ONE, ZERO, Assumption, DivisionByZero, Scalar
+from .scalars import ONE, ZERO, Assumption, DivisionByZero, ExponentOverflow, Scalar
 from .structures import (
     CHECKS,
     Corepresentation,
@@ -517,7 +517,10 @@ class _Parser:
         while (tok := self.peek()).kind in _OPERATORS[level]:
             self.advance()
             rhs = self._expr(sp, 1) if level == 0 else self._expr_unary(sp)
-            value = _combine(tok.kind, value, rhs, tok)
+            try:
+                value = _combine(tok.kind, value, rhs, tok)
+            except ExponentOverflow as exc:
+                raise ParseError(str(exc), tok.line, tok.col) from exc
         return value
 
     def _expr_unary(self, sp):
@@ -538,12 +541,16 @@ class _Parser:
             if self.peek().kind == "-":
                 self.advance()
                 sign = -1
-            exp = sign * int(self.expect("int").text)
+            exp_tok = self.expect("int")
+            exp = sign * int(exp_tok.text)
             if base.shape:
                 raise ParseError("only scalars can be raised to powers", tok.line, tok.col)
             if exp < 0 and not base.entries:
                 raise ParseError("division by zero", tok.line, tok.col)
-            base = _constant(base.entries.get((), ZERO) ** exp)
+            try:
+                base = _constant(base.entries.get((), ZERO) ** exp)
+            except ExponentOverflow as exc:
+                raise ParseError(str(exc), exp_tok.line, exp_tok.col) from exc
         return base
 
     def _expr_atom(self, sp):
@@ -606,7 +613,7 @@ def parse_assumptions(text: str, params: Iterable[str]) -> list[Assumption]:
 
 # Errors that well-typed arguments of the wrong shape or value raise inside a
 # construction or a check; a document that provokes one is ill-formed.
-_ILL_FORMED = (ShapeError, DivisionByZero, _construct.DegenerateForm)
+_ILL_FORMED = (ShapeError, DivisionByZero, ExponentOverflow, _construct.DegenerateForm)
 
 
 def _run(doc: Document, stmt, name: str, callees: dict, what: str, **keywords):

@@ -82,20 +82,27 @@ class BasisSpace:
 
 def determinant(a: Matrix) -> Scalar:
     """Exact determinant by Bareiss's fraction-free elimination (Math. Comp.
-    22, 1968), swapping in a lower row on a zero pivot."""
+    22, 1968), swapping in a lower row on a zero pivot, on the rows scaled by
+    the lcms of their denominators: on ints or in Z[parameters], with exact
+    division and no gcd."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ShapeError("determinant of a non-square matrix")
-    m, sign, prev = [list(row) for row in a], ONE, ONE
+    ints = all(v.q is not None for row in a for v in row)
+    one = 1 if ints else ONE.num
+    rows = [_numerators(dict(enumerate(row)), ints) for row in a]
+    m, sign, prev = [list(scaled.values()) for _, scaled in rows], 1, one
     for k in range(n - 1):
         i = next((i for i in range(k, n) if m[i][k]), None)  # the pivot's row
         if i is None:
             return ZERO
         m[k], m[i], sign, p = m[i], m[k], sign if i == k else -sign, m[i][k]
         for row in m[k + 1:]:
-            row[k + 1:] = [(x * p - row[k] * y) / prev for x, y in zip(row[k + 1:], m[k][k + 1:])]
+            row[k + 1:] = [(x * p - row[k] * y) // prev for x, y in zip(row[k + 1:], m[k][k + 1:])]
         prev = p
-    return sign * m[-1][-1] if n else ONE
+    num = sign * (m[-1][-1] if n else one)
+    den = prod([L if ints or type(L) is not int else Polynomial.integer(L) for L, _ in rows], start=one)
+    return Scalar.ratio(num, den) if ints else Scalar(num, den)
 
 
 # -- identity tables ----------------------------------------------------------

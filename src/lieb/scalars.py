@@ -1,9 +1,14 @@
 """Exact scalar arithmetic: integer polynomials and rational functions in named parameters.
 
-A monomial is a tuple of (parameter, exponent) pairs, sorted by parameter name,
-with all exponents >= 1.  A Polynomial maps monomials to arbitrary-precision
-integer coefficients; zero coefficients are never stored, so the representation
-is canonical and equality is plain dict equality.
+A Polynomial maps monomials to arbitrary-precision integer coefficients;
+zero coefficients are never stored, so the representation is canonical and
+equality is plain dict equality.  The monomial 1 is (); any other is one int,
+its exponent vector packed (Monagan & Pearce, CASC 2007) in 32-bit slots that
+a process-wide, append-only registry gives each parameter on its first use.
+Exponents run to 2**31 - 1: a product of monomials is one int addition, and
+the slots' top bits guard it, raising ExponentOverflow instead of a carry.
+Terms print and order by parameter name, whatever the registry's order;
+``monomials()`` gives them decoded, in the form the constructor takes.
 
 A Scalar is a quotient num/den of two Polynomials in lowest terms: the
 denominator is nonzero, num and den have no common factor in Z[parameters]
@@ -30,12 +35,19 @@ polynomials 0 and 1.  Any symbolic operand takes the polynomial path.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping
 
-Monomial = tuple[tuple[str, int], ...]
+Monomial = tuple[tuple[str, int], ...]  # decoded: (parameter, exponent) pairs by name
 
 _EMPTY: Monomial = ()
+
+_BITS = 32
+_MASK = (1 << _BITS) - 1
+_SHIFTS: dict[str, int] = {}  # parameter -> the shift of its slot
+_NAMES: list[str] = []  # slot -> parameter
+_GUARD = 0  # the top bit of every slot given out
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -46,22 +58,63 @@ class EvalSingular(ArithmeticError):
     """Evaluation hit a point where the denominator vanishes."""
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for name, e in b:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
+class ExponentOverflow(OverflowError):
+    """A monomial's exponent of one parameter would exceed 2**31 - 1."""
 
 
-def _mono_key(mono: Monomial):
+def _shift(name: str) -> int:
+    """The shift of name's slot, given to it on its first use."""
+    global _GUARD
+    if name not in _SHIFTS:
+        _SHIFTS[name] = _BITS * len(_NAMES)
+        _NAMES.append(name)
+        _GUARD |= 1 << (_SHIFTS[name] + _BITS - 1)
+    return _SHIFTS[name]
+
+
+def _overflow(m: int) -> ExponentOverflow:
+    """The error for a sum of keys that sets a guard bit, naming its parameter."""
+    name = next(_NAMES[sh // _BITS] for sh, e in _slots(m) if e >> _BITS - 1)
+    return ExponentOverflow(f"the exponent of {name} exceeds {_MASK >> 1}")
+
+
+def _pack(mono: Monomial) -> int | Monomial:
+    """A monomial given as (parameter, exponent) pairs, as a key."""
+    m = 0
+    for name, e in mono:
+        if e < 0:
+            raise ValueError(f"negative exponent of {name}")
+        m += min(e, 1 << _BITS - 1) << _shift(name)  # trips the guard, never carries
+        if m & _GUARD:
+            raise _overflow(m)
+    return m or _EMPTY
+
+
+def _slots(m) -> list[tuple[int, int]]:
+    """(shift, exponent) of each nonzero slot of a key; none for ()."""
+    return [(sh, e) for sh in range(0, (m or 0).bit_length(), _BITS) if (e := m >> sh & _MASK)]
+
+
+@lru_cache(maxsize=1 << 12)
+def _unpack(m) -> Monomial:
+    """A key as (parameter, exponent) pairs sorted by parameter."""
+    return tuple(sorted((_NAMES[sh // _BITS], e) for sh, e in _slots(m)))
+
+
+@lru_cache(maxsize=1 << 12)
+def _mono_key(m):
     # Graded lex, biggest first: higher total degree wins, then earlier
     # parameters with higher exponents.  Sorting ascending by this key lists
     # monomials in canonical (descending) print order.
+    mono = _unpack(m)
     return (-sum(e for _, e in mono), tuple((name, -e) for name, e in mono))
+
+
+def _raw(terms: dict) -> Polynomial:
+    """The polynomial with these terms, which hold no zero coefficient."""
+    p = object.__new__(Polynomial)
+    p.terms = terms
+    return p
 
 
 class Polynomial:
@@ -70,17 +123,24 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self.terms: dict[Monomial, int] = {
-            m: c for m, c in (terms or {}).items() if c != 0
+        self.terms: dict[int | Monomial, int] = {
+            _pack(m): c for m, c in (terms or {}).items() if c != 0
         }
 
     @classmethod
     def integer(cls, n: int) -> Polynomial:
-        return cls({_EMPTY: int(n)})
+        return _raw({_EMPTY: int(n)} if n else {})
 
     @classmethod
     def variable(cls, name: str) -> Polynomial:
-        return cls({((name, 1),): 1})
+        return _raw({1 << _shift(name): 1})
+
+    def monomials(self) -> dict[Monomial, int]:
+        """The terms, each monomial as (parameter, exponent) pairs by name."""
+        return {_unpack(m): c for m, c in self.terms.items()}
+
+    def __reduce__(self):
+        return Polynomial, (self.monomials(),)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -98,12 +158,13 @@ class Polynomial:
         return self.terms.get(_EMPTY, 0)
 
     def parameters(self) -> frozenset[str]:
-        return frozenset(name for mono in self.terms for name, _ in mono)
+        bits = 0
+        for m in self.terms:
+            bits |= m or 0
+        return frozenset(_NAMES[sh // _BITS] for sh, _ in _slots(bits))
 
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self.terms)
+        return max((-_mono_key(m)[0] for m in self.terms), default=0)
 
     def content(self) -> int:
         g = 0
@@ -111,26 +172,22 @@ class Polynomial:
             g = gcd(g, c)
         return g
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items(), key=lambda item: _mono_key(item[0]))
-
-    def leading_term(self) -> tuple[Monomial, int]:
-        """The first term in print order (graded lex); the polynomial is nonzero."""
-        return min(self.terms.items(), key=lambda item: _mono_key(item[0]))
-
     def leading_coefficient(self) -> int:
-        if not self.terms:
-            return 0
-        return self.leading_term()[1]
+        """The coefficient of the first term in print order (graded lex); 0 for 0."""
+        terms = self.terms
+        if len(terms) <= 1:
+            return next(iter(terms.values()), 0)
+        return terms[min(terms, key=_mono_key)]
 
     def __add__(self, other: Polynomial) -> Polynomial:
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Polynomial(out)
+            if c := out.pop(m, 0) + c:
+                out[m] = c
+        return _raw(out)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return _raw({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
@@ -140,32 +197,43 @@ class Polynomial:
         return self.scale(n)
 
     def __mul__(self, other: Polynomial) -> Polynomial:
-        if not self.terms or not other.terms:
-            return Polynomial()
-        out: dict[Monomial, int] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mono_mul(ma, mb)
-                out[m] = out.get(m, 0) + ca * cb
-        return Polynomial(out)
+        a, b = self.terms, other.terms
+        if len(a) == 1 and len(b) == 1:
+            ((ma, ca),), ((mb, cb),) = a.items(), b.items()
+            if ma and mb:
+                ma += mb
+                if ma & _GUARD:
+                    raise _overflow(ma)
+            return _raw({ma or mb: ca * cb})
+        out: dict[int, int] = {}
+        pairs = [(mb or 0, cb) for mb, cb in b.items()]
+        for ma, ca in a.items():
+            ma = ma or 0
+            for mb, cb in pairs:
+                mb += ma
+                out[mb] = out.get(mb, 0) + ca * cb
+        for m in out:
+            if m & _GUARD:
+                raise _overflow(m)
+        return _raw({m or _EMPTY: c for m, c in out.items() if c})
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.integer(1)
-        base = self
+        result, base = _P_ONE, self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, n: int) -> Polynomial:
-        return Polynomial({m: c * n for m, c in self.terms.items()})
+        return _raw({m: c * n for m, c in self.terms.items()} if n else {})
 
     def divide_by_content(self, g: int) -> Polynomial:
-        return Polynomial({m: c // g for m, c in self.terms.items()})
+        return _raw({m: c // g for m, c in self.terms.items()})
 
     def gcd(self, other: Polynomial) -> Polynomial:
         """The greatest common divisor in Z[parameters], content included, with
@@ -203,7 +271,7 @@ class Polynomial:
             raise DivisionByZero("polynomial division by zero")
         if len(divisor.terms) == 1:
             ((m, c),) = divisor.terms.items()
-            return _raw({_mono_div(mono, m): v // c for mono, v in self.terms.items()})
+            return _raw({(mono - m or _EMPTY) if m else mono: v // c for mono, v in self.terms.items()})
         if not self.terms:
             return self
         names = self.parameters() | divisor.parameters()
@@ -216,7 +284,7 @@ class Polynomial:
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             term = Fraction(coeff)
-            for name, e in mono:
+            for name, e in _unpack(mono):
                 term *= Fraction(assignment[name]) ** e
             total += term
         return total
@@ -231,8 +299,8 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
-            factors = [name if e == 1 else f"{name}^{e}" for name, e in mono]
+        for mono, coeff in sorted(self.terms.items(), key=lambda item: _mono_key(item[0])):
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in _unpack(mono)]
             mag = abs(coeff)
             if not factors:
                 body = str(mag)
@@ -255,23 +323,6 @@ _P_ONE = Polynomial.integer(1)
 _ONE_TERMS = _P_ONE.terms
 
 
-def _raw(terms: dict[Monomial, int]) -> Polynomial:
-    """The polynomial with these terms, which hold no zero coefficient."""
-    p = object.__new__(Polynomial)
-    p.terms = terms
-    return p
-
-
-def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b for a monomial b dividing a."""
-    if not b:
-        return a
-    exps = dict(a)
-    for name, e in b:
-        exps[name] -= e
-    return tuple((name, e) for name, e in exps.items() if e)
-
-
 def _monomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """gcd(a, b) when one side is zero, a constant or a monomial: the gcd of
     its coefficient with the other's content, times the least power of each of
@@ -282,51 +333,49 @@ def _monomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if len(a.terms) > 1:
         a, b = b, a
     ((mono, c),) = a.terms.items()
-    exps = dict(mono)
+    exps = dict(_slots(mono))  # shift -> exponent
     for m in b.terms:
-        powers = dict(m)
-        exps = {name: min(e, p) for name, e in exps.items() if (p := powers.get(name, 0))}
-    return _raw({tuple(exps.items()): gcd(c, *b.terms.values())})
+        exps = {sh: min(e, p) for sh, e in exps.items() if (p := (m or 0) >> sh & _MASK)}
+    return _raw({sum(e << sh for sh, e in exps.items()) or _EMPTY: gcd(c, *b.terms.values())})
 
 
 def _int_coeffs(p: Polynomial, x: str) -> list[int]:
     """The coefficients of a polynomial in x alone, highest degree first."""
-    deg = max(m[0][1] if m else 0 for m in p.terms)
+    sh = _SHIFTS[x]
+    deg = max(m >> sh if m else 0 for m in p.terms)
     out = [0] * (deg + 1)
     for m, c in p.terms.items():
-        out[deg - (m[0][1] if m else 0)] = c
+        out[deg - (m >> sh if m else 0)] = c
     return out
 
 
 def _from_ints(coeffs: list[int], x: str) -> Polynomial:
-    deg = len(coeffs) - 1
-    return _raw({((x, deg - i),) if i < deg else _EMPTY: c for i, c in enumerate(coeffs) if c})
+    deg, sh = len(coeffs) - 1, _SHIFTS[x]
+    return _raw({(deg - i) << sh or _EMPTY: c for i, c in enumerate(coeffs) if c})
 
 
 def _degree_in(p: Polynomial, x: str) -> int:
-    return max((e for m in p.terms for name, e in m if name == x), default=0)
+    sh = _SHIFTS[x]
+    return max((m >> sh & _MASK for m in p.terms if m), default=0)
 
 
 def _poly_coeffs(p: Polynomial, x: str) -> list[Polynomial]:
     """The coefficients of p as a polynomial in x over the other parameters,
     highest degree first."""
-    split: dict[int, dict[Monomial, int]] = {}
+    sh, split = _SHIFTS[x], {}
     for m, c in p.terms.items():
-        for k, (name, e) in enumerate(m):
-            if name == x:
-                split.setdefault(e, {})[m[:k] + m[k + 1:]] = c
-                break
-        else:
-            split.setdefault(0, {})[m] = c
+        e = m >> sh & _MASK if m else 0
+        split.setdefault(e, {})[(m - (e << sh) or _EMPTY) if e else m] = c
     return [_raw(split[e]) if e in split else _P_ZERO for e in range(max(split), -1, -1)]
 
 
 def _from_polys(coeffs: list[Polynomial], x: str) -> Polynomial:
-    deg = len(coeffs) - 1
-    out: dict[Monomial, int] = {}
+    deg, sh = len(coeffs) - 1, _SHIFTS[x]
+    out = {}
     for i, c in enumerate(coeffs):
+        e = (deg - i) << sh
         for m, v in c.terms.items():
-            out[tuple(sorted(m + ((x, deg - i),))) if i < deg else m] = v
+            out[(m or 0) + e if e else m] = v
     return _raw(out)
 
 
@@ -620,7 +669,7 @@ class Scalar:
 
         def poly_sub(poly: Polynomial) -> Scalar:
             total = Scalar.from_int(0)
-            for mono, coeff in poly.terms.items():
+            for mono, coeff in poly.monomials().items():
                 term = Scalar.from_int(coeff)
                 for name, e in mono:
                     base = bindings.get(name, Scalar.parameter(name))

@@ -1,6 +1,6 @@
 """Dense reference loops for the tests: matrix arithmetic, dense
-elimination and coefficient rows, operator arithmetic and the vector-level
-bracket, ad, cobracket and coaction.
+elimination and coefficient rows, operator arithmetic, the vector-level
+bracket, ad, cobracket and coaction, and polynomials on tuple monomials.
 
 The package evaluates every identity with identity tables, squares an
 operator with ``structures.SQUARE`` and eliminates on sparse rows; these
@@ -10,6 +10,7 @@ helpers the tests use to build their inputs.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from lieb import solver
@@ -208,3 +209,89 @@ def gamma(K: Corepresentation, v: Vector) -> Matrix:
                 if not K.coaction[i][j][k].num.is_zero():
                     out[j][k] = out[j][k] + coeff * K.coaction[i][j][k]
     return out
+
+
+# -- polynomials on tuple monomials -------------------------------------------
+
+def _mono_mul(a: tuple, b: tuple) -> tuple:
+    exps = dict(a)
+    for name, e in b:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _graded_lex(mono: tuple):
+    """Sort key listing monomials biggest first: higher total degree, then
+    earlier parameter names with higher exponents."""
+    return (-sum(e for _, e in mono), tuple((name, -e) for name, e in mono))
+
+
+class TuplePolynomial:
+    """An integer polynomial whose monomials are sorted (parameter, exponent)
+    tuples, 1 being (): the reference the packed Polynomial is compared with."""
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TuplePolynomial) and self.terms == other.terms
+
+    def __add__(self, other: TuplePolynomial) -> TuplePolynomial:
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return TuplePolynomial(out)
+
+    def __neg__(self) -> TuplePolynomial:
+        return TuplePolynomial({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: TuplePolynomial) -> TuplePolynomial:
+        return self + (-other)
+
+    def __mul__(self, other: TuplePolynomial) -> TuplePolynomial:
+        out: dict = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                m = _mono_mul(ma, mb)
+                out[m] = out.get(m, 0) + ca * cb
+        return TuplePolynomial(out)
+
+    def __floordiv__(self, divisor: TuplePolynomial) -> TuplePolynomial:
+        """The exact quotient by leading terms; AssertionError if divisor does
+        not divide self."""
+        lead = min(divisor.terms, key=_graded_lex)
+        quotient, rest = TuplePolynomial(), self
+        while rest.terms:
+            m = min(rest.terms, key=_graded_lex)
+            c, r = divmod(rest.terms[m], divisor.terms[lead])
+            exps = dict(m)
+            for name, e in lead:
+                exps[name] = exps.get(name, 0) - e
+            assert not r and min(exps.values(), default=0) >= 0, "not a divisor"
+            term = TuplePolynomial({tuple(sorted((n, e) for n, e in exps.items() if e)): c})
+            quotient, rest = quotient + term, rest - term * divisor
+        return quotient
+
+    def evaluate(self, point) -> Fraction:
+        total = Fraction(0)
+        for mono, coeff in self.terms.items():
+            term = Fraction(coeff)
+            for name, e in mono:
+                term *= Fraction(point[name]) ** e
+            total += term
+        return total
+
+    def parameters(self) -> frozenset[str]:
+        return frozenset(name for mono in self.terms for name, _ in mono)
+
+    def degree(self) -> int:
+        return max((sum(e for _, e in mono) for mono in self.terms), default=0)
+
+    def __str__(self) -> str:
+        parts = []
+        for mono, coeff in sorted(self.terms.items(), key=lambda item: _graded_lex(item[0])):
+            body = "*".join(([str(abs(coeff))] if abs(coeff) != 1 or not mono else [])
+                            + [name if e == 1 else f"{name}^{e}" for name, e in mono])
+            sign = "-" if coeff < 0 else "+"
+            parts.append(f"{sign} {body}" if parts else body if coeff > 0 else f"-{body}")
+        return " ".join(parts) or "0"

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -409,6 +412,30 @@ def test_every_shipped_catalog_file_checks_clean(tmp_path, capsys):
         assert code == EXIT_OK, (entry_id, out)
 
 
+def test_golden_reports_hold_when_parameters_are_met_in_another_order(tmp_path):
+    # a fresh process that gives zz, lambda and k9 the first monomial slots
+    stems = [golden.stem for golden in sorted(GOLDEN.glob("*.json"))]
+    for stem in stems:
+        _data_path(tmp_path, f"{stem}.lieb")
+    script = ("import contextlib, io, json, sys\n"
+              "from lieb import cli, parse_scalar\n"
+              "parse_scalar('zz*lambda*k9')\n"
+              "outs = {}\n"
+              "for stem in sys.argv[1:]:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+              "        cli.main(['--format', 'json', 'check', stem + '.lieb'])\n"
+              "    outs[stem] = out.getvalue()\n"
+              "sys.stdout.write(json.dumps(outs))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script, *stems], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    outs = json.loads(run.stdout)
+    assert len(outs) == 18
+    for stem, out in outs.items():
+        assert out == (GOLDEN / f"{stem}.json").read_text(encoding="utf-8"), stem
+
+
 @pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_file_json_report_matches_golden(golden, tmp_path, capsys, monkeypatch):
     # The golden reports were written by `lieb --format json check <file>`, run in
@@ -636,6 +663,21 @@ def test_superscript_digit_exits_two_with_its_position(tmp_path, capsys):
     code, out, err = _run(capsys, "check", str(_data_path(tmp_path, "sl2.lieb")), "--assume", "k^²")
     assert (code, out) == (EXIT_PARSE_ERROR, "")
     assert err == "error: --assume 'k^²': line 1, column 3: unexpected character '²'\n"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("k^2147483648*g", "line 4, column 14: the exponent of k exceeds 2147483647"),
+    ("k^2147483647 * k*g", "line 4, column 25: the exponent of k exceeds 2147483647"),
+    ("k^1073741824*g", "line 11, column 1: check cybe: the exponent of k exceeds 2147483647"),
+])
+def test_exponent_overflow_exits_two_with_its_position(entry, message, tmp_path, capsys):
+    # the last entry is legal, but the Yang-Baxter equation squares it
+    path = tmp_path / "overflow.lieb"
+    path.write_text("params k\n" + _SL2.replace("[e, f] = g", f"[e, f] = {entry}")
+                    + "tensor r on L {\n  k^1073741824*(f@g - g@f) + e@e\n}\ncheck cybe sl2 r\n",
+                    encoding="utf-8")
+    code, out, err = _run(capsys, "check", str(path))
+    assert (code, out, err) == (EXIT_PARSE_ERROR, "", f"error: {message}\n")
 
 
 # consecutive calls, each printing something other than the call before it

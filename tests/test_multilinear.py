@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from unittest import mock
@@ -525,6 +526,30 @@ def test_determinant_swaps_rows_on_zero_pivots_and_divides_in_q_k():
                         [sc("1"), sc("0"), sc("k")]]) == sc("-1")
     assert determinant([[sc("0"), sc("k")], [sc("0"), sc("1")]]) == sc("0")
     assert determinant([]) == ONE
+
+
+def test_determinant_eliminates_on_numerators_with_no_gcd(monkeypatch):
+    # each row is scaled by the lcm of its denominators, whose gcds (and the
+    # final Scalar's) may call Polynomial.gcd; the elimination itself may not
+    pool = [sc(t) for t in ("0", "1", "-2", "3/4", "k", "k - 1", "1/(k + 1)", "2*k1", "k*k1/3")]
+    gcd, callers = Polynomial.gcd, []
+
+    def spy(a, b):
+        frame, names = sys._getframe(1), set()  # the calls between determinant and gcd
+        while frame.f_code.co_name != "determinant":
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append(names)
+        return gcd(a, b)
+    rng = random.Random(26)
+    matrices = [[[rng.choice(pool) for _ in range(n)] for _ in range(n)] for n in (2, 3, 4, 5)]
+    expected = [_permutation_expansion(m) for m in matrices]
+    monkeypatch.setattr(Polynomial, "gcd", spy)
+    assert [determinant(m) for m in matrices] == expected
+    assert callers and all(names & {"_numerators", "__init__"} for names in callers)
+    callers.clear()
+    assert determinant([[sc("k"), sc("k1/3")], [sc("2*k1"), sc("k - 1")]]) == sc("k^2 - k - 2/3*k1^2")
+    assert not callers
 
 
 def _fraction_determinant(rows):

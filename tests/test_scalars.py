@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +20,13 @@ from lieb.scalars import (
     Assumption,
     DivisionByZero,
     EvalSingular,
+    ExponentOverflow,
     Polynomial,
     Scalar,
     covered_by_assumptions,
 )
+
+from reference_loops import TuplePolynomial
 
 
 def sc(text: str) -> Scalar:
@@ -361,7 +369,7 @@ def test_mixed_constant_symbolic_ops(x, s):
 
 def _to_sympy(sympy, poly: Polynomial):
     total = sympy.Integer(0)
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in poly.monomials().items():
         term = sympy.Integer(coeff)
         for name, e in mono:
             term *= sympy.Symbol(name) ** e
@@ -416,3 +424,104 @@ def test_against_sympy_cancel(a, b, c):
             continue
         value = ours.evaluate(point)
         assert sympy.Rational(value.numerator, value.denominator) == theirs.subs(subs)
+
+
+# -- packed monomials ----------------------------------------------------------
+
+@st.composite
+def packed_pairs(draw, max_terms: int = 4, max_exponent: int = 3):
+    """(Polynomial, TuplePolynomial) pairs over 4-5 parameters that the
+    package first meets in the drawn order, not their name order."""
+    names = [f"d{n}" for n in draw(st.lists(st.integers(0, 10**6), min_size=4, max_size=5,
+                                              unique=True))]
+    for name in names:
+        Polynomial.variable(name)
+    monomial = st.lists(st.tuples(st.sampled_from(names), st.integers(1, max_exponent)),
+                        max_size=3, unique_by=lambda pair: pair[0])
+    terms = st.dictionaries(monomial.map(lambda m: tuple(sorted(m))), st.integers(-9, 9),
+                            max_size=max_terms)
+    pairs = []
+    for _ in range(3):
+        t = draw(terms)
+        pairs.append((Polynomial(t), TuplePolynomial(t)))
+    return names, pairs
+
+
+@given(packed_pairs(), st.lists(st.fractions(-5, 5, max_denominator=7), min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_packed_polynomials_agree_with_tuple_monomials(drawn, values):
+    names, ((a, ra), (b, rb), (c, rc)) = drawn
+    for p, ref in ((a, ra), (b, rb), (a * b, ra * rb), (a + b, ra + rb), (a - b, ra - rb),
+                   (-a, -ra), (a * b + c, ra * rb + rc), (a ** 2, ra * ra)):
+        assert TuplePolynomial(p.monomials()) == ref
+        assert str(p) == str(ref)
+        assert (p.parameters(), p.degree()) == (ref.parameters(), ref.degree())
+        assert p.evaluate(dict(zip(names, values))) == ref.evaluate(dict(zip(names, values)))
+    if b:
+        assert (a * b) // b == a
+    if c and (a or b):
+        # gcd(a c, b c) divides both and is divided by c (checked by the
+        # reference's exact division)
+        g = TuplePolynomial((a * c).gcd(b * c).monomials())
+        for ref in (ra * rc, rb * rc):
+            assert ref // g * g == ref
+        assert g // rc * rc == g
+
+
+def test_a_product_reaching_two_to_the_31_raises_and_names_the_parameter():
+    top = 2**31 - 1
+    big = Polynomial({(("k", top), ("zj", 5)): 3})
+    assert (big * Polynomial.variable("zj")).monomials() == {(("k", top), ("zj", 6)): 3}
+    for product in (lambda: big * Polynomial.variable("k"),
+                    lambda: (big + Polynomial.integer(1)) * (Polynomial.variable("k") + big),
+                    lambda: Polynomial({(("k", 2**31),): 1}),
+                    lambda: sc("k") ** 2**31):
+        with pytest.raises(ExponentOverflow, match="^the exponent of k exceeds 2147483647$"):
+            product()
+    assert issubclass(ExponentOverflow, OverflowError)
+
+
+def test_power_forms_no_product_above_its_degree(monkeypatch):
+    p = sc("k1 + k2 + k3 + 1").num
+    expected = [Polynomial.integer(1)]
+    for _ in range(9):
+        expected.append(expected[-1] * p)
+    degrees = []
+    mul = Polynomial.__mul__
+
+    def spy(a, b):
+        degrees.append(a.degree() + b.degree())
+        return mul(a, b)
+    monkeypatch.setattr(Polynomial, "__mul__", spy)
+    for n, power in enumerate(expected):
+        degrees.clear()
+        assert p ** n == power
+        assert max(degrees, default=0) <= n
+    k = Polynomial.variable("k")
+    assert (k ** 2**30).monomials() == {(("k", 2**30),): 1}  # no square past the last bit
+
+
+def _python(script: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(Path(lieb.scalars.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_pickled_scalar_loads_equal_where_parameters_were_met_in_another_order():
+    text = "k9 + 4*k3*k4/k7 - 4*k2*k4^2/k7^2"  # a classification family 7 entry
+    dumped = _python("import pickle, sys\n"
+                     "from lieb import parse_scalar\n"
+                     "parse_scalar('k2*k3*k4*k7*k9')\n"
+                     f"sys.stdout.write(pickle.dumps(parse_scalar({text!r})).hex())\n")
+    loaded = _python("import pickle\n"
+                     "from lieb import parse_scalar\n"
+                     "from lieb.scalars import _NAMES\n"
+                     "parse_scalar('zz*k9*k7*k4*k3*k2')\n"
+                     f"value = pickle.loads(bytes.fromhex({dumped!r}))\n"
+                     f"print(value == parse_scalar({text!r}), value, _NAMES[:6])\n")
+    assert loaded == ("True (-4*k2*k4^2 + 4*k3*k4*k7 + k7^2*k9)/(k7^2) "
+                      "['zz', 'k9', 'k7', 'k4', 'k3', 'k2']\n")
+    value = pickle.loads(pickle.dumps(sc(text)))
+    assert value == sc(text) and str(value) == str(sc(text))

@@ -18,7 +18,9 @@ package (and in the file format):
 An identity table is one signed einsum sum, run by a sparse fold that
 normalises late: each operand is scaled by the lcm of its denominators, the
 numerators are added on ints when every operand entry is constant and in
-Z[parameters] otherwise, and each component is reduced once (see Table).  On
+Z[parameters] otherwise, and each component is reduced once (see Table).  A
+table linear in one operand gives that operand's coefficients when it is
+fed a basis, a tensor with one more axis, as an ordinary operand.  On
 ints the last join of a dense term is packed: each key's list of entries v is
 one int of B-bit slots, with max|x| * max|v| * (count of partial products x)
 < 2^(B - 2), so one multiply-add per x adds every product exactly.  Exact
@@ -188,6 +190,8 @@ class Table:
     On ints, a term whose partial products outnumber its last factor's keys 8
     times over, on lists 6 long on average, is joined packed, exactly (see
     _packed), when that factor binds no new letter but output letters.
+    ``coefficients`` runs the same fold with the unknown's basis axis as one
+    more output letter, so every entry it multiplies is a Scalar too.
     """
 
     def __init__(self, out: str, terms: str):
@@ -214,29 +218,31 @@ class Table:
         """The coefficients of a table that is linear in ``unknown``: each
         term holds exactly one factor of that name, else ValueError.
 
-        Returns the shape of the coefficients, indexed by the output letters
-        and then the unknown's, and a dict from each index, flattened in
-        row-major order, to its coefficient where that is nonzero.  The
-        unknown's operand gives only its shape.
+        The unknown's operand is a basis with one more axis z: its entry
+        (index, z) is the unknown's entry at index per unit of the z-th free
+        parameter.  Returns the shape of the coefficients, indexed by z and
+        then the output letters, and a dict from each index, flattened in
+        row-major order, to its coefficient where that is nonzero.  So an
+        output letter has the stride that ``evaluate`` gives it, and both
+        share the other operands' join indexes.
         """
         tensors, shape, strides = self._operands(operands, unknown)
-        unknown_shape = tensors[unknown].shape
-        # the unknown's factor: every index, each with no value
-        tensors[_UNKNOWN] = Tensor(unknown_shape, dict.fromkeys(product(*map(range, unknown_shape))))
         return shape, _sum(self._compile(unknown), tensors, strides)
 
     def _operands(self, operands, unknown=None):
-        """The operands as Tensors, the result's shape and its row-major strides."""
+        """The operands as Tensors, the result's shape and its row-major
+        strides; with an unknown, its basis axis z comes first."""
         tensors = {name: Tensor.of(t) for name, t in operands.items()}
         dims: dict[str, int] = {}
         for name, spec in self._factors:
+            spec += _Z if name == unknown else ""
             shape = tensors[name].shape
             if len(shape) != len(spec):
                 raise ShapeError(f"{name}[{spec}] given a tensor of rank {len(shape)}")
             for letter, size in zip(spec, shape):
                 if dims.setdefault(letter, size) != size:
                     raise ShapeError(f"index {letter!r} has conflicting sizes")
-        shape = tuple(dims[x] for x in self.out) + (tensors[unknown].shape if unknown else ())
+        shape = tuple(dims[x] for x in (_Z if unknown else "") + self.out)
         strides = [1] * len(shape)
         for q in range(len(shape) - 2, -1, -1):
             strides[q] = strides[q + 1] * shape[q + 1]
@@ -252,7 +258,7 @@ class Table:
         return plans
 
 
-_UNKNOWN = "*"  # the operand name of the unknown's factor in a coefficient plan
+_Z = "*"  # the unknown's basis axis in a coefficient plan: no table's letter
 
 
 def _parse_terms(text: str):
@@ -276,19 +282,16 @@ def _plan(out, factors, unknown):
     from an entry's index, getter of its new letters' values, getter of the
     lookup key from a binding, (place among the new letters, place in the key)
     of each key letter it binds, (bound positions, new positions)).  The key
-    letters are the output letters, then with an unknown the unknown's, whose
-    one factor reads the operand ``_UNKNOWN``.
+    letters are the output letters, after the basis axis z of an unknown,
+    whose one factor takes z as its last letter.
     """
     if unknown is not None:
         at = [k for k, (name, _) in enumerate(factors) if name == unknown]
         if len(at) != 1:
             raise ValueError(f"a term holds the unknown {len(at)} times, not once: "
                              + " ".join(f"{name}[{spec}]" for name, spec in factors))
-        if len(factors) == 1:
-            raise ValueError("a term needs a factor besides the unknown")
-        k = at[0]
-        out += factors[k][1]
-        factors = factors[:k] + ((_UNKNOWN, factors[k][1]),) + factors[k + 1:]
+        out = _Z + out
+        factors = tuple((name, spec + _Z if name == unknown else spec) for name, spec in factors)
     bound: list[str] = []
     steps = []
     for name, spec in factors:
@@ -305,16 +308,16 @@ def _sum(plans, tensors, strides) -> dict:
     """Flattened key -> the Scalar sum of the signed products of every term
     that reaches it, where that sum is nonzero.
 
-    Each operand is scaled by the lcm L of its denominators (the unknown's
-    None counting as 1), each term starts from +-common / (the product of its
-    factors' L), common being the lcm of those products, and each total is
-    divided by common once.  When every operand entry is constant this runs
-    on ints; otherwise the numerators are folded in Z[parameters] with no gcd,
-    L being an int for an operand whose denominators are all constant.
+    Each operand is scaled by the lcm L of its denominators, each term
+    starts from +-common / (the product of its factors' L), common being the
+    lcm of those products, and each total is divided by common once.  When
+    every operand entry is constant this runs on ints; otherwise the
+    numerators are folded in Z[parameters] with no gcd, L being an int for an
+    operand whose denominators are all constant.
     """
     for t in tensors.values():
         if "constant" not in _memo(t):
-            t._memo["constant"] = all(v is None or v.q is not None for v in t.entries.values())
+            t._memo["constant"] = all(v.q is not None for v in t.entries.values())
     ints = all(t._memo["constant"] for t in tensors.values())
     lcms, scaled = {}, {}
     for name, t in tensors.items():
@@ -355,18 +358,16 @@ def _memo(t: Tensor) -> dict:  # t's memo (see Tensor), made on its first use
 def _numerators(entries: dict, ints: bool):
     """(L, the entries times L): L the lcm of the entries' denominators, an
     int when every one is constant; each entry times L is an int with
-    ``ints`` (every entry constant) and a Polynomial otherwise, and the
-    unknown's None stays None."""
+    ``ints`` (every entry constant) and a Polynomial otherwise."""
     if ints:
-        L = lcm(*[v.q for v in entries.values() if v is not None])
-        return L, {idx: v if v is None else v.p * (L // v.q) for idx, v in entries.items()}
+        L = lcm(*[v.q for v in entries.values()])
+        return L, {idx: v.p * (L // v.q) for idx, v in entries.items()}
     consts, polys = set(), set()
     for v in entries.values():
-        if v is not None:
-            if v.den.is_constant():
-                consts.add(v.den.constant_value())
-            else:
-                polys.add(v.den)
+        if v.den.is_constant():
+            consts.add(v.den.constant_value())
+        else:
+            polys.add(v.den)
     L = lcm(*consts)
     if polys:
         L = _polynomial_lcm([Polynomial.integer(L), *polys])
@@ -374,10 +375,8 @@ def _numerators(entries: dict, ints: bool):
     cofactor.update({d: L // d for d in polys})
     scaled = {}
     for idx, v in entries.items():
-        if v is not None:
-            c = cofactor[v.den.constant_value() if v.den.is_constant() else v.den]
-            v = v.num if c == 1 else c * v.num
-        scaled[idx] = v
+        c = cofactor[v.den.constant_value() if v.den.is_constant() else v.den]
+        scaled[idx] = v.num if c == 1 else c * v.num
     return L, scaled
 
 
@@ -396,7 +395,7 @@ def _fold(plans, tensors, strides) -> dict:
                 continue
         for b, x, s in partial:
             for _, v, at in index.get(lookup(b), ()):
-                k, term = s + at, v if x is None else x if v is None else x * v  # v None: the unknown
+                k, term = s + at, v if x is None else x * v
                 prev = get(k)
                 total[k] = term if prev is None else prev + term
     return total
@@ -409,14 +408,14 @@ def _packed(partial, index, packs, lookup, total) -> None:
     parts, one entry to a slot.  A slot of acc[s] is at most max|x| * max|v| *
     len(partial) < 2^(B - 2) in size, so each unpacks exactly once 2^(B - 1)
     is added to every slot.  The packs are kept with the index, by B."""
-    if None not in packs:  # the output-key parts by slot, and max|v| (None: 1, 0 counts as 1)
+    if None not in packs:  # the output-key parts by slot, and max|v|
         packs[None] = (sorted({at for entries in index.values() for _, _, at in entries}),
-                       max([abs(v or 1) for entries in index.values() for _, v, _ in entries]))
+                       max([abs(v) for entries in index.values() for _, v, _ in entries]))
     parts, top = packs[None]
     B = (max([abs(x) for _, x, _ in partial]) * top * len(partial)).bit_length() + 2
     if B not in packs:
         shift = {at: B * j for j, at in enumerate(parts)}
-        packs[B] = ({key: sum([(1 if v is None else v) << shift[at] for _, v, at in entries])
+        packs[B] = ({key: sum([v << shift[at] for _, v, at in entries])
                      for key, entries in index.items()},
                     sum([1 << (B * j + B - 1) for j in range(len(parts))]))
     packed, half = packs[B]
@@ -441,7 +440,7 @@ def _join(steps, start, tensors, strides):
     indexed = [_index(step, tensors, strides) for step in steps]
     partial = [((), start, 0)]
     for ((index, _), lookup), ((after, _), key) in zip(indexed, indexed[1:]):
-        partial = [(br, v if x is None else x if v is None else x * v, s + at)  # v None: no factor
+        partial = [(br, v if x is None else x * v, s + at)
                    for b, x, s in partial for r, v, at in index.get(lookup(b), ())
                    for br in (b + r,) if key(br) in after]
     return partial, indexed[-1]

@@ -2,8 +2,10 @@
 
 Each kind of linear problem is one entry of ``KINDS``: the context
 structures it reads and an identity table of ``structures`` that is linear in
-its unknown.  The rows are the unknown's coefficients in the table, and an
-exact nullspace solves them, reporting the side conditions of the inputs'
+its unknown.  The unknown is the table's operand like any other: the basis
+of its free entries, with one more axis for the free parameter.  The rows
+are the table's coefficients on that basis, and an exact nullspace solves
+them, reporting the side conditions of the inputs'
 denominators and the assumptions its pivots used.  Every basis element is
 verified exactly: weak-symplectic and cocycle-in-delta ones by re-running
 their check, ad-invariance and co-CYBE-slice ones by evaluating the table at
@@ -27,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 from .multilinear import (  # noqa: F401
     BilinearForm, Row, Table, Tensor, TwoTensor, kernel, nullspace, rank,
 )
-from .scalars import Assumption, EvalSingular, Scalar
+from .scalars import ONE, Assumption, EvalSingular, Scalar
 from . import structures
 from .structures import (
     CheckReport,
@@ -96,12 +98,14 @@ class Kind:
     ``context`` lists the structures it reads as (key, record type) pairs, in
     order; each key is the table operand that the structure's tensor fills,
     and the first structure's space is the problem's.  ``table`` is linear in
-    the operand ``unknown``, each of whose axes spans the space; a basis
-    element is the record ``element`` on the space.  It is verified by
-    ``check`` (context, element) -> CheckReport if given, and else by
-    evaluating the table at it.  ``fit``, if given, is the fit of the check
-    that decides the problem: given the context structures, it raises
-    ShapeError unless they lie on one space.
+    the operand ``unknown``, each of whose axes spans the space, and reads it
+    as a basis: one free parameter per entry, or with ``skew`` per entry
+    (i, j) with i < j, whose mirror (j, i) takes -1 of it.  A solution is
+    read back through that basis as the record ``element`` on the space.
+    It is verified by ``check`` (context, element) -> CheckReport if given,
+    and else by evaluating the table at it.  ``fit``, if given, is the fit of
+    the check that decides the problem: given the context structures, it
+    raises ShapeError unless they lie on one space.
     """
 
     context: tuple[tuple[str, type], ...]
@@ -109,7 +113,7 @@ class Kind:
     unknown: str
     element: type
     check: Callable | None = None
-    skew: bool = False  # a skew form, whose free entries are the upper triangle
+    skew: bool = False
     fit: Callable | None = None
 
 
@@ -127,9 +131,9 @@ KINDS = {
 
 
 def _system(problem: LinearProblem):
-    """The problem's kind, its space, the unknown's shape and free entries (all
-    of them, or the upper triangle of a skew form), and the table's operands
-    with the unknown as a zero of its shape."""
+    """The problem's kind, its space, and the table's operands: the context
+    structures' tensors and, as the unknown, the basis of its free entries
+    (see Kind)."""
     if problem.kind not in KINDS:
         raise ValueError(f"unknown linear problem kind {problem.kind!r}")
     kind, ctx = KINDS[problem.kind], problem.context
@@ -137,39 +141,27 @@ def _system(problem: LinearProblem):
         kind.fit([ctx[key] for key, _ in kind.context])
     space = ctx[kind.context[0][0]].space
     rank = len(next(spec for name, spec in kind.table.terms[0][1] if name == kind.unknown))
-    shape = (space.dim,) * rank
-    slots = list(itertools.product(*map(range, shape)))
-    if kind.skew:
-        slots = [(i, j) for i, j in slots if i < j]
+    slots = [idx for idx in itertools.product(range(space.dim), repeat=rank)
+             if not kind.skew or idx[0] < idx[1]]
+    basis = {}
+    for z, slot in enumerate(slots):
+        basis[slot + (z,)] = ONE
+        if kind.skew:
+            basis[slot[::-1] + (z,)] = -ONE
     operands = {key: ctx[key].tensor for key, _ in kind.context}
-    return kind, space, shape, slots, {**operands, kind.unknown: Tensor(shape, {})}
+    operands[kind.unknown] = Tensor((space.dim,) * rank + (len(slots),), basis)
+    return kind, space, operands
 
 
-def _rows(kind, space, shape, slots, operands) -> list[Row]:
-    """The problem's identity as sparse rows over the unknown's free entries.
-
-    Row by row, the components of the identity in index order, empty rows
-    included; column by column, the coefficient of each free entry, which for
-    a skew form is that of (i, j) less that of (j, i).  A row holds the cells
-    that a term reaches with a nonzero coefficient.
-    """
-    # the unknown's entries by their row-major place in its shape
-    flat = {idx: k for k, idx in enumerate(itertools.product(*map(range, shape)))}
-    column = {flat[slot]: (col, True) for col, slot in enumerate(slots)}
-    if kind.skew:
-        column.update({flat[j, i]: (col, False) for col, (i, j) in enumerate(slots)})
-    full, sums = kind.table.coefficients(kind.unknown, **operands)
-    rows: list[Row] = [{} for _ in range(math.prod(full) // len(flat))]
+def _rows(kind, operands) -> list[Row]:
+    """The problem's identity as sparse rows over the unknown's free entries:
+    row by row, the components of the identity in index order, empty rows
+    included, each holding the free entries whose coefficient is nonzero."""
+    shape, sums = kind.table.coefficients(kind.unknown, **operands)
+    rows: list[Row] = [{} for _ in range(math.prod(shape[1:]))]
     for key, value in sums.items():
-        row, entry = divmod(key, len(flat))
-        if entry in column:
-            col, positive = column[entry]
-            cells = rows[row]
-            cell = cells.get(col)
-            if cell is None:
-                cells[col] = value if positive else -value
-            else:
-                cells[col] = cell + value if positive else cell - value
+        col, row = divmod(key, len(rows))
+        rows[row][col] = value
     return rows
 
 
@@ -183,24 +175,24 @@ def solve_linear(problem: LinearProblem,
     declared assumptions that certify them, or else the denominators
     themselves), then the assumptions that certified its pivots.
     """
-    system = kind, space, shape, slots, operands = _system(problem)
-    vectors, certifying = kernel(_rows(*system), len(slots), assumptions)
-    basis = []
+    kind, space, operands = _system(problem)
+    basis = operands[kind.unknown]
+    *shape, cols = basis.shape
+    vectors, certifying = kernel(_rows(kind, operands), cols, assumptions)
+    solutions = []
     for vec in vectors:
-        entries = dict(zip(slots, vec))
-        if kind.skew:
-            entries.update({(j, i): -value for (i, j), value in zip(slots, vec)})
-        element = kind.element(space, Tensor(shape, entries))
+        entries = {idx[:-1]: v * vec[idx[-1]] for idx, v in basis.entries.items() if vec[idx[-1]]}
+        element = kind.element(space, Tensor(tuple(shape), entries))
         if kind.check is not None:
             solves = kind.check(problem.context, element).passed
         else:
             solves = not kind.table.evaluate(**{**operands, kind.unknown: element.tensor}).entries
         if not solves:
             raise AssertionError("solver produced a non-solution; this is a bug")
-        basis.append(element)
+        solutions.append(element)
     used = denominator_assumptions(problem.context.values(), assumptions)
     used += [a for a in certifying if a not in used]
-    return LinearSolution(problem.kind, basis, len(slots) - len(vectors), len(slots), used)
+    return LinearSolution(problem.kind, solutions, cols - len(vectors), cols, used)
 
 
 # -- randomized refutation -----------------------------------------------------

@@ -119,9 +119,9 @@ def row_reduce(matrix: Sequence[Sequence[Scalar]],
 def coefficient_rows(problem: solver.LinearProblem) -> Matrix:
     """A linear problem's sparse rows as a dense matrix over the unknown's
     free entries, empty rows included."""
-    system = solver._system(problem)
-    cols = range(len(system[3]))
-    return [[row.get(col, ZERO) for col in cols] for row in solver._rows(*system)]
+    kind, _, operands = solver._system(problem)
+    cols = range(operands[kind.unknown].shape[-1])
+    return [[row.get(col, ZERO) for col in cols] for row in solver._rows(kind, operands)]
 
 
 # -- operators and tensors ----------------------------------------------------

@@ -126,16 +126,45 @@ def test_table_rejects_a_stray_sign(out, terms, rest):
         Table(out, terms)
 
 
+def _basis(n: int, rank: int, skew: bool = False) -> Tensor:
+    """The basis of an unknown of the given rank on n basis vectors, with one
+    free parameter z per entry, or for a skew form per entry (i, j) with
+    i < j, whose mirror (j, i) takes -1 of it: the entries (index, z)."""
+    slots = [idx for idx in itertools.product(range(n), repeat=rank) if not skew or idx[0] < idx[1]]
+    entries = {}
+    for z, slot in enumerate(slots):
+        entries[slot + (z,)] = ONE
+        if skew:
+            entries[slot[::-1] + (z,)] = -ONE
+    return Tensor((n,) * rank + (len(slots),), entries)
+
+
 def test_table_coefficients_are_summed_per_flattened_key():
-    # the coefficient of x[j] at component i is a[i][j] + b[i][j], under the
-    # flattened key 2 i + j; where they cancel, at (1, 1), the key is absent,
-    # as it is at (1, 0), which no nonzero term reaches
+    # the coefficient of x's parameter z (x[j] = 1 at j = z) at component i
+    # is a[i][z] + b[i][z], under the flattened key 2 z + i; where they
+    # cancel, at z = i = 1, the key is absent, as it is at z = 0, i = 1,
+    # which no nonzero term reaches
     table = Table("i", "a[ij] x[j] + b[ij] x[j]")
     a = rational_matrix(BasisSpace(("e", "f")), [[1, 2], [0, 3]])
     b = rational_matrix(BasisSpace(("e", "f")), [[1, 0], [0, -3]])
-    shape, sums = table.coefficients("x", a=a, b=b, x=[sc("0"), sc("0")])
+    shape, sums = table.coefficients("x", a=a, b=b, x=_basis(2, 1))
     assert shape == (2, 2)
-    assert sums == {0: sc("2"), 1: sc("2")}
+    assert sums == {0: sc("2"), 2: sc("2")}
+
+
+def test_table_coefficients_of_terms_of_the_unknown_alone():
+    # SKEW = t[ij] + t[ji] vanishes on every skew form, and on all forms its
+    # row (i, j) is the symmetriser's: 1 at the parameters of (i, j) and
+    # (j, i), 2 on the diagonal
+    from lieb.structures import SKEW
+
+    assert SKEW.coefficients("t", t=_basis(3, 2, skew=True)) == ((3, 3, 3), {})
+    symmetriser = {}
+    for i, j in itertools.product(range(3), repeat=2):
+        for z in (3 * i + j, 3 * j + i):
+            key = z * 9 + 3 * i + j
+            symmetriser[key] = symmetriser.get(key, Scalar.from_int(0)) + ONE
+    assert SKEW.coefficients("t", t=_basis(3, 2)) == ((9, 3, 3), symmetriser)
 
 
 @pytest.mark.parametrize("terms, message", [
@@ -145,10 +174,9 @@ def test_table_coefficients_are_summed_per_flattened_key():
 def test_table_coefficients_reject_a_term_not_linear_in_the_unknown(terms, message):
     # om[ia] om[aj] as in CO_CYBE: the coefficients of its polarisation come
     # from CO_CYBE_SLICE, which holds a second operand in the other slot
-    m = rational_matrix(BasisSpace(("e", "f")), [[1, 2], [3, 4]])
     table = Table("ij", terms)
     with pytest.raises(ValueError, match=re.escape(f"a term holds the unknown {message}")):
-        table.coefficients("om", om=m, d=[[[sc("1")] * 2] * 2] * 2)
+        table.coefficients("om", om=_basis(2, 2), d=[[[sc("1")] * 2] * 2] * 2)
 
 
 # -- the integer lane of the table engine ------------------------------------
@@ -179,7 +207,7 @@ def _operands(draw):
 def _cases(ops):
     """(table, operands, unknown): the checks' tables, torsion fed by the
     images it is evaluated with, and the co-CYBE slice the solver reads its
-    rows from."""
+    rows from, on the basis of the skew forms."""
     c, nm = ops["c"], ops["N"]
     left, right = IMAGE.evaluate(M=nm, T=c), RIGHT_IMAGE.evaluate(M=nm, c=c)
     return [(JACOBI, {"c": c}, None),
@@ -189,7 +217,8 @@ def _cases(ops):
             (SQUARE, {"M": nm}, None),
             (TORSION, {"N": nm, "N2": SQUARE.evaluate(M=nm), "c": c, "left": left,
                        "right": right}, None),
-            (CO_CYBE_SLICE, {"d": ops["d"], "om": ops["om"], "x": ops["om"]}, "x")]
+            (CO_CYBE_SLICE, {"d": ops["d"], "om": ops["om"], "x": _basis(_LANE_DIM, 2, skew=True)},
+             "x")]
 
 
 def _engine_and_scalar_fold(table, operands, unknown):
@@ -198,17 +227,13 @@ def _engine_and_scalar_fold(table, operands, unknown):
     and operands."""
     tensors, _, strides = table._operands(operands, unknown)
     plans = table._compile(unknown)
-    if unknown is not None:
-        shape = tensors[unknown].shape
-        tensors[multilinear._UNKNOWN] = Tensor(shape, dict.fromkeys(
-            itertools.product(*map(range, shape))))
     with mock.patch.object(multilinear, "_fold", wraps=multilinear._fold) as fold:
         engine = multilinear._sum(plans, tensors, strides)
     (ran, scaled, _), _ = fold.call_args
     scalar = multilinear._fold([(None if positive else -ONE, steps) for positive, steps in plans],
                                tensors, strides)
     scalar = {k: v for k, v in scalar.items() if v}
-    entries = [v for t in scaled.values() for v in t.entries.values() if v is not None]
+    entries = [v for t in scaled.values() for v in t.entries.values()]
     return engine, [start for start, _ in ran], entries, scalar
 
 
@@ -252,8 +277,8 @@ def test_integer_lane_drops_zero_sums_in_coefficients():
     table = Table("i", "a[ij] x[j] + b[ij] x[j]")
     a = [[sc("1/3"), sc("2/7")], [sc("0"), sc("3/7")]]
     b = [[sc("1/7"), sc("0")], [sc("0"), sc("-3/7")]]
-    _, sums = table.coefficients("x", a=a, b=b, x=[sc("0"), sc("0")])
-    assert sums == {0: sc("10/21"), 1: sc("2/7")}
+    _, sums = table.coefficients("x", a=a, b=b, x=_basis(2, 1))
+    assert sums == {0: sc("10/21"), 2: sc("2/7")}
     assert table.evaluate(a=a, b=b, x=[sc("21"), sc("7")]).entries == {(0,): sc("12")}
 
 
@@ -267,10 +292,6 @@ def _packed_and_per_product(table, operands, unknown=None):
     scaled operands.  The engine's sum is the same with its packs built in
     the call (cold) and kept from an earlier one (warm)."""
     tensors, _, strides = table._operands(operands, unknown)
-    if unknown is not None:
-        shape = tensors[unknown].shape
-        tensors[multilinear._UNKNOWN] = Tensor(shape, dict.fromkeys(
-            itertools.product(*map(range, shape))))
     runs, fold = [], multilinear._fold
 
     def spy(*args):
@@ -356,18 +377,23 @@ def test_packed_join_matches_the_per_product_loop_on_large_signed_entries(seed):
     assert not _OUTER.evaluate(a=a, c=c, b=b).entries
 
 
-def test_packed_join_fills_coefficients_from_the_unknowns_none_entries():
-    a, c = _column([_BIG, -3, 5, 1, -_BIG, 2, 2, 9]), _column([4, -_BIG, 7, 1])
+def test_packed_join_fills_coefficients_from_a_skew_basis():
+    # x's last factor is the basis of the skew 7 x 7 forms, so its packed
+    # lists hold -1 entries: each key j lists x[j][k] for the 6 k != j
+    a, c = _column([_BIG, -3, 5, 1, -_BIG, 2, 2, 9]), _column([4, -_BIG, 7, 1, -2, 3, _BIG])
     table = Table("k", "a[i] c[j] x[jk]")
-    x = [[Scalar.from_int(0)] * 6 for _ in range(4)]
+    x = _basis(7, 2, skew=True)
     engine, loop, packed, _ = _packed_and_per_product(table, {"a": a, "c": c, "x": x}, "x")
     assert packed == 1
     assert engine == loop
     shape, sums = table.coefficients("x", a=a, c=c, x=x)
     total = sum(v.p for v in a)
-    # component k of the sum is sum_j (sum_i a_i) c_j x[j][k]
-    assert shape == (6, 4, 6)
-    assert sums == {(k * 4 + j) * 6 + k: total * c[j] for j in range(4) for k in range(6)}
+    # component k of the sum is sum_j (sum_i a_i) c_j x[j][k], where the
+    # parameter z of (p, q), p < q, is x[p][q] = 1 and x[q][p] = -1
+    pairs = [(p, q) for p in range(7) for q in range(p + 1, 7)]
+    assert shape == (21, 7)
+    assert sums == {key: value for z, (p, q) in enumerate(pairs)
+                    for key, value in ((z * 7 + q, total * c[p]), (z * 7 + p, -total * c[q]))}
 
 
 def test_every_table_packs_as_its_per_product_loop_on_dense_constants():
@@ -379,7 +405,7 @@ def test_every_table_packs_as_its_per_product_loop_on_dense_constants():
 
     rng = random.Random(3)
 
-    def dense(rank):
+    def dense(rank):  # an unknown's basis is dense too, with a z axis of 3 parameters
         flat = [Scalar.from_int(rng.choice([1, -2, 5, -_BIG, _BIG + 1]) * rng.randint(1, 9))
                 for _ in range(3 ** rank)]
         for _ in range(rank - 1):
@@ -391,7 +417,7 @@ def test_every_table_packs_as_its_per_product_loop_on_dense_constants():
     tables.update({id(kind.table): (kind.table, kind.unknown) for kind in KINDS.values()})
     packed_terms = 0
     for table, unknown in tables.values():
-        ranks = {name: len(spec) for name, spec in table._factors}
+        ranks = {name: len(spec) + (name == unknown) for name, spec in table._factors}
         engine, loop, packed, _ = _packed_and_per_product(
             table, {name: dense(rank) for name, rank in ranks.items()}, unknown)
         assert engine == loop

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,12 +29,14 @@ from lieb import (
     refute_by_sampling,
     solve_linear,
 )
-from lieb.multilinear import BasisSpace, _sparse, row_reduce
-from lieb import solver
+from lieb.multilinear import BasisSpace, Table, _sparse, row_reduce
+from lieb import multilinear, solver
+from lieb.cli import canonical_json
+from lieb.document import render_document
 from lieb.scalars import Assumption, ONE, Polynomial, Scalar, ZERO
 from lieb.solver import ExhaustedSamples, bind_parameters
 
-from conftest import abelian, make_operator, sc
+from conftest import abelian, make_operator, make_sl2, sc
 import reference_loops
 from reference_loops import ad, zeros, zeros3
 
@@ -414,3 +419,90 @@ def test_refutation_of_family_six_is_pinned():
     # 4*k3*k6 at the witness
     assert [(r.identity, r.index, str(r.value)) for r in result.report.residuals] == [
         ("nijenhuis", (0, 1, 2), "(2904)/(391)"), ("nijenhuis", (1, 0, 2), "(-2904)/(391)")]
+
+
+# -- canonical solve output on gl3 ----------------------------------------------------------
+
+def _gl3() -> LieAlgebra:
+    """gl3 on E11, E12, ..., E33: [E_ij, E_kl] = delta_jk E_il - delta_li E_kj."""
+    pairs = [(i, j) for i in range(3) for j in range(3)]
+    c = zeros3(9, 9, 9)
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, m) in enumerate(pairs):
+            if j == k:
+                c[a][b][pairs.index((i, m))] += ONE
+            if m == i:
+                c[a][b][pairs.index((k, j))] -= ONE
+    return LieAlgebra(BasisSpace(tuple(f"E{i + 1}{j + 1}" for i, j in pairs)), c)
+
+
+def _gl3_problems() -> dict[str, LinearProblem]:
+    """Every kind on gl3; the co-CYBE slice on the dual cobracket
+    delta(e_k) = sum c[i][j][k] e_i (x) e_j and the Kirillov form
+    om(x, y) = f([x, y]) of f = (1, 2, ..., 9)."""
+    gl3 = _gl3()
+    c = gl3.c
+    d = [[[c[i][j][k] for j in range(9)] for i in range(9)] for k in range(9)]
+    om = [[sum((c[i][j][k] * Scalar.from_int(k + 1) for k in range(9)), ZERO) for j in range(9)]
+          for i in range(9)]
+    problems = {kind: getattr(LinearProblem, kind.replace("-", "_"))(gl3)
+                for kind in ("weak-symplectic", "ad-invariance", "cocycle-in-delta")}
+    problems["co-cybe-slice"] = LinearProblem.co_cybe_slice(
+        LieCoalgebra(gl3.space, d), BilinearForm(gl3.space, om))
+    assert problems.keys() == solver.KINDS.keys()
+    return problems
+
+
+def _canonical_solution(problem: LinearProblem) -> dict:
+    """A solve's canonical output: its rank, unknowns and assumptions_used,
+    and the sha256 of the canonical JSON of its basis as `lieb solve` renders
+    it."""
+    solution = solve_linear(problem)
+    basis = [render_document({f"solution_{k}": x}) for k, x in enumerate(solution.basis)]
+    return {"dimension": solution.dimension, "rank": solution.rank, "unknowns": solution.unknowns,
+            "assumptions_used": [str(a) for a in solution.assumptions_used],
+            "basis_sha256": hashlib.sha256(canonical_json(basis).encode()).hexdigest()}
+
+
+_GL3_GOLDEN = Path(__file__).parent / "golden" / "solve" / "gl3.json"
+
+
+@pytest.mark.parametrize("kind", sorted(solver.KINDS))
+def test_gl3_solve_matches_golden(kind):
+    # tests/golden/solve/gl3.json holds _canonical_solution of each problem
+    # of _gl3_problems; the solves run on the integer lane
+    golden = json.loads(_GL3_GOLDEN.read_text(encoding="utf-8"))
+    assert _canonical_solution(_gl3_problems()[kind]) == golden[kind]
+
+
+# -- one join index per context operand ----------------------------------------------------
+
+@pytest.mark.parametrize("problem", [LinearProblem.weak_symplectic, LinearProblem.ad_invariance,
+                                     LinearProblem.cocycle_in_delta])
+def test_verifying_a_solution_builds_no_index_of_the_context(problem, monkeypatch):
+    # the coefficients put the unknown's basis axis first, so the output
+    # letters keep the strides that evaluate gives them, and the basis is
+    # verified on the join indexes of c that the coefficients built
+    sl2 = make_sl2()  # with no index built yet
+    builds, stage, index, coefficients = [], ["rows"], multilinear._index, Table.coefficients
+
+    def spy(step, tensors, strides):
+        t = tensors[step[0]]
+        before = len(getattr(t, "_memo", {}))
+        found = index(step, tensors, strides)
+        if len(t._memo) > before:
+            builds.append((stage[0], t))
+        return found
+
+    def rows_then_verify(self, unknown, **operands):
+        found = coefficients(self, unknown, **operands)
+        stage[0] = "verify"
+        return found
+
+    monkeypatch.setattr(multilinear, "_index", spy)
+    monkeypatch.setattr(Table, "coefficients", rows_then_verify)
+    solution = solve_linear(problem(sl2))
+    assert solution.dimension > 0
+    scaled = sl2.tensor._memo[True][1]  # c scaled by its lcm, which holds its indexes
+    assert any(t is scaled for phase, t in builds if phase == "rows")
+    assert [phase for phase, t in builds if t is scaled and phase == "verify"] == []

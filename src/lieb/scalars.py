@@ -24,12 +24,10 @@ and a constant denominator need no polynomial gcd, and + and * on reduced
 operands take the smaller gcds of their denominators and cross factors, as
 fractions.Fraction does.  Ordering of monomials affects printing only.
 
-Constants take a fast path.  A Scalar whose num and den are both constant
-also carries its value as a reduced int pair p/q with q > 0.  When every
-operand of +, -, *, /, ** or == is constant, the result is computed on those
-pairs with math.gcd and built directly in canonical form: the same num and
-den terms the polynomial path gives, with zero sharing the constant
-polynomials 0 and 1.  Any symbolic operand takes the polynomial path.
+A Scalar whose num and den are both constant also carries its value as a
+reduced int pair p/q with q > 0, a cached view of num and den that the table
+engine's and row_reduce's int lanes read; otherwise p and q are None.
+Arithmetic does not branch on them: constants take the polynomial path.
 """
 
 from __future__ import annotations
@@ -556,8 +554,6 @@ class Scalar:
     def __add__(self, other) -> Scalar:
         if not isinstance(other, Scalar):
             other = self._coerce(other)
-        if self.q is not None and other.q is not None:
-            return _constant_sum(self.p, self.q, other.p, other.q)
         na, da, nb, db = self.num, self.den, other.num, other.den
         if not na.terms:
             return other
@@ -565,7 +561,9 @@ class Scalar:
             return self
         if da.is_constant() and db.is_constant():
             return Scalar(na * db + nb * da, da * db)
-        # Fraction's sum: only the gcd of the denominators can be common
+        # Fraction's sum: only the gcd of the denominators can be common.  With
+        # this and the product's shortcut replaced by the constructor's gcd,
+        # test_scalars.py::test_ring_laws took 602 s, not under 1.5 s, on a 2-core Xeon.
         g = da.gcd(db)
         if g.terms == _ONE_TERMS:
             return _coprime(na * db + nb * da, da * db)
@@ -579,15 +577,11 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> Scalar:
-        if self.q is not None:
-            return _constant(-self.p, self.q)
         return _coprime(-self.num, self.den)
 
     def __sub__(self, other) -> Scalar:
         if not isinstance(other, Scalar):
             other = self._coerce(other)
-        if self.q is not None and other.q is not None:
-            return _constant_sum(self.p, self.q, -other.p, other.q)
         return self + (-other)
 
     def __rsub__(self, other) -> Scalar:
@@ -596,19 +590,12 @@ class Scalar:
     def __mul__(self, other) -> Scalar:
         if not isinstance(other, Scalar):
             other = self._coerce(other)
-        q1, q2 = self.q, other.q
-        if q1 is not None and q2 is not None:
-            p1, p2 = self.p, other.p
-            if not p1 or not p2:
-                return ZERO
-            g1, g2 = gcd(p1, q2), gcd(p2, q1)
-            return _constant((p1 // g1) * (p2 // g2), (q1 // g2) * (q2 // g1))
         na, da, nb, db = self.num, self.den, other.num, other.den
         if da.is_constant() and db.is_constant():
             return Scalar(na * nb, da * db)
         if not na.terms or not nb.terms:
             return ZERO
-        # Fraction's product: only the cross pairs can have common factors
+        # Fraction's product: only the cross pairs can have common factors (see __add__)
         g1, g2 = na.gcd(db), nb.gcd(da)
         if g1.terms != _ONE_TERMS:
             na, db = na // g1, db // g1
@@ -623,14 +610,6 @@ class Scalar:
             other = self._coerce(other)
         if other.num.is_zero():
             raise DivisionByZero("division by zero scalar")
-        q1, q2 = self.q, other.q
-        if q1 is not None and q2 is not None:
-            p1, p2 = self.p, other.p
-            if not p1:
-                return ZERO
-            g1, g2 = gcd(p1, p2), gcd(q1, q2)
-            num, den = (p1 // g1) * (q2 // g2), (q1 // g2) * (p2 // g1)
-            return _constant(-num, -den) if den < 0 else _constant(num, den)
         num, den = other.num, other.den
         if num.leading_coefficient() < 0:
             num, den = -num, -den
@@ -642,8 +621,6 @@ class Scalar:
     def __pow__(self, n: int) -> Scalar:
         if n < 0:
             return ONE / self ** (-n)
-        if self.q is not None:
-            return _constant(self.p**n, self.q**n)
         return _coprime(self.num**n, self.den**n)
 
     def __eq__(self, other: object) -> bool:
@@ -715,16 +692,6 @@ def _coprime(num: Polynomial, den: Polynomial) -> Scalar:
     s = object.__new__(Scalar)
     s._set(num, den)
     return s
-
-
-def _constant_sum(p1: int, q1: int, p2: int, q2: int) -> Scalar:
-    """p1/q1 + p2/q2 for reduced pairs."""
-    if q1 == q2:
-        num, den = p1 + p2, q1
-    else:
-        num, den = p1 * q2 + p2 * q1, q1 * q2
-    g = gcd(num, den)
-    return _constant(num // g, den // g)
 
 
 ZERO = Scalar(_P_ZERO)

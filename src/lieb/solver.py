@@ -181,7 +181,8 @@ def solve_linear(problem: LinearProblem,
     vectors, certifying = kernel(_rows(kind, operands), cols, assumptions)
     solutions = []
     for vec in vectors:
-        entries = {idx[:-1]: v * vec[idx[-1]] for idx, v in basis.entries.items() if vec[idx[-1]]}
+        entries = {idx[:-1]: x if v is ONE else -x  # a basis entry is ONE or -ONE
+                   for idx, v in basis.entries.items() if (x := vec[idx[-1]])}
         element = kind.element(space, Tensor(tuple(shape), entries))
         if kind.check is not None:
             solves = kind.check(problem.context, element).passed

@@ -256,7 +256,7 @@ def test_covered_by_assumptions():
     assert covered_by_assumptions(sc("7").num, []) == []
 
 
-# -- the constant fast path ------------------------------------------------------
+# -- constants: canonical form and the p/q view -----------------------------------
 
 _INTS = st.one_of(st.integers(-12, 12), st.integers(-10**40, 10**40))
 _DENS = st.one_of(st.integers(1, 12), st.integers(1, 10**40))
@@ -272,7 +272,7 @@ def fraction_pairs(draw) -> tuple[Fraction, Fraction]:
 
 
 def canonical(value: Fraction) -> Scalar:
-    """The slow path's canonical form of a constant."""
+    """A constant normalised by the constructor: the canonical form."""
     return Scalar(Polynomial.integer(value.numerator), Polynomial.integer(value.denominator))
 
 

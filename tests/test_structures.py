@@ -22,6 +22,7 @@ from lieb import (
     LieAlgebra,
     LieCoalgebra,
     LinearOperator,
+    LinearProblem,
     Representation,
     TwoTensor,
     Verdict,
@@ -60,14 +61,15 @@ from lieb import (
     phi_r,
     render_document,
     semidirect_product,
+    solve_linear,
 )
 from lieb.document import CHECK_KINDS
-from lieb import structures
+from lieb import solver, structures
 from lieb.multilinear import ShapeError, Table, Tensor
-from lieb.scalars import ONE, ZERO, Assumption, Polynomial
+from lieb.scalars import ONE, ZERO, Assumption, Polynomial, Scalar
 from lieb.structures import Check, Residual
 
-from conftest import abelian, bialgebra_pair, make_operator, sc
+from conftest import abelian, bialgebra_pair, make_operator, make_sl2, sc
 from reference_loops import (
     ad, bracket, identity_operator, scale, zero_form, zero_tensor, zeros, zeros3,
 )
@@ -865,3 +867,52 @@ def test_every_check_takes_structures_and_assumptions_by_position_or_by_name(nam
     assert got == [got[0]] * 4
     # the assumptions reached the check: without them the denominator is implicit
     assert check(*objs).assumptions_used != reports[0].assumptions_used
+
+
+# -- constant inputs: arithmetic on the int lanes ----------------------------------------
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__pow__")
+
+
+def _forbid_scalar_arithmetic(monkeypatch) -> None:
+    """Make Scalar's binary operators and ** raise; negation, comparison,
+    hashing and truth values still run."""
+    def forbidden(self, *args):
+        raise AssertionError("Scalar arithmetic on all-constant inputs")
+
+    for name in _ARITHMETIC:
+        monkeypatch.setattr(Scalar, name, forbidden)
+
+
+def _constant_structures() -> dict:
+    """The conventions structures at k = 2, where every entry is a constant."""
+    return {name: bind_parameters(obj, {"k": Fraction(2)})
+            for name, obj in _conventions_structures().items()}
+
+
+@pytest.mark.parametrize("kind", sorted(structures.CHECKS))
+def test_a_check_on_constant_inputs_adds_and_multiplies_no_scalars(kind, monkeypatch):
+    # constant entries are summed on the table engine's int lane; each run
+    # gets fresh inputs, so the patched one finds no join index already built
+    check = structures.CHECKS[kind]
+    expected = check(*map(_constant_structures().get, check.names))
+    inputs = list(map(_constant_structures().get, check.names))
+    _forbid_scalar_arithmetic(monkeypatch)
+    assert check(*inputs) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(solver.KINDS))
+def test_a_solve_on_a_constant_context_adds_and_multiplies_no_scalars(kind, monkeypatch):
+    # the rows are eliminated on row_reduce's int lane, and each kernel
+    # vector is read back through the +-1 basis with no product
+    def problem() -> LinearProblem:
+        if kind == "co-cybe-slice":
+            s = _constant_structures()
+            return LinearProblem.co_cybe_slice(s["C"], s["omega"])
+        return LinearProblem(kind, {"c": make_sl2()})
+
+    expected = solve_linear(problem())
+    fresh = problem()
+    _forbid_scalar_arithmetic(monkeypatch)
+    assert solve_linear(fresh) == expected
